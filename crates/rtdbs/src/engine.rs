@@ -216,6 +216,9 @@ struct TenantState {
     // arithmetic keeps the values bit-identical to the scan.
     cur_holders: u32,
     cur_pages: u64,
+    /// On the engine's holding list: the counters are nonzero or changed
+    /// since the last `update_mpl`.
+    listed: bool,
     // Per-tenant feedback batch window (maintained only when the policy
     // wants tenant feedback).
     b_served: u64,
@@ -233,6 +236,22 @@ struct TenantState {
 }
 
 impl TenantState {
+    /// The tenant a query bills (out-of-range indices clamp to the last),
+    /// put on the holding list because its counters are about to change.
+    fn billed<'a>(
+        tenants: &'a mut [TenantState],
+        holding: &mut Vec<u32>,
+        tenant: u32,
+    ) -> &'a mut TenantState {
+        let ti = (tenant as usize).min(tenants.len() - 1);
+        let t = &mut tenants[ti];
+        if !t.listed {
+            t.listed = true;
+            holding.push(ti as u32);
+        }
+        t
+    }
+
     fn new(name: String, quota: u32, soft: bool, start: SimTime) -> Self {
         TenantState {
             name,
@@ -245,6 +264,7 @@ impl TenantState {
             borrowed: TimeWeighted::new(start, 0.0),
             cur_holders: 0,
             cur_pages: 0,
+            listed: false,
             b_served: 0,
             b_missed: 0,
             b_mpl: TimeWeighted::new(start, 0.0),
@@ -548,6 +568,10 @@ pub struct Simulator {
     // per-tenant feedback batches are routed to the policy.
     tenants: Vec<TenantState>,
     tenant_feedback: bool,
+    /// Indices of the tenants whose `listed` flag is set: every tenant
+    /// holding memory, plus those whose counters changed since the last
+    /// `update_mpl`. Unlisted tenants read 0 everywhere.
+    holding: Vec<u32>,
     // Observability: the single recording path (arrival gaps, the query
     // lifecycle, policy decisions all flow through this sink), the
     // pre-registered metrics instruments, and the wall-clock profiler.
@@ -729,6 +753,7 @@ impl Simulator {
             batch_char_norm: Tally::new(),
             tenants,
             tenant_feedback,
+            holding: Vec::new(),
             tracer,
             obs_metrics,
             profiler,
@@ -746,6 +771,13 @@ impl Simulator {
 
     /// Execute the run to completion and report.
     pub fn run(mut self) -> RunReport {
+        self.run_to_horizon();
+        self.finish_report()
+    }
+
+    /// Dispatch events until the end of the run, leaving the final state
+    /// for `finish_report`.
+    fn run_to_horizon(&mut self) {
         for class in 0..self.cfg.classes.len() {
             self.schedule_next_arrival(class, SimTime::ZERO);
         }
@@ -779,7 +811,6 @@ impl Simulator {
             }
             self.profiler.end(Section::Dispatch, t0);
         }
-        self.finish_report()
     }
 
     // ----- Source -------------------------------------------------------
@@ -1081,8 +1112,7 @@ impl Simulator {
         // integer deltas, so the readings match the seed's full scan
         // bit-for-bit.
         if !self.tenants.is_empty() {
-            let last = self.tenants.len() - 1;
-            let t = &mut self.tenants[(q.tenant as usize).min(last)];
+            let t = TenantState::billed(&mut self.tenants, &mut self.holding, q.tenant);
             t.cur_pages = t.cur_pages + u64::from(new) - u64::from(old);
             if old == 0 && new > 0 {
                 t.cur_holders += 1;
@@ -1141,8 +1171,8 @@ impl Simulator {
         if q.granted > 0 {
             self.holders -= 1;
             if !self.tenants.is_empty() {
-                let last = self.tenants.len() - 1;
-                let t = &mut self.tenants[(q.tenant as usize).min(last)];
+                let t =
+                    TenantState::billed(&mut self.tenants, &mut self.holding, q.tenant);
                 t.cur_pages -= u64::from(q.granted);
                 t.cur_holders -= 1;
             }
@@ -1161,18 +1191,27 @@ impl Simulator {
 
     fn update_mpl(&mut self, now: SimTime) {
         // The holder/page counters are maintained incrementally on every
-        // grant diff and departure (`apply_grant`, `retire_counters`), so
-        // this costs O(tenants) instead of the seed's scan over every live
-        // query; multi-tenant runs fold the per-tenant usage readings
-        // (MPL, pages in use, pages borrowed beyond quota) out of the same
+        // grant diff and departure (`apply_grant`, `on_departed`), which
+        // also put the billed tenant on the holding list, so this costs
+        // O(holding tenants) instead of the seed's scan over every live
+        // query. Multi-tenant runs fold the per-tenant usage readings (MPL,
+        // pages in use, pages borrowed beyond quota) out of the same
         // counters — every holder bills a tenant (out-of-range indices
         // clamp), so the global MPL is the sum of the per-tenant counts.
         // All-integer deltas keep the readings bit-identical to the scan.
+        //
+        // A listed tenant is set at every call, exactly as a full sweep
+        // would, and leaves the list once its readings are back to 0. An
+        // unlisted tenant's sweep writes would all be zero → zero: its
+        // `TimeWeighted`s would integrate `0.0 * dt` (leaving the integral
+        // unchanged to the bit) and its gauge cell would store the 0 it
+        // already holds, so skipping them is exact.
         let holders = if self.tenants.is_empty() {
             f64::from(self.holders)
         } else {
             let mut holders = 0u32;
-            for (ti, t) in self.tenants.iter_mut().enumerate() {
+            self.holding.retain(|&ti| {
+                let t = &mut self.tenants[ti as usize];
                 holders += t.cur_holders;
                 t.mpl.set(now, f64::from(t.cur_holders));
                 if self.tenant_feedback {
@@ -1183,10 +1222,17 @@ impl Simulator {
                     .set(now, (t.cur_pages as f64 - f64::from(t.quota)).max(0.0));
                 if let Some(m) = &mut self.obs_metrics {
                     if let Some(id) = m.tenant_mpl {
-                        m.reg.set_gauge_cell(id, ti, f64::from(t.cur_holders));
+                        m.reg
+                            .set_gauge_cell(id, ti as usize, f64::from(t.cur_holders));
                     }
                 }
-            }
+                t.listed = t.cur_holders > 0;
+                t.listed
+            });
+            debug_assert_eq!(
+                holders, self.holders,
+                "a tenant holding memory fell off the holding list"
+            );
             f64::from(holders)
         };
         self.mpl_run.set(now, holders);
@@ -2211,6 +2257,45 @@ mod tests {
         // Single-tenant runs keep the vector empty.
         let single = run_simulation(quick_cfg(0.05, 1_000.0), Box::new(MaxPolicy));
         assert!(single.tenants.is_empty());
+    }
+
+    #[test]
+    fn unlisted_tenants_hold_nothing_and_read_zero() {
+        use pmm::{PartitionSpec, TenantPmm};
+        let mut cfg = SimConfig::scale(50);
+        cfg.duration_secs = 300.0;
+        cfg.obs.metrics = true;
+        let parts = cfg
+            .tenants
+            .iter()
+            .map(|t| PartitionSpec {
+                quota: t.quota_pages,
+                soft: t.soft,
+            })
+            .collect();
+        let mut sim = Simulator::new(cfg, Box::new(TenantPmm::new(parts)));
+        sim.run_to_horizon();
+        let listed: Vec<u32> = (0..sim.tenants.len() as u32)
+            .filter(|&ti| sim.tenants[ti as usize].listed)
+            .collect();
+        let mut holding = sim.holding.clone();
+        holding.sort_unstable();
+        assert_eq!(holding, listed, "the list holds each listed tenant once");
+        assert!(
+            sim.tenants.iter().any(|t| !t.listed && t.served > 0),
+            "some tenant went idle → holding → idle and left the list"
+        );
+        for t in sim.tenants.iter().filter(|t| !t.listed) {
+            assert_eq!((t.cur_holders, t.cur_pages), (0, 0), "tenant {}", t.name);
+            for (what, tw) in [
+                ("mpl", &t.mpl),
+                ("b_mpl", &t.b_mpl),
+                ("used", &t.used),
+                ("borrowed", &t.borrowed),
+            ] {
+                assert_eq!(tw.current(), 0.0, "tenant {} {what}", t.name);
+            }
+        }
     }
 
     #[test]

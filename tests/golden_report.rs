@@ -1,5 +1,7 @@
-//! Golden determinism pin: one full `RunReport` per policy, serialized
-//! byte-for-byte and compared against a checked-in snapshot.
+//! Golden determinism pins: full `RunReport`s serialized byte-for-byte and
+//! compared against checked-in snapshots — one per paper policy on a
+//! single-tenant baseline cell, and the per-tenant readings of a
+//! multi-tenant scale cell.
 //!
 //! This is the behavior bar for hot-path work: an optimization PR must not
 //! move a single simulated event, so the report it produces — served/missed
@@ -69,28 +71,14 @@ fn serialize(report: &RunReport) -> String {
     out
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// Compare `actual` against the snapshot `golden/<file>`, or overwrite the
+/// snapshot when `UPDATE_GOLDEN` is set.
+fn check_golden(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("golden")
-        .join("runreport_fig3.txt")
-}
-
-#[test]
-fn run_report_matches_golden_snapshot() {
-    let mut actual = String::new();
-    for policy in ["Max", "MinMax", "PMM"] {
-        let boxed: Box<dyn MemoryPolicy> = match policy {
-            "Max" => Box::new(MaxPolicy),
-            "MinMax" => Box::new(MinMaxPolicy::unlimited()),
-            _ => Box::new(Pmm::with_defaults()),
-        };
-        let report = run_simulation(golden_cfg(), boxed);
-        let _ = writeln!(actual, "==== {policy} ====");
-        actual.push_str(&serialize(&report));
-    }
-    let path = golden_path();
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual).expect("write golden snapshot");
+        std::fs::write(&path, actual).expect("write golden snapshot");
         eprintln!("golden snapshot updated at {}", path.display());
         return;
     }
@@ -106,4 +94,87 @@ fn run_report_matches_golden_snapshot() {
          an event. If the change is intentional, re-bless with UPDATE_GOLDEN=1.\n\
          --- expected ---\n{expected}\n--- actual ---\n{actual}"
     );
+}
+
+#[test]
+fn run_report_matches_golden_snapshot() {
+    let mut actual = String::new();
+    for policy in ["Max", "MinMax", "PMM"] {
+        let boxed: Box<dyn MemoryPolicy> = match policy {
+            "Max" => Box::new(MaxPolicy),
+            "MinMax" => Box::new(MinMaxPolicy::unlimited()),
+            _ => Box::new(Pmm::with_defaults()),
+        };
+        let report = run_simulation(golden_cfg(), boxed);
+        let _ = writeln!(actual, "==== {policy} ====");
+        actual.push_str(&serialize(&report));
+    }
+    check_golden("runreport_fig3.txt", &actual);
+}
+
+/// The pinned multi-tenant configuration: the scale preset at 100 tenants,
+/// shortened so each tenant sees only a handful of queries — every tenant
+/// spends most of the run idle, so its usage readings cycle
+/// idle → holding → idle many times over. Quotas shrink below a sort's
+/// maximum demand so soft tenants borrow, arrivals speed up until queries
+/// miss, and the feedback batch shrinks so the per-tenant PMM controllers
+/// close batches within the horizon.
+fn tenants_cfg() -> SimConfig {
+    let mut cfg = SimConfig::scale(100);
+    for t in &mut cfg.tenants {
+        t.quota_pages = 16;
+    }
+    cfg.resources.memory_pages = 16 * 100;
+    for c in &mut cfg.classes {
+        c.arrival = ArrivalSpec::poisson(0.1);
+    }
+    cfg.duration_secs = 400.0;
+    cfg.window_secs = 100.0;
+    cfg.sample_size = 5;
+    cfg.seed = 1994;
+    cfg.obs.metrics = true;
+    cfg
+}
+
+/// Exact serialization of the per-tenant readings: every `TenantOutcome`
+/// field plus the final per-tenant MPL gauge cells.
+fn serialize_tenants(report: &RunReport) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "policy: {}", report.policy);
+    let _ = writeln!(out, "served: {}", report.served);
+    let _ = writeln!(out, "missed: {}", report.missed);
+    let _ = writeln!(out, "avg_mpl: {:?}", report.avg_mpl);
+    for t in &report.tenants {
+        let _ = writeln!(
+            out,
+            "tenant {}: quota={} soft={} served={} missed={} avg_mpl={:?} \
+             quota_utilization={:?} borrowed_pages={:?}",
+            t.name,
+            t.quota_pages,
+            t.soft,
+            t.served,
+            t.missed,
+            t.avg_mpl,
+            t.quota_utilization,
+            t.borrowed_pages
+        );
+    }
+    let metrics = report.metrics.as_ref().expect("metrics are on");
+    for (name, cells) in &metrics.gauge_families {
+        let _ = writeln!(out, "{name}: {cells:?}");
+    }
+    out
+}
+
+#[test]
+fn tenant_readings_match_golden_snapshot() {
+    let cfg = tenants_cfg();
+    let mut actual = String::new();
+    for policy in ["Partitioned-soft", "PMM-tenant"] {
+        let report = run_simulation(cfg.clone(), bench::make_policy_for(&cfg, policy));
+        assert_eq!(report.tenants.len(), 100);
+        let _ = writeln!(actual, "==== {policy} ====");
+        actual.push_str(&serialize_tenants(&report));
+    }
+    check_golden("runreport_tenants.txt", &actual);
 }
