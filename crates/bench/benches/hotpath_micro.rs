@@ -1,8 +1,7 @@
 //! Hot-path micro-benchmarks: the substrates the event loop spends its
 //! time in — the calendar (push/pop/cancel), the memory-division
 //! allocators behind `reallocate()`, the per-disk ED+elevator queue, and
-//! the operator-stepping protocols (single-step vs. run-length) at
-//! paper-scale relation sizes.
+//! operator stepping at paper-scale relation sizes.
 //!
 //! These track the repo's perf trajectory: run
 //! `cargo bench -p bench --bench hotpath_micro` before and after touching
@@ -14,9 +13,7 @@
 #![allow(deprecated)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pmm_core::exec::{
-    Action, ActionRun, ExecConfig, ExternalSort, HashJoin, Operator, RUN_BATCH,
-};
+use pmm_core::exec::{Action, ExecConfig, ExternalSort, HashJoin, Operator};
 use pmm_core::obs::{MetricsRegistry, TraceEvent, TraceKind, TraceMode, Tracer};
 use pmm_core::pmm::{
     minmax_allocate, minmax_allocate_into, partitioned_allocate_with_into,
@@ -91,66 +88,13 @@ fn churn_round(
     }
 }
 
-/// Drive an operator to completion one `step()` at a time (the seed
+/// Drive an operator to completion one `step()` at a time (the engine's
 /// protocol), tallying the actions so nothing is optimized away.
 fn drain_steps(op: &mut dyn Operator) -> u64 {
     let mut n = 0u64;
     let mut cpu = 0u64;
     loop {
         match op.step() {
-            Action::Cpu(c) => cpu += c,
-            Action::Finished => return n ^ cpu,
-            Action::Parked => unreachable!("fixed allocation never parks"),
-            _ => {}
-        }
-        n += 1;
-    }
-}
-
-/// Drive an operator to completion through the run-length protocol (the
-/// engine's hot path: buffered pops, operator re-entered per batch only).
-fn drain_runs(op: &mut dyn Operator) -> u64 {
-    let mut run = ActionRun::new();
-    let mut n = 0u64;
-    let mut cpu = 0u64;
-    loop {
-        let Some(action) = run.pop() else {
-            op.plan_run(&mut run);
-            continue;
-        };
-        match action {
-            Action::Cpu(c) => cpu += c,
-            Action::Finished => return n ^ cpu,
-            Action::Parked => unreachable!("fixed allocation never parks"),
-            _ => {}
-        }
-        n += 1;
-    }
-}
-
-/// Drive an operator to completion through a *step-replay* planner: the
-/// pre-descriptor run protocol, re-entering the state machine once per
-/// action to fill each [`RUN_BATCH`] buffer. Against `drain_runs` (the
-/// closed-form descriptor planner) this isolates the analytic-planning win:
-/// same buffer round-trip, same action stream, only the fill differs.
-fn drain_step_replay(op: &mut dyn Operator) -> u64 {
-    let mut run = ActionRun::new();
-    let mut n = 0u64;
-    let mut cpu = 0u64;
-    loop {
-        let Some(action) = run.pop() else {
-            run.clear();
-            for _ in 0..RUN_BATCH {
-                let a = op.step();
-                let stop = matches!(a, Action::Parked | Action::Finished);
-                run.push(a);
-                if stop {
-                    break;
-                }
-            }
-            continue;
-        };
-        match action {
             Action::Cpu(c) => cpu += c,
             Action::Finished => return n ^ cpu,
             Action::Parked => unreachable!("fixed allocation never parks"),
@@ -283,17 +227,7 @@ fn bench(c: &mut Criterion) {
     // Operator stepping at paper scale (Table 2 / Section 5.1 sizes):
     // the baseline join builds ‖R‖ = 1200 and probes ‖S‖ = 6000 pages; the
     // sort forms runs over 1200 pages with a 100-page workspace and merges
-    // them. Three protocols over the *same* action stream (pinned by
-    // `crates/exec/tests/run_protocol_model.rs`): `_step` is the seed
-    // one-`Action`-per-call protocol, `_replay` fills each RUN_BATCH buffer
-    // by stepping the state machine per action (the pre-descriptor run
-    // protocol), and `_run` is the engine's hot path — closed-form
-    // `RunDescriptor` planning that expands a whole homogeneous stretch
-    // without re-entering the operator. The `_replay` → `_run` delta is the
-    // analytic-planning win in isolation; engine-level events/s
-    // (`BENCH_perf.json`) is the in-situ measure, where descriptor
-    // planning plus the calendar front buffer carry the PR's ≥1.5×
-    // fig3/fig8 win.
+    // them, one `step()` per action as the engine drives them.
     let join_mid = || {
         let mut op = HashJoin::new(
             ExecConfig::default(),
@@ -311,12 +245,6 @@ fn bench(c: &mut Criterion) {
     c.bench_function("opstep/join_build_probe_step_1200x6000", |b| {
         b.iter(|| black_box(drain_steps(&mut join_mid())))
     });
-    c.bench_function("opstep/join_build_probe_replay_1200x6000", |b| {
-        b.iter(|| black_box(drain_step_replay(&mut join_mid())))
-    });
-    c.bench_function("opstep/join_build_probe_run_1200x6000", |b| {
-        b.iter(|| black_box(drain_runs(&mut join_mid())))
-    });
 
     let sort_two_pass = || {
         let mut op = ExternalSort::new(ExecConfig::default(), FileId::Relation(0), 1200);
@@ -325,12 +253,6 @@ fn bench(c: &mut Criterion) {
     };
     c.bench_function("opstep/sort_form_merge_step_1200_w100", |b| {
         b.iter(|| black_box(drain_steps(&mut sort_two_pass())))
-    });
-    c.bench_function("opstep/sort_form_merge_replay_1200_w100", |b| {
-        b.iter(|| black_box(drain_step_replay(&mut sort_two_pass())))
-    });
-    c.bench_function("opstep/sort_form_merge_run_1200_w100", |b| {
-        b.iter(|| black_box(drain_runs(&mut sort_two_pass())))
     });
 
     c.bench_function("reallocate/minmax_64", |b| {

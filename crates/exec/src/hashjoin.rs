@@ -31,10 +31,7 @@
 //! interleaving of second-pass requests differs, which is irrelevant to the
 //! queueing model.
 
-use crate::op::{
-    blocks_for, cost, Action, ActionRun, ExecConfig, FileRef, IoRequest, Operator,
-    RunDescriptor, RUN_BATCH,
-};
+use crate::op::{blocks_for, cost, Action, ExecConfig, FileRef, IoRequest, Operator};
 use storage::{FileId, IoKind};
 
 /// Spill temp-file slot used by the join.
@@ -89,40 +86,13 @@ pub struct HashJoin {
     fluctuations: u32,
     started: bool,
     /// Cached [`HashJoin::contracted_fraction`]: changes only with
-    /// `expanded`, i.e. on `set_allocation` — a per-phase run descriptor,
-    /// not a per-step derivation.
+    /// `expanded`, i.e. on `set_allocation`, so it is derived there rather
+    /// than per step.
     frac_con: f64,
     /// Cached probe-scan CPU for one full block at the current contraction
     /// level (the partial tail block is still computed directly, with the
     /// identical expression).
     probe_cpu_block: u64,
-    /// Run-protocol checkpoint: the state as of the last
-    /// [`Operator::plan_run`], replayed by [`Operator::sync_run`] when a
-    /// run is abandoned partially consumed.
-    saved: Option<JoinCheckpoint>,
-}
-
-/// Every field [`HashJoin::step`] or [`HashJoin::set_allocation`] mutates;
-/// `cfg` / files / sizes / `partitions` / `fr` are construction-time
-/// constants and the cost caches are re-derived, so neither needs saving.
-/// Keep this in lockstep with the struct — the run-protocol model test
-/// (`tests/run_protocol_model.rs`) catches a missed field.
-#[derive(Clone, Copy, Debug)]
-struct JoinCheckpoint {
-    alloc: u32,
-    expanded: u32,
-    state: State,
-    pending_cpu: u64,
-    pending_contract: f64,
-    pending_expand_read: f64,
-    spill_accum: f64,
-    spilled_r: f64,
-    spilled_s: f64,
-    scan_pos: u32,
-    temp_write_pos: u32,
-    second_read: f64,
-    fluctuations: u32,
-    started: bool,
 }
 
 impl HashJoin {
@@ -165,7 +135,6 @@ impl HashJoin {
             started: false,
             frac_con: 1.0,
             probe_cpu_block: 0,
-            saved: None,
         };
         join.refresh_cost_caches();
         join
@@ -216,48 +185,11 @@ impl HashJoin {
         cpu as u64
     }
 
-    /// Re-derive the per-phase cost descriptors. Called from `new` and
-    /// `set_allocation` only — the scan loops read the cached values.
+    /// Re-derive the cached scan costs. Called from `new` and
+    /// `set_allocation` only — the scan steps read the cached values.
     fn refresh_cost_caches(&mut self) {
         self.frac_con = self.contracted_fraction();
         self.probe_cpu_block = self.probe_cpu_for(self.cfg.block_pages);
-    }
-
-    fn snapshot(&self) -> JoinCheckpoint {
-        JoinCheckpoint {
-            alloc: self.alloc,
-            expanded: self.expanded,
-            state: self.state,
-            pending_cpu: self.pending_cpu,
-            pending_contract: self.pending_contract,
-            pending_expand_read: self.pending_expand_read,
-            spill_accum: self.spill_accum,
-            spilled_r: self.spilled_r,
-            spilled_s: self.spilled_s,
-            scan_pos: self.scan_pos,
-            temp_write_pos: self.temp_write_pos,
-            second_read: self.second_read,
-            fluctuations: self.fluctuations,
-            started: self.started,
-        }
-    }
-
-    fn restore(&mut self, c: JoinCheckpoint) {
-        self.alloc = c.alloc;
-        self.expanded = c.expanded;
-        self.state = c.state;
-        self.pending_cpu = c.pending_cpu;
-        self.pending_contract = c.pending_contract;
-        self.pending_expand_read = c.pending_expand_read;
-        self.spill_accum = c.spill_accum;
-        self.spilled_r = c.spilled_r;
-        self.spilled_s = c.spilled_s;
-        self.scan_pos = c.scan_pos;
-        self.temp_write_pos = c.temp_write_pos;
-        self.second_read = c.second_read;
-        self.fluctuations = c.fluctuations;
-        self.started = c.started;
-        self.refresh_cost_caches();
     }
 
     /// Fraction of the build input consumed so far (sizes the in-memory
@@ -327,168 +259,6 @@ impl HashJoin {
         }
         None
     }
-
-    /// Single-step once into `run`; false ends the batch (decision boundary).
-    fn push_step(&mut self, run: &mut ActionRun) -> bool {
-        let action = self.step();
-        run.push(action);
-        !matches!(action, Action::Parked | Action::Finished)
-    }
-
-    /// Plan the build (`build = true`) or probe scan. Fully expanded
-    /// operators scan without spooling, so whole stretches collapse into a
-    /// [`RunDescriptor`]; with contraction the spill accumulator is walked
-    /// block by block in exactly the reference association order, keeping
-    /// the `spill_accum` f64 trajectory bit-identical.
-    fn plan_scan(&mut self, run: &mut ActionRun, build: bool) {
-        debug_assert_eq!(self.pending_cpu, 0);
-        let block = self.cfg.block_pages;
-        let (total, file) = if build {
-            (self.r_pages, FileRef::Base(self.r_file))
-        } else {
-            (self.s_pages, FileRef::Base(self.s_file))
-        };
-        let scanning = if build {
-            State::BuildScan
-        } else {
-            State::ProbeScan
-        };
-        let per_block_cpu = if build {
-            block as u64 * self.cfg.tuples_per_page as u64 * cost::HASH_INSERT
-        } else {
-            self.probe_cpu_block
-        };
-        while run.len() < RUN_BATCH && self.state == scanning {
-            if self.frac_con == 0.0 && self.spill_accum < 1.0 {
-                // Nothing spools: the rest of the scan is homogeneous. The
-                // reference still adds `pages · 0.0` to the accumulator per
-                // block, which cannot change its value, so eliding the adds
-                // preserves the trajectory.
-                let pairs = ((RUN_BATCH - run.len()) / 2) as u32;
-                let count = ((total - self.scan_pos) / block).min(pairs);
-                if count > 0 {
-                    RunDescriptor {
-                        count,
-                        cpu: per_block_cpu + cost::START_IO,
-                        io: IoRequest {
-                            file,
-                            first_page: self.scan_pos,
-                            pages: block,
-                            kind: IoKind::Read,
-                            prefetch: true,
-                        },
-                        stride: block,
-                    }
-                    .expand(run);
-                    self.scan_pos += count * block;
-                    continue;
-                }
-            }
-            if self.spill_accum >= block as f64 {
-                let pages = block;
-                self.spill_accum -= pages as f64;
-                if build {
-                    self.spilled_r += pages as f64;
-                } else {
-                    self.spilled_s += pages as f64;
-                }
-                let write = self.spill_write(pages);
-                run.push(write);
-            } else if self.scan_pos >= total {
-                self.state = if build {
-                    State::BuildFlush
-                } else {
-                    State::ProbeFlush
-                };
-                return;
-            } else {
-                let pages = block.min(total - self.scan_pos);
-                let first = self.scan_pos;
-                self.scan_pos += pages;
-                let cpu = if build {
-                    pages as u64 * self.cfg.tuples_per_page as u64 * cost::HASH_INSERT
-                } else if pages == block {
-                    self.probe_cpu_block
-                } else {
-                    self.probe_cpu_for(pages)
-                };
-                self.pending_cpu += cpu + cost::START_IO;
-                self.spill_accum += pages as f64 * self.frac_con;
-                run.push(Action::Io(IoRequest {
-                    file,
-                    first_page: first,
-                    pages,
-                    kind: IoKind::Read,
-                    prefetch: true,
-                }));
-            }
-            // The single-step protocol drains the owed CPU as the next
-            // action after each I/O; a full batch leaves it owed for the
-            // next plan, exactly like a batch boundary mid-pair.
-            if run.len() < RUN_BATCH {
-                run.push(Action::Cpu(std::mem::take(&mut self.pending_cpu)));
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Plan the second pass: re-read spilled R (build) or S (probe) pages.
-    /// The loop mirrors the reference arithmetic on the spilled-page f64
-    /// totals but emits straight into the run, one I/O + CPU pair per
-    /// block, without per-action re-entry.
-    fn plan_second(&mut self, run: &mut ActionRun, build: bool) {
-        debug_assert_eq!(self.pending_cpu, 0);
-        let reading = if build {
-            State::SecondBuild
-        } else {
-            State::SecondProbe
-        };
-        let per_tuple = if build {
-            cost::HASH_INSERT
-        } else {
-            cost::HASH_PROBE + cost::HASH_COPY
-        };
-        while run.len() < RUN_BATCH && self.state == reading {
-            let remaining = if build {
-                self.spilled_r
-            } else {
-                self.spilled_s
-            };
-            if remaining < 1.0 {
-                if build {
-                    self.spilled_r = 0.0;
-                    self.state = State::SecondProbe;
-                } else {
-                    self.spilled_s = 0.0;
-                    self.state = State::Terminate;
-                }
-                return;
-            }
-            let pages = (remaining.floor() as u32).min(self.cfg.block_pages).max(1);
-            if build {
-                self.spilled_r = (self.spilled_r - pages as f64).max(0.0);
-            } else {
-                self.spilled_s = (self.spilled_s - pages as f64).max(0.0);
-            }
-            let first = (self.second_read as u32) % self.spill_capacity();
-            self.second_read += pages as f64;
-            let tuples = pages as u64 * self.cfg.tuples_per_page as u64;
-            self.pending_cpu += tuples * per_tuple + cost::START_IO;
-            run.push(Action::Io(IoRequest {
-                file: FileRef::Temp(SPILL_SLOT),
-                first_page: first,
-                pages,
-                kind: IoKind::Read,
-                prefetch: true,
-            }));
-            if run.len() < RUN_BATCH {
-                run.push(Action::Cpu(std::mem::take(&mut self.pending_cpu)));
-            } else {
-                return;
-            }
-        }
-    }
 }
 
 impl Operator for HashJoin {
@@ -542,58 +312,6 @@ impl Operator for HashJoin {
         }
         self.expanded = new_e;
         self.refresh_cost_caches();
-    }
-
-    /// Closed-form planning: the scan and second-pass phases expand whole
-    /// homogeneous stretches into the run — per-phase descriptors and tight
-    /// accumulator loops instead of one state-machine re-entry per action.
-    /// Boundary states (init, flushes, owed work, termination) still go
-    /// through [`HashJoin::step`], which remains the reference semantics;
-    /// `tests/run_protocol_model.rs` pins the two paths action-for-action.
-    fn plan_run(&mut self, run: &mut ActionRun) {
-        self.saved = Some(self.snapshot());
-        run.clear();
-        while run.len() < RUN_BATCH {
-            // Owed CPU / contraction spools / expansion reads and the short
-            // boundary states take the single-step path.
-            if self.pending_cpu > 0
-                || self.pending_contract >= 1.0
-                || self.pending_expand_read >= 1.0
-                || self.alloc == 0
-            {
-                if !self.push_step(run) {
-                    return;
-                }
-                continue;
-            }
-            match self.state {
-                State::BuildScan => self.plan_scan(run, true),
-                State::ProbeScan => self.plan_scan(run, false),
-                State::SecondBuild => self.plan_second(run, true),
-                State::SecondProbe => self.plan_second(run, false),
-                _ => {
-                    if !self.push_step(run) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn sync_run(&mut self, run: &ActionRun) {
-        if !run.has_pending() {
-            return;
-        }
-        // `take` consumes the checkpoint: a second sync against the same
-        // (now abandoned) run would otherwise silently replay stale state.
-        let saved = self.saved.take().expect("sync_run follows plan_run");
-        self.restore(saved);
-        // Deterministic replay: the state machine regenerates exactly the
-        // consumed prefix, leaving the operator where the single-step
-        // protocol would be.
-        for _ in 0..run.consumed() {
-            let _ = self.step();
-        }
     }
 
     fn step(&mut self) -> Action {

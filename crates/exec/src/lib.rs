@@ -20,6 +20,6 @@ pub mod sort;
 pub mod standalone;
 
 pub use hashjoin::HashJoin;
-pub use op::{Action, ActionRun, ExecConfig, FileRef, IoRequest, Operator, RUN_BATCH};
+pub use op::{Action, ExecConfig, FileRef, IoRequest, Operator};
 pub use sort::ExternalSort;
 pub use standalone::{standalone_time, standalone_time_on, Placement};

@@ -3,31 +3,14 @@
 //!
 //! Operators (hash joins, external sorts) are modelled as state machines
 //! that emit [`Action`]s — CPU bursts, page-range I/Os, temp-file
-//! management. Two drive protocols exist:
-//!
-//! * **Single-step** ([`Operator::step`]): the simulator performs the
-//!   returned action (which takes simulated time) and calls `step` again
-//!   when it completes. This is the compatibility protocol the standalone
-//!   estimator and the unit tests use.
-//! * **Run-length** ([`Operator::plan_run`] / [`Operator::sync_run`]): the
-//!   operator plans a whole *run* of homogeneous actions into an
-//!   [`ActionRun`] in one call, advancing its state machine past all of
-//!   them eagerly. The engine then schedules the run's per-block I/O
-//!   completions straight off the buffer without re-entering the operator.
-//!   A run is valid until the next phase transition (runs end at
-//!   [`Action::Parked`] / [`Action::Finished`]) or until an asynchronous
-//!   [`Operator::set_allocation`] lands; in the latter case the engine
-//!   calls `sync_run` first, which rolls the operator back to the run's
-//!   consumption point (checkpoint + deterministic replay), so the
-//!   allocation change observes *exactly* the state the single-step
-//!   protocol would have had. The two protocols are action-stream
-//!   identical; `crates/exec/tests/run_protocol_model.rs` pins that on
-//!   random allocation schedules.
+//! management — one per [`Operator::step`]. The simulator performs the
+//! returned action (which takes simulated time) and calls `step` again when
+//! it completes; the engine, the standalone estimator and the unit tests
+//! all drive operators this one way.
 //!
 //! Memory allocation changes arrive asynchronously through
-//! [`Operator::set_allocation`] between steps (or between consumed run
-//! actions); the operator must adapt (contract or expand, per
-//! \[Pang93a, Pang93b\]).
+//! [`Operator::set_allocation`] between steps; the operator must adapt
+//! (contract or expand, per \[Pang93a, Pang93b\]).
 //!
 //! Keeping the operators pure (no clock, no queues, no references into the
 //! simulator) makes them unit-testable in isolation: the tests drive them
@@ -141,108 +124,6 @@ pub enum Action {
     Finished,
 }
 
-/// Upper bound on the number of actions one [`Operator::plan_run`] call
-/// may emit. Bounds the replay work `sync_run` performs when an allocation
-/// change interrupts a partially consumed run.
-pub const RUN_BATCH: usize = 64;
-
-/// A closed-form run descriptor: `count` repetitions of an identical
-/// I/O-then-CPU action pair over a sequential page range. This is the unit
-/// the operators' `plan_run` implementations reason in for their
-/// homogeneous phases (build/probe scans without spooling, in-memory
-/// scans): the whole stretch is described by per-action cost and shape and
-/// expanded into the [`ActionRun`] without re-entering the operator state
-/// machine per action.
-///
-/// The CPU burst follows its I/O because that is the single-step
-/// protocol's order: a scan step issues the read and *owes* the CPU, which
-/// the next step drains. Expansion preserves that order exactly, so the
-/// action stream is indistinguishable from per-step planning.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RunDescriptor {
-    /// Number of action pairs.
-    pub count: u32,
-    /// CPU instructions owed after each I/O (includes the start-I/O cost).
-    pub cpu: u64,
-    /// First I/O of the stretch; subsequent ones advance `first_page` by
-    /// `stride`.
-    pub io: IoRequest,
-    /// Page advance between consecutive I/Os.
-    pub stride: u32,
-}
-
-impl RunDescriptor {
-    /// Expand into `run`: `count` repetitions of the I/O (advancing
-    /// `first_page` by `stride`), each followed by its owed CPU burst.
-    pub fn expand(&self, run: &mut ActionRun) {
-        let mut io = self.io;
-        for _ in 0..self.count {
-            run.push(Action::Io(io));
-            run.push(Action::Cpu(self.cpu));
-            io.first_page += self.stride;
-        }
-    }
-}
-
-/// A planned run of operator actions plus a consumption cursor.
-///
-/// The engine pops actions with [`ActionRun::pop`]; the cursor records how
-/// far execution got so [`Operator::sync_run`] can reconcile the operator's
-/// eagerly-advanced state with reality when the run is abandoned early.
-/// The buffer is reused run after run, so it allocates only until warm.
-#[derive(Clone, Debug, Default)]
-pub struct ActionRun {
-    actions: Vec<Action>,
-    next: usize,
-}
-
-impl ActionRun {
-    /// An empty run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop all planned actions and reset the cursor.
-    pub fn clear(&mut self) {
-        self.actions.clear();
-        self.next = 0;
-    }
-
-    /// Append an action during planning.
-    pub fn push(&mut self, action: Action) {
-        self.actions.push(action);
-    }
-
-    /// Consume the next planned action, if any.
-    pub fn pop(&mut self) -> Option<Action> {
-        let a = self.actions.get(self.next).copied();
-        if a.is_some() {
-            self.next += 1;
-        }
-        a
-    }
-
-    /// Number of actions consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.next
-    }
-
-    /// Total number of planned actions.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True when no actions were planned.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// True when planned actions remain unconsumed.
-    pub fn has_pending(&self) -> bool {
-        self.next < self.actions.len()
-    }
-}
-
 /// A memory-adaptive operator.
 pub trait Operator {
     /// Maximum useful memory (pages): enough to run in one pass.
@@ -258,31 +139,6 @@ pub trait Operator {
     /// Produce the next action. Must be called again only after the
     /// previous action completed.
     fn step(&mut self) -> Action;
-    /// Plan the next run of actions into `run` (cleared first), advancing
-    /// the operator past all of them. Runs end early at a decision boundary
-    /// ([`Action::Parked`] / [`Action::Finished`]) and never exceed
-    /// [`RUN_BATCH`] actions. The default plans a single [`Operator::step`],
-    /// which keeps hand-written test operators on the old protocol.
-    ///
-    /// Contract: after a `plan_run`, the caller must either consume the run
-    /// to exhaustion or call [`Operator::sync_run`] before the next
-    /// `set_allocation` / `plan_run`.
-    fn plan_run(&mut self, run: &mut ActionRun) {
-        run.clear();
-        run.push(self.step());
-    }
-    /// Roll internal state back to `run`'s consumption point, making a
-    /// subsequent [`Operator::set_allocation`] or [`Operator::plan_run`]
-    /// observe exactly the state the single-step protocol would have had
-    /// after `run.consumed()` actions. The default is a no-op, correct for
-    /// the default single-action `plan_run` (a one-action run the caller
-    /// holds is always fully consumed).
-    fn sync_run(&mut self, run: &ActionRun) {
-        debug_assert!(
-            !run.has_pending(),
-            "multi-action runs require a real sync_run implementation"
-        );
-    }
     /// How many times the allocation changed mid-execution (Figure 7).
     fn fluctuations(&self) -> u32;
     /// Pages of operand relation(s) this operator reads (workload-change

@@ -21,18 +21,14 @@
 //! Setting the allocation to zero parks the operator at the next page
 //! boundary after flushing buffered output.
 
-use crate::op::{
-    cost, Action, ActionRun, ExecConfig, FileRef, IoRequest, Operator, RunDescriptor,
-    RUN_BATCH,
-};
+use crate::op::{cost, Action, ExecConfig, FileRef, IoRequest, Operator};
 use storage::{FileId, IoKind};
 
 /// Temp slot holding the sorted runs.
 const RUN_SLOT: u32 = 0;
 
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum State {
-    #[default]
     Init,
     /// Decide in-memory vs external after the initial grant.
     Dispatch,
@@ -68,29 +64,6 @@ struct MergeStep {
     cpu_per_page: u64,
 }
 
-impl Clone for MergeStep {
-    fn clone(&self) -> Self {
-        MergeStep {
-            sources: self.sources.clone(),
-            ..*self
-        }
-    }
-
-    /// Reuse `self.sources`' capacity: the run-protocol checkpoint clones
-    /// the in-flight step on every `plan_run`, which must not allocate in
-    /// steady state.
-    fn clone_from(&mut self, source: &Self) {
-        self.sources.clone_from(&source.sources);
-        self.next_source = source.next_source;
-        self.out_written = source.out_written;
-        self.out_accum = source.out_accum;
-        self.out_start = source.out_start;
-        self.is_final = source.is_final;
-        self.fan = source.fan;
-        self.cpu_per_page = source.cpu_per_page;
-    }
-}
-
 /// The memory-adaptive external sort operator.
 pub struct ExternalSort {
     cfg: ExecConfig,
@@ -117,31 +90,6 @@ pub struct ExternalSort {
     /// Cached [`ExternalSort::formation_cpu_per_page`]: a function of the
     /// workspace only, re-derived on `set_allocation` instead of per block.
     formation_cpu: u64,
-    /// Run-protocol checkpoint (see [`Operator::sync_run`]); reused across
-    /// plans so the run list's capacity is not reallocated per batch.
-    saved: SortCheckpoint,
-}
-
-/// Every field [`ExternalSort::step`] or `set_allocation` mutates; `cfg`,
-/// `file`, `r_pages` are construction-time constants and `formation_cpu` is
-/// re-derived from `alloc`. Keep in lockstep with the struct — the
-/// run-protocol model test catches a missed field.
-#[derive(Clone, Debug, Default)]
-struct SortCheckpoint {
-    alloc: u32,
-    state: State,
-    pending_cpu: u64,
-    scan_pos: u32,
-    form_accum: u32,
-    current_run: u32,
-    runs: Vec<(u32, u32)>,
-    temp_write_pos: u32,
-    merge: Option<MergeStep>,
-    split_requested: bool,
-    fluctuations: u32,
-    started: bool,
-    /// True only between a `plan_run` and its run's retirement.
-    valid: bool,
 }
 
 impl ExternalSort {
@@ -168,7 +116,6 @@ impl ExternalSort {
             fluctuations: 0,
             started: false,
             formation_cpu: 0,
-            saved: SortCheckpoint::default(),
         };
         sort.formation_cpu = sort.formation_cpu_per_page();
         sort
@@ -266,241 +213,6 @@ impl ExternalSort {
             cpu_per_page: self.merge_cpu_per_page(fan),
         });
     }
-
-    /// Save the mutable state for the run protocol. `clone_from` reuses the
-    /// checkpoint's buffers, so steady-state planning allocates nothing for
-    /// the run list.
-    fn snapshot(&mut self) {
-        self.saved.alloc = self.alloc;
-        self.saved.state = self.state;
-        self.saved.pending_cpu = self.pending_cpu;
-        self.saved.scan_pos = self.scan_pos;
-        self.saved.form_accum = self.form_accum;
-        self.saved.current_run = self.current_run;
-        self.saved.runs.clone_from(&self.runs);
-        self.saved.temp_write_pos = self.temp_write_pos;
-        self.saved.merge.clone_from(&self.merge);
-        self.saved.split_requested = self.split_requested;
-        self.saved.fluctuations = self.fluctuations;
-        self.saved.started = self.started;
-        self.saved.valid = true;
-    }
-
-    /// Single-step once into `run`; false ends the batch (decision boundary).
-    fn push_step(&mut self, run: &mut ActionRun) -> bool {
-        let action = self.step();
-        run.push(action);
-        !matches!(action, Action::Parked | Action::Finished)
-    }
-
-    /// Plan the in-memory scan closed-form: the whole remaining stretch is
-    /// one [`RunDescriptor`] of block reads, each owing only the start-I/O
-    /// CPU. The closing transition charges the final sort and hands back to
-    /// the single-step path, which drains it exactly like the reference.
-    fn plan_in_memory_scan(&mut self, run: &mut ActionRun) {
-        debug_assert_eq!(self.pending_cpu, 0);
-        let block = self.cfg.block_pages;
-        while run.len() < RUN_BATCH && self.state == State::InMemoryScan {
-            let pairs = ((RUN_BATCH - run.len()) / 2) as u32;
-            let count = ((self.r_pages - self.scan_pos) / block).min(pairs);
-            if count > 0 {
-                RunDescriptor {
-                    count,
-                    cpu: cost::START_IO,
-                    io: IoRequest {
-                        file: FileRef::Base(self.file),
-                        first_page: self.scan_pos,
-                        pages: block,
-                        kind: IoKind::Read,
-                        prefetch: true,
-                    },
-                    stride: block,
-                }
-                .expand(run);
-                self.scan_pos += count * block;
-                continue;
-            }
-            if self.scan_pos >= self.r_pages {
-                // Final in-memory sort: n·log2(n) compares + output copy.
-                let n = self.r_pages as u64 * self.cfg.tuples_per_page as u64;
-                let log = (64 - n.leading_zeros() as u64).max(1);
-                self.pending_cpu += n * (cost::KEY_COMPARE * log + cost::SORT_COPY);
-                self.state = State::Terminate;
-                return;
-            }
-            let pages = block.min(self.r_pages - self.scan_pos);
-            let first = self.scan_pos;
-            self.scan_pos += pages;
-            self.pending_cpu += cost::START_IO;
-            run.push(Action::Io(IoRequest {
-                file: FileRef::Base(self.file),
-                first_page: first,
-                pages,
-                kind: IoKind::Read,
-                prefetch: true,
-            }));
-            if run.len() < RUN_BATCH {
-                run.push(Action::Cpu(std::mem::take(&mut self.pending_cpu)));
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Plan run formation: reads and buffered-output writes alternate on
-    /// pure integer accumulators, so the whole phase expands in one tight
-    /// loop with the reference's exact emission order (write-first, runs
-    /// closed at block granularity).
-    fn plan_run_formation(&mut self, run: &mut ActionRun) {
-        debug_assert_eq!(self.pending_cpu, 0);
-        let block = self.cfg.block_pages;
-        while run.len() < RUN_BATCH && self.state == State::RunFormation {
-            if self.form_accum >= block
-                || (self.scan_pos >= self.r_pages && self.form_accum > 0)
-            {
-                let pages = self.form_accum.min(block);
-                self.form_accum -= pages;
-                self.current_run += pages;
-                let action = self.temp_write(pages);
-                if self.current_run >= self.target_run_len()
-                    || (self.scan_pos >= self.r_pages && self.form_accum == 0)
-                {
-                    let begin = self.temp_write_pos.wrapping_sub(self.current_run)
-                        % self.temp_capacity();
-                    self.runs.push((begin, self.current_run));
-                    self.current_run = 0;
-                }
-                run.push(action);
-            } else if self.scan_pos >= self.r_pages {
-                debug_assert_eq!(self.form_accum, 0);
-                self.state = State::Merge;
-                return;
-            } else {
-                let pages = block.min(self.r_pages - self.scan_pos);
-                let first = self.scan_pos;
-                self.scan_pos += pages;
-                self.form_accum += pages;
-                self.pending_cpu += pages as u64 * self.formation_cpu + cost::START_IO;
-                run.push(Action::Io(IoRequest {
-                    file: FileRef::Base(self.file),
-                    first_page: first,
-                    pages,
-                    kind: IoKind::Read,
-                    prefetch: true,
-                }));
-            }
-            // Both branches owe CPU (at least the start-I/O); the reference
-            // drains it as the immediately following action.
-            if run.len() < RUN_BATCH {
-                run.push(Action::Cpu(std::mem::take(&mut self.pending_cpu)));
-            } else {
-                return;
-            }
-        }
-    }
-
-    /// Plan the merge phase: single-page round-robin reads at a fixed
-    /// per-page CPU, a block write per `block_pages` of output (non-final
-    /// steps), step setup/close inline — per-action state-machine re-entry
-    /// eliminated.
-    fn plan_merge(&mut self, run: &mut ActionRun) {
-        debug_assert_eq!(self.pending_cpu, 0);
-        debug_assert!(!self.split_requested);
-        let block = self.cfg.block_pages;
-        while run.len() < RUN_BATCH && self.state == State::Merge {
-            if self.merge.is_none() {
-                if self.runs.len() <= 1 {
-                    // Single run: stream-through final "merge".
-                    if let Some((start, len)) = self.runs.pop() {
-                        self.merge = Some(MergeStep {
-                            sources: vec![(start, len)],
-                            next_source: 0,
-                            out_written: 0,
-                            out_accum: 0,
-                            out_start: 0,
-                            is_final: true,
-                            fan: 2,
-                            cpu_per_page: self.merge_cpu_per_page(2),
-                        });
-                    } else {
-                        self.state = State::Terminate;
-                        return;
-                    }
-                } else {
-                    self.begin_merge_step();
-                }
-            }
-            let step = self.merge.as_mut().expect("step exists");
-            let action = if !step.is_final && step.out_accum >= block {
-                let pages = block;
-                step.out_accum -= pages;
-                step.out_written += pages;
-                self.temp_write(pages)
-            } else {
-                let live = step.sources.iter().any(|&(_, r)| r > 0);
-                if live {
-                    let n = step.sources.len();
-                    let mut idx = step.next_source % n;
-                    while step.sources[idx].1 == 0 {
-                        idx = (idx + 1) % n;
-                    }
-                    step.next_source = (idx + 1) % n;
-                    let (start, remaining) = step.sources[idx];
-                    step.sources[idx] = (start + 1, remaining - 1);
-                    step.out_accum += 1;
-                    let cpu = step.cpu_per_page;
-                    self.pending_cpu += cpu + cost::START_IO;
-                    Action::Io(IoRequest {
-                        file: FileRef::Temp(RUN_SLOT),
-                        first_page: start % self.temp_capacity(),
-                        pages: 1,
-                        kind: IoKind::Read,
-                        // Section 4.2: no block prefetch during merges.
-                        prefetch: false,
-                    })
-                } else if !step.is_final && step.out_accum > 0 {
-                    let pages = step.out_accum;
-                    step.out_accum = 0;
-                    step.out_written += pages;
-                    self.temp_write(pages)
-                } else {
-                    let finished = self.merge.take().expect("step exists");
-                    if !finished.is_final {
-                        self.runs.push((finished.out_start, finished.out_written));
-                        continue;
-                    }
-                    self.state = State::Terminate;
-                    return;
-                }
-            };
-            run.push(action);
-            if run.len() < RUN_BATCH {
-                run.push(Action::Cpu(std::mem::take(&mut self.pending_cpu)));
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn restore(&mut self) {
-        assert!(self.saved.valid, "sync_run follows plan_run");
-        // Consume the checkpoint: a second sync against an already
-        // reconciled run must trip the assert, not replay stale state.
-        self.saved.valid = false;
-        self.alloc = self.saved.alloc;
-        self.state = self.saved.state;
-        self.pending_cpu = self.saved.pending_cpu;
-        self.scan_pos = self.saved.scan_pos;
-        self.form_accum = self.saved.form_accum;
-        self.current_run = self.saved.current_run;
-        self.runs.clone_from(&self.saved.runs);
-        self.temp_write_pos = self.saved.temp_write_pos;
-        self.merge.clone_from(&self.saved.merge);
-        self.split_requested = self.saved.split_requested;
-        self.fluctuations = self.saved.fluctuations;
-        self.started = self.saved.started;
-        self.formation_cpu = self.formation_cpu_per_page();
-    }
 }
 
 impl Operator for ExternalSort {
@@ -541,45 +253,6 @@ impl Operator for ExternalSort {
             }
         }
         self.formation_cpu = self.formation_cpu_per_page();
-    }
-
-    /// Closed-form planning: scan, formation and merge phases expand whole
-    /// homogeneous stretches into the run (see the phase planners above);
-    /// owed CPU, splits, suspension and boundary states go through
-    /// [`ExternalSort::step`], which stays the reference semantics. The
-    /// run-protocol model test pins both paths action-for-action.
-    fn plan_run(&mut self, run: &mut ActionRun) {
-        self.snapshot();
-        run.clear();
-        while run.len() < RUN_BATCH {
-            if self.pending_cpu > 0 || self.split_requested || self.alloc == 0 {
-                if !self.push_step(run) {
-                    return;
-                }
-                continue;
-            }
-            match self.state {
-                State::InMemoryScan => self.plan_in_memory_scan(run),
-                State::RunFormation => self.plan_run_formation(run),
-                State::Merge => self.plan_merge(run),
-                _ => {
-                    if !self.push_step(run) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn sync_run(&mut self, run: &ActionRun) {
-        if !run.has_pending() {
-            return;
-        }
-        self.restore();
-        // Deterministic replay of the consumed prefix (see `HashJoin`).
-        for _ in 0..run.consumed() {
-            let _ = self.step();
-        }
     }
 
     fn step(&mut self) -> Action {

@@ -165,13 +165,6 @@ pub struct SimConfig {
     /// trace sink: setting it forces a full sink with (at least) the
     /// arrival-gap event kind enabled.
     pub record_arrivals: bool,
-    /// Drive operators through the batched run protocol with closed-form
-    /// descriptor planning (`true`, the default) or single-step them one
-    /// action per event (`false`). The two paths are bit-identical —
-    /// `tests/fastforward_differential.rs` pins event-for-event equality —
-    /// so this switch exists for that harness and for debugging, not as a
-    /// semantic knob.
-    pub fastforward: bool,
     /// Observability switches (tracing, metrics, profiling). All off by
     /// default; never changes simulated behavior, only what is recorded.
     pub obs: ObsConfig,
@@ -220,7 +213,6 @@ impl SimConfig {
             window_secs: 1_200.0,
             firm_deadlines: true,
             record_arrivals: false,
-            fastforward: true,
             obs: ObsConfig::default(),
             faults: FaultPlan::default(),
         }

@@ -33,7 +33,7 @@ use crate::faults::{DegradationMode, FaultSpec};
 use crate::metrics::{
     ClassOutcome, RunReport, TenantOutcome, TimingTallies, WindowPoint,
 };
-use exec::{Action, ActionRun, ExternalSort, FileRef, HashJoin, Operator};
+use exec::{Action, ExternalSort, FileRef, HashJoin, Operator};
 use obs::{
     CounterFamilyId, CounterId, DegradedAction, FaultClass, GaugeFamilyId, GaugeId,
     HistId, MetricsRegistry, Profiler, Section, TraceEvent, TraceKind, TraceMode, Tracer,
@@ -141,9 +141,6 @@ struct LiveQuery {
     class: usize,
     tenant: u32,
     op: Box<dyn Operator>,
-    /// The operator's current planned run; drained by `drive`, reconciled
-    /// via `Operator::sync_run` before any mid-run `set_allocation`.
-    run: ActionRun,
     arrival: SimTime,
     deadline: SimTime,
     granted: u32,
@@ -906,7 +903,6 @@ impl Simulator {
             class,
             tenant,
             op,
-            run: ActionRun::new(),
             arrival: now,
             deadline,
             granted: 0,
@@ -1098,13 +1094,6 @@ impl Simulator {
         let Some(q) = self.live.get_mut(id) else {
             return;
         };
-        // A mid-run allocation change abandons the rest of the planned run:
-        // roll the operator back to the consumption point first so the
-        // change observes exactly the single-step-protocol state.
-        if q.run.has_pending() {
-            q.op.sync_run(&q.run);
-            q.run.clear();
-        }
         q.op.set_allocation(new);
         let old = q.granted;
         q.granted = new;
@@ -1244,39 +1233,19 @@ impl Simulator {
 
     // ----- Query manager --------------------------------------------------
 
-    /// Advance a query until it blocks on a resource, parks, or finishes —
-    /// by draining its operator's planned [`ActionRun`]. The operator state
-    /// machine is re-entered only at run boundaries (`plan_run` refills the
-    /// buffer, `RUN_BATCH` actions at a time); per-completion stepping is a
-    /// buffer pop plus the dispatch below. A reallocation landing mid-run
-    /// abandons the rest of the buffer (`apply_grant` syncs the operator
-    /// back to the consumption point first), so the action stream is
-    /// identical to single-stepping — `tests/golden_report.rs` pins that
-    /// end to end.
+    /// Advance a query until it blocks on a resource, parks, or finishes:
+    /// step its operator, perform metadata actions (temp files) inline, and
+    /// hand the first timed action (CPU burst, I/O) to its resource, whose
+    /// completion event calls back here. Allocation changes land between
+    /// steps (`apply_grant`), so the operator always adapts from its
+    /// current state.
     fn drive(&mut self, now: SimTime, id: QueryId) {
         let Some(slot) = self.live.slot_of(id) else {
             return;
         };
-        let fastforward = self.cfg.fastforward;
         for _ in 0..10_000_000u64 {
             let q = self.live.slot_mut(slot);
-            let action = if fastforward {
-                match q.run.pop() {
-                    Some(a) => a,
-                    None => {
-                        let LiveQuery { op, run, .. } = q;
-                        op.plan_run(run);
-                        run.pop().expect("planned run is never empty")
-                    }
-                }
-            } else {
-                // Per-event reference path: one state-machine step per
-                // action, no run buffer (so `apply_grant` never needs a
-                // sync). The differential harness drives both paths and
-                // asserts bit-identical traces.
-                q.op.step()
-            };
-            match action {
+            match q.op.step() {
                 Action::Cpu(instr) => {
                     q.waiting = Waiting::Cpu;
                     let deadline = q.deadline;
@@ -1336,7 +1305,6 @@ impl Simulator {
                 }
                 Action::Parked => {
                     q.waiting = Waiting::Nothing;
-                    q.run.clear();
                     return;
                 }
                 Action::Finished => {

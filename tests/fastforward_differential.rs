@@ -1,31 +1,33 @@
-//! Differential pin for the analytic fast-forward path.
+//! Differential pin against the retired fast-forward path.
 //!
-//! The engine drives operators two ways: the batched run protocol with
-//! closed-form descriptor planning (`SimConfig::fastforward = true`, the
-//! production default) and the single-step reference path (`false`), which
-//! re-enters the operator state machine once per action. The two are
-//! promised *bit-identical* — not statistically close: every simulated
-//! event lands at the same tick with the same payload, every f64
-//! accumulator walks the same association order.
+//! The engine used to drive operators two ways: a batched run protocol with
+//! closed-form descriptor planning (`SimConfig::fastforward = true`, then
+//! the default) and single-stepping, one state-machine step per action.
+//! This harness held the two *bit-identical* — every simulated event at the
+//! same tick with the same payload, every f64 accumulator walking the same
+//! association order. The batched path is gone; single-stepping is the one
+//! operator protocol.
 //!
-//! This harness pins that promise property-style: randomized `SimConfig`s
-//! (presets, arrival rates, seeds, policies, feedback batch sizes — which
-//! move the allocation-interruption offsets — and fault plans) run through
-//! both paths, and the full obs trace (`TraceMode::Full`) must match
-//! event for event, while the serialized behavior report must match byte
-//! for byte. The golden snapshot (`tests/golden_report.rs`) stays
-//! un-re-blessed on top of this: the descriptor path is the one the golden
-//! was captured against.
+//! Before the batched path was deleted, every case below ran on it and
+//! recorded two digests under `golden/fastforward_*.txt`: one of its full
+//! obs trace (`TraceMode::Full`, rendered by `obs::render_text`) and one of
+//! its serialized report. The single-step engine must reproduce both, so the
+//! comparison still spans the two paths, now against the recording. The
+//! cases cover the presets, arrival rates, seeds, policies, feedback batch
+//! sizes (which move where allocation changes interrupt an operator) and
+//! fault storms.
+//!
+//! Re-bless after an *intentional* behavior change:
+//! `UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test fastforward_differential`
 
-use integration_tests::short_baseline;
+use integration_tests::{check_golden, fnv1a, serialize_report, short_baseline};
+use pmm_core::obs::render_text;
 use pmm_core::prelude::*;
-use pmm_core::rtdbs::RunReport;
-use proptest::prelude::*;
 use std::fmt::Write as _;
 
-/// Policies the harness rotates through: the three static allocators, a
-/// limited MinMax (different grant shapes), and both PMM variants
-/// (feedback-driven reallocations at batch boundaries).
+/// Policies the randomized cases rotate through: the three static
+/// allocators, a limited MinMax (different grant shapes), and both PMM
+/// variants (feedback-driven reallocations at batch boundaries).
 const POLICIES: &[&str] = &[
     "Max",
     "MinMax",
@@ -35,121 +37,77 @@ const POLICIES: &[&str] = &[
     "PMM-regime",
 ];
 
-/// Exact serialization of every behavior field (the golden test's format):
-/// floats via `{:?}` so a single bit of drift shows.
-fn serialize(report: &RunReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "policy: {}", report.policy);
-    let _ = writeln!(out, "served: {}", report.served);
-    let _ = writeln!(out, "missed: {}", report.missed);
-    for c in &report.classes {
-        let _ = writeln!(
-            out,
-            "class {}: served={} missed={}",
-            c.name, c.served, c.missed
-        );
-    }
-    let _ = writeln!(out, "avg_mpl: {:?}", report.avg_mpl);
-    let _ = writeln!(out, "cpu_util: {:?}", report.cpu_util);
-    let _ = writeln!(out, "disk_util: {:?}", report.disk_util);
-    let _ = writeln!(out, "waiting: {:?}", report.timings.waiting);
-    let _ = writeln!(out, "execution: {:?}", report.timings.execution);
-    let _ = writeln!(out, "response: {:?}", report.timings.response);
-    let _ = writeln!(out, "avg_fluctuations: {:?}", report.avg_fluctuations);
-    for w in &report.windows {
-        let _ = writeln!(
-            out,
-            "window t={:?}: served={} missed={}",
-            w.t_secs, w.served, w.missed
-        );
-    }
-    for p in &report.trace {
-        let _ = writeln!(
-            out,
-            "trace t={:?}: mode={} target_mpl={:?}",
-            p.at.as_secs_f64(),
-            p.mode,
-            p.target_mpl
-        );
-    }
-    let _ = writeln!(out, "miss_ci_half_width: {:?}", report.miss_ci_half_width);
-    let _ = writeln!(out, "sim_secs: {:?}", report.sim_secs);
-    out
-}
-
-/// Run `cfg` through one path. Policies are stateful, so each run gets a
-/// fresh instance resolved from the same name.
-fn run_path(mut cfg: SimConfig, policy: &str, fastforward: bool) -> RunReport {
-    cfg.fastforward = fastforward;
+/// Run `cfg` under `policy` with a full trace and append its digest line.
+fn record(out: &mut String, label: &str, mut cfg: SimConfig, policy: &str) {
+    cfg.obs.trace = TraceMode::Full;
     let policy = bench::make_policy_for(&cfg, policy);
-    run_simulation(cfg, policy)
-}
-
-/// Assert both paths of `cfg` agree event-for-event and byte-for-byte.
-/// `label` identifies the generated case in failure output.
-fn assert_paths_agree(cfg: SimConfig, policy: &str, label: &str) {
-    let fast = run_path(cfg.clone(), policy, true);
-    let slow = run_path(cfg, policy, false);
-
-    // Event-for-event: first divergence, not just a blanket inequality, so
-    // a failure says *when* the trajectories split.
-    for (i, (f, s)) in fast.obs_trace.iter().zip(slow.obs_trace.iter()).enumerate() {
-        assert_eq!(
-            f,
-            s,
-            "[{label}] traces diverge at record {i} (of {} fast / {} slow)",
-            fast.obs_trace.len(),
-            slow.obs_trace.len()
-        );
-    }
-    assert_eq!(
-        fast.obs_trace.len(),
-        slow.obs_trace.len(),
-        "[{label}] one trace is a strict prefix of the other"
-    );
-
-    let (fast_bytes, slow_bytes) = (serialize(&fast), serialize(&slow));
-    assert_eq!(
-        fast_bytes, slow_bytes,
-        "[{label}] serialized reports differ"
+    let report = run_simulation(cfg, policy);
+    let trace = render_text(&report.obs_trace);
+    let _ = writeln!(
+        out,
+        "{label}: records={} trace={:016x} report={:016x}",
+        report.obs_trace.len(),
+        fnv1a(trace.as_bytes()),
+        fnv1a(serialize_report(&report).as_bytes())
     );
 }
 
-/// One deterministic spot check per preset family, cheap enough to always
-/// run: the baseline cell that the golden snapshot pins.
+/// The baseline cell that the golden report pins.
 #[test]
 fn baseline_paths_agree() {
-    let mut cfg = short_baseline(0.06, 600.0);
-    cfg.obs.trace = TraceMode::Full;
-    assert_paths_agree(cfg, "PMM", "baseline/PMM");
+    let mut out = String::new();
+    record(&mut out, "baseline/PMM", short_baseline(0.06, 600.0), "PMM");
+    check_golden("fastforward_baseline.txt", &out);
 }
 
 /// Faulted run: degradation, outages, and memory shocks all interrupt
-/// operators mid-run, which is exactly where `sync_run` reconciliation
-/// could drift from the reference path.
+/// operators mid-stretch, which is where the batched path had to reconcile
+/// an abandoned plan.
 #[test]
 fn faulted_paths_agree() {
     let mut cfg = short_baseline(0.06, 300.0);
-    cfg.obs.trace = TraceMode::Full;
     cfg.faults = FaultPlan::scaled(0.8);
-    assert_paths_agree(cfg, "MinMax", "faulted/MinMax");
+    let mut out = String::new();
+    record(&mut out, "faulted/MinMax", cfg, "MinMax");
+    check_golden("fastforward_faulted.txt", &out);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// SplitMix64: a fixed, self-contained case generator, so the recorded
+/// case list never depends on another crate's random stream.
+struct SplitMix(u64);
 
-    /// The randomized differential: preset, rate, seed, policy, feedback
-    /// batch size (moves allocation-interruption offsets), and an optional
-    /// fault storm.
-    #[test]
-    fn fastforward_matches_reference(
-        preset in 0u8..5,
-        rate in 0.02f64..0.12,
-        seed in 0u64..1_000_000,
-        policy_idx in 0usize..POLICIES.len(),
-        sample_size in 4u32..24,
-        fault_intensity in proptest::option::of(0.2f64..1.0),
-    ) {
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Randomized cases: preset, rate, seed, policy, feedback batch size, and
+/// an optional fault storm.
+#[test]
+fn fastforward_matches_reference() {
+    let mut rng = SplitMix(1994);
+    let mut out = String::new();
+    for case in 0..10 {
+        let preset = rng.below(5);
+        let rate = rng.uniform(0.02, 0.12);
+        let seed = rng.below(1_000_000);
+        let policy = POLICIES[rng.below(POLICIES.len() as u64) as usize];
+        let sample_size = 4 + rng.below(20) as u32;
+        let fault_intensity = (rng.below(2) == 1).then(|| rng.uniform(0.2, 1.0));
         let secs = 240.0;
         let mut cfg = match preset {
             0 => SimConfig::baseline(rate),
@@ -162,15 +120,14 @@ proptest! {
         cfg.window_secs = secs / 4.0;
         cfg.seed = seed;
         cfg.sample_size = sample_size;
-        cfg.obs.trace = TraceMode::Full;
         if let Some(intensity) = fault_intensity {
             cfg.faults = FaultPlan::scaled(intensity);
         }
-        let policy = POLICIES[policy_idx];
         let label = format!(
-            "preset={preset} rate={rate:.3} seed={seed} policy={policy} \
+            "case {case} preset={preset} rate={rate:.3} seed={seed} policy={policy} \
              sample_size={sample_size} faults={fault_intensity:?}"
         );
-        assert_paths_agree(cfg, policy, &label);
+        record(&mut out, &label, cfg, policy);
     }
+    check_golden("fastforward_randomized.txt", &out);
 }

@@ -13,10 +13,10 @@
 //! To re-bless after an *intentional* behavior change:
 //! `UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test golden_report`
 
+use integration_tests::{check_golden, serialize_report};
 use pmm_core::prelude::*;
 use pmm_core::rtdbs::RunReport;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The pinned configuration: a Figure 3-style baseline cell, shortened so
 /// the test stays fast but long enough to cross several feedback batches,
@@ -27,73 +27,6 @@ fn golden_cfg() -> SimConfig {
     cfg.window_secs = 500.0;
     cfg.seed = 1994;
     cfg
-}
-
-/// Deterministic, exact serialization of every behavior field. Floats use
-/// `{:?}` (shortest round-trip), so any bit-level difference shows.
-fn serialize(report: &RunReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "policy: {}", report.policy);
-    let _ = writeln!(out, "served: {}", report.served);
-    let _ = writeln!(out, "missed: {}", report.missed);
-    for c in &report.classes {
-        let _ = writeln!(
-            out,
-            "class {}: served={} missed={}",
-            c.name, c.served, c.missed
-        );
-    }
-    let _ = writeln!(out, "avg_mpl: {:?}", report.avg_mpl);
-    let _ = writeln!(out, "cpu_util: {:?}", report.cpu_util);
-    let _ = writeln!(out, "disk_util: {:?}", report.disk_util);
-    let _ = writeln!(out, "waiting: {:?}", report.timings.waiting);
-    let _ = writeln!(out, "execution: {:?}", report.timings.execution);
-    let _ = writeln!(out, "response: {:?}", report.timings.response);
-    let _ = writeln!(out, "avg_fluctuations: {:?}", report.avg_fluctuations);
-    for w in &report.windows {
-        let _ = writeln!(
-            out,
-            "window t={:?}: served={} missed={}",
-            w.t_secs, w.served, w.missed
-        );
-    }
-    for p in &report.trace {
-        let _ = writeln!(
-            out,
-            "trace t={:?}: mode={} target_mpl={:?}",
-            p.at.as_secs_f64(),
-            p.mode,
-            p.target_mpl
-        );
-    }
-    let _ = writeln!(out, "miss_ci_half_width: {:?}", report.miss_ci_half_width);
-    let _ = writeln!(out, "sim_secs: {:?}", report.sim_secs);
-    out
-}
-
-/// Compare `actual` against the snapshot `golden/<file>`, or overwrite the
-/// snapshot when `UPDATE_GOLDEN` is set.
-fn check_golden(file: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("golden")
-        .join(file);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual).expect("write golden snapshot");
-        eprintln!("golden snapshot updated at {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); run with UPDATE_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        expected == actual,
-        "RunReport deviates from the golden snapshot — the simulation moved \
-         an event. If the change is intentional, re-bless with UPDATE_GOLDEN=1.\n\
-         --- expected ---\n{expected}\n--- actual ---\n{actual}"
-    );
 }
 
 #[test]
@@ -107,7 +40,7 @@ fn run_report_matches_golden_snapshot() {
         };
         let report = run_simulation(golden_cfg(), boxed);
         let _ = writeln!(actual, "==== {policy} ====");
-        actual.push_str(&serialize(&report));
+        actual.push_str(&serialize_report(&report));
     }
     check_golden("runreport_fig3.txt", &actual);
 }
