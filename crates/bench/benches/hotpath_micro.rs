@@ -8,17 +8,13 @@
 //! the event loop, and keep `BENCH_perf.json` (the driver's events/sec
 //! reading) moving in the same direction.
 
-// The allocating-vs-`_into` comparison benches intentionally drive the
-// deprecated wrappers: the allocation saving is the point being measured.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmm_core::exec::{Action, ExecConfig, ExternalSort, HashJoin, Operator};
 use pmm_core::obs::{MetricsRegistry, TraceEvent, TraceKind, TraceMode, Tracer};
 use pmm_core::pmm::{
-    minmax_allocate, minmax_allocate_into, partitioned_allocate_with_into,
-    proportional_allocate, AllocScratch, DirtySet, Grants, IncrementalPartitioned,
-    PartitionScratch, PartitionSpec, PartitionStrategy, QueryDemand, QueryId,
+    minmax_allocate_into, partitioned_allocate_with_into, AllocScratch, DirtySet, Grants,
+    IncrementalPartitioned, PartitionScratch, PartitionSpec, PartitionStrategy,
+    QueryDemand, QueryId,
 };
 use pmm_core::simkit::{Calendar, Duration, SimTime};
 use pmm_core::storage::{DiskQueue, FileId, QueuedRequest};
@@ -255,19 +251,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(drain_steps(&mut sort_two_pass())))
     });
 
-    c.bench_function("reallocate/minmax_64", |b| {
-        let queries = demands(64);
-        b.iter(|| black_box(minmax_allocate(black_box(&queries), 2560, None)))
-    });
-
-    c.bench_function("reallocate/proportional_64", |b| {
-        let queries = demands(64);
-        b.iter(|| black_box(proportional_allocate(black_box(&queries), 2560, None)))
-    });
-
-    // The engine's actual steady-state path: warm caller-owned scratch, no
-    // allocation per call. (Absent from the pre-refactor baseline — the
-    // `_into` API is new.)
+    // The engine's steady-state path: warm caller-owned scratch, no
+    // allocation per call.
     c.bench_function("reallocate/minmax_into_64_warm", |b| {
         let queries = demands(64);
         let mut scratch = AllocScratch::default();

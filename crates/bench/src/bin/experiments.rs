@@ -1,12 +1,20 @@
 //! `experiments` — regenerate the paper's tables and figures.
 //!
-//! Two modes:
+//! Runs the parallel multi-seed experiment driver: shards a figure's cells
+//! across a thread pool, one independently seeded replication per
+//! `--seeds`, merges the per-seed reports into batch-means confidence
+//! intervals, prints them in the paper's layouts, and writes
+//! machine-readable `BENCH_<figure>.json`. The merged output is
+//! byte-identical for any `--threads` value.
 //!
-//! **Driver mode** (`--figure`): the parallel multi-seed experiment driver.
-//! Shards a figure's cells across a thread pool, one independently seeded
-//! replication per `--seeds`, merges the per-seed reports into batch-means
-//! confidence intervals, and writes machine-readable `BENCH_<figure>.json`.
-//! The merged output is byte-identical for any `--threads` value.
+//! The printed table per figure carries every Section 5 metric — miss %,
+//! MPL, CPU and disk utilization, memory fluctuations per query, and the
+//! Table 7 wait/exec/response seconds — so one `--figure` covers Figures
+//! 3–5, 7–11, 16–17 and Table 7. Figures with a time series (fig12) also
+//! print each cell's window series (Figures 12–14), and multiclass cells
+//! print their per-class miss split (Figure 18 is fig17's PMM rows). The
+//! PMM decision traces of Figures 6 and 15 are `--record-pmm-decisions`
+//! files.
 //!
 //! ```text
 //! cargo run --release -p bench --bin experiments -- --figure fig3 --seeds 8 --threads 4
@@ -63,28 +71,16 @@
 //! the surviving cells complete and the failed units are written to
 //! `BENCH_<figure>_quarantine.json` with their cell, policy, replication
 //! index, and seed.
-//!
-//! **Report mode** (positional artifact name): the original single-seed
-//! text reports in the paper's layout.
-//!
-//! ```text
-//! cargo run --release -p bench --bin experiments -- all [--secs N]
-//! cargo run --release -p bench --bin experiments -- fig3 --secs 36000
-//! ```
-//!
-//! Report-mode artifacts: fig3 fig4 fig5 table7 fig6 fig7 fig8 fig9 fig10
-//! fig11 fig12_14 fig15 fig16 fig17 fig18 util_low scale ablation all
 
 use bench::driver::{
     metrics_json, perf_json, profile_json, quarantine_json, run_figure, DriverConfig,
     FIGURES,
 };
-use bench::*;
 use pmm_core::obs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Flags that take a value, in both modes.
+/// Flags that take a value.
 const VALUE_FLAGS: [&str; 6] = [
     "--figure",
     "--seeds",
@@ -92,12 +88,6 @@ const VALUE_FLAGS: [&str; 6] = [
     "--secs",
     "--master-seed",
     "--out",
-];
-
-/// Artifact names accepted by report mode.
-const ARTIFACTS: [&str; 18] = [
-    "fig3", "fig4", "fig5", "table7", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-    "fig12_14", "fig15", "fig16", "fig17", "fig18", "util_low", "scale", "ablation",
 ];
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -128,8 +118,7 @@ fn default_threads() -> usize {
 
 fn run_driver(args: &[String]) -> Result<(), String> {
     // Strict scan: collect `--figure` values, reject unknown flags and stray
-    // positionals (a positional artifact name belongs to report mode — mixing
-    // the modes would silently drop it otherwise).
+    // positionals (a bare figure name would otherwise be silently dropped).
     let mut figures: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -157,12 +146,11 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             return Err(format!("unknown flag {a}"));
         } else {
             return Err(format!(
-                "unexpected positional argument {a:?} in driver mode; \
-                 use `--figure {a}` (driver) or drop the driver flags (report mode)"
+                "unexpected positional argument {a:?}; use `--figure {a}`"
             ));
         }
     }
-    // Bare `--smoke` (or explicit `all`) means the full sweep.
+    // No `--figure` (or an explicit `all`) means the full sweep.
     if figures.is_empty() || figures.iter().any(|f| f == "all") {
         figures = FIGURES.iter().map(|f| (*f).to_string()).collect();
     }
@@ -362,282 +350,9 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run_reports(args: &[String]) -> Result<(), String> {
-    let what = args.first().cloned().unwrap_or_else(|| "all".into());
-    if what != "all" && !ARTIFACTS.contains(&what.as_str()) {
-        return Err(format!(
-            "unknown artifact {what:?}; known artifacts: all, {}",
-            ARTIFACTS.join(", ")
-        ));
-    }
-    let secs = parse_flag(args, "--secs", 3_600.0)?;
-
-    let run = |name: &str| what == "all" || what == name;
-
-    if run("fig3") || run("fig4") || run("fig5") || run("table7") || run("fig7") {
-        let rows = baseline_sweep(secs);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 3: Miss Ratio (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 4: Disk Utilization (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| 100.0 * r.disk_util,
-                "% busy"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 5: Average MPL (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| r.avg_mpl,
-                "queries"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 7: Memory Fluctuations (Baseline)",
-                "rate q/s",
-                &rows,
-                |r| r.avg_fluctuations,
-                "changes/query"
-            )
-        );
-        println!("== Table 7: Average Timings (seconds) ==");
-        for row in rows.iter().filter(|r| [0.04, 0.06, 0.08].contains(&r.x)) {
-            println!("arrival rate {:.2}:", row.x);
-            println!(
-                "  {:<14} {:>9} {:>10} {:>9}",
-                "algorithm", "waiting", "execution", "total"
-            );
-            for (name, r) in &row.reports {
-                println!(
-                    "  {:<14} {:>9.1} {:>10.1} {:>9.1}",
-                    name, r.timings.waiting, r.timings.execution, r.timings.response
-                );
-            }
-        }
-        println!();
-    }
-
-    if run("fig6") {
-        let r = fig6(secs);
-        println!("== Figure 6: PMM target MPL trace (baseline, λ = 0.075) ==");
-        println!("{:>10} {:>8} {:>10}", "t (s)", "mode", "target MPL");
-        for p in &r.trace {
-            println!(
-                "{:>10.0} {:>8} {:>10}",
-                p.at.as_secs_f64(),
-                p.mode.to_string(),
-                p.target_mpl.map_or("-".into(), |m| m.to_string())
-            );
-        }
-        println!("final miss ratio: {:.1}%\n", r.miss_pct());
-    }
-
-    if run("fig8") || run("fig9") || run("fig10") {
-        let rows = contention_sweep(secs, 2);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 8: Miss Ratio (Disk Contention, 6 disks)",
-                "rate q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 9: Disk Utilization (Disk Contention)",
-                "rate q/s",
-                &rows,
-                |r| 100.0 * r.disk_util,
-                "% busy"
-            )
-        );
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 10: Average MPL (Disk Contention)",
-                "rate q/s",
-                &rows,
-                |r| r.avg_mpl,
-                "queries"
-            )
-        );
-    }
-
-    if run("fig11") {
-        println!("== Figure 11: MinMax-N sweep (λ = 0.07, 6 disks) ==");
-        println!(
-            "{:>5} {:>10} {:>8} {:>10}",
-            "N", "miss %", "MPL", "disk util"
-        );
-        for (n, r) in fig11(secs, &FIG11_LIMITS) {
-            println!(
-                "{:>5} {:>10.1} {:>8.1} {:>10.2}",
-                n,
-                r.miss_pct(),
-                r.avg_mpl,
-                r.disk_util
-            );
-        }
-        println!();
-    }
-
-    if run("fig12_14") || run("fig15") {
-        let reports = workload_changes(if what == "all" {
-            Some(secs.max(7_200.0))
-        } else {
-            None
-        });
-        for (name, r) in &reports {
-            println!(
-                "== Figures 12–14: {name} miss-ratio time series (workload changes) =="
-            );
-            println!(
-                "{:>10} {:>8} {:>8} {:>8}",
-                "t (s)", "served", "missed", "miss %"
-            );
-            for w in &r.windows {
-                println!(
-                    "{:>10.0} {:>8} {:>8} {:>8.1}",
-                    w.t_secs,
-                    w.served,
-                    w.missed,
-                    w.miss_pct()
-                );
-            }
-            println!("overall: {:.1}%", r.miss_pct());
-            for c in &r.classes {
-                println!(
-                    "  class {:<8} served {:>5}  miss {:>5.1}%",
-                    c.name,
-                    c.served,
-                    c.miss_pct()
-                );
-            }
-            if name == "PMM" {
-                println!("== Figure 15: PMM MPL trace (workload changes) ==");
-                for p in &r.trace {
-                    println!(
-                        "{:>10.0} {:>8} {:>10}",
-                        p.at.as_secs_f64(),
-                        p.mode.to_string(),
-                        p.target_mpl.map_or("-".into(), |m| m.to_string())
-                    );
-                }
-            }
-            println!();
-        }
-    }
-
-    if run("fig16") {
-        let rows = fig16(secs);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 16: Miss Ratio (External Sort)",
-                "rate q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-    }
-
-    if run("fig17") || run("fig18") {
-        let rows = multiclass_sweep(secs);
-        print!(
-            "{}",
-            render_sweep(
-                "Figure 17: System Miss Ratio (Multiclass)",
-                "Small q/s",
-                &rows,
-                |r| r.miss_pct(),
-                "% missed"
-            )
-        );
-        println!("== Figure 18: Class Miss Ratios under PMM (Multiclass) ==");
-        println!("{:>10} {:>10} {:>10}", "Small q/s", "Medium %", "Small %");
-        for row in &rows {
-            let pmm = row
-                .reports
-                .iter()
-                .find(|(n, _)| n == "PMM")
-                .expect("PMM ran");
-            let med = pmm.1.classes.first().map_or(0.0, |c| c.miss_pct());
-            let small = pmm.1.classes.get(1).map_or(0.0, |c| c.miss_pct());
-            println!("{:>10.2} {:>10.1} {:>10.1}", row.x, med, small);
-        }
-        println!();
-    }
-
-    if run("util_low") {
-        println!("== Section 5.4: PMM sensitivity to UtilLow (baseline, λ = 0.07) ==");
-        println!("{:>8} {:>10}", "UtilLow", "miss %");
-        for (ul, r) in util_low_sensitivity(secs) {
-            println!("{:>8.2} {:>10.1}", ul, r.miss_pct());
-        }
-        println!();
-    }
-
-    if run("scale") {
-        println!("== Section 5.7: scale-down check (sizes ÷10, rates ×10) ==");
-        println!(
-            "{:<8} {:>12} {:>12}",
-            "policy", "full miss %", "small miss %"
-        );
-        for (name, full, small) in scale_check(secs) {
-            println!(
-                "{:<8} {:>12.1} {:>12.1}",
-                name,
-                full.miss_pct(),
-                small.miss_pct()
-            );
-        }
-        println!();
-    }
-
-    if run("ablation") {
-        println!("== Ablation: firm vs run-to-completion deadlines (PMM, λ = 0.06) ==");
-        for (firm, r) in ablation_firm_deadlines(secs) {
-            println!(
-                "  firm={:<5} miss {:>5.1}%  exec {:>6.1}s  MPL {:>4.1}",
-                firm,
-                r.miss_pct(),
-                r.timings.execution,
-                r.avg_mpl
-            );
-        }
-        println!();
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = if args.iter().any(|a| a == "--figure" || a == "--smoke") {
-        run_driver(&args)
-    } else {
-        run_reports(&args)
-    };
-    match result {
+    match run_driver(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

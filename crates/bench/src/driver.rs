@@ -61,7 +61,7 @@ pub fn t_quantile_90(df: usize) -> f64 {
 pub struct CellSpec {
     /// The swept parameter (arrival rate, MinMax N, Small-class rate, ...).
     pub x: f64,
-    /// Policy short name, as accepted by [`crate::make_policy`].
+    /// Policy short name, as accepted by [`crate::make_policy_for`].
     pub policy: String,
 }
 
@@ -72,6 +72,10 @@ pub struct FigureSpec {
     pub name: &'static str,
     /// Meaning of the x axis, for reports.
     pub x_label: &'static str,
+    /// Window length (simulated seconds) of the miss-ratio time series the
+    /// figure plots (Figures 12–14). `None` keeps the config's default
+    /// window, and [`FigureResult::render`] prints no series.
+    pub window_secs: Option<f64>,
     /// The cells, in output order.
     pub cells: Vec<CellSpec>,
 }
@@ -96,11 +100,13 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
         "fig3" => FigureSpec {
             name: "fig3",
             x_label: "arrival rate (queries/s)",
+            window_secs: None,
             cells: cross(&crate::BASELINE_RATES, &crate::BASELINE_POLICIES),
         },
         "fig8" => FigureSpec {
             name: "fig8",
             x_label: "arrival rate (queries/s)",
+            window_secs: None,
             cells: cross(
                 &crate::BASELINE_RATES,
                 &["Max", "MinMax", "PMM", "MinMax-2"],
@@ -109,6 +115,7 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
         "fig11" => FigureSpec {
             name: "fig11",
             x_label: "MinMax memory limit N",
+            window_secs: None,
             cells: crate::FIG11_LIMITS
                 .iter()
                 .map(|&n| CellSpec {
@@ -120,31 +127,37 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
         "fig12" => FigureSpec {
             name: "fig12",
             x_label: "(single alternating workload)",
+            window_secs: Some(crate::CHANGES_WINDOW_SECS),
             cells: cross(&[0.0], &["Max", "MinMax", "PMM"]),
         },
         "fig16" => FigureSpec {
             name: "fig16",
             x_label: "arrival rate (queries/s)",
+            window_secs: None,
             cells: cross(&crate::SORT_RATES, &crate::BASELINE_POLICIES),
         },
         "fig17" => FigureSpec {
             name: "fig17",
             x_label: "Small-class arrival rate (queries/s)",
+            window_secs: None,
             cells: cross(&crate::MULTICLASS_SMALL_RATES, &["Max", "MinMax", "PMM"]),
         },
         "burst" => FigureSpec {
             name: "burst",
             x_label: "MMPP burst ratio (1 = Poisson control)",
+            window_secs: None,
             cells: cross(&crate::BURST_RATIOS, &crate::BURST_POLICIES),
         },
         "tenants" => FigureSpec {
             name: "tenants",
             x_label: "analytics-tenant memory fraction",
+            window_secs: None,
             cells: cross(&crate::TENANT_FRACTIONS, &crate::TENANT_POLICIES),
         },
         "devices" => FigureSpec {
             name: "devices",
             x_label: "arrival rate (queries/s)",
+            window_secs: None,
             // Every device × eviction combination under every policy; the
             // combo rides in the cell's policy name ("ssd+lruk/PMM") and is
             // split back out by `apply_device_cell` when the cell runs.
@@ -163,6 +176,7 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
         "faults" => FigureSpec {
             name: "faults",
             x_label: "fault intensity (0 = fault-free control)",
+            window_secs: None,
             // Degradation mode rides in the cell's policy name
             // ("requeue/PMM") and is split back out by `apply_fault_cell`
             // when the cell runs.
@@ -171,6 +185,7 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
         "scale" => FigureSpec {
             name: "scale",
             x_label: "tenant count",
+            window_secs: None,
             // The `snapshot/` prefix pins the reference full-snapshot
             // allocation path (split back out by `split_snapshot_cell`),
             // so incremental vs snapshot reallocation is an arm of the
@@ -187,6 +202,7 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
         "crashtest" => FigureSpec {
             name: "crashtest",
             x_label: "(crashtest cells)",
+            window_secs: None,
             cells: vec![
                 CellSpec {
                     x: 0.0,
@@ -212,18 +228,14 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
     Ok(spec)
 }
 
-/// Build the simulation config for one cell of `figure` (seed and duration
+/// Build the simulation config for one cell of `spec` (seed and duration
 /// are filled in per replication by the driver).
-fn cell_config(figure: &str, x: f64) -> SimConfig {
-    match figure {
+fn cell_config(spec: &FigureSpec, x: f64) -> SimConfig {
+    let mut cfg = match spec.name {
         "fig3" => SimConfig::baseline(x),
         "fig8" => SimConfig::disk_contention(x),
         "fig11" => SimConfig::disk_contention(0.07),
-        "fig12" => {
-            let mut cfg = SimConfig::workload_changes();
-            cfg.window_secs = crate::CHANGES_WINDOW_SECS;
-            cfg
-        }
+        "fig12" => SimConfig::workload_changes(),
         "fig16" => SimConfig::sorts(x),
         "fig17" => SimConfig::multiclass(x),
         "burst" => SimConfig::bursty(x),
@@ -237,7 +249,11 @@ fn cell_config(figure: &str, x: f64) -> SimConfig {
         "scale" => SimConfig::scale(x as usize),
         "crashtest" => SimConfig::baseline(0.05),
         other => unreachable!("figure_spec admitted unknown figure {other}"),
+    };
+    if let Some(w) = spec.window_secs {
+        cfg.window_secs = w;
     }
+    cfg
 }
 
 /// Driver parameters.
@@ -395,6 +411,35 @@ fn merge_tenants(reports: &[RunReport]) -> Vec<MergedTenant> {
         .collect()
 }
 
+/// One workload class's merged outcome over the replications of a cell —
+/// the per-class split of Figure 18. In memory only: the figure JSON
+/// carries no per-class block.
+#[derive(Clone, Debug)]
+pub struct MergedClass {
+    /// Class label from the config's `WorkloadClass`.
+    pub name: String,
+    /// Queries of this class served across replications.
+    pub served: u64,
+    /// Of those, deadline misses.
+    pub missed: u64,
+    /// Class miss ratio (%), mean ± CI over replications.
+    pub miss_pct: MetricSummary,
+}
+
+/// Merge the per-replication class outcomes index-by-index (every
+/// replication of a cell runs the same class list).
+fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
+    let n = reports.first().map_or(0, |r| r.classes.len());
+    (0..n)
+        .map(|j| MergedClass {
+            name: reports[0].classes[j].name.clone(),
+            served: reports.iter().map(|r| r.classes[j].served).sum(),
+            missed: reports.iter().map(|r| r.classes[j].missed).sum(),
+            miss_pct: summarize(reports, |r| r.classes[j].miss_pct()),
+        })
+        .collect()
+}
+
 /// One recorded arrival trace: replication 0's inter-arrival gaps for one
 /// class of one cell, replayable through `workload::Trace` /
 /// `ArrivalSpec::Trace { gaps, repeat: false }`.
@@ -492,6 +537,9 @@ pub struct MergedCell {
     pub windows: Vec<MergedWindow>,
     /// Merged per-tenant aggregates (empty for single-tenant figures).
     pub tenants: Vec<MergedTenant>,
+    /// Merged per-class outcomes, in the config's class order. Not
+    /// serialized by [`FigureResult::to_json`].
+    pub classes: Vec<MergedClass>,
 }
 
 /// Merge the per-replication window series index-by-index. Replication
@@ -611,6 +659,8 @@ pub struct FigureResult {
     pub figure: &'static str,
     /// Meaning of the x axis.
     pub x_label: &'static str,
+    /// The figure's time-series window ([`FigureSpec::window_secs`]).
+    pub window_secs: Option<f64>,
     /// Driver parameters the result was produced under.
     pub config: DriverConfig,
     /// Merged cells, in the figure's canonical order.
@@ -668,7 +718,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     // fully-resolved config (device, eviction, and degradation mode
     // applied) must validate.
     for cell in &spec.cells {
-        let mut sim = cell_config(spec.name, cell.x);
+        let mut sim = cell_config(&spec, cell.x);
         sim.duration_secs = cfg.secs;
         let (sim, rest) = crate::apply_device_cell(sim, &cell.policy);
         let (sim, _) = crate::apply_fault_cell(sim, &rest);
@@ -697,7 +747,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     let run_unit = |unit: usize| {
         let (c, s) = units[unit];
         let cell = &spec.cells[c];
-        let mut sim = cell_config(spec.name, cell.x);
+        let mut sim = cell_config(&spec, cell.x);
         sim.duration_secs = cfg.secs;
         sim.seed = seeds[s];
         // Traces are per cell, not per replication: replication 0 is the
@@ -894,6 +944,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 avg_fluctuations: summarize(&reports, |r| r.avg_fluctuations),
                 windows: merge_windows(&reports),
                 tenants: merge_tenants(&reports),
+                classes: merge_classes(&reports),
             }
         })
         .collect();
@@ -901,6 +952,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     Ok(FigureResult {
         figure: spec.name,
         x_label: spec.x_label,
+        window_secs: spec.window_secs,
         config: cfg,
         cells,
         perf,
@@ -1292,35 +1344,105 @@ impl FigureResult {
         out
     }
 
-    /// Render the merged miss-ratio table for terminal output.
+    /// Render the merged results for terminal output in the paper's
+    /// layouts: one table with every Section 5 metric per cell (Figures
+    /// 3–5, 7–11, 16–17 and Table 7), then each cell's window series when
+    /// the figure plots one (Figures 12–14), then the per-class miss split
+    /// of every multiclass cell without a tenant table (Figure 18).
     pub fn render(&self) -> String {
         use std::fmt::Write;
+        let ci = |m: MetricSummary| m.ci90.map_or("-".to_string(), |h| format!("{h:.2}"));
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "== {} · {} seeds × {:.0} sim-secs (miss % ± 90% CI) ==",
+            "== {} · {} seeds × {:.0} sim-secs (miss % ± 90% CI; times in seconds) ==",
             self.figure, self.config.seeds, self.config.secs
         );
         let _ = writeln!(
             out,
-            "{:>10} {:>14} {:>10} {:>10} {:>8} {:>8}",
-            "x", "policy", "miss %", "±ci90", "MPL", "disk %"
+            "{:>10} {:>14} {:>8} {:>7} {:>6} {:>6} {:>6} {:>7} {:>8} {:>8} {:>8}",
+            "x",
+            "policy",
+            "miss %",
+            "±ci90",
+            "MPL",
+            "cpu %",
+            "disk %",
+            "fluct/q",
+            "wait s",
+            "exec s",
+            "resp s"
         );
         for c in &self.cells {
-            let ci = c
-                .miss_pct
-                .ci90
-                .map_or("-".to_string(), |h| format!("{h:.2}"));
             let _ = writeln!(
                 out,
-                "{:>10.3} {:>14} {:>10.2} {:>10} {:>8.2} {:>8.1}",
+                "{:>10.3} {:>14} {:>8.2} {:>7} {:>6.2} {:>6.1} {:>6.1} {:>7.2} {:>8.1} \
+                 {:>8.1} {:>8.1}",
                 c.x,
                 c.policy,
                 c.miss_pct.mean,
-                ci,
+                ci(c.miss_pct),
                 c.avg_mpl.mean,
-                100.0 * c.disk_util.mean
+                100.0 * c.cpu_util.mean,
+                100.0 * c.disk_util.mean,
+                c.avg_fluctuations.mean,
+                c.waiting.mean,
+                c.execution.mean,
+                c.response.mean
             );
+        }
+        if let Some(window) = self.window_secs {
+            for c in &self.cells {
+                let _ = writeln!(
+                    out,
+                    "-- window series: x={:.3} policy={} (miss % per {window:.0} s window) --",
+                    c.x, c.policy
+                );
+                let _ = writeln!(
+                    out,
+                    "{:>10} {:>8} {:>8} {:>8} {:>7}",
+                    "t (s)", "served", "missed", "miss %", "±ci90"
+                );
+                for w in &c.windows {
+                    let _ = writeln!(
+                        out,
+                        "{:>10.0} {:>8} {:>8} {:>8.2} {:>7}",
+                        w.t_secs,
+                        w.served,
+                        w.missed,
+                        w.miss_pct.mean,
+                        ci(w.miss_pct)
+                    );
+                }
+            }
+        }
+        let split: Vec<&MergedCell> = self
+            .cells
+            .iter()
+            .filter(|c| c.classes.len() > 1 && c.tenants.is_empty())
+            .collect();
+        if !split.is_empty() {
+            let _ = writeln!(out, "-- per-class miss split (miss % ± 90% CI) --");
+            let _ = writeln!(
+                out,
+                "{:>10} {:>14} {:>8} {:>8} {:>8} {:>8} {:>7}",
+                "x", "policy", "class", "served", "missed", "miss %", "±ci90"
+            );
+            for c in split {
+                for k in &c.classes {
+                    let _ = writeln!(
+                        out,
+                        "{:>10.3} {:>14} {:>8} {:>8} {:>8} {:>8.2} {:>7}",
+                        c.x,
+                        c.policy,
+                        k.name,
+                        k.served,
+                        k.missed,
+                        k.miss_pct.mean,
+                        ci(k.miss_pct)
+                    );
+                }
+            }
         }
         out
     }
@@ -1370,7 +1492,7 @@ mod tests {
         for f in FIGURES {
             let spec = figure_spec(f).expect("known figure");
             for cell in &spec.cells {
-                let mut sim = cell_config(spec.name, cell.x);
+                let mut sim = cell_config(&spec, cell.x);
                 sim.duration_secs = 600.0;
                 let (sim, _) = crate::apply_device_cell(sim, &cell.policy);
                 sim.validate().expect("shipped cells validate");
@@ -1605,6 +1727,59 @@ mod tests {
         .expect("plain rerun");
         assert!(plain.metrics.is_empty());
         assert_eq!(plain.to_json(), r.to_json());
+    }
+
+    #[test]
+    fn render_prints_table7_columns_and_the_per_class_split() {
+        let cfg = DriverConfig {
+            seeds: 1,
+            threads: 1,
+            secs: 300.0,
+            master_seed: 1994,
+            ..DriverConfig::default()
+        };
+        let r = run_figure("fig17", cfg.clone()).expect("fig17 runs");
+        let text = r.render();
+        for column in ["cpu %", "fluct/q", "wait s", "exec s", "resp s"] {
+            assert!(text.contains(column), "column {column:?} missing:\n{text}");
+        }
+        assert!(text.contains("-- per-class miss split"), "{text}");
+        // The split equals a hand merge of the replications' class outcomes.
+        let spec = figure_spec("fig17").expect("known figure");
+        let mut split_rows = 0;
+        for (cell, merged) in spec.cells.iter().zip(&r.cells) {
+            let reports: Vec<RunReport> = (0..cfg.seeds)
+                .map(|rep| {
+                    let mut sim = cell_config(&spec, cell.x);
+                    sim.duration_secs = cfg.secs;
+                    sim.seed = replication_seed(cfg.master_seed, rep);
+                    let policy = make_policy_for(&sim, &cell.policy);
+                    run_simulation(sim, policy)
+                })
+                .collect();
+            let n = reports[0].classes.len();
+            assert_eq!(merged.classes.len(), n);
+            for (j, k) in merged.classes.iter().enumerate() {
+                let served: u64 = reports.iter().map(|r| r.classes[j].served).sum();
+                let missed: u64 = reports.iter().map(|r| r.classes[j].missed).sum();
+                let mean = reports.iter().map(|r| r.classes[j].miss_pct()).sum::<f64>()
+                    / reports.len() as f64;
+                assert_eq!(k.name, reports[0].classes[j].name);
+                assert_eq!((k.served, k.missed), (served, missed));
+                assert!((k.miss_pct.mean - mean).abs() < 1e-12);
+                let row = format!(
+                    "{:>10.3} {:>14} {:>8} {:>8} {:>8} {:>8.2} {:>7}",
+                    cell.x, cell.policy, k.name, served, missed, mean, "-"
+                );
+                // Single-class cells (Small rate 0) print no split rows.
+                assert_eq!(text.lines().any(|l| l == row), n > 1, "{row}");
+                split_rows += usize::from(n > 1);
+            }
+        }
+        assert!(split_rows > 0, "fig17 has multiclass cells");
+        // A single-class figure prints no class block.
+        let fig3 = run_figure("fig3", cfg).expect("fig3 runs");
+        assert!(!fig3.render().contains("per-class"));
     }
 
     #[test]

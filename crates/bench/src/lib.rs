@@ -1,15 +1,16 @@
-//! `bench` — the experiment harness: one reproducible experiment per table
-//! and figure of the paper's Section 5.
+//! `bench` — the experiment harness behind the paper's Section 5.
 //!
-//! Each `fig*` / `table*` function runs the simulations behind the
-//! corresponding artifact and returns structured rows; the `experiments`
-//! binary prints them in the paper's layout, and the Criterion benches time
-//! representative slices.
+//! [`driver`] is the one place a figure is defined: [`driver::figure_spec`]
+//! lists each figure's cells, the driver runs every cell under independently
+//! seeded replications, and [`driver::FigureResult::render`] prints the
+//! merged results in the paper's layouts (the `experiments` binary's
+//! terminal output) while [`driver::FigureResult::to_json`] writes the
+//! machine-readable `BENCH_<figure>.json`.
 //!
-//! Scaling note: wall-clock cost grows with simulated duration, so every
-//! experiment takes a `secs` parameter. Passing `PAPER_SECS` (10 simulated
-//! hours, the paper's setting) reproduces the published measurement
-//! protocol; the CI-friendly default in the binary is one simulated hour.
+//! This crate root holds the figure constants the driver sweeps and the
+//! policy-name resolver [`make_policy_for`]. Wall-clock cost grows with
+//! simulated duration; [`PAPER_SECS`] (10 simulated hours) is the paper's
+//! measurement horizon.
 
 use pmm_core::pmm::TenantPmm;
 use pmm_core::prelude::*;
@@ -18,32 +19,6 @@ pub mod driver;
 
 /// The paper's run length: 10 simulated hours.
 pub const PAPER_SECS: f64 = 36_000.0;
-
-/// Construct a policy by short name.
-///
-/// # Panics
-/// Panics on an unknown name.
-pub fn make_policy(name: &str) -> Box<dyn MemoryPolicy> {
-    if let Some(n) = name.strip_prefix("MinMax-") {
-        return Box::new(pmm_core::pmm::MinMaxPolicy::with_limit(
-            n.parse().expect("numeric MinMax limit"),
-        ));
-    }
-    if let Some(n) = name.strip_prefix("Proportional-") {
-        return Box::new(pmm_core::pmm::ProportionalPolicy::with_limit(
-            n.parse().expect("numeric Proportional limit"),
-        ));
-    }
-    match name {
-        "Max" => Box::new(MaxPolicy),
-        "MinMax" => Box::new(pmm_core::pmm::MinMaxPolicy::unlimited()),
-        "Proportional" => Box::new(ProportionalPolicy::unlimited()),
-        "PMM" => Box::new(Pmm::with_defaults()),
-        "PMM-regime" => Box::new(Pmm::regime_aware()),
-        "panic" => Box::new(PanicPolicy),
-        other => panic!("unknown policy {other}"),
-    }
-}
 
 /// A deliberately crashing policy: its first allocation panics. Exists only
 /// for the hidden `crashtest` figure, which proves the driver quarantines a
@@ -83,8 +58,9 @@ impl MemoryPolicy for PanicPolicy {
 /// inner allocation policy — the device part only shapes the config —
 /// and `"snapshot/<policy>"` cells wrap the inner policy in
 /// [`SnapshotOnly`], pinning it to the full-snapshot allocation
-/// path (see [`split_snapshot_cell`]). All other names defer to
-/// [`make_policy`].
+/// path (see [`split_snapshot_cell`]). The plain names are `"Max"`,
+/// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"Proportional-<N>"`,
+/// `"PMM"`, `"PMM-regime"`, and the crashtest figure's `"panic"`.
 ///
 /// # Panics
 /// Panics on an unknown name, or a tenant-aware name against a config
@@ -117,37 +93,26 @@ pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
         "Partitioned-soft" => Box::new(PartitionedPolicy::new(partitions()).soften()),
         "PMM-tenant" => Box::new(TenantPmm::new(partitions())),
         "PMM-tenant-regime" => Box::new(TenantPmm::new(partitions()).regime_aware()),
-        other => make_policy(other),
+        "Max" => Box::new(MaxPolicy),
+        "MinMax" => Box::new(MinMaxPolicy::unlimited()),
+        "Proportional" => Box::new(ProportionalPolicy::unlimited()),
+        "PMM" => Box::new(Pmm::with_defaults()),
+        "PMM-regime" => Box::new(Pmm::regime_aware()),
+        "panic" => Box::new(PanicPolicy),
+        other => {
+            if let Some(n) = other.strip_prefix("MinMax-") {
+                Box::new(MinMaxPolicy::with_limit(
+                    n.parse().expect("numeric MinMax limit"),
+                ))
+            } else if let Some(n) = other.strip_prefix("Proportional-") {
+                Box::new(ProportionalPolicy::with_limit(
+                    n.parse().expect("numeric Proportional limit"),
+                ))
+            } else {
+                panic!("unknown policy {other}")
+            }
+        }
     }
-}
-
-/// One row of a sweep: an x value plus one report per policy.
-pub struct SweepRow {
-    /// The swept parameter (arrival rate, N, ...).
-    pub x: f64,
-    /// `(policy name, report)` pairs.
-    pub reports: Vec<(String, RunReport)>,
-}
-
-fn sweep<F: Fn(f64) -> SimConfig>(
-    xs: &[f64],
-    policies: &[&str],
-    secs: f64,
-    cfg_of: F,
-) -> Vec<SweepRow> {
-    xs.iter()
-        .map(|&x| SweepRow {
-            x,
-            reports: policies
-                .iter()
-                .map(|&p| {
-                    let mut cfg = cfg_of(x);
-                    cfg.duration_secs = secs;
-                    (p.to_string(), run_simulation(cfg, make_policy(p)))
-                })
-                .collect(),
-        })
-        .collect()
 }
 
 /// Arrival rates of the baseline sweep (Figures 3–5, Table 7).
@@ -278,176 +243,27 @@ pub const TENANT_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
 pub const TENANT_POLICIES: [&str; 4] =
     ["MinMax", "Partitioned", "Partitioned-soft", "PMM-tenant"];
 
-/// Figures 3, 4, 5 and Table 7 share one set of runs: the Section 5.1
-/// baseline sweep (memory is the bottleneck; 10 disks).
-pub fn baseline_sweep(secs: f64) -> Vec<SweepRow> {
-    sweep(
-        &BASELINE_RATES,
-        &BASELINE_POLICIES,
-        secs,
-        SimConfig::baseline,
-    )
-}
-
-/// Figure 6: PMM's target-MPL trace at λ = 0.075.
-pub fn fig6(secs: f64) -> RunReport {
-    let mut cfg = SimConfig::baseline(0.075);
-    cfg.duration_secs = secs;
-    run_simulation(cfg, make_policy("PMM"))
-}
-
-/// Figures 8, 9, 10: the moderate-disk-contention sweep (6 disks), adding
-/// the MinMax-N reference that performs best there.
-pub fn contention_sweep(secs: f64, best_n: u32) -> Vec<SweepRow> {
-    let best = format!("MinMax-{best_n}");
-    let policies: Vec<&str> = vec!["Max", "MinMax", "PMM", &best];
-    sweep(&BASELINE_RATES, &policies, secs, SimConfig::disk_contention)
-}
-
-/// Figure 11: miss ratio of MinMax-N against N at λ = 0.07, 6 disks.
-pub fn fig11(secs: f64, ns: &[u32]) -> Vec<(u32, RunReport)> {
-    ns.iter()
-        .map(|&n| {
-            let mut cfg = SimConfig::disk_contention(0.07);
-            cfg.duration_secs = secs;
-            (n, run_simulation(cfg, make_policy(&format!("MinMax-{n}"))))
-        })
-        .collect()
-}
-
-/// Figures 12–15: the alternating Small/Medium workload (Section 5.3).
-/// Returns `(policy, report)` for Max, MinMax and PMM; the report's
-/// `windows` field is the miss-ratio time series and `trace` the PMM MPL
-/// trace (Figure 15).
-pub fn workload_changes(secs: Option<f64>) -> Vec<(String, RunReport)> {
-    ["Max", "MinMax", "PMM"]
-        .iter()
-        .map(|&p| {
-            let mut cfg = SimConfig::workload_changes();
-            if let Some(s) = secs {
-                cfg.duration_secs = s;
-            }
-            cfg.window_secs = CHANGES_WINDOW_SECS;
-            (p.to_string(), run_simulation(cfg, make_policy(p)))
-        })
-        .collect()
-}
-
-/// Figure 16: the external-sort workload sweep (Section 5.5).
-pub fn fig16(secs: f64) -> Vec<SweepRow> {
-    sweep(&SORT_RATES, &BASELINE_POLICIES, secs, SimConfig::sorts)
-}
-
-/// Figures 17 and 18: the multiclass experiment (Section 5.6) — Medium
-/// fixed at λ = 0.065, Small swept; 12 disks.
-pub fn multiclass_sweep(secs: f64) -> Vec<SweepRow> {
-    sweep(
-        &MULTICLASS_SMALL_RATES,
-        &["Max", "MinMax", "PMM"],
-        secs,
-        SimConfig::multiclass,
-    )
-}
-
-/// Section 5.4: PMM sensitivity to `UtilLow`.
-pub fn util_low_sensitivity(secs: f64) -> Vec<(f64, RunReport)> {
-    [0.50, 0.60, 0.70, 0.80]
-        .iter()
-        .map(|&ul| {
-            let mut cfg = SimConfig::baseline(0.07);
-            cfg.duration_secs = secs;
-            let params = PmmParams {
-                util_low: ul,
-                ..PmmParams::default()
-            };
-            (ul, run_simulation(cfg, Box::new(Pmm::new(params))))
-        })
-        .collect()
-}
-
-/// Section 5.7: the scale-down check — disk-contention setup at ×0.1 sizes
-/// and ×10 rates must show the same algorithm ordering.
-pub fn scale_check(secs: f64) -> Vec<(String, RunReport, RunReport)> {
-    ["Max", "MinMax", "PMM"]
-        .iter()
-        .map(|&p| {
-            let mut full = SimConfig::disk_contention(0.05);
-            full.duration_secs = secs;
-            let mut small = SimConfig::scaled_down(0.05);
-            small.duration_secs = secs / 5.0; // 10× rate needs less time
-            (
-                p.to_string(),
-                run_simulation(full, make_policy(p)),
-                run_simulation(small, make_policy(p)),
-            )
-        })
-        .collect()
-}
-
-/// Ablation: PMM with a cubic (instead of quadratic) projection is not
-/// modelled as a separate policy — the quadratic-vs-cubic stabilization
-/// claim is exercised directly on synthetic curves in `stats`; this ablation
-/// instead compares PMM against PMM-without-RU... kept simple: firm vs
-/// soft deadlines (the run-to-completion ablation flagged in DESIGN.md).
-pub fn ablation_firm_deadlines(secs: f64) -> Vec<(bool, RunReport)> {
-    [true, false]
-        .iter()
-        .map(|&firm| {
-            let mut cfg = SimConfig::baseline(0.06);
-            cfg.duration_secs = secs;
-            cfg.firm_deadlines = firm;
-            (firm, run_simulation(cfg, make_policy("PMM")))
-        })
-        .collect()
-}
-
-/// Render a sweep as a fixed-width table of one metric.
-pub fn render_sweep<M: Fn(&RunReport) -> f64>(
-    title: &str,
-    x_label: &str,
-    rows: &[SweepRow],
-    metric: M,
-    unit: &str,
-) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let names: Vec<&str> = rows
-        .first()
-        .map(|r| r.reports.iter().map(|(n, _)| n.as_str()).collect())
-        .unwrap_or_default();
-    let _ = write!(out, "{x_label:>10}");
-    for n in &names {
-        let _ = write!(out, " {n:>14}");
-    }
-    let _ = writeln!(out, "   ({unit})");
-    for row in rows {
-        let _ = write!(out, "{:>10.3}", row.x);
-        for (_, report) in &row.reports {
-            let _ = write!(out, " {:>14.2}", metric(report));
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn make_policy_parses_names() {
-        assert_eq!(make_policy("Max").name(), "Max");
-        assert_eq!(make_policy("MinMax").name(), "MinMax");
-        assert_eq!(make_policy("MinMax-10").name(), "MinMax-10");
-        assert_eq!(make_policy("Proportional-5").name(), "Proportional-5");
-        assert_eq!(make_policy("PMM").name(), "PMM");
+        let cfg = SimConfig::baseline(0.05);
+        assert_eq!(make_policy_for(&cfg, "Max").name(), "Max");
+        assert_eq!(make_policy_for(&cfg, "MinMax").name(), "MinMax");
+        assert_eq!(make_policy_for(&cfg, "MinMax-10").name(), "MinMax-10");
+        assert_eq!(
+            make_policy_for(&cfg, "Proportional-5").name(),
+            "Proportional-5"
+        );
+        assert_eq!(make_policy_for(&cfg, "PMM").name(), "PMM");
     }
 
     #[test]
     #[should_panic(expected = "unknown policy")]
     fn make_policy_rejects_garbage() {
-        make_policy("Random");
+        make_policy_for(&SimConfig::baseline(0.05), "Random");
     }
 
     #[test]
@@ -458,7 +274,7 @@ mod tests {
             make_policy_for(&cfg, "Partitioned-soft").name(),
             "Partitioned-soft"
         );
-        // Non-partitioned names defer to make_policy even with tenants set.
+        // Non-partitioned names resolve as usual even with tenants set.
         assert_eq!(make_policy_for(&cfg, "PMM").name(), "PMM");
     }
 
@@ -579,27 +395,7 @@ mod tests {
     fn panic_policy_panics_on_first_allocation() {
         let mut cfg = SimConfig::baseline(0.05);
         cfg.duration_secs = 100.0;
-        run_simulation(cfg, make_policy("panic"));
-    }
-
-    #[test]
-    fn render_sweep_formats_rows() {
-        let rows = vec![SweepRow {
-            x: 0.04,
-            reports: vec![("Max".into(), RunReport::default())],
-        }];
-        let s = render_sweep("t", "rate", &rows, |r| r.miss_pct(), "%");
-        assert!(s.contains("== t =="));
-        assert!(s.contains("0.040"));
-        assert!(s.contains("Max"));
-    }
-
-    #[test]
-    fn quick_baseline_sweep_runs() {
-        // A tiny smoke version: one rate, short horizon.
-        let rows = sweep(&[0.05], &["Max", "PMM"], 600.0, SimConfig::baseline);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].reports.len(), 2);
-        assert!(rows[0].reports.iter().all(|(_, r)| r.served > 0));
+        let policy = make_policy_for(&cfg, "panic");
+        run_simulation(cfg, policy);
     }
 }

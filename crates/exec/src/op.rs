@@ -48,14 +48,6 @@ pub struct ExecConfig {
     /// Hash-table space overhead (`F` of \[Shap86\]); 1.1 matches the
     /// paper's baseline numbers (max demand ≈ 1321 pages for ‖R‖ = 1200).
     pub fudge_factor: f64,
-    /// Disable the sort's in-memory fast path so every sort forms runs and
-    /// merges even at its maximum allocation. The paper's text says sorts
-    /// given maximum memory "read their operand relation(s) once and
-    /// produce results directly", so the default is `false`; the flag
-    /// exists because the paper's reported sort execution times (Figure 16)
-    /// are only consistent with a two-phase sort, and EXPERIMENTS.md
-    /// documents both variants.
-    pub always_two_phase_sort: bool,
 }
 
 impl Default for ExecConfig {
@@ -64,7 +56,6 @@ impl Default for ExecConfig {
             tuples_per_page: 40,
             block_pages: 6,
             fudge_factor: 1.1,
-            always_two_phase_sort: false,
         }
     }
 }

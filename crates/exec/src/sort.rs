@@ -280,7 +280,7 @@ impl Operator for ExternalSort {
                 Action::Cpu(cost::INIT_OP)
             }
             State::Dispatch => {
-                if self.alloc >= self.r_pages && !self.cfg.always_two_phase_sort {
+                if self.alloc >= self.r_pages {
                     self.state = State::InMemoryScan;
                     self.scan_pos = 0;
                 } else {
@@ -696,19 +696,6 @@ mod tests {
             }
         }
         assert!(finished);
-    }
-
-    #[test]
-    fn two_phase_flag_disables_fast_path() {
-        let cfg = ExecConfig {
-            always_two_phase_sort: true,
-            ..ExecConfig::default()
-        };
-        let mut op = ExternalSort::new(cfg, FileId::Relation(0), 600);
-        let t = run_fixed(&mut op, 600);
-        // Even at max memory: one run written, then streamed back.
-        assert_eq!(t.temp_writes, 600);
-        assert_eq!(t.temp_reads, 600);
     }
 
     #[test]

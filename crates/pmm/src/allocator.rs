@@ -6,12 +6,11 @@
 //! lower-priority query overtake it (priority inversion through memory is
 //! exactly what the paper's policies are designed to avoid).
 //!
-//! The primary entry points are the `*_allocate_into` forms, which write
-//! grants into caller-owned buffers and are allocation-free once the
+//! The entry points are the `*_allocate_into` forms, which write grants
+//! into caller-owned buffers and are allocation-free once the
 //! [`AllocScratch`] is warm — the shape the simulator's reallocation hot
-//! path needs. The allocating wrappers (`max_allocate` & co.) are
-//! deprecated: call `*_allocate_into`, or go through
-//! [`MemoryPolicy::allocate`](crate::MemoryPolicy) for one-shot use.
+//! path needs. One-shot callers go through
+//! [`MemoryPolicy::allocate`](crate::MemoryPolicy).
 
 use crate::types::{QueryDemand, QueryId};
 
@@ -23,7 +22,7 @@ pub type Grants = Vec<(QueryId, u32)>;
 /// demand copy and the water-filling pin flags. One instance amortizes every
 /// per-call allocation of the seed implementation (`queries.to_vec()` plus a
 /// fresh `Vec<bool>`), which ran on *every* calendar event that moved a
-/// query. The convenience wrappers build a throwaway one.
+/// query.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     sorted: Vec<QueryDemand>,
@@ -56,14 +55,7 @@ impl AllocScratch {
 
 /// **Max** strategy: in ED order, each query gets its maximum demand or the
 /// admission stops. No explicit MPL limit — memory itself is the limiter.
-#[deprecated(note = "use `max_allocate_into` with caller-owned buffers")]
-pub fn max_allocate(queries: &[QueryDemand], total: u32) -> Grants {
-    let mut out = Grants::new();
-    max_allocate_into(queries, total, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// [`max_allocate`] into caller-owned buffers; allocation-free once warm.
+/// Writes into caller-owned buffers; allocation-free once warm.
 pub fn max_allocate_into(
     queries: &[QueryDemand],
     total: u32,
@@ -87,25 +79,8 @@ pub fn max_allocate_into(
 /// them when `limit` is `None`, i.e. MinMax-∞). Pass one hands every
 /// admitted query its minimum; pass two tops allocations up to the maximum
 /// in ED order until memory runs out. The query on the boundary may end up
-/// anywhere between its minimum and maximum (Section 3.2).
-#[deprecated(note = "use `minmax_allocate_into` with caller-owned buffers")]
-pub fn minmax_allocate(
-    queries: &[QueryDemand],
-    total: u32,
-    limit: Option<u32>,
-) -> Grants {
-    let mut out = Grants::new();
-    minmax_allocate_into(
-        queries,
-        total,
-        limit,
-        &mut AllocScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`minmax_allocate`] into caller-owned buffers; allocation-free once warm.
+/// anywhere between its minimum and maximum (Section 3.2). Writes into
+/// caller-owned buffers; allocation-free once warm.
 pub fn minmax_allocate_into(
     queries: &[QueryDemand],
     total: u32,
@@ -163,26 +138,8 @@ pub(crate) fn minmax_allocate_flagged_into(
 /// every admitted query receives the same fraction of its maximum, subject
 /// to at least its minimum. The fraction is found by water-filling: queries
 /// whose proportional share would fall below their minimum are pinned at
-/// the minimum and the fraction is recomputed over the rest.
-#[deprecated(note = "use `proportional_allocate_into` with caller-owned buffers")]
-pub fn proportional_allocate(
-    queries: &[QueryDemand],
-    total: u32,
-    limit: Option<u32>,
-) -> Grants {
-    let mut out = Grants::new();
-    proportional_allocate_into(
-        queries,
-        total,
-        limit,
-        &mut AllocScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`proportional_allocate`] into caller-owned buffers; allocation-free
-/// once warm.
+/// the minimum and the fraction is recomputed over the rest. Writes into
+/// caller-owned buffers; allocation-free once warm.
 pub fn proportional_allocate_into(
     queries: &[QueryDemand],
     total: u32,
@@ -269,44 +226,6 @@ pub struct PartitionSpec {
     pub soft: bool,
 }
 
-/// **Partitioned** mode: divide memory across tenant partitions, running the
-/// MinMax-N machinery *within* each partition.
-///
-/// Pass 1 hands every partition its quota and allocates its queries with
-/// [`minmax_allocate`] against that budget — a hard guarantee that a tenant
-/// is never starved below its reservation by another tenant's load. Pass 2
-/// is the borrow-back round: pages no partition is using (unused quota plus
-/// any pool pages outside all quotas) are offered to `soft` partitions in
-/// declaration order, which re-allocate with the enlarged budget. Because
-/// the whole division is recomputed from scratch at every allocation event,
-/// borrowed pages flow back automatically the moment the lender's own demand
-/// returns — pass 1 always serves quotas first.
-///
-/// Queries name their partition via [`QueryDemand::tenant`]; out-of-range
-/// indices clamp to the last partition. With no partitions declared this
-/// degenerates to plain `minmax_allocate` over the whole pool. Quotas that
-/// oversubscribe the pool are honored first-declared-first: each partition's
-/// reservation is capped to the pages not already reserved ahead of it, so
-/// the grants can never exceed `total`.
-#[deprecated(note = "use `partitioned_allocate_into` with caller-owned buffers")]
-pub fn partitioned_allocate(
-    queries: &[QueryDemand],
-    partitions: &[PartitionSpec],
-    total: u32,
-    limit: Option<u32>,
-) -> Grants {
-    let mut out = Grants::new();
-    partitioned_allocate_into(
-        queries,
-        partitions,
-        total,
-        limit,
-        &mut PartitionScratch::default(),
-        &mut out,
-    );
-    out
-}
-
 /// Reusable scratch for [`partitioned_allocate_into`]: per-partition demand
 /// groups and grant buffers, plus the shared [`AllocScratch`] the inner
 /// MinMax passes sort in.
@@ -318,8 +237,26 @@ pub struct PartitionScratch {
     alloc: AllocScratch,
 }
 
-/// [`partitioned_allocate`] into caller-owned buffers; allocation-free once
-/// warm.
+/// **Partitioned** mode: divide memory across tenant partitions, running the
+/// MinMax-N machinery *within* each partition.
+///
+/// Pass 1 hands every partition its quota and allocates its queries with
+/// [`minmax_allocate_into`] against that budget — a hard guarantee that a
+/// tenant is never starved below its reservation by another tenant's load. Pass 2
+/// is the borrow-back round: pages no partition is using (unused quota plus
+/// any pool pages outside all quotas) are offered to `soft` partitions in
+/// declaration order, which re-allocate with the enlarged budget. Because
+/// the whole division is recomputed from scratch at every allocation event,
+/// borrowed pages flow back automatically the moment the lender's own demand
+/// returns — pass 1 always serves quotas first.
+///
+/// Queries name their partition via [`QueryDemand::tenant`]; out-of-range
+/// indices clamp to the last partition. With no partitions declared this
+/// degenerates to plain [`minmax_allocate_into`] over the whole pool.
+/// Quotas that oversubscribe the pool are honored first-declared-first:
+/// each partition's reservation is capped to the pages not already reserved
+/// ahead of it, so the grants can never exceed `total`. Writes into
+/// caller-owned buffers; allocation-free once warm.
 pub fn partitioned_allocate_into(
     queries: &[QueryDemand],
     partitions: &[PartitionSpec],
@@ -537,12 +474,17 @@ fn partitioned_allocate_core(
 }
 
 #[cfg(test)]
-// The deprecated allocating wrappers stay covered until their removal —
-// these tests pin them against the `_into` forms (and each other).
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use simkit::SimTime;
+
+    /// Run one `*_allocate_into` division against a fresh scratch and
+    /// return its grants.
+    fn fresh<S: Default>(divide: impl FnOnce(&mut S, &mut Grants)) -> Grants {
+        let mut out = Grants::new();
+        divide(&mut S::default(), &mut out);
+        out
+    }
 
     fn q(id: u64, deadline: u64, min: u32, max: u32) -> QueryDemand {
         QueryDemand {
@@ -564,7 +506,7 @@ mod tests {
     #[test]
     fn max_allocates_in_deadline_order() {
         let queries = [q(1, 300, 37, 1321), q(2, 100, 37, 1321), q(3, 200, 37, 500)];
-        let grants = max_allocate(&queries, 2560);
+        let grants = fresh(|s, o| max_allocate_into(&queries, 2560, s, o));
         // Query 2 (deadline 100) then query 3 (deadline 200, 500 pages).
         assert_eq!(grants, vec![(QueryId(2), 1321), (QueryId(3), 500)]);
     }
@@ -574,14 +516,14 @@ mod tests {
         // The urgent query needs 2000; only 1500 free after it would be
         // blocked — the small later query must NOT overtake it.
         let queries = [q(1, 100, 37, 2000), q(2, 200, 10, 100)];
-        let grants = max_allocate(&queries, 1500);
+        let grants = fresh(|s, o| max_allocate_into(&queries, 1500, s, o));
         assert!(grants.is_empty(), "strict ED admits nothing here");
     }
 
     #[test]
     fn max_fits_memory() {
         let queries: Vec<_> = (0..10).map(|i| q(i, 100 + i, 37, 1321)).collect();
-        let grants = max_allocate(&queries, 2560);
+        let grants = fresh(|s, o| max_allocate_into(&queries, 2560, s, o));
         assert_eq!(
             grants.len(),
             1,
@@ -595,7 +537,7 @@ mod tests {
         // Paper: higher-priority queries end at their maximum, lower at
         // their minimum, one boundary query in between.
         let queries: Vec<_> = (0..5).map(|i| q(i, 100 + i, 37, 1321)).collect();
-        let grants = minmax_allocate(&queries, 2560, None);
+        let grants = fresh(|s, o| minmax_allocate_into(&queries, 2560, None, s, o));
         assert_eq!(grants.len(), 5, "all five minimums fit (185 pages)");
         // Query 0: topped to max (1321). Remaining: 2560-5*37=2375-1284=...
         assert_eq!(grants[0], (QueryId(0), 1321));
@@ -612,7 +554,7 @@ mod tests {
     #[test]
     fn minmax_respects_mpl_limit() {
         let queries: Vec<_> = (0..8).map(|i| q(i, 100 + i, 10, 50)).collect();
-        let grants = minmax_allocate(&queries, 10_000, Some(3));
+        let grants = fresh(|s, o| minmax_allocate_into(&queries, 10_000, Some(3), s, o));
         assert_eq!(grants.len(), 3);
         // Plenty of memory: all three at max.
         assert!(grants.iter().all(|&(_, p)| p == 50));
@@ -621,7 +563,7 @@ mod tests {
     #[test]
     fn minmax_unlimited_admits_while_minimums_fit() {
         let queries: Vec<_> = (0..100).map(|i| q(i, 100 + i, 37, 1321)).collect();
-        let grants = minmax_allocate(&queries, 2560, None);
+        let grants = fresh(|s, o| minmax_allocate_into(&queries, 2560, None, s, o));
         // 2560 / 37 = 69 — the paper's own number for the baseline.
         assert_eq!(grants.len(), 69);
         assert!(granted_total(&grants) <= 2560);
@@ -633,7 +575,7 @@ mod tests {
             .map(|i| q(i, 1000 - i * 10, 5 + (i % 7) as u32, 100 + (i * 13) as u32))
             .collect();
         for m in [50u32, 200, 1000, 5000] {
-            let grants = minmax_allocate(&queries, m, None);
+            let grants = fresh(|s, o| minmax_allocate_into(&queries, m, None, s, o));
             assert!(granted_total(&grants) <= m as u64);
             for (id, pages) in &grants {
                 let demand = queries.iter().find(|d| d.id == *id).unwrap();
@@ -646,7 +588,7 @@ mod tests {
     #[test]
     fn proportional_equal_fractions() {
         let queries = [q(1, 100, 10, 1000), q(2, 200, 10, 500)];
-        let grants = proportional_allocate(&queries, 750, None);
+        let grants = fresh(|s, o| proportional_allocate_into(&queries, 750, None, s, o));
         // frac = 750 / 1500 = 0.5 → 500 and 250.
         assert_eq!(grants, vec![(QueryId(1), 500), (QueryId(2), 250)]);
     }
@@ -656,7 +598,7 @@ mod tests {
         // frac would give query 2 less than its minimum; it pins at min and
         // query 1 absorbs the rest.
         let queries = [q(1, 100, 10, 1000), q(2, 200, 90, 100)];
-        let grants = proportional_allocate(&queries, 500, None);
+        let grants = fresh(|s, o| proportional_allocate_into(&queries, 500, None, s, o));
         let g2 = grants.iter().find(|&&(id, _)| id == QueryId(2)).unwrap().1;
         assert_eq!(g2, 90, "pinned at minimum");
         let g1 = grants.iter().find(|&&(id, _)| id == QueryId(1)).unwrap().1;
@@ -667,14 +609,16 @@ mod tests {
     #[test]
     fn proportional_caps_at_max() {
         let queries = [q(1, 100, 10, 100), q(2, 200, 10, 100)];
-        let grants = proportional_allocate(&queries, 10_000, None);
+        let grants =
+            fresh(|s, o| proportional_allocate_into(&queries, 10_000, None, s, o));
         assert!(grants.iter().all(|&(_, p)| p == 100));
     }
 
     #[test]
     fn proportional_respects_limit_and_memory() {
         let queries: Vec<_> = (0..50).map(|i| q(i, 100 + i, 37, 1321)).collect();
-        let grants = proportional_allocate(&queries, 2560, Some(10));
+        let grants =
+            fresh(|s, o| proportional_allocate_into(&queries, 2560, Some(10), s, o));
         assert!(grants.len() <= 10);
         assert!(granted_total(&grants) <= 2560);
         for (_, p) in &grants {
@@ -684,15 +628,17 @@ mod tests {
 
     #[test]
     fn all_strategies_handle_empty_input() {
-        assert!(max_allocate(&[], 1000).is_empty());
-        assert!(minmax_allocate(&[], 1000, None).is_empty());
-        assert!(proportional_allocate(&[], 1000, Some(5)).is_empty());
+        assert!(fresh(|s, o| max_allocate_into(&[], 1000, s, o)).is_empty());
+        assert!(fresh(|s, o| minmax_allocate_into(&[], 1000, None, s, o)).is_empty());
+        assert!(
+            fresh(|s, o| proportional_allocate_into(&[], 1000, Some(5), s, o)).is_empty()
+        );
     }
 
     #[test]
     fn deadline_ties_break_by_id() {
         let queries = [q(2, 100, 10, 600), q(1, 100, 10, 600)];
-        let grants = max_allocate(&queries, 600);
+        let grants = fresh(|s, o| max_allocate_into(&queries, 600, s, o));
         assert_eq!(grants[0].0, QueryId(1));
     }
 
@@ -700,8 +646,8 @@ mod tests {
     fn partitioned_empty_spec_degenerates_to_minmax() {
         let queries: Vec<_> = (0..5).map(|i| q(i, 100 + i, 37, 1321)).collect();
         assert_eq!(
-            partitioned_allocate(&queries, &[], 2560, None),
-            minmax_allocate(&queries, 2560, None)
+            fresh(|s, o| partitioned_allocate_into(&queries, &[], 2560, None, s, o)),
+            fresh(|s, o| minmax_allocate_into(&queries, 2560, None, s, o))
         );
     }
 
@@ -719,7 +665,8 @@ mod tests {
             },
         ];
         let queries: Vec<_> = (0..5).map(|i| qt(i, 100 + i, 37, 1321, 0)).collect();
-        let grants = partitioned_allocate(&queries, &parts, 2560, None);
+        let grants =
+            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
         assert!(granted_total(&grants) <= 1000, "hard quota respected");
         assert!(!grants.is_empty());
     }
@@ -737,7 +684,8 @@ mod tests {
             },
         ];
         let queries: Vec<_> = (0..5).map(|i| qt(i, 100 + i, 37, 1321, 0)).collect();
-        let grants = partitioned_allocate(&queries, &parts, 2560, None);
+        let grants =
+            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
         assert!(
             granted_total(&grants) > 1000,
             "soft tenant borrows beyond its quota: {}",
@@ -760,13 +708,15 @@ mod tests {
         ];
         // Only tenant 0 active: it borrows tenant 1's idle pages.
         let t0: Vec<_> = (0..4).map(|i| qt(i, 100 + i, 300, 1321, 0)).collect();
-        let alone = partitioned_allocate(&t0, &parts, 2560, None);
+        let alone =
+            fresh(|s, o| partitioned_allocate_into(&t0, &parts, 2560, None, s, o));
         assert!(granted_total(&alone) > 1280);
         // Tenant 1 wakes up: the division is recomputed and each side gets
         // at least its quota-backed share — the borrowed pages flowed back.
         let mut both = t0.clone();
         both.extend((10..14).map(|i| qt(i, 100 + i, 300, 1321, 1)));
-        let shared = partitioned_allocate(&both, &parts, 2560, None);
+        let shared =
+            fresh(|s, o| partitioned_allocate_into(&both, &parts, 2560, None, s, o));
         let t1_pages: u64 = shared
             .iter()
             .filter(|(id, _)| id.0 >= 10)
@@ -794,7 +744,9 @@ mod tests {
         let queries: Vec<_> = (0..40)
             .map(|i| qt(i, 100 + i, 37, 400, (i % 2) as u32))
             .collect();
-        let grants = partitioned_allocate(&queries, &parts, 2000, Some(3));
+        let grants = fresh(|s, o| {
+            partitioned_allocate_into(&queries, &parts, 2000, Some(3), s, o)
+        });
         assert!(grants.len() <= 6, "≤ limit per partition");
         assert!(granted_total(&grants) <= 2000);
         for (id, pages) in &grants {
@@ -816,7 +768,8 @@ mod tests {
             },
         ];
         let queries = [qt(1, 100, 37, 1321, 9)];
-        let grants = partitioned_allocate(&queries, &parts, 2560, None);
+        let grants =
+            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
         assert_eq!(grants, vec![(QueryId(1), 1321)], "billed to partition 1");
     }
 
@@ -837,7 +790,8 @@ mod tests {
         let queries: Vec<_> = (0..10)
             .map(|i| qt(i, 100 + i, 37, 1321, (i % 2) as u32))
             .collect();
-        let grants = partitioned_allocate(&queries, &parts, 2560, None);
+        let grants =
+            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
         assert!(
             granted_total(&grants) <= 2560,
             "grants {} exceed the pool",
@@ -862,15 +816,19 @@ mod tests {
         let queries: Vec<_> = (0..20)
             .map(|i| qt(i, 1000 - i * 7, 30 + (i % 5) as u32, 600, (i % 2) as u32))
             .collect();
-        let a = partitioned_allocate(&queries, &parts, 2560, Some(8));
-        let b = partitioned_allocate(&queries, &parts, 2560, Some(8));
+        let a = fresh(|s, o| {
+            partitioned_allocate_into(&queries, &parts, 2560, Some(8), s, o)
+        });
+        let b = fresh(|s, o| {
+            partitioned_allocate_into(&queries, &parts, 2560, Some(8), s, o)
+        });
         assert_eq!(a, b);
     }
 
     #[test]
     fn into_variants_match_allocating_paths_with_warm_scratch() {
         // One scratch reused across many differently-shaped calls: results
-        // must be identical to the fresh-allocation wrappers every time.
+        // must be identical to fresh-scratch calls every time.
         let mut scratch = AllocScratch::default();
         let mut pscratch = PartitionScratch::default();
         let mut out = Grants::new();
@@ -908,11 +866,17 @@ mod tests {
             };
 
             max_allocate_into(&queries, total, &mut scratch, &mut out);
-            assert_eq!(out, max_allocate(&queries, total));
+            assert_eq!(out, fresh(|s, o| max_allocate_into(&queries, total, s, o)));
             minmax_allocate_into(&queries, total, limit, &mut scratch, &mut out);
-            assert_eq!(out, minmax_allocate(&queries, total, limit));
+            assert_eq!(
+                out,
+                fresh(|s, o| minmax_allocate_into(&queries, total, limit, s, o))
+            );
             proportional_allocate_into(&queries, total, limit, &mut scratch, &mut out);
-            assert_eq!(out, proportional_allocate(&queries, total, limit));
+            assert_eq!(
+                out,
+                fresh(|s, o| proportional_allocate_into(&queries, total, limit, s, o))
+            );
             partitioned_allocate_into(
                 &queries,
                 &parts,
@@ -921,7 +885,12 @@ mod tests {
                 &mut pscratch,
                 &mut out,
             );
-            assert_eq!(out, partitioned_allocate(&queries, &parts, total, limit));
+            assert_eq!(
+                out,
+                fresh(|s, o| partitioned_allocate_into(
+                    &queries, &parts, total, limit, s, o
+                ))
+            );
         }
     }
 
@@ -954,7 +923,12 @@ mod tests {
                 &mut scratch,
                 &mut out,
             );
-            assert_eq!(out, partitioned_allocate(&queries, &parts, 2560, limit));
+            assert_eq!(
+                out,
+                fresh(|s, o| partitioned_allocate_into(
+                    &queries, &parts, 2560, limit, s, o
+                ))
+            );
         }
     }
 
@@ -965,7 +939,7 @@ mod tests {
         // Equal to plain Max when every demand fits the budget.
         let queries = [q(1, 300, 37, 1321), q(2, 100, 37, 1321), q(3, 200, 37, 500)];
         max_allocate_clamped_into(&queries, 2560, &mut scratch, &mut out);
-        assert_eq!(out, max_allocate(&queries, 2560));
+        assert_eq!(out, fresh(|s, o| max_allocate_into(&queries, 2560, s, o)));
         // A 640-page partition cannot grant a 1321-page maximum, but the
         // clamped division still admits the most urgent query at the
         // partition-wide cap instead of starving the tenant.
@@ -1066,10 +1040,10 @@ mod tests {
         // A newly arrived urgent query displaces top-up memory from the
         // formerly highest-priority query.
         let mut queries = vec![q(1, 500, 37, 1321), q(2, 600, 37, 1321)];
-        let before = minmax_allocate(&queries, 1500, None);
+        let before = fresh(|s, o| minmax_allocate_into(&queries, 1500, None, s, o));
         assert_eq!(before[0], (QueryId(1), 1321));
         queries.push(q(3, 100, 37, 1321));
-        let after = minmax_allocate(&queries, 1500, None);
+        let after = fresh(|s, o| minmax_allocate_into(&queries, 1500, None, s, o));
         assert_eq!(after[0], (QueryId(3), 1321), "urgent query gets the max");
         let g1 = after.iter().find(|&&(id, _)| id == QueryId(1)).unwrap().1;
         assert!(g1 < 1321, "old leader gives up its top-up");

@@ -48,12 +48,6 @@ pub use allocator::{
     proportional_allocate_into, AllocScratch, Grants, PartitionScratch, PartitionSpec,
     PartitionStrategy,
 };
-// The deprecated allocating wrappers stay exported until their removal so
-// downstream one-shot callers keep compiling (with the deprecation note).
-#[allow(deprecated)]
-pub use allocator::{
-    max_allocate, minmax_allocate, partitioned_allocate, proportional_allocate,
-};
 pub use incremental::{DirtySet, IncrementalPartitioned, GROUP_SIZE};
 pub use partition::PartitionedPolicy;
 pub use policy::{

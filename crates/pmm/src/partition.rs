@@ -1,6 +1,6 @@
 //! Multi-tenant memory partitioning as a [`MemoryPolicy`].
 //!
-//! [`PartitionedPolicy`] wraps [`crate::allocator::partitioned_allocate`]:
+//! [`PartitionedPolicy`] wraps [`crate::allocator::partitioned_allocate_into`]:
 //! each tenant partition gets its quota allocated by the two-pass MinMax
 //! machinery, and soft partitions may borrow pages other tenants leave idle
 //! (handed back automatically at the next allocation event — see the

@@ -409,24 +409,6 @@ impl SimConfig {
         cfg
     }
 
-    /// Section 5.7: the disk-contention setup scaled down ×10 (relations
-    /// and memory ÷10, arrival rate ×10) — used to check scale invariance.
-    pub fn scaled_down(arrival_rate: f64) -> Self {
-        let mut cfg = Self::disk_contention(arrival_rate * 10.0);
-        cfg.resources.memory_pages = 256;
-        cfg.database = vec![
-            RelationGroupSpec {
-                relations_per_disk: 3,
-                size_range: (60, 180),
-            },
-            RelationGroupSpec {
-                relations_per_disk: 3,
-                size_range: (300, 900),
-            },
-        ];
-        cfg
-    }
-
     /// Bursty-arrivals scenario: the baseline Medium join class driven by a
     /// 2-state MMPP with the baseline's long-run rate (λ̄ = 0.06) but a
     /// `burst_ratio`-to-1 rate swing between states (10-minute mean
@@ -545,14 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_down_divides_sizes() {
-        let cfg = SimConfig::scaled_down(0.06);
-        assert_eq!(cfg.resources.memory_pages, 256);
-        assert_eq!(cfg.database[0].size_range, (60, 180));
-        assert!((cfg.classes[0].mean_rate() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn bursty_preserves_the_mean_rate() {
         let poisson = SimConfig::bursty(1.0);
         assert_eq!(poisson.classes[0].arrival, ArrivalSpec::poisson(0.06));
@@ -611,7 +585,6 @@ mod tests {
             SimConfig::workload_changes(),
             SimConfig::multiclass(0.4),
             SimConfig::sorts(0.1),
-            SimConfig::scaled_down(0.06),
             SimConfig::bursty(8.0),
             SimConfig::multi_tenant(0.75),
             SimConfig::scale(10),

@@ -38,8 +38,7 @@ fn proportional_is_worse_than_minmax() {
         Box::new(ProportionalPolicy::unlimited()),
     );
     // On short horizons the miss ratios can tie; Proportional must never
-    // come out ahead (the 10-hour sweeps in EXPERIMENTS.md show the full
-    // gap).
+    // come out ahead (VALIDATION.md's fig3 sweep shows the full gap).
     assert!(
         prop.miss_pct() >= minmax.miss_pct(),
         "Proportional {:.1}% vs MinMax {:.1}%",
@@ -87,7 +86,7 @@ fn disk_contention_flips_the_ordering() {
 fn sort_workload_properties() {
     // Section 5.5 context: sorts place a much lighter disk load per page of
     // memory demand than joins. Our model reproduces that resource profile
-    // (the Figure 16 ordering itself diverges — see EXPERIMENTS.md): MinMax
+    // (the Figure 16 ordering is discussed in VALIDATION.md): MinMax
     // admits far more sorts than Max, and Max queues them instead.
     let mut sort_cfg = SimConfig::sorts(0.20);
     sort_cfg.duration_secs = 3_000.0;

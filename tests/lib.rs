@@ -1,5 +1,6 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use pmm_core::pmm::{AllocScratch, Grants};
 use pmm_core::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -55,6 +56,14 @@ pub fn serialize_report(report: &RunReport) -> String {
     }
     let _ = writeln!(out, "miss_ci_half_width: {:?}", report.miss_ci_half_width);
     let _ = writeln!(out, "sim_secs: {:?}", report.sim_secs);
+    out
+}
+
+/// Run one `pmm::*_allocate_into` division against a fresh
+/// `AllocScratch` and return its grants.
+pub fn fresh_grants(divide: impl FnOnce(&mut AllocScratch, &mut Grants)) -> Grants {
+    let mut out = Grants::new();
+    divide(&mut AllocScratch::default(), &mut out);
     out
 }
 

@@ -1,11 +1,10 @@
 //! Cross-crate checks of the allocation policies against the operators'
 //! real memory demands.
 
-// The deprecated allocating wrappers stay covered until their removal;
-// production callers use the `*_allocate_into` forms.
-#![allow(deprecated)]
-
-use pmm_core::pmm::{max_allocate, minmax_allocate, proportional_allocate};
+use integration_tests::fresh_grants;
+use pmm_core::pmm::{
+    max_allocate_into, minmax_allocate_into, proportional_allocate_into,
+};
 use pmm_core::pmm::{QueryDemand, QueryId};
 use pmm_core::prelude::*;
 use pmm_core::storage::FileId;
@@ -44,10 +43,10 @@ fn all_policies_respect_memory_and_bounds() {
     let demands = demands_from_operators(40);
     for m in [500u32, 2560, 10_000, 100_000] {
         for grants in [
-            max_allocate(&demands, m),
-            minmax_allocate(&demands, m, None),
-            minmax_allocate(&demands, m, Some(10)),
-            proportional_allocate(&demands, m, None),
+            fresh_grants(|s, o| max_allocate_into(&demands, m, s, o)),
+            fresh_grants(|s, o| minmax_allocate_into(&demands, m, None, s, o)),
+            fresh_grants(|s, o| minmax_allocate_into(&demands, m, Some(10), s, o)),
+            fresh_grants(|s, o| proportional_allocate_into(&demands, m, None, s, o)),
         ] {
             let total: u64 = grants.iter().map(|&(_, p)| p as u64).sum();
             assert!(total <= m as u64, "over-allocated {total} of {m}");
@@ -66,7 +65,7 @@ fn all_policies_respect_memory_and_bounds() {
 #[test]
 fn minmax_gives_urgent_queries_their_maximum() {
     let demands = demands_from_operators(20);
-    let grants = minmax_allocate(&demands, 2560, None);
+    let grants = fresh_grants(|s, o| minmax_allocate_into(&demands, 2560, None, s, o));
     // The earliest-deadline query is demands[0] (deadline 100).
     let first = grants
         .iter()
@@ -79,7 +78,7 @@ fn minmax_gives_urgent_queries_their_maximum() {
 fn operators_accept_any_grant_from_policies() {
     // Whatever a policy grants, the operator must accept (0 or ≥ min).
     let demands = demands_from_operators(30);
-    let grants = minmax_allocate(&demands, 2560, None);
+    let grants = fresh_grants(|s, o| minmax_allocate_into(&demands, 2560, None, s, o));
     let cfg = ExecConfig::default();
     for (id, pages) in grants {
         let r = 600 + (id.0 as u32 * 97) % 1200;

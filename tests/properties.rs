@@ -2,12 +2,11 @@
 //! algorithms, operator I/O accounting, least-squares fits, and the event
 //! calendar.
 
-// The deprecated allocating wrappers stay covered until their removal;
-// production callers use the `*_allocate_into` forms.
-#![allow(deprecated)]
-
+use integration_tests::fresh_grants;
 use pmm_core::exec::{Action, ExecConfig, FileRef, HashJoin, Operator};
-use pmm_core::pmm::{max_allocate, minmax_allocate, proportional_allocate};
+use pmm_core::pmm::{
+    max_allocate_into, minmax_allocate_into, proportional_allocate_into,
+};
 use pmm_core::pmm::{
     partitioned_allocate_with_into, DirtySet, Grants, IncrementalPartitioned,
     PartitionScratch, PartitionSpec, PartitionStrategy,
@@ -44,9 +43,9 @@ proptest! {
         demands.sort_by_key(|d| d.id);
         demands.dedup_by_key(|d| d.id);
         for grants in [
-            max_allocate(&demands, total),
-            minmax_allocate(&demands, total, limit),
-            proportional_allocate(&demands, total, limit),
+            fresh_grants(|s, o| max_allocate_into(&demands, total, s, o)),
+            fresh_grants(|s, o| minmax_allocate_into(&demands, total, limit, s, o)),
+            fresh_grants(|s, o| proportional_allocate_into(&demands, total, limit, s, o)),
         ] {
             let sum: u64 = grants.iter().map(|&(_, p)| p as u64).sum();
             prop_assert!(sum <= total as u64, "overcommitted {sum} > {total}");
@@ -69,7 +68,7 @@ proptest! {
     ) {
         demands.sort_by_key(|d| d.id);
         demands.dedup_by_key(|d| d.id);
-        let grants = minmax_allocate(&demands, total, None);
+        let grants = fresh_grants(|s, o| minmax_allocate_into(&demands, total, None, s, o));
         // In deadline order, the fraction of the maximum granted is
         // non-increasing except at the single boundary query: once some
         // query is below its max, everyone later is at their min.
