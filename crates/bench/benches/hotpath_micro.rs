@@ -1,11 +1,11 @@
 //! Hot-path micro-benchmarks: the substrates the event loop spends its
 //! time in — the calendar (push/pop/cancel), the memory-division
-//! allocators behind `reallocate()`, the per-disk ED+elevator queue, and
-//! operator stepping at paper-scale relation sizes.
+//! allocators behind `reallocate()`, the per-disk ED+elevator queue and
+//! prefetch pool, and operator stepping at paper-scale relation sizes.
 //!
 //! These track the repo's perf trajectory: run
 //! `cargo bench -p bench --bench hotpath_micro` before and after touching
-//! the event loop, and keep `BENCH_perf.json` (the driver's events/sec
+//! the event loop, and keep `BENCH_perf.json` (the driver's sim-s/wall-s
 //! reading) moving in the same direction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -17,7 +17,7 @@ use pmm_core::pmm::{
     QueryDemand, QueryId,
 };
 use pmm_core::simkit::{Calendar, Duration, SimTime};
-use pmm_core::storage::{DiskQueue, FileId, QueuedRequest};
+use pmm_core::storage::{BufferPool, DiskQueue, FileId, QueuedRequest};
 use std::hint::black_box;
 
 /// Deterministic pseudo-random stream (SplitMix64) for bench inputs.
@@ -509,6 +509,23 @@ fn bench(c: &mut Criterion) {
                 reg.inc(bursts, 1);
             }
             black_box(reg.report().counters.len())
+        })
+    });
+
+    // The paper's per-disk prefetch pool (256 KB = 32 pages in 6-page
+    // lines, so 5 lines) on its dominant path: a sequential read that
+    // misses, fetches its block and evicts the least recently used line.
+    // Three interleaved scans keep every lookup a miss.
+    c.bench_function("pool/paper_read_miss_5_lines", |b| {
+        b.iter(|| {
+            let mut pool = BufferPool::new(32, 6);
+            for i in 0..10_000u32 {
+                let (file, first) = (FileId::Relation(i % 3), (i / 3) * 6);
+                if !pool.lookup(file, first, 6) {
+                    pool.insert(file, first, 6);
+                }
+            }
+            black_box(pool.stats())
         })
     });
 

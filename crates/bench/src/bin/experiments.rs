@@ -204,12 +204,13 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!(
             "wrote {} ({} cells × {} seeds, {:.1}s wall on {} threads, \
-             {:.0} events/s per core)\n",
+             {:.0} sim-s/wall-s and {:.0} events/s per core)\n",
             path.display(),
             result.cells.len(),
             cfg.seeds,
             started.elapsed().as_secs_f64(),
             cfg.threads,
+            result.perf.sim_s_per_wall_s(),
             result.perf.events_per_sec(),
         );
         // Recorded arrival traces: one whitespace/comment text file per

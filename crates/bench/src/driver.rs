@@ -570,12 +570,14 @@ fn merge_windows(reports: &[RunReport]) -> Vec<MergedWindow> {
         .collect()
 }
 
-/// Wall-clock perf readings for one cell: calendar events dispatched and
-/// wall seconds spent, summed over the cell's replications. `wall_secs` is
-/// per-unit wall time (each unit is timed on its own worker), so
-/// `events_per_sec` approximates per-core simulator throughput. For
-/// trustworthy numbers run with `--threads 1`: oversubscribed workers on a
-/// CPU-quota-limited machine timeshare, which inflates per-unit wall time.
+/// Wall-clock perf readings for one cell: calendar events dispatched,
+/// simulated seconds covered and wall seconds spent, summed over the
+/// cell's replications. `wall_secs` is per-unit wall time (each unit is
+/// timed on its own worker), so the rates approximate per-core simulator
+/// throughput. For trustworthy numbers run with `--threads 1`:
+/// oversubscribed workers on a CPU-quota-limited machine timeshare, which
+/// inflates per-unit wall time. Prefer `sim_s_per_wall_s`: an engine that
+/// covers the same horizon with fewer events reads lower in events/s.
 #[derive(Clone, Debug)]
 pub struct CellPerf {
     /// The swept parameter.
@@ -584,18 +586,30 @@ pub struct CellPerf {
     pub policy: String,
     /// Calendar events dispatched, summed over replications.
     pub events: u64,
+    /// Simulated seconds, summed over replications.
+    pub sim_secs: f64,
     /// Wall seconds, summed over replications.
     pub wall_secs: f64,
+}
+
+/// `n` per wall second, or 0 when no wall time was recorded.
+fn per_wall_sec(n: f64, wall_secs: f64) -> f64 {
+    if wall_secs > 0.0 {
+        n / wall_secs
+    } else {
+        0.0
+    }
 }
 
 impl CellPerf {
     /// Simulator throughput in events per wall second.
     pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
+        per_wall_sec(self.events as f64, self.wall_secs)
+    }
+
+    /// Simulated seconds per wall second.
+    pub fn sim_s_per_wall_s(&self) -> f64 {
+        per_wall_sec(self.sim_secs, self.wall_secs)
     }
 }
 
@@ -622,12 +636,13 @@ impl FigurePerf {
 
     /// Aggregate throughput in events per wall second.
     pub fn events_per_sec(&self) -> f64 {
-        let wall = self.wall_secs();
-        if wall > 0.0 {
-            self.events() as f64 / wall
-        } else {
-            0.0
-        }
+        per_wall_sec(self.events() as f64, self.wall_secs())
+    }
+
+    /// Aggregate simulated seconds per wall second.
+    pub fn sim_s_per_wall_s(&self) -> f64 {
+        let sim: f64 = self.cells.iter().map(|c| c.sim_secs).sum();
+        per_wall_sec(sim, self.wall_secs())
     }
 }
 
@@ -926,6 +941,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 x: cell.x,
                 policy: cell.policy.clone(),
                 events: reports.iter().map(|r| r.events).sum(),
+                sim_secs: reports.iter().map(|r| r.sim_secs).sum(),
                 wall_secs,
             });
             MergedCell {
@@ -1054,6 +1070,8 @@ pub fn perf_json(cfg: &DriverConfig, figures: &[(String, FigurePerf)]) -> String
         push_f64(&mut out, perf.wall_secs());
         out.push_str(",\"events_per_sec\":");
         push_f64(&mut out, perf.events_per_sec());
+        out.push_str(",\"sim_s_per_wall_s\":");
+        push_f64(&mut out, perf.sim_s_per_wall_s());
         out.push_str(",\"cells\":[");
         for (j, c) in perf.cells.iter().enumerate() {
             if j > 0 {
@@ -1066,6 +1084,8 @@ pub fn perf_json(cfg: &DriverConfig, figures: &[(String, FigurePerf)]) -> String
             push_f64(&mut out, c.wall_secs);
             out.push_str(",\"events_per_sec\":");
             push_f64(&mut out, c.events_per_sec());
+            out.push_str(",\"sim_s_per_wall_s\":");
+            push_f64(&mut out, c.sim_s_per_wall_s());
             out.push('}');
         }
         out.push_str("]}");
@@ -1484,6 +1504,29 @@ mod tests {
                 "combo {combo} covered"
             );
         }
+    }
+
+    #[test]
+    fn perf_json_reports_sim_seconds_per_wall_second() {
+        let cell = |events, wall_secs| CellPerf {
+            x: 0.07,
+            policy: "PMM".into(),
+            events,
+            sim_secs: 600.0,
+            wall_secs,
+        };
+        let perf = FigurePerf {
+            cells: vec![cell(300, 2.0), cell(100, 1.0)],
+        };
+        assert_eq!(perf.cells[0].sim_s_per_wall_s(), 300.0);
+        // Fewer events over the same horizon read as faster, not slower.
+        assert_eq!(perf.cells[1].sim_s_per_wall_s(), 600.0);
+        assert_eq!(perf.cells[1].events_per_sec(), 100.0);
+        assert_eq!(perf.sim_s_per_wall_s(), 400.0);
+        let json = perf_json(&DriverConfig::default(), &[("fig8".into(), perf)]);
+        assert!(json.contains("\"sim_s_per_wall_s\":400.0,\"cells\""));
+        assert!(json.contains("\"events_per_sec\":150.0,\"sim_s_per_wall_s\":300.0}"));
+        assert!(json.contains("\"events_per_sec\":100.0,\"sim_s_per_wall_s\":600.0}"));
     }
 
     #[test]

@@ -113,6 +113,18 @@ enum Waiting {
     Disk,
 }
 
+/// Where a `drive` call sits in its event handler. Finishing a CPU burst
+/// inline moves the clock past the handler's `now`, so only a call that
+/// is the handler's last work may do it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Call {
+    /// Nothing follows in the handler: an uncontended burst completes
+    /// inline ([`CpuManager::run_inline`]).
+    Tail,
+    /// More work at `now` follows: every burst goes through the CPU queue.
+    Mid,
+}
+
 /// Cached physical placement of one file a query touches: everything the
 /// per-I/O hot path needs, resolved *once* — at arrival for the base
 /// relations, at `CreateTemp` for temps — instead of through the layout's
@@ -610,7 +622,6 @@ impl Simulator {
             || device.build(&geometry),
             cfg.resources.eviction,
             cfg.resources.exec.block_pages,
-            start,
         );
         let n_disks = cfg.resources.num_disks as usize;
         for d in 0..n_disks {
@@ -1135,7 +1146,7 @@ impl Simulator {
             }
         }
         if should_drive {
-            self.drive(now, id);
+            self.drive(now, id, Call::Mid);
         }
     }
 
@@ -1238,8 +1249,9 @@ impl Simulator {
     /// hand the first timed action (CPU burst, I/O) to its resource, whose
     /// completion event calls back here. Allocation changes land between
     /// steps (`apply_grant`), so the operator always adapts from its
-    /// current state.
-    fn drive(&mut self, now: SimTime, id: QueryId) {
+    /// current state. In [`Call::Tail`] position a burst nothing can
+    /// interrupt completes inline and stepping continues at its end.
+    fn drive(&mut self, mut now: SimTime, id: QueryId, call: Call) {
         let Some(slot) = self.live.slot_of(id) else {
             return;
         };
@@ -1247,7 +1259,6 @@ impl Simulator {
             let q = self.live.slot_mut(slot);
             match q.op.step() {
                 Action::Cpu(instr) => {
-                    q.waiting = Waiting::Cpu;
                     let deadline = q.deadline;
                     self.tracer.emit(
                         now,
@@ -1259,6 +1270,15 @@ impl Simulator {
                     if let Some(m) = &mut self.obs_metrics {
                         m.reg.inc(m.cpu_bursts, 1);
                     }
+                    let inlined = match call {
+                        Call::Tail => self.cpu.run_inline(now, instr, &mut self.cal),
+                        Call::Mid => None,
+                    };
+                    if let Some(end) = inlined {
+                        now = end;
+                        continue;
+                    }
+                    self.live.slot_mut(slot).waiting = Waiting::Cpu;
                     self.cpu.submit(now, id, deadline, instr, &mut self.cal);
                     return;
                 }
@@ -1323,12 +1343,12 @@ impl Simulator {
         if let Some(q) = self.live.get_mut(query) {
             debug_assert_eq!(q.waiting, Waiting::Cpu);
             q.waiting = Waiting::Nothing;
-            self.drive(now, query);
+            self.drive(now, query, Call::Tail);
         }
     }
 
     fn on_disk_done(&mut self, now: SimTime, disk: usize) {
-        self.disks.disk_mut(disk).finish(now);
+        self.disks.disk_mut(disk).finish();
         self.disk_util_run[disk].end_busy(now);
         self.disk_util_batch[disk].end_busy(now);
         let owner = self.disk_inflight[disk].take();
@@ -1336,7 +1356,7 @@ impl Simulator {
         if let Some(id) = owner {
             if let Some(q) = self.live.get_mut(id) {
                 q.waiting = Waiting::Nothing;
-                self.drive(now, id);
+                self.drive(now, id, Call::Tail);
             }
         }
     }
@@ -1348,7 +1368,7 @@ impl Simulator {
         // request.
         loop {
             let t0 = self.profiler.begin();
-            let started = self.disks.disk_mut(disk).start(now);
+            let started = self.disks.disk_mut(disk).start();
             self.profiler.end(Section::DiskStart, t0);
             let Some((access, service)) = started else {
                 return;
@@ -1542,7 +1562,7 @@ impl Simulator {
         // The backoff elapsed: unblock the device and try again (the held
         // access goes first; a deadline abort may have dropped it, in which
         // case the queue head is next).
-        self.disks.disk_mut(disk).retry_elapsed(now);
+        self.disks.disk_mut(disk).retry_elapsed();
         self.pump_disk(now, disk);
     }
 
@@ -2475,6 +2495,26 @@ mod tests {
             .count();
         assert!(retries > 0, "a 100 s total outage must force backoffs");
         assert!(report.served > 0, "the system recovers after the window");
+    }
+
+    #[test]
+    fn outage_backoff_books_no_disk_busy_time() {
+        // Every disk is unreachable for the whole run: accesses only ever
+        // wait out backoffs, which must not count as disk busy time.
+        use crate::faults::{FaultPlan, FaultSpec};
+        let mut cfg = quick_cfg(0.08, 400.0);
+        let mut plan = FaultPlan::default();
+        for d in 0..cfg.resources.num_disks {
+            plan.events.push(FaultSpec::DiskOutage {
+                disk: d,
+                start_secs: 0.0,
+                end_secs: 400.0,
+            });
+        }
+        cfg.faults = plan;
+        let report = run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()));
+        assert_eq!(report.disk_util, 0.0);
+        assert!(report.cpu_util > 0.0, "queries still ran their CPU bursts");
     }
 
     #[test]

@@ -26,6 +26,11 @@
 //!   the subsequent pop takes it with no sift at all. Strictly-earlier is
 //!   the only safe admission test — `seq` grows monotonically, so a
 //!   same-time event must sit behind existing entries to keep FIFO ties.
+//! * **Clock advance without an event.** A caller that has proved no live
+//!   event is due at or before `t` (via [`Calendar::peek_time`]) may move
+//!   the clock there with [`Calendar::advance_to`] instead of scheduling and
+//!   popping a completion: the pop order of every queued event is
+//!   unchanged, and `events_dispatched` does not count the skipped event.
 
 use crate::time::SimTime;
 
@@ -231,6 +236,23 @@ impl<E> Calendar<E> {
             }
             return Some(root.at);
         }
+    }
+
+    /// Move the clock to `t` without dispatching an event. The caller
+    /// guarantees that no live event is due at or before `t` — an event
+    /// due exactly at `t` must still pop first — so the pop order of
+    /// every queued event is the same as if a completion scheduled at `t`
+    /// had been popped.
+    pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(t >= self.now, "cannot advance into the past");
+        debug_assert!(
+            self.front
+                .iter()
+                .chain(&self.heap)
+                .all(|e| e.at > t || self.slots[e.slot as usize].cancelled),
+            "advance_to({t:?}) would skip a live event due at or before it"
+        );
+        self.now = t;
     }
 
     /// Number of live (non-cancelled) events still scheduled.
@@ -490,6 +512,38 @@ mod tests {
         assert_eq!(cal.pop().map(|(_, e)| e), Some("heap"));
         assert!(cal.pop().is_none());
         assert_eq!(cal.len(), 0);
+    }
+
+    #[test]
+    fn advance_to_keeps_time_and_fifo_order() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime(10), 0u32);
+        cal.schedule(SimTime(10), 1u32);
+        cal.advance_to(SimTime(9));
+        assert_eq!(cal.now(), SimTime(9));
+        assert_eq!(cal.events_dispatched(), 0, "advancing dispatches nothing");
+        cal.schedule(SimTime(9), 2u32);
+        let order: Vec<_> = std::iter::from_fn(|| cal.pop()).collect();
+        assert_eq!(order, [(SimTime(9), 2), (SimTime(10), 0), (SimTime(10), 1)]);
+    }
+
+    #[test]
+    fn advance_to_may_pass_a_cancelled_event() {
+        let mut cal = Calendar::new();
+        let h = cal.schedule(SimTime(5), "dead");
+        cal.schedule(SimTime(20), "live");
+        cal.cancel(h);
+        cal.advance_to(SimTime(15));
+        assert_eq!(cal.pop(), Some((SimTime(20), "live")));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "would skip a live event")]
+    fn advance_to_past_a_live_event_panics() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime(7), ());
+        cal.advance_to(SimTime(7));
     }
 
     #[test]

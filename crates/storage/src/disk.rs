@@ -15,12 +15,12 @@
 //! [`Disk::finish`] when the event fires. Timing and positional state
 //! (head cylinder, SSD parallelism) live entirely in the service model, so
 //! the same state machine runs the paper's cylinder disk and the SSD.
+//! Busy time is the caller's to book: the disk keeps no clock.
 
 use crate::layout::FileId;
 use crate::pool::{BufferPool, EvictionSpec};
 use crate::queue::{DiskQueue, QueuedRequest};
 use crate::service::ServiceModel;
-use simkit::metrics::Utilization;
 use simkit::{Duration, SimTime};
 
 /// Whether an access reads or writes the media.
@@ -119,17 +119,15 @@ impl RetrySpec {
     }
 }
 
-/// One disk: queue + service model + cache + utilization accounting, plus
-/// fault state (degradation factor, outage flag, pending retry) driven by
-/// the simulator's fault plan.
+/// One disk: queue + service model + cache, plus fault state (degradation
+/// factor, outage flag, pending retry) driven by the simulator's fault
+/// plan.
 pub struct Disk {
     /// Timing and positional state of the device.
     model: Box<dyn ServiceModel>,
     queue: DiskQueue<Access>,
     busy: bool,
     cache: BufferPool,
-    utilization: Utilization,
-    completed: u64,
     /// Media service-time multiplier (1.0 = healthy).
     degrade: f64,
     /// True inside an outage window: every access fails, even would-be
@@ -147,7 +145,6 @@ impl Disk {
         model: Box<dyn ServiceModel>,
         eviction: EvictionSpec,
         block_pages: u32,
-        start: SimTime,
     ) -> Self {
         let cache = BufferPool::with_policy(model.cache_pages(), block_pages, eviction);
         Disk {
@@ -155,8 +152,6 @@ impl Disk {
             queue: DiskQueue::new(),
             busy: false,
             cache,
-            utilization: Utilization::new(start),
-            completed: 0,
             degrade: 1.0,
             outage: false,
             retry: None,
@@ -218,7 +213,7 @@ impl Disk {
     /// Begin servicing the next queued request, if idle and work exists.
     /// Returns the access and its service outcome; the caller schedules the
     /// completion event (immediately for a cache hit).
-    pub fn start(&mut self, now: SimTime) -> Option<(Access, Service)> {
+    pub fn start(&mut self) -> Option<(Access, Service)> {
         if self.busy {
             return None;
         }
@@ -238,7 +233,7 @@ impl Disk {
             let backoff = self.retry_cfg.backoff(attempt);
             self.retry = Some((access.clone(), attempt));
             // Busy blocks the queue for the backoff, but the device is not
-            // serving — utilization stays flat.
+            // serving (the caller books no busy time for it).
             self.busy = true;
             return Some((access, Service::Faulted { attempt, backoff }));
         }
@@ -254,15 +249,13 @@ impl Disk {
             }
         }
         self.busy = true;
-        self.utilization.begin_busy(now);
         Some((access, service))
     }
 
     /// A [`Service::Faulted`] backoff has elapsed: release the device so
     /// [`Disk::start`] can run the retry (or, if it was cancelled
-    /// meanwhile, the next queued request). No utilization bookkeeping —
-    /// the backoff never counted as busy time.
-    pub fn retry_elapsed(&mut self, _now: SimTime) {
+    /// meanwhile, the next queued request).
+    pub fn retry_elapsed(&mut self) {
         debug_assert!(self.busy, "retry_elapsed without a pending backoff");
         self.busy = false;
     }
@@ -315,12 +308,10 @@ impl Disk {
         }
     }
 
-    /// Mark the in-flight request complete at `now`.
-    pub fn finish(&mut self, now: SimTime) {
+    /// Mark the in-flight request complete.
+    pub fn finish(&mut self) {
         debug_assert!(self.busy, "finish without start");
         self.busy = false;
-        self.completed += 1;
-        self.utilization.end_busy(now);
     }
 
     /// Remove queued requests matching `pred` (aborted queries). In-flight
@@ -341,21 +332,6 @@ impl Disk {
         self.cache.invalidate_file(file);
     }
 
-    /// Busy fraction since the start of the current measurement window.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        self.utilization.fraction(now)
-    }
-
-    /// Restart the utilization window at `now`.
-    pub fn reset_utilization(&mut self, now: SimTime) {
-        self.utilization.reset_window(now);
-    }
-
-    /// Completed request count.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// Cache hit/miss counters.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -374,12 +350,11 @@ impl DiskFarm {
         make_model: F,
         eviction: EvictionSpec,
         block_pages: u32,
-        start: SimTime,
     ) -> Self {
         assert!(n > 0, "a database system needs at least one disk");
         DiskFarm {
             disks: (0..n)
-                .map(|_| Disk::new(make_model(), eviction, block_pages, start))
+                .map(|_| Disk::new(make_model(), eviction, block_pages))
                 .collect(),
         }
     }
@@ -403,28 +378,6 @@ impl DiskFarm {
     pub fn disk(&self, i: usize) -> &Disk {
         &self.disks[i]
     }
-
-    /// Mean utilization across disks (the "disk resource" reading the RU
-    /// heuristic uses).
-    pub fn mean_utilization(&self, now: SimTime) -> f64 {
-        self.disks.iter().map(|d| d.utilization(now)).sum::<f64>()
-            / self.disks.len() as f64
-    }
-
-    /// Highest per-disk utilization.
-    pub fn max_utilization(&self, now: SimTime) -> f64 {
-        self.disks
-            .iter()
-            .map(|d| d.utilization(now))
-            .fold(0.0, f64::max)
-    }
-
-    /// Restart every disk's utilization window.
-    pub fn reset_utilization(&mut self, now: SimTime) {
-        for d in &mut self.disks {
-            d.reset_utilization(now);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -438,7 +391,6 @@ mod tests {
             Box::new(CylinderModel::new(DiskGeometry::default())),
             EvictionSpec::Lru,
             6,
-            SimTime::ZERO,
         )
     }
 
@@ -447,7 +399,6 @@ mod tests {
             Box::new(SsdModel::new(SsdSpec::default())),
             EvictionSpec::Lru,
             6,
-            SimTime::ZERO,
         )
     }
 
@@ -467,14 +418,14 @@ mod tests {
     fn sequential_read_misses_then_hits() {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s1) = disk.start(SimTime::ZERO).unwrap();
+        let (_, s1) = disk.start().unwrap();
         assert!(matches!(s1, Service::Media { .. }));
-        disk.finish(SimTime(1000));
+        disk.finish();
         // Re-read the same block: cache hit.
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s2) = disk.start(SimTime(1000)).unwrap();
+        let (_, s2) = disk.start().unwrap();
         assert_eq!(s2, Service::CacheHit);
-        disk.finish(SimTime(1000));
+        disk.finish();
         assert_eq!(disk.cache_stats().0, 1);
     }
 
@@ -484,7 +435,7 @@ mod tests {
         let mut acc = read(0, 0, 1, 700);
         acc.prefetch = false;
         disk.enqueue(SimTime(10), acc.clone());
-        let (_, s1) = disk.start(SimTime::ZERO).unwrap();
+        let (_, s1) = disk.start().unwrap();
         match s1 {
             Service::Media { time } => {
                 // Single page, no block round-up.
@@ -493,9 +444,9 @@ mod tests {
             }
             other => panic!("cold read cannot {other:?}"),
         }
-        disk.finish(SimTime(100));
+        disk.finish();
         disk.enqueue(SimTime(10), acc);
-        let (_, s2) = disk.start(SimTime(100)).unwrap();
+        let (_, s2) = disk.start().unwrap();
         assert!(
             matches!(s2, Service::Media { .. }),
             "no prefetch, so no hit"
@@ -508,7 +459,7 @@ mod tests {
         let mut disk = cyl_disk();
         // 2-page read spanning a block: fetch rounds up to 6 pages.
         disk.enqueue(SimTime(10), read(0, 2, 2, 700));
-        let (_, s) = disk.start(SimTime::ZERO).unwrap();
+        let (_, s) = disk.start().unwrap();
         match s {
             Service::Media { time } => {
                 assert_eq!(time, g.access_time(700, 6));
@@ -521,15 +472,15 @@ mod tests {
     fn head_moves_and_second_seek_is_shorter() {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s1) = disk.start(SimTime::ZERO).unwrap();
+        let (_, s1) = disk.start().unwrap();
         let t1 = match s1 {
             Service::Media { time } => time,
             _ => panic!(),
         };
-        disk.finish(SimTime(1));
+        disk.finish();
         assert_eq!(disk.model().position(), 700, "head tracked by the model");
         disk.enqueue(SimTime(10), read(1, 0, 6, 705));
-        let (_, s2) = disk.start(SimTime(1)).unwrap();
+        let (_, s2) = disk.start().unwrap();
         let t2 = match s2 {
             Service::Media { time } => time,
             _ => panic!(),
@@ -542,20 +493,10 @@ mod tests {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         disk.enqueue(SimTime(2), read(1, 0, 6, 800));
-        assert!(disk.start(SimTime::ZERO).is_some());
-        assert!(disk.start(SimTime::ZERO).is_none(), "busy");
-        disk.finish(SimTime(100));
-        assert!(disk.start(SimTime(100)).is_some());
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut disk = cyl_disk();
-        disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        disk.start(SimTime::ZERO).unwrap();
-        disk.finish(SimTime::from_secs(5));
-        let u = disk.utilization(SimTime::from_secs(10));
-        assert!((u - 0.5).abs() < 1e-9, "u = {u}");
+        assert!(disk.start().is_some());
+        assert!(disk.start().is_none(), "busy");
+        disk.finish();
+        assert!(disk.start().is_some());
     }
 
     #[test]
@@ -575,11 +516,11 @@ mod tests {
         let mut acc = read(0, 0, 6, 100);
         acc.file = temp;
         disk.enqueue(SimTime(1), acc.clone());
-        disk.start(SimTime::ZERO).unwrap();
-        disk.finish(SimTime(10));
+        disk.start().unwrap();
+        disk.finish();
         disk.invalidate(temp);
         disk.enqueue(SimTime(1), acc);
-        let (_, s) = disk.start(SimTime(10)).unwrap();
+        let (_, s) = disk.start().unwrap();
         assert!(
             matches!(s, Service::Media { .. }),
             "invalidated line must miss"
@@ -591,16 +532,14 @@ mod tests {
         // Cache holds 32/6 = 5 blocks; touching 6 distinct blocks evicts the
         // first.
         let mut disk = cyl_disk();
-        let mut t = 0u64;
         for b in 0..6u32 {
             disk.enqueue(SimTime(1), read(0, b * 6, 6, 700));
-            disk.start(SimTime(t)).unwrap();
-            t += 100;
-            disk.finish(SimTime(t));
+            disk.start().unwrap();
+            disk.finish();
         }
         // Block 0 was evicted.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(SimTime(t)).unwrap();
+        let (_, s) = disk.start().unwrap();
         assert!(matches!(s, Service::Media { .. }));
     }
 
@@ -608,14 +547,14 @@ mod tests {
     fn ssd_disk_is_position_blind_and_fast() {
         let mut ssd = ssd_disk();
         ssd.enqueue(SimTime(1), read(0, 0, 6, 1499));
-        let (_, s) = ssd.start(SimTime::ZERO).unwrap();
+        let (_, s) = ssd.start().unwrap();
         let t_far = match s {
             Service::Media { time } => time,
             _ => panic!("cold read"),
         };
-        ssd.finish(SimTime(100));
+        ssd.finish();
         ssd.enqueue(SimTime(1), read(1, 0, 6, 0));
-        let (_, s) = ssd.start(SimTime(100)).unwrap();
+        let (_, s) = ssd.start().unwrap();
         let t_near = match s {
             Service::Media { time } => time,
             _ => panic!("cold read"),
@@ -623,7 +562,7 @@ mod tests {
         assert_eq!(t_far, t_near, "no seeks on flash");
         let mut cyl = cyl_disk();
         cyl.enqueue(SimTime(1), read(0, 0, 6, 1499));
-        let (_, s) = cyl.start(SimTime::ZERO).unwrap();
+        let (_, s) = cyl.start().unwrap();
         let t_disk = match s {
             Service::Media { time } => time,
             _ => panic!("cold read"),
@@ -637,7 +576,7 @@ mod tests {
         // waiting behind it gets the queue-depth latency discount.
         let mut solo = ssd_disk();
         solo.enqueue(SimTime(1), read(0, 0, 6, 10));
-        let (_, s) = solo.start(SimTime::ZERO).unwrap();
+        let (_, s) = solo.start().unwrap();
         let t_solo = match s {
             Service::Media { time } => time,
             _ => panic!(),
@@ -645,7 +584,7 @@ mod tests {
         let mut stacked = ssd_disk();
         stacked.enqueue(SimTime(1), read(0, 0, 6, 10));
         stacked.enqueue(SimTime(2), read(1, 0, 6, 20));
-        let (_, s) = stacked.start(SimTime::ZERO).unwrap();
+        let (_, s) = stacked.start().unwrap();
         let t_stacked = match s {
             Service::Media { time } => time,
             _ => panic!(),
@@ -657,8 +596,7 @@ mod tests {
     fn farm_builds_from_device_spec() {
         let g = DiskGeometry::default();
         let device = DeviceSpec::Ssd(SsdSpec::default());
-        let farm =
-            DiskFarm::new(2, || device.build(&g), EvictionSpec::Lru, 6, SimTime::ZERO);
+        let farm = DiskFarm::new(2, || device.build(&g), EvictionSpec::Lru, 6);
         assert_eq!(farm.len(), 2);
         assert_eq!(farm.disk(0).model().name(), "ssd");
     }
@@ -682,19 +620,17 @@ mod tests {
         let mut disk = cyl_disk();
         // Warm the cache.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        disk.start(SimTime::ZERO).unwrap();
-        disk.finish(SimTime(100));
-        disk.reset_utilization(SimTime(100));
+        disk.start().unwrap();
+        disk.finish();
         disk.set_retry_spec(RetrySpec {
             max_retries: 2,
             base: Duration::from_secs(1),
             cap: Duration::from_secs(4),
         });
         disk.set_outage(true);
-        let mut now = SimTime(100);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         // Two retries with doubling backoff, then the hard error.
-        let (_, s1) = disk.start(now).unwrap();
+        let (_, s1) = disk.start().unwrap();
         assert_eq!(
             s1,
             Service::Faulted {
@@ -704,9 +640,8 @@ mod tests {
             "a warm cache does not save an unreachable device"
         );
         assert!(disk.is_busy(), "backoff occupies the device");
-        now += Duration::from_secs(1);
-        disk.retry_elapsed(now);
-        let (_, s2) = disk.start(now).unwrap();
+        disk.retry_elapsed();
+        let (_, s2) = disk.start().unwrap();
         assert_eq!(
             s2,
             Service::Faulted {
@@ -714,17 +649,14 @@ mod tests {
                 backoff: Duration::from_secs(2)
             }
         );
-        now += Duration::from_secs(2);
-        disk.retry_elapsed(now);
-        let (_, s3) = disk.start(now).unwrap();
+        disk.retry_elapsed();
+        let (_, s3) = disk.start().unwrap();
         assert_eq!(s3, Service::FaultExhausted);
         assert!(!disk.is_busy(), "hard error leaves the disk idle");
-        // Backoff never counted as busy time.
-        assert_eq!(disk.utilization(now), 0.0);
         // Recovery: the same access succeeds (from cache) once healthy.
         disk.set_outage(false);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s4) = disk.start(now).unwrap();
+        let (_, s4) = disk.start().unwrap();
         assert_eq!(s4, Service::CacheHit);
     }
 
@@ -734,17 +666,17 @@ mod tests {
         let mut disk = cyl_disk();
         disk.set_degrade(3.0);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(SimTime::ZERO).unwrap();
+        let (_, s) = disk.start().unwrap();
         match s {
             Service::Media { time } => {
                 assert_eq!(time, g.access_time(700, 6).scale(3.0));
             }
             _ => panic!("expected media access"),
         }
-        disk.finish(SimTime(100));
+        disk.finish();
         // Cache hits are unaffected: the media is slow, not the cache.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(SimTime(100)).unwrap();
+        let (_, s) = disk.start().unwrap();
         assert_eq!(s, Service::CacheHit);
     }
 
@@ -753,30 +685,12 @@ mod tests {
         let mut disk = cyl_disk();
         disk.set_outage(true);
         disk.enqueue(SimTime(1), read(7, 0, 6, 700));
-        let (_, s) = disk.start(SimTime::ZERO).unwrap();
+        let (_, s) = disk.start().unwrap();
         assert!(matches!(s, Service::Faulted { .. }));
         let n = disk.cancel_queued(|a| a.file == FileId::Relation(7));
         assert_eq!(n, 1, "the retried access counts as cancelled");
         // The backoff event still releases the device; nothing restarts.
-        disk.retry_elapsed(SimTime(1_000_000));
-        assert!(disk.start(SimTime(1_000_000)).is_none(), "queue is empty");
-    }
-
-    #[test]
-    fn farm_mean_and_max_utilization() {
-        let g = DiskGeometry::default();
-        let mut farm = DiskFarm::new(
-            2,
-            || DeviceSpec::Cylinder.build(&g),
-            EvictionSpec::Lru,
-            6,
-            SimTime::ZERO,
-        );
-        farm.disk_mut(0).enqueue(SimTime(1), read(0, 0, 6, 700));
-        farm.disk_mut(0).start(SimTime::ZERO).unwrap();
-        farm.disk_mut(0).finish(SimTime::from_secs(10));
-        let now = SimTime::from_secs(10);
-        assert!((farm.mean_utilization(now) - 0.5).abs() < 1e-9);
-        assert!((farm.max_utilization(now) - 1.0).abs() < 1e-9);
+        disk.retry_elapsed();
+        assert!(disk.start().is_none(), "queue is empty");
     }
 }

@@ -5,8 +5,9 @@
 //! into [`BufferPool`] — hit/miss accounting plus block-granular line
 //! management — over an [`EvictionPolicy`] trait with two implementations:
 //!
-//! * [`IndexedLru`] — the existing LRU order (slab doubly-linked list +
-//!   capacity-sized key index), semantics identical to the seed's deque
+//! * [`IndexedLru`] — the LRU order as one recency-ordered key vector
+//!   (LRU first, MRU last; lookups scan it, hits move the key to the back,
+//!   eviction takes the front), semantics identical to the seed's deque
 //!   cache and pinned by `crates/storage/tests/lru_model.rs` and the golden
 //!   report.
 //! * [`LruKPolicy`] — LRU-K \[O'Neil et al. 93\]: each line keeps its last
@@ -69,22 +70,10 @@ pub struct CacheKey {
     pub block: u32,
 }
 
-/// Slot sentinel for the ends of the [`IndexedLru`] list.
-const LRU_NIL: u32 = u32::MAX;
-
-/// One slab node of the LRU list.
-#[derive(Clone, Copy, Debug)]
-struct LruNode {
-    key: CacheKey,
-    prev: u32,
-    next: u32,
-}
-
-/// Key → slot index of an eviction order, sized to the cache it serves: at
-/// the paper's 5-line capacity a linear scan over a flat pair vector wins
-/// (the profile showed even a fast-hashed map dominating the read-service
-/// path); larger caches keep the hashed index so big-cache experiments
-/// stay O(1). Both arms are pinned against the same reference models by
+/// Key → slot index of the LRU-K order, sized to the cache it serves: at
+/// the paper's 5-line capacity a linear scan over a flat pair vector wins;
+/// larger caches keep the hashed index so big-cache experiments stay O(1).
+/// Both arms are pinned against the same reference model by
 /// `crates/storage/tests/lru_model.rs` (paper size *and* stress shapes).
 #[derive(Debug)]
 enum KeyIndex {
@@ -182,63 +171,30 @@ pub trait EvictionPolicy: std::fmt::Debug + Send {
     fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool);
 }
 
-/// Indexed LRU order: a doubly-linked list over a slab of nodes plus a
-/// capacity-sized `KeyIndex` from key to slot. Every operation the
-/// buffer pool needs — membership, move-to-back, insert, evict-front,
-/// retain — is O(1) in the list (retain is O(len)), replacing the
-/// `VecDeque::contains` / `position` linear scans that ran on every read
-/// service. The observable order semantics are *identical* to the seed's
+/// LRU order as one recency-ordered key vector, least recently used
+/// first. Every operation is O(resident lines): at the paper's 5-line
+/// pool (every shipped device has 256 KB) a scan of a few adjacent keys
+/// beats any index, and moving a key to the back shifts at most a handful
+/// of entries. The observable order semantics are *identical* to the seed's
 /// deque version — `crates/storage/tests/lru_model.rs` pins that against a
 /// reference model.
 #[derive(Debug)]
 pub struct IndexedLru {
-    index: KeyIndex,
-    nodes: Vec<LruNode>,
-    free: Vec<u32>,
-    /// Least-recently-used end (the eviction victim).
-    head: u32,
-    /// Most-recently-used end.
-    tail: u32,
+    /// Resident keys, LRU (the eviction victim) first, MRU last.
+    order: Vec<CacheKey>,
 }
 
 impl IndexedLru {
     /// An empty order sized for `capacity_entries` lines.
     pub fn new(capacity_entries: usize) -> Self {
         IndexedLru {
-            index: KeyIndex::with_capacity(capacity_entries),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: LRU_NIL,
-            tail: LRU_NIL,
+            order: Vec::with_capacity(capacity_entries + 1),
         }
     }
 
-    /// Detach `slot` from the list (it stays allocated).
-    fn unlink(&mut self, slot: u32) {
-        let LruNode { prev, next, .. } = self.nodes[slot as usize];
-        if prev == LRU_NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == LRU_NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-    }
-
-    /// Attach a detached `slot` at the MRU end.
-    fn link_back(&mut self, slot: u32) {
-        let node = &mut self.nodes[slot as usize];
-        node.prev = self.tail;
-        node.next = LRU_NIL;
-        if self.tail == LRU_NIL {
-            self.head = slot;
-        } else {
-            self.nodes[self.tail as usize].next = slot;
-        }
-        self.tail = slot;
+    /// Move the key at `at` to the MRU end.
+    fn move_back(&mut self, at: usize) {
+        self.order[at..].rotate_left(1);
     }
 }
 
@@ -248,72 +204,36 @@ impl EvictionPolicy for IndexedLru {
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.order.len()
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        self.index.get(key).is_some()
+        self.order.contains(key)
     }
 
     /// Move `key` to the MRU end if present.
     fn touch(&mut self, key: &CacheKey) {
-        if let Some(slot) = self.index.get(key) {
-            self.unlink(slot);
-            self.link_back(slot);
+        if let Some(at) = self.order.iter().position(|k| k == key) {
+            self.move_back(at);
         }
     }
 
     /// Insert `key` at the MRU end (moving it there if already present —
     /// the deque version's remove + push_back).
     fn insert(&mut self, key: CacheKey) {
-        if let Some(slot) = self.index.get(&key) {
-            self.unlink(slot);
-            self.link_back(slot);
-            return;
+        match self.order.iter().position(|k| *k == key) {
+            Some(at) => self.move_back(at),
+            None => self.order.push(key),
         }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.nodes[s as usize].key = key;
-                s
-            }
-            None => {
-                let s = u32::try_from(self.nodes.len()).expect("cache fits u32 slots");
-                self.nodes.push(LruNode {
-                    key,
-                    prev: LRU_NIL,
-                    next: LRU_NIL,
-                });
-                s
-            }
-        };
-        self.index.insert(key, slot);
-        self.link_back(slot);
     }
 
     /// Evict the LRU entry.
     fn evict(&mut self) -> Option<CacheKey> {
-        if self.head == LRU_NIL {
-            return None;
-        }
-        let slot = self.head;
-        let key = self.nodes[slot as usize].key;
-        self.unlink(slot);
-        self.free.push(slot);
-        self.index.remove(&key);
-        Some(key)
+        (!self.order.is_empty()).then(|| self.order.remove(0))
     }
 
     fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool) {
-        let mut cur = self.head;
-        while cur != LRU_NIL {
-            let LruNode { key, next, .. } = self.nodes[cur as usize];
-            if !pred(&key) {
-                self.unlink(cur);
-                self.free.push(cur);
-                self.index.remove(&key);
-            }
-            cur = next;
-        }
+        self.order.retain(|k| pred(k));
     }
 }
 
@@ -547,8 +467,7 @@ impl BufferPool {
 
     /// True if every page of `[first, first+pages)` of `file` is cached.
     /// Records the accesses (policy update) on a full hit. Runs on every
-    /// read service; membership and the touch are both O(1) per block
-    /// through the indexed order.
+    /// read service.
     pub fn lookup(&mut self, file: FileId, first: u32, pages: u32) -> bool {
         let first_block = first / self.block_pages;
         let last_block = (first + pages.max(1) - 1) / self.block_pages;

@@ -1,8 +1,7 @@
 //! Equivalence pins for the buffer pool's eviction policies.
 //!
-//! The LRU arm replaced its `VecDeque::contains` / `position` linear scans
-//! with a slab-backed doubly-linked list plus a hash index. The observable
-//! behavior — which lookups hit, which miss, and the hit/miss counters —
+//! The LRU arm keeps its lines in one recency-ordered key vector (LRU
+//! first) instead of the seed's `VecDeque`. The observable behavior — which lookups hit, which miss, and the hit/miss counters —
 //! must be *identical* to the original deque implementation, because the
 //! engine's golden determinism pin rides on every cache decision. This
 //! model test replays long random op sequences against a faithful
@@ -14,9 +13,9 @@
 //! from-the-paper transcription (a flat list of lines, each holding its
 //! last K access stamps; the victim minimizes `(has full history, oldest
 //! retained stamp)`), replayed against `BufferPool` with
-//! `EvictionSpec::LruK`. Both the flat-scan (small capacity) and hashed
-//! (large capacity) index arms are covered, and LRU-1 is checked to
-//! degenerate to exact LRU against the deque reference.
+//! `EvictionSpec::LruK`. Both of LRU-K's key-index arms, flat-scan (small
+//! capacity) and hashed (large capacity), are covered, and LRU-1 is
+//! checked to degenerate to exact LRU against the deque reference.
 
 use std::collections::VecDeque;
 use storage::{BufferPool, EvictionSpec, FileId, PrefetchCache};
