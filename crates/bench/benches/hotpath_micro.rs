@@ -101,9 +101,12 @@ fn drain_steps(op: &mut dyn Operator) -> u64 {
 }
 
 fn bench(c: &mut Criterion) {
-    // Engine-realistic calendar depth: one in-flight event plus one deadline
-    // per live query tops out around a couple hundred entries. Drain/refill
-    // many times so the timing is dominated by steady-state churn.
+    // Paper-workload calendar depth: per-disk completions plus one arrival
+    // timer per class and one deadline per live query — a mean of 18
+    // entries at each pop on `paper-joins`, a couple hundred at most.
+    // (The 10³-tenant preset parks ~1,000 timers: `tenant_timers_1k`.)
+    // Drain/refill many times so the timing is dominated by steady-state
+    // churn.
     c.bench_function("calendar/push_pop_256", |b| {
         b.iter(|| {
             let mut cal = Calendar::new();
@@ -206,7 +209,7 @@ fn bench(c: &mut Criterion) {
                 let now = cal.now();
                 // Deadline far out; work lands first, then the deadline is
                 // cancelled — so cancelled entries pile up in the calendar.
-                let h = cal.schedule(now + Duration::from_secs(100), i);
+                let h = cal.schedule_timer(now + Duration::from_secs(100), i);
                 cal.schedule(now + Duration(1 + mix(i) % 100), i);
                 if cal.pop().is_some() {
                     live += 1;
@@ -217,6 +220,29 @@ fn bench(c: &mut Criterion) {
                 live += 1;
             }
             black_box(live)
+        })
+    });
+
+    // The `tenants-1000` shape: one arrival timer per tenant class parked
+    // far ahead in the timer lane, while ~11 completions (disks + CPU)
+    // cycle schedule → pop. With one heap every completion sifted
+    // through all ~1,000 timers; with lanes it sifts through the dozen.
+    c.bench_function("calendar/tenant_timers_1k", |b| {
+        b.iter(|| {
+            let mut cal = Calendar::new();
+            for i in 0..1_000u64 {
+                cal.schedule_timer(SimTime(u64::MAX / 2 + mix(i) % 1_000_000), i);
+            }
+            for i in 0..11u64 {
+                cal.schedule(SimTime(1 + mix(i) % 1_000), i);
+            }
+            let mut n = 0u64;
+            for k in 0..10_000u64 {
+                let (now, e) = cal.pop().expect("completions in flight");
+                n ^= e;
+                cal.schedule(now + Duration(1 + mix(k) % 1_000), k);
+            }
+            black_box(n)
         })
     });
 

@@ -60,14 +60,17 @@ impl Profiler {
         }
     }
 
-    /// Stop timing: attribute the elapsed wall time to `section`.
+    /// Stop timing: attribute the elapsed wall time to `section`. Returns
+    /// the clock read that ended it, so a section that starts right here
+    /// can begin from it without a second read (`None` when disabled).
     #[inline]
-    pub fn end(&mut self, section: Section, t0: Option<Instant>) {
-        if let Some(t0) = t0 {
-            let i = section as usize;
-            self.nanos[i] += t0.elapsed().as_nanos() as u64;
-            self.counts[i] += 1;
-        }
+    pub fn end(&mut self, section: Section, t0: Option<Instant>) -> Option<Instant> {
+        let t0 = t0?;
+        let t1 = Instant::now();
+        let i = section as usize;
+        self.nanos[i] += t1.duration_since(t0).as_nanos() as u64;
+        self.counts[i] += 1;
+        Some(t1)
     }
 
     /// Freeze into a report; `None` when profiling was disabled.
@@ -131,7 +134,7 @@ mod tests {
         let mut p = Profiler::new(false);
         let t0 = p.begin();
         assert!(t0.is_none());
-        p.end(Section::Dispatch, t0);
+        assert!(p.end(Section::Dispatch, t0).is_none());
         assert!(p.report().is_none());
     }
 
@@ -147,6 +150,17 @@ mod tests {
         assert_eq!(rep.sections[0].name, "calendar_pop");
         assert_eq!(rep.sections[0].calls, 3);
         assert_eq!(rep.sections[1].calls, 0);
+    }
+
+    #[test]
+    fn end_hands_its_clock_read_to_the_next_section() {
+        let mut p = Profiler::new(true);
+        let t0 = p.begin();
+        let t1 = p.end(Section::CalendarPop, t0);
+        assert!(t1 >= t0);
+        p.end(Section::Dispatch, t1);
+        let rep = p.report().unwrap();
+        assert_eq!((rep.sections[0].calls, rep.sections[1].calls), (1, 1));
     }
 
     #[test]

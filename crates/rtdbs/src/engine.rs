@@ -43,7 +43,7 @@ use pmm::{
     SystemSnapshot,
 };
 use simkit::calendar::EventHandle;
-use simkit::metrics::{BatchMeans, Tally, TimeWeighted, Utilization};
+use simkit::metrics::{BatchMeans, Tally, TimeWeighted, TimeWeightedN, Utilization};
 use simkit::{Calendar, Duration, Rng, SeedSequence, SimTime};
 use stats::SampleSummary;
 use std::collections::VecDeque;
@@ -52,7 +52,9 @@ use storage::{
 };
 use workload::ArrivalProcess;
 
-/// Calendar event payloads.
+/// Calendar event payloads. `Arrival`, `Deadline`, `Fault` and `EndOfRun`
+/// scale with classes and live queries and go in the timer lane; the
+/// completion lane holds at most one `CpuDone`/`DiskDone`/`IoRetry` per device.
 #[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// Next arrival of a workload class.
@@ -216,9 +218,8 @@ struct TenantState {
     // Run-level outcomes and time-weighted usage.
     served: u64,
     missed: u64,
-    mpl: TimeWeighted,
-    used: TimeWeighted,
-    borrowed: TimeWeighted,
+    /// MPL, pages in use and pages borrowed beyond quota, on one clock.
+    usage: TimeWeightedN<3>,
     // Exact holder/page counts, maintained incrementally on every grant
     // diff (`apply_grant`) and departure instead of the seed's per-event
     // scan over the whole live table — `update_mpl` reads these. Integer
@@ -268,9 +269,7 @@ impl TenantState {
             soft,
             served: 0,
             missed: 0,
-            mpl: TimeWeighted::new(start, 0.0),
-            used: TimeWeighted::new(start, 0.0),
-            borrowed: TimeWeighted::new(start, 0.0),
+            usage: TimeWeightedN::new(start),
             cur_holders: 0,
             cur_pages: 0,
             listed: false,
@@ -795,19 +794,19 @@ impl Simulator {
         for i in 0..self.fault_events.len() {
             let at = self.fault_events[i].0;
             if at < self.end {
-                self.cal.schedule(at, Event::Fault { index: i });
+                self.cal.schedule_timer(at, Event::Fault { index: i });
             }
         }
-        self.cal.schedule(self.end, Event::EndOfRun);
+        self.cal.schedule_timer(self.end, Event::EndOfRun);
         loop {
             let t0 = self.profiler.begin();
             let popped = self.cal.pop();
-            self.profiler.end(Section::CalendarPop, t0);
+            // The pop's end is the dispatch's start: one clock read.
+            let t0 = self.profiler.end(Section::CalendarPop, t0);
             let Some((t, event)) = popped else { break };
             if matches!(event, Event::EndOfRun) {
                 break;
             }
-            let t0 = self.profiler.begin();
             match event {
                 Event::EndOfRun => {}
                 Event::Arrival { class } => self.on_arrival(t, class),
@@ -847,7 +846,7 @@ impl Simulator {
         }
         let at = now + gap;
         if at < self.end {
-            self.cal.schedule(at, Event::Arrival { class });
+            self.cal.schedule_timer(at, Event::Arrival { class });
         }
     }
 
@@ -930,7 +929,9 @@ impl Simulator {
             self.group_insert(slot);
         }
         if self.cfg.firm_deadlines {
-            let handle = self.cal.schedule(deadline, Event::Deadline { query: id });
+            let handle = self
+                .cal
+                .schedule_timer(deadline, Event::Deadline { query: id });
             self.live.slot_mut(slot).deadline_handle = Some(handle);
         }
         self.tracer.emit(
@@ -1202,10 +1203,17 @@ impl Simulator {
         //
         // A listed tenant is set at every call, exactly as a full sweep
         // would, and leaves the list once its readings are back to 0. An
-        // unlisted tenant's sweep writes would all be zero → zero: its
-        // `TimeWeighted`s would integrate `0.0 * dt` (leaving the integral
+        // unlisted tenant's sweep writes would all be zero → zero: `usage`
+        // and `b_mpl` would integrate `0.0 * dt` (leaving each integral
         // unchanged to the bit) and its gauge cell would store the 0 it
         // already holds, so skipping them is exact.
+        //
+        // `update_mpl` is the only writer of a tenant's MPL, pages in use
+        // and pages borrowed, and it always sets all three at once, so they
+        // share one clock (`usage`): `now − last_update` is converted to
+        // seconds once per tenant, and each integral gains the same
+        // `v × dt` it would on a clock of its own. `b_mpl` keeps its own
+        // clock because each closed feedback batch resets it.
         let holders = if self.tenants.is_empty() {
             f64::from(self.holders)
         } else {
@@ -1213,17 +1221,16 @@ impl Simulator {
             self.holding.retain(|&ti| {
                 let t = &mut self.tenants[ti as usize];
                 holders += t.cur_holders;
-                t.mpl.set(now, f64::from(t.cur_holders));
+                let mpl = f64::from(t.cur_holders);
+                let pages = t.cur_pages as f64;
+                t.usage
+                    .set(now, [mpl, pages, (pages - f64::from(t.quota)).max(0.0)]);
                 if self.tenant_feedback {
-                    t.b_mpl.set(now, f64::from(t.cur_holders));
+                    t.b_mpl.set(now, mpl);
                 }
-                t.used.set(now, t.cur_pages as f64);
-                t.borrowed
-                    .set(now, (t.cur_pages as f64 - f64::from(t.quota)).max(0.0));
                 if let Some(m) = &mut self.obs_metrics {
                     if let Some(id) = m.tenant_mpl {
-                        m.reg
-                            .set_gauge_cell(id, ti as usize, f64::from(t.cur_holders));
+                        m.reg.set_gauge_cell(id, ti as usize, mpl);
                     }
                 }
                 t.listed = t.cur_holders > 0;
@@ -1974,19 +1981,22 @@ impl Simulator {
         let tenant_outcomes: Vec<TenantOutcome> = self
             .tenants
             .iter_mut()
-            .map(|t| TenantOutcome {
-                name: t.name.clone(),
-                quota_pages: t.quota,
-                soft: t.soft,
-                served: t.served,
-                missed: t.missed,
-                avg_mpl: t.mpl.mean(now),
-                quota_utilization: if t.quota > 0 {
-                    t.used.mean(now) / f64::from(t.quota)
-                } else {
-                    0.0
-                },
-                borrowed_pages: t.borrowed.mean(now),
+            .map(|t| {
+                let [avg_mpl, used, borrowed_pages] = t.usage.means(now);
+                TenantOutcome {
+                    name: t.name.clone(),
+                    quota_pages: t.quota,
+                    soft: t.soft,
+                    served: t.served,
+                    missed: t.missed,
+                    avg_mpl,
+                    quota_utilization: if t.quota > 0 {
+                        used / f64::from(t.quota)
+                    } else {
+                        0.0
+                    },
+                    borrowed_pages,
+                }
             })
             .collect();
         RunReport {
@@ -2275,14 +2285,8 @@ mod tests {
         );
         for t in sim.tenants.iter().filter(|t| !t.listed) {
             assert_eq!((t.cur_holders, t.cur_pages), (0, 0), "tenant {}", t.name);
-            for (what, tw) in [
-                ("mpl", &t.mpl),
-                ("b_mpl", &t.b_mpl),
-                ("used", &t.used),
-                ("borrowed", &t.borrowed),
-            ] {
-                assert_eq!(tw.current(), 0.0, "tenant {} {what}", t.name);
-            }
+            assert_eq!(t.usage.current(), [0.0; 3], "tenant {} usage", t.name);
+            assert_eq!(t.b_mpl.current(), 0.0, "tenant {} b_mpl", t.name);
         }
     }
 

@@ -2,8 +2,8 @@
 //! FIFO tie-breaking and O(1) cancellation via generation handles.
 //!
 //! Events scheduled for the same instant pop in scheduling order, which keeps
-//! simulation runs reproducible. The implementation is an 8-ary min-heap of
-//! `(time, seq)` keys over a slab of payload slots:
+//! simulation runs reproducible. The implementation is two 8-ary min-heaps
+//! of `(time, seq)` keys over one slab of payload slots:
 //!
 //! * **No hashing on the hot path.** The seed implementation tracked
 //!   cancellations in a `HashSet<u64>`, paying a SipHash probe on *every*
@@ -11,21 +11,29 @@
 //!   is one bounds check plus a generation compare — O(1) with no hash —
 //!   and stale handles (the event already fired) fail the generation check
 //!   instead of leaking tombstones.
-//! * **Cancellation stays lazy.** A cancelled entry keeps its place in the
+//! * **Cancellation stays lazy.** A cancelled entry keeps its place in its
 //!   heap and is discarded when it surfaces, the standard DES-calendar
 //!   technique. Unlike the seed, the live-event count is exact: `len()`
 //!   counts scheduled-minus-(fired+cancelled), and cancelling after the
 //!   event fired is a true no-op (the seed undercounted forever after).
 //! * **8-ary layout.** Sift-down visits a third of the levels of a binary heap
-//!   with better cache locality; keys are compact `(u64, u64, u32)` triples
-//!   stored inline, payloads stay put in the slab.
+//!   with better cache locality; entries are compact 24-byte `(time, seq,
+//!   slot, lane)` records stored inline, payloads stay put in the slab.
+//! * **Two lanes.** [`Calendar::schedule`] files an event in the
+//!   *completion* heap, [`Calendar::schedule_timer`] in the *timer* heap.
+//!   Completions are few; timers (arrivals, deadlines) scale with classes
+//!   and live queries, so apart a completion sifts through a dozen entries,
+//!   not a thousand. The lane is a cost hint only: both share the slab and
+//!   the `seq` counter, and `pop` takes the smaller `(time, seq)` root, so
+//!   the pop order is the global order whichever lane holds an event.
 //! * **Front-buffer fast path.** The dominant simulator pattern is
 //!   schedule-then-pop-min: a handler schedules the next completion, which
 //!   immediately pops as the global minimum. An event strictly earlier than
-//!   every queued entry bypasses the heap into a one-element front buffer;
-//!   the subsequent pop takes it with no sift at all. Strictly-earlier is
-//!   the only safe admission test — `seq` grows monotonically, so a
-//!   same-time event must sit behind existing entries to keep FIFO ties.
+//!   every queued entry (both lane roots) bypasses the heaps into a
+//!   one-element front buffer; the subsequent pop takes it with no sift at
+//!   all. Strictly-earlier is the only safe admission test — `seq` grows
+//!   monotonically, so a same-time event must sit behind existing entries
+//!   to keep FIFO ties.
 //! * **Clock advance without an event.** A caller that has proved no live
 //!   event is due at or before `t` (via [`Calendar::peek_time`]) may move
 //!   the clock there with [`Calendar::advance_to`] instead of scheduling and
@@ -42,12 +50,17 @@ pub struct EventHandle {
     gen: u32,
 }
 
+const COMPLETION: u8 = 0;
+const TIMER: u8 = 1;
+
 /// Heap key: time-ordered, FIFO within a tie, pointing at its payload slot.
+/// `lane` (`COMPLETION` or `TIMER`) is the heap it lives in or returns to.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     at: SimTime,
     seq: u64,
     slot: u32,
+    lane: u8,
 }
 
 impl HeapEntry {
@@ -71,9 +84,10 @@ struct Slot<E> {
 /// about event semantics; the simulation main loop pops events and dispatches
 /// them.
 pub struct Calendar<E> {
-    heap: Vec<HeapEntry>,
+    /// The completion and timer heaps, indexed by `HeapEntry::lane`.
+    lanes: [Vec<HeapEntry>; 2],
     /// Fast-path buffer: when `Some`, this entry's key is strictly smaller
-    /// than every key in `heap`, so it is the next entry to surface. Its
+    /// than every key in both lanes, so it is the next entry to surface. Its
     /// payload lives in `slots` like any other event (cancellation works
     /// unchanged); only the heap position is elided.
     front: Option<HeapEntry>,
@@ -95,7 +109,7 @@ impl<E> Calendar<E> {
     /// An empty calendar with the clock at `t = 0`.
     pub fn new() -> Self {
         Calendar {
-            heap: Vec::new(),
+            lanes: [Vec::new(), Vec::new()],
             front: None,
             slots: Vec::new(),
             free: Vec::new(),
@@ -116,11 +130,23 @@ impl<E> Calendar<E> {
         self.popped
     }
 
-    /// Schedule `payload` at absolute time `at`.
+    /// Schedule `payload` at absolute time `at` in the completion lane.
     ///
     /// # Panics
     /// Panics if `at` is before the current clock: the past is immutable.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+        self.insert(at, payload, COMPLETION)
+    }
+
+    /// Schedule `payload` at absolute time `at` in the timer lane, for
+    /// events whose count scales with the workload (arrivals, deadlines).
+    /// It pops (or panics on a past `at`) exactly as [`Calendar::schedule`].
+    pub fn schedule_timer(&mut self, at: SimTime, payload: E) -> EventHandle {
+        self.insert(at, payload, TIMER)
+    }
+
+    #[inline]
+    fn insert(&mut self, at: SimTime, payload: E, lane: u8) -> EventHandle {
         assert!(
             at >= self.now,
             "cannot schedule into the past ({at:?} < {:?})",
@@ -146,35 +172,28 @@ impl<E> Calendar<E> {
                 slot
             }
         };
-        let entry = HeapEntry { at, seq, slot };
+        let entry = HeapEntry {
+            at,
+            seq,
+            slot,
+            lane,
+        };
         match self.front {
             // Strictly earlier than the buffered minimum: the new event
-            // becomes the front and the old front rejoins the heap (it is
+            // becomes the front and the old front rejoins its lane (it is
             // still smaller than everything there, so the invariant holds).
             Some(front) if entry.key() < front.key() => {
                 self.front = Some(entry);
-                self.heap.push(front);
-                self.sift_up(self.heap.len() - 1);
+                self.push(front);
             }
-            Some(_) => {
-                self.heap.push(entry);
-                self.sift_up(self.heap.len() - 1);
-            }
-            // No front yet: admit the new event if it precedes the whole
-            // heap (cancelled entries only over-approximate the minimum,
+            Some(_) => self.push(entry),
+            // No front yet: admit the new event if it precedes both lane
+            // roots (cancelled entries only over-approximate the minimum,
             // which keeps the test conservative and correct).
-            None => {
-                if self
-                    .heap
-                    .first()
-                    .is_none_or(|root| entry.key() < root.key())
-                {
-                    self.front = Some(entry);
-                } else {
-                    self.heap.push(entry);
-                    self.sift_up(self.heap.len() - 1);
-                }
-            }
+            None => match self.min_lane() {
+                Some(l) if self.lanes[l][0].key() < entry.key() => self.push(entry),
+                _ => self.front = Some(entry),
+            },
         }
         self.live += 1;
         EventHandle {
@@ -201,7 +220,7 @@ impl<E> Calendar<E> {
         loop {
             let entry = match self.front.take() {
                 Some(front) => front,
-                None => self.pop_root()?,
+                None => pop_root(&mut self.lanes[self.min_lane()?]),
             };
             let (payload, was_cancelled) = self.vacate(entry.slot);
             if was_cancelled {
@@ -228,13 +247,13 @@ impl<E> Calendar<E> {
             self.vacate(front.slot);
         }
         loop {
-            let root = *self.heap.first()?;
-            if self.slots[root.slot as usize].cancelled {
-                self.pop_root();
-                self.vacate(root.slot);
-                continue;
+            let lane = self.min_lane()?;
+            let root = self.lanes[lane][0];
+            if !self.slots[root.slot as usize].cancelled {
+                return Some(root.at);
             }
-            return Some(root.at);
+            pop_root(&mut self.lanes[lane]);
+            self.vacate(root.slot);
         }
     }
 
@@ -248,7 +267,7 @@ impl<E> Calendar<E> {
         debug_assert!(
             self.front
                 .iter()
-                .chain(&self.heap)
+                .chain(self.lanes.iter().flatten())
                 .all(|e| e.at > t || self.slots[e.slot as usize].cancelled),
             "advance_to({t:?}) would skip a live event due at or before it"
         );
@@ -277,60 +296,80 @@ impl<E> Calendar<E> {
         (payload, was_cancelled)
     }
 
-    // ----- 8-ary heap on (at, seq) ---------------------------------------
-
-    const ARITY: usize = 8;
-
-    /// Remove and return the root entry, restoring the heap property.
-    fn pop_root(&mut self) -> Option<HeapEntry> {
-        let root = *self.heap.first()?;
-        let last = self.heap.pop().expect("heap is non-empty");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
-        }
-        Some(root)
+    fn push(&mut self, entry: HeapEntry) {
+        let heap = &mut self.lanes[entry.lane as usize];
+        let i = heap.len();
+        heap.push(entry);
+        sift_up(heap, i);
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.heap[parent].key() <= entry.key() {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
+    /// The lane holding the smaller root key, or `None` if both are empty.
+    /// Keys are unique (`seq` never repeats), so the roots never tie.
+    fn min_lane(&self) -> Option<usize> {
+        match (self.lanes[0].first(), self.lanes[1].first()) {
+            (Some(c), Some(t)) => Some(usize::from(t.key() < c.key())),
+            (Some(_), None) => Some(0),
+            (None, t) => t.map(|_| 1),
         }
-        self.heap[i] = entry;
     }
+}
 
-    fn sift_down(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        let n = self.heap.len();
-        loop {
-            let first_child = i * Self::ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            let last_child = (first_child + Self::ARITY).min(n);
-            let mut best = first_child;
-            let mut best_key = self.heap[first_child].key();
-            for c in first_child + 1..last_child {
-                let k = self.heap[c].key();
-                if k < best_key {
-                    best = c;
-                    best_key = k;
-                }
-            }
-            if best_key >= entry.key() {
-                break;
-            }
-            self.heap[i] = self.heap[best];
-            i = best;
-        }
-        self.heap[i] = entry;
+// ----- 8-ary heap on (at, seq) -------------------------------------------
+
+const ARITY: usize = 8;
+
+/// Remove and return the root of a non-empty heap, restoring the heap
+/// property.
+fn pop_root(heap: &mut Vec<HeapEntry>) -> HeapEntry {
+    let root = heap[0];
+    let last = heap.pop().expect("heap is non-empty");
+    if !heap.is_empty() {
+        heap[0] = last;
+        sift_down(heap, 0);
     }
+    root
+}
+
+fn sift_up(heap: &mut [HeapEntry], mut i: usize) {
+    let entry = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if heap[parent].key() <= entry.key() {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = entry;
+}
+
+fn sift_down(heap: &mut [HeapEntry], mut i: usize) {
+    let entry = heap[i];
+    let n = heap.len();
+    loop {
+        let first_child = i * ARITY + 1;
+        if first_child >= n {
+            break;
+        }
+        let last_child = (first_child + ARITY).min(n);
+        let mut best = first_child;
+        let mut best_key = heap[first_child].key();
+        let mut c = first_child + 1;
+        while c < last_child {
+            let k = heap[c].key();
+            if k < best_key {
+                best = c;
+                best_key = k;
+            }
+            c += 1;
+        }
+        if best_key >= entry.key() {
+            break;
+        }
+        heap[i] = heap[best];
+        i = best;
+    }
+    heap[i] = entry;
 }
 
 #[cfg(test)]
@@ -474,13 +513,83 @@ mod tests {
         // The pattern the fast path exists for: each handler schedules the
         // next minimum, which pops immediately.
         let mut cal = Calendar::new();
-        cal.schedule(SimTime(1_000_000), "horizon");
+        cal.schedule_timer(SimTime(1_000_000), "horizon");
         for i in 1..=100u64 {
             cal.schedule(SimTime(i), "step");
             assert_eq!(cal.pop(), Some((SimTime(i), "step")));
         }
-        assert_eq!(cal.heap.len(), 1, "the chain must bypass the heap");
+        assert_eq!(
+            cal.lanes.each_ref().map(Vec::len),
+            [0, 1],
+            "the chain must bypass both heaps"
+        );
         assert_eq!(cal.pop().map(|(_, e)| e), Some("horizon"));
+    }
+
+    #[test]
+    fn lane_tag_fits_in_the_entry_padding() {
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 24);
+    }
+
+    #[test]
+    fn same_instant_ties_across_lanes_pop_fifo() {
+        // Both tied events sit in their lane heaps behind an earlier front;
+        // the scheduling order decides, not the lane.
+        for timer_first in [false, true] {
+            let mut cal = Calendar::new();
+            cal.schedule(SimTime(1), "front");
+            if timer_first {
+                cal.schedule_timer(SimTime(5), "first");
+                cal.schedule(SimTime(5), "second");
+            } else {
+                cal.schedule(SimTime(5), "first");
+                cal.schedule_timer(SimTime(5), "second");
+            }
+            assert_eq!(cal.lanes.each_ref().map(Vec::len), [1, 1]);
+            let order: Vec<_> =
+                std::iter::from_fn(|| cal.pop()).map(|(_, e)| e).collect();
+            assert_eq!(
+                order,
+                ["front", "first", "second"],
+                "timer_first={timer_first}"
+            );
+        }
+    }
+
+    #[test]
+    fn front_admission_tests_the_smaller_lane_root() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime(1), "first");
+        cal.schedule_timer(SimTime(10), "t10");
+        cal.schedule(SimTime(20), "c20");
+        cal.pop();
+        // Earlier than its own lane's root (20) but later than the timer
+        // root (10): it must queue, not take the front.
+        cal.schedule(SimTime(15), "c15");
+        assert!(cal.front.is_none());
+        // Earlier than both roots: admitted.
+        cal.schedule(SimTime(5), "c5");
+        assert_eq!(cal.front.map(|f| f.at), Some(SimTime(5)));
+        let order: Vec<_> = std::iter::from_fn(|| cal.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["c5", "t10", "c15", "c20"]);
+    }
+
+    #[test]
+    fn peek_drops_a_cancelled_timer_root() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime(1), "first");
+        let h = cal.schedule_timer(SimTime(5), "dead");
+        cal.schedule(SimTime(9), "live");
+        cal.pop();
+        cal.cancel(h);
+        assert_eq!(cal.peek_time(), Some(SimTime(9)));
+        assert!(
+            cal.lanes[TIMER as usize].is_empty(),
+            "the cancelled root is gone"
+        );
+        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.pop(), Some((SimTime(9), "live")));
+        assert!(cal.pop().is_none());
     }
 
     #[test]
@@ -543,6 +652,18 @@ mod tests {
     fn advance_to_past_a_live_event_panics() {
         let mut cal = Calendar::new();
         cal.schedule(SimTime(7), ());
+        cal.advance_to(SimTime(7));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "would skip a live event")]
+    fn advance_to_past_a_live_timer_panics() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime(1), ());
+        cal.schedule_timer(SimTime(7), ());
+        cal.pop();
+        assert!(cal.front.is_none(), "the timer waits in its lane heap");
         cal.advance_to(SimTime(7));
     }
 

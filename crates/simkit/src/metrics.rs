@@ -88,66 +88,94 @@ impl Tally {
 /// Time-weighted average of a piecewise-constant signal such as the MPL.
 ///
 /// Call [`TimeWeighted::set`] whenever the signal changes; the collector
-/// integrates `signal × dt` between updates.
+/// integrates `signal × dt` between updates. It is the one-signal
+/// [`TimeWeightedN`].
 #[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    value: f64,
-    last_update: SimTime,
-    integral: f64,
-    origin: SimTime,
-}
+pub struct TimeWeighted(TimeWeightedN<1>);
 
 impl TimeWeighted {
     /// Start tracking at time `start` with initial signal value `initial`.
     pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            value: initial,
-            last_update: start,
-            integral: 0.0,
-            origin: start,
-        }
-    }
-
-    fn integrate_to(&mut self, now: SimTime) {
-        let dt = now.since(self.last_update).as_secs_f64();
-        self.integral += self.value * dt;
-        self.last_update = now;
+        let mut tw = TimeWeightedN::new(start);
+        tw.values = [initial];
+        TimeWeighted(tw)
     }
 
     /// Record that the signal takes value `v` from `now` onward.
     pub fn set(&mut self, now: SimTime, v: f64) {
-        self.integrate_to(now);
-        self.value = v;
+        self.0.set(now, [v]);
     }
 
     /// Adjust the signal by `delta` (e.g. +1 on admission, −1 on departure).
     pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
+        self.set(now, self.current() + delta);
     }
 
     /// Current instantaneous value.
     pub fn current(&self) -> f64 {
-        self.value
+        self.0.values[0]
     }
 
     /// Time-weighted mean over `[origin, now]`.
     pub fn mean(&mut self, now: SimTime) -> f64 {
-        self.integrate_to(now);
-        let span = now.since(self.origin).as_secs_f64();
-        if span <= 0.0 {
-            self.value
-        } else {
-            self.integral / span
-        }
+        self.0.means(now)[0]
     }
 
     /// Restart the averaging window at `now`, keeping the current value.
     pub fn reset_window(&mut self, now: SimTime) {
-        self.integrate_to(now);
-        self.integral = 0.0;
-        self.origin = now;
+        self.0.set(now, self.0.values);
+        self.0.integrals = [0.0];
+        self.0.origin = now;
+    }
+}
+
+/// `N` time-weighted signals that always change together, integrated on one
+/// clock: each `set` converts `now − last_update` to seconds once and adds
+/// `v_i × dt` to every integral — bit-for-bit the sums of `N` separate
+/// [`TimeWeighted`]s set at the same instants.
+#[derive(Clone, Debug)]
+pub struct TimeWeightedN<const N: usize> {
+    values: [f64; N],
+    integrals: [f64; N],
+    last_update: SimTime,
+    origin: SimTime,
+}
+
+impl<const N: usize> TimeWeightedN<N> {
+    /// Start tracking at time `start` with every signal at 0.
+    pub fn new(start: SimTime) -> Self {
+        TimeWeightedN {
+            values: [0.0; N],
+            integrals: [0.0; N],
+            last_update: start,
+            origin: start,
+        }
+    }
+
+    /// Record that the signals take `values` from `now` onward.
+    pub fn set(&mut self, now: SimTime, values: [f64; N]) {
+        let dt = now.since(self.last_update).as_secs_f64();
+        for (acc, v) in self.integrals.iter_mut().zip(self.values) {
+            *acc += v * dt;
+        }
+        self.values = values;
         self.last_update = now;
+    }
+
+    /// Current instantaneous values.
+    pub fn current(&self) -> [f64; N] {
+        self.values
+    }
+
+    /// Time-weighted means over `[origin, now]`.
+    pub fn means(&mut self, now: SimTime) -> [f64; N] {
+        self.set(now, self.values);
+        let span = now.since(self.origin).as_secs_f64();
+        if span <= 0.0 {
+            self.values
+        } else {
+            self.integrals.map(|i| i / span)
+        }
     }
 }
 
@@ -337,6 +365,31 @@ mod tests {
         tw.reset_window(SimTime::from_secs(100));
         let mean = tw.mean(SimTime::from_secs(200));
         assert!((mean - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn time_weighted_n_matches_separate_signals_bit_for_bit() {
+        let start = SimTime(1_234);
+        let mut one = TimeWeightedN::<3>::new(start);
+        let mut sep = [0; 3].map(|_| TimeWeighted::new(start, 0.0));
+        let mut x = 0x9E37_79B9u64;
+        for step in 1..=500u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(step);
+            let now = SimTime(1_234 + step * 7_919 + x % 3_001);
+            let v = [
+                (x % 17) as f64,
+                (x % 1_000) as f64 * 0.37,
+                (x % 5) as f64 - 2.0,
+            ];
+            one.set(now, v);
+            for (tw, v) in sep.iter_mut().zip(v) {
+                tw.set(now, v);
+            }
+            assert_eq!(one.current(), sep.each_ref().map(TimeWeighted::current));
+        }
+        let end = SimTime(10_000_000);
+        let means = sep.each_mut().map(|tw| tw.mean(end).to_bits());
+        assert_eq!(one.means(end).map(f64::to_bits), means);
     }
 
     #[test]

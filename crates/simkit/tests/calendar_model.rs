@@ -1,7 +1,10 @@
 //! Model-based property test: the slab/8-ary-heap calendar must agree with
 //! a naive reference implementation under arbitrary interleavings of
 //! schedule / cancel / pop / peek — including cancels aimed at handles that
-//! already fired or were already cancelled (stale-handle no-ops).
+//! already fired or were already cancelled (stale-handle no-ops). Each
+//! schedule picks a random lane (`schedule` or `schedule_timer`) while the
+//! model has no lanes at all, so agreement also proves that pop order,
+//! peeks and lengths do not depend on the lane.
 
 use proptest::prelude::*;
 use simkit::time::{Duration, SimTime};
@@ -91,20 +94,25 @@ proptest! {
     /// every observable: pop order and times, peeks, lengths, clock.
     #[test]
     fn calendar_agrees_with_reference_model(
-        ops in proptest::collection::vec((0u8..8, 0u64..1_000), 0..400),
+        ops in proptest::collection::vec((0u8..8, 0u64..1_000, 0u8..2), 0..400),
     ) {
         let mut cal: Calendar<u64> = Calendar::new();
         let mut model = ModelCalendar::default();
         // Handles of every event ever scheduled, fired or not — cancels are
         // aimed at arbitrary entries so stale handles get exercised.
         let mut handles = Vec::new();
-        for (op, arg) in ops {
+        for (op, arg, lane) in ops {
             match op {
                 // Schedule (biased: half the tape), with frequent ties to
                 // stress FIFO ordering.
                 0..=3 => {
                     let at = model.now + Duration(arg % 40);
-                    let h = cal.schedule(at, model.events.len() as u64);
+                    let payload = model.events.len() as u64;
+                    let h = if lane == 0 {
+                        cal.schedule(at, payload)
+                    } else {
+                        cal.schedule_timer(at, payload)
+                    };
                     let idx = model.schedule(at);
                     handles.push((h, idx));
                 }
