@@ -16,6 +16,7 @@ use pmm_core::pmm::{
     IncrementalPartitioned, PartitionScratch, PartitionSpec, PartitionStrategy,
     QueryDemand, QueryId,
 };
+use pmm_core::simkit::metrics::{TimeWeighted, TimeWeightedN, TimeWeightedRows};
 use pmm_core::simkit::{Calendar, Duration, SimTime};
 use pmm_core::storage::{BufferPool, DiskQueue, FileId, QueuedRequest};
 use std::hint::black_box;
@@ -243,6 +244,80 @@ fn bench(c: &mut Criterion) {
                 cal.schedule(now + Duration(1 + mix(k) % 1_000), k);
             }
             black_box(n)
+        })
+    });
+
+    // The `tenants-1000` per-tenant usage bookkeeping after a reallocation:
+    // 1,000 tenants, 45 of them holding memory, 1-2 with changed counters
+    // per call, 10,000 calls. `usage_walk_1k` is the walk over every
+    // holding tenant's scattered state (three usage signals on one clock
+    // plus the feedback batch's MPL); `usage_rows_1k` advances dense rows
+    // on one shared clock and re-sets only the changed tenants.
+    const TENANTS: usize = 1_000;
+    const HOLDING: usize = 45;
+    let holding: Vec<usize> = (0..HOLDING).map(|k| k * TENANTS / HOLDING).collect();
+    let readings = |call: u64, k: usize| {
+        let holders = 1 + mix(call ^ k as u64) % 4;
+        let pages = (holders * 50 + mix(call ^ 0x5EED) % 50) as f64;
+        [holders as f64, pages, (pages - 120.0).max(0.0)]
+    };
+    // Room for the rest of a tenant's state (name, outcome counters,
+    // feedback tallies), so the walk touches one cache line per tenant.
+    struct WalkTenant {
+        usage: TimeWeightedN<3>,
+        b_mpl: TimeWeighted,
+        counters: [f64; 3],
+        _rest: [u64; 40],
+    }
+    c.bench_function("tenants/usage_walk_1k", |b| {
+        let mut tenants: Vec<WalkTenant> = (0..TENANTS)
+            .map(|_| WalkTenant {
+                usage: TimeWeightedN::new(SimTime::ZERO),
+                b_mpl: TimeWeighted::new(SimTime::ZERO, 0.0),
+                counters: [1.0, 50.0, 0.0],
+                _rest: [0; 40],
+            })
+            .collect();
+        let mut call = 0u64;
+        b.iter(|| {
+            for _ in 0..10_000 {
+                call += 1;
+                let now = SimTime(call * 1_000 + mix(call) % 1_000);
+                for j in 0..1 + call % 2 {
+                    let k = (mix(call ^ (j << 20)) % HOLDING as u64) as usize;
+                    tenants[holding[k]].counters = readings(call, k);
+                }
+                for &ti in &holding {
+                    let t = &mut tenants[ti];
+                    t.usage.set(now, t.counters);
+                    t.b_mpl.set(now, t.counters[0]);
+                }
+            }
+            black_box(tenants[holding[0]].usage.current())
+        })
+    });
+    c.bench_function("tenants/usage_rows_1k", |b| {
+        let mut usage = TimeWeightedRows::<3>::new(SimTime::ZERO);
+        let mut b_mpl = TimeWeightedRows::<1>::new(SimTime::ZERO);
+        for _ in 0..HOLDING {
+            usage.insert(TimeWeightedN::new(SimTime::ZERO), [1.0, 50.0, 0.0]);
+            b_mpl.insert(TimeWeightedN::new(SimTime::ZERO), [1.0]);
+        }
+        let mut call = 0u64;
+        b.iter(|| {
+            for _ in 0..10_000 {
+                call += 1;
+                let now = SimTime(call * 1_000 + mix(call) % 1_000);
+                usage.advance(now);
+                b_mpl.advance(now);
+                for j in 0..1 + call % 2 {
+                    let k = (mix(call ^ (j << 20)) % HOLDING as u64) as usize;
+                    let v = readings(call, k);
+                    usage.set(k, v);
+                    b_mpl.set(k, [v[0]]);
+                }
+            }
+            black_box(usage.current(0))
         })
     });
 

@@ -43,7 +43,9 @@ use pmm::{
     SystemSnapshot,
 };
 use simkit::calendar::EventHandle;
-use simkit::metrics::{BatchMeans, Tally, TimeWeighted, TimeWeightedN, Utilization};
+use simkit::metrics::{
+    BatchMeans, Tally, TimeWeighted, TimeWeightedN, TimeWeightedRows, Utilization,
+};
 use simkit::{Calendar, Duration, Rng, SeedSequence, SimTime};
 use stats::SampleSummary;
 use std::collections::VecDeque;
@@ -219,6 +221,8 @@ struct TenantState {
     served: u64,
     missed: u64,
     /// MPL, pages in use and pages borrowed beyond quota, on one clock.
+    /// While the tenant holds memory its usage row (`row`) carries these
+    /// and this copy is stale; it is written back when the row goes.
     usage: TimeWeightedN<3>,
     // Exact holder/page counts, maintained incrementally on every grant
     // diff (`apply_grant`) and departure instead of the seed's per-event
@@ -226,14 +230,17 @@ struct TenantState {
     // arithmetic keeps the values bit-identical to the scan.
     cur_holders: u32,
     cur_pages: u64,
-    /// On the engine's holding list: the counters are nonzero or changed
-    /// since the last `update_mpl`.
-    listed: bool,
+    /// The tenant's row in the engine's usage rows: set exactly while
+    /// `cur_holders > 0` as of the last `update_mpl`.
+    row: Option<u32>,
+    /// On the engine's touched list: the counters changed since the last
+    /// `update_mpl`.
+    touched: bool,
     // Per-tenant feedback batch window (maintained only when the policy
-    // wants tenant feedback).
+    // wants tenant feedback). `b_mpl` is parked here like `usage`.
     b_served: u64,
     b_missed: u64,
-    b_mpl: TimeWeighted,
+    b_mpl: TimeWeightedN<1>,
     b_wait: Tally,
     b_slack: Tally,
     b_char_mem: Tally,
@@ -247,19 +254,30 @@ struct TenantState {
 
 impl TenantState {
     /// The tenant a query bills (out-of-range indices clamp to the last),
-    /// put on the holding list because its counters are about to change.
+    /// put on the touched list because its counters are about to change.
     fn billed<'a>(
         tenants: &'a mut [TenantState],
-        holding: &mut Vec<u32>,
+        touched: &mut Vec<u32>,
         tenant: u32,
     ) -> &'a mut TenantState {
         let ti = (tenant as usize).min(tenants.len() - 1);
         let t = &mut tenants[ti];
-        if !t.listed {
-            t.listed = true;
-            holding.push(ti as u32);
+        if !t.touched {
+            t.touched = true;
+            touched.push(ti as u32);
         }
         t
+    }
+
+    /// The usage readings of the counters: MPL, pages in use, pages
+    /// borrowed beyond quota.
+    fn usage_now(&self) -> [f64; 3] {
+        let pages = self.cur_pages as f64;
+        [
+            f64::from(self.cur_holders),
+            pages,
+            (pages - f64::from(self.quota)).max(0.0),
+        ]
     }
 
     fn new(name: String, quota: u32, soft: bool, start: SimTime) -> Self {
@@ -272,10 +290,11 @@ impl TenantState {
             usage: TimeWeightedN::new(start),
             cur_holders: 0,
             cur_pages: 0,
-            listed: false,
+            row: None,
+            touched: false,
             b_served: 0,
             b_missed: 0,
-            b_mpl: TimeWeighted::new(start, 0.0),
+            b_mpl: TimeWeightedN::new(start),
             b_wait: Tally::new(),
             b_slack: Tally::new(),
             b_char_mem: Tally::new(),
@@ -576,10 +595,15 @@ pub struct Simulator {
     // per-tenant feedback batches are routed to the policy.
     tenants: Vec<TenantState>,
     tenant_feedback: bool,
-    /// Indices of the tenants whose `listed` flag is set: every tenant
-    /// holding memory, plus those whose counters changed since the last
-    /// `update_mpl`. Unlisted tenants read 0 everywhere.
-    holding: Vec<u32>,
+    /// Usage integrals of the tenants holding memory, one row each on
+    /// the clock of the last `update_mpl` (see there), with the tenant of
+    /// each row; `b_mpl_rows` mirrors `usage_rows` row for row when
+    /// per-tenant feedback is on and stays empty otherwise.
+    usage_rows: TimeWeightedRows<3>,
+    b_mpl_rows: TimeWeightedRows<1>,
+    row_tenant: Vec<u32>,
+    /// Indices of the tenants whose `touched` flag is set.
+    touched: Vec<u32>,
     // Observability: the single recording path (arrival gaps, the query
     // lifecycle, policy decisions all flow through this sink), the
     // pre-registered metrics instruments, and the wall-clock profiler.
@@ -760,7 +784,10 @@ impl Simulator {
             batch_char_norm: Tally::new(),
             tenants,
             tenant_feedback,
-            holding: Vec::new(),
+            usage_rows: TimeWeightedRows::new(start),
+            b_mpl_rows: TimeWeightedRows::new(start),
+            row_tenant: Vec::new(),
+            touched: Vec::new(),
             tracer,
             obs_metrics,
             profiler,
@@ -1113,7 +1140,7 @@ impl Simulator {
         // integer deltas, so the readings match the seed's full scan
         // bit-for-bit.
         if !self.tenants.is_empty() {
-            let t = TenantState::billed(&mut self.tenants, &mut self.holding, q.tenant);
+            let t = TenantState::billed(&mut self.tenants, &mut self.touched, q.tenant);
             t.cur_pages = t.cur_pages + u64::from(new) - u64::from(old);
             if old == 0 && new > 0 {
                 t.cur_holders += 1;
@@ -1173,7 +1200,7 @@ impl Simulator {
             self.holders -= 1;
             if !self.tenants.is_empty() {
                 let t =
-                    TenantState::billed(&mut self.tenants, &mut self.holding, q.tenant);
+                    TenantState::billed(&mut self.tenants, &mut self.touched, q.tenant);
                 t.cur_pages -= u64::from(q.granted);
                 t.cur_holders -= 1;
             }
@@ -1192,61 +1219,126 @@ impl Simulator {
 
     fn update_mpl(&mut self, now: SimTime) {
         // The holder/page counters are maintained incrementally on every
-        // grant diff and departure (`apply_grant`, `on_departed`), which
-        // also put the billed tenant on the holding list, so this costs
-        // O(holding tenants) instead of the seed's scan over every live
-        // query. Multi-tenant runs fold the per-tenant usage readings (MPL,
-        // pages in use, pages borrowed beyond quota) out of the same
-        // counters — every holder bills a tenant (out-of-range indices
-        // clamp), so the global MPL is the sum of the per-tenant counts.
-        // All-integer deltas keep the readings bit-identical to the scan.
-        //
-        // A listed tenant is set at every call, exactly as a full sweep
-        // would, and leaves the list once its readings are back to 0. An
-        // unlisted tenant's sweep writes would all be zero → zero: `usage`
-        // and `b_mpl` would integrate `0.0 * dt` (leaving each integral
-        // unchanged to the bit) and its gauge cell would store the 0 it
-        // already holds, so skipping them is exact.
-        //
-        // `update_mpl` is the only writer of a tenant's MPL, pages in use
-        // and pages borrowed, and it always sets all three at once, so they
-        // share one clock (`usage`): `now − last_update` is converted to
-        // seconds once per tenant, and each integral gains the same
-        // `v × dt` it would on a clock of its own. `b_mpl` keeps its own
-        // clock because each closed feedback batch resets it.
-        let holders = if self.tenants.is_empty() {
-            f64::from(self.holders)
-        } else {
-            let mut holders = 0u32;
-            self.holding.retain(|&ti| {
-                let t = &mut self.tenants[ti as usize];
-                holders += t.cur_holders;
-                let mpl = f64::from(t.cur_holders);
-                let pages = t.cur_pages as f64;
-                t.usage
-                    .set(now, [mpl, pages, (pages - f64::from(t.quota)).max(0.0)]);
-                if self.tenant_feedback {
-                    t.b_mpl.set(now, mpl);
-                }
-                if let Some(m) = &mut self.obs_metrics {
-                    if let Some(id) = m.tenant_mpl {
-                        m.reg.set_gauge_cell(id, ti as usize, mpl);
-                    }
-                }
-                t.listed = t.cur_holders > 0;
-                t.listed
-            });
-            debug_assert_eq!(
-                holders, self.holders,
-                "a tenant holding memory fell off the holding list"
-            );
-            f64::from(holders)
-        };
+        // grant diff and departure (`apply_grant`, `on_departed`), so the
+        // global MPL is `self.holders`: every holder bills one tenant
+        // (out-of-range indices clamp), and all-integer deltas keep the
+        // readings bit-identical to the seed's scan over the live table.
+        if !self.tenants.is_empty() {
+            self.update_tenant_usage(now);
+        }
+        let holders = f64::from(self.holders);
         self.mpl_run.set(now, holders);
         self.mpl_batch.set(now, holders);
         if let Some(m) = &mut self.obs_metrics {
             m.reg.set_gauge(m.mpl, holders);
         }
+    }
+
+    /// Fold the per-tenant usage readings (MPL, pages in use, pages
+    /// borrowed beyond quota, and the feedback batch's MPL) into their
+    /// time integrals, as if every tenant were set at every call.
+    ///
+    /// A tenant that holds nothing reads 0, and setting it would add
+    /// `0.0 × dt` — nothing, to the bit — so only tenants holding memory
+    /// are integrated. They sit in dense rows on one shared clock, the
+    /// instant of the last call: each was set then, so one `advance`
+    /// converts `now − clock` to seconds once and adds to every row the
+    /// `v × dt` its own clock would. Only the tenants whose counters
+    /// changed since (the touched list, filled by `TenantState::billed`)
+    /// are re-read: a tenant gets a row when it starts holding memory
+    /// and hands its integrals back to `TenantState` when it stops. The
+    /// per-tenant MPL gauge cell is written only when the MPL changes, so
+    /// it holds what rewriting it at every call would.
+    ///
+    /// `b_mpl` restarts with each closed feedback batch
+    /// (`finish_tenant_batch`), in between two calls: that row then
+    /// integrates from the batch boundary at the next `advance`, not from
+    /// the shared clock (`TimeWeightedRows::close_window`).
+    fn update_tenant_usage(&mut self, now: SimTime) {
+        let feedback = self.tenant_feedback;
+        self.usage_rows.advance(now);
+        self.b_mpl_rows.advance(now);
+        for i in 0..self.touched.len() {
+            let ti = self.touched[i] as usize;
+            let t = &mut self.tenants[ti];
+            t.touched = false;
+            let usage = t.usage_now();
+            let mpl = usage[0];
+            let last_mpl = match t.row {
+                Some(row) => {
+                    let row = row as usize;
+                    let last_mpl = self.usage_rows.current(row)[0];
+                    self.usage_rows.set(row, usage);
+                    if feedback {
+                        self.b_mpl_rows.set(row, [mpl]);
+                    }
+                    if t.cur_holders == 0 {
+                        t.usage = self.usage_rows.remove(row);
+                        if feedback {
+                            t.b_mpl = self.b_mpl_rows.remove(row);
+                        }
+                        t.row = None;
+                        self.row_tenant.swap_remove(row);
+                        if let Some(&moved) = self.row_tenant.get(row) {
+                            self.tenants[moved as usize].row = Some(row as u32);
+                        }
+                    }
+                    last_mpl
+                }
+                None if t.cur_holders > 0 => {
+                    t.row = Some(self.row_tenant.len() as u32);
+                    self.usage_rows.insert(t.usage, usage);
+                    if feedback {
+                        self.b_mpl_rows.insert(t.b_mpl, [mpl]);
+                    }
+                    self.row_tenant.push(ti as u32);
+                    0.0
+                }
+                None => continue,
+            };
+            if mpl != last_mpl {
+                if let Some(m) = &mut self.obs_metrics {
+                    if let Some(id) = m.tenant_mpl {
+                        m.reg.set_gauge_cell(id, ti, mpl);
+                    }
+                }
+            }
+        }
+        self.touched.clear();
+        #[cfg(debug_assertions)]
+        self.check_usage_rows();
+    }
+
+    /// Rows are exactly the tenants holding memory, each row reads its
+    /// tenant's counters, and the rows' MPLs sum to the global MPL. Every
+    /// holder bills one tenant, so `self.holders` is the sum over all
+    /// tenants: the rows reaching it proves no tenant outside them holds.
+    #[cfg(debug_assertions)]
+    fn check_usage_rows(&self) {
+        assert_eq!(self.usage_rows.len(), self.row_tenant.len());
+        let feedback_rows = if self.tenant_feedback {
+            self.row_tenant.len()
+        } else {
+            0
+        };
+        assert_eq!(self.b_mpl_rows.len(), feedback_rows);
+        let mut mpl = 0.0;
+        for (row, &ti) in self.row_tenant.iter().enumerate() {
+            let t = &self.tenants[ti as usize];
+            assert_eq!(t.row, Some(row as u32), "tenant {} row", t.name);
+            assert!(t.cur_holders > 0, "idle tenant {} kept its row", t.name);
+            let usage = t.usage_now();
+            assert_eq!(self.usage_rows.current(row), usage, "tenant {}", t.name);
+            if self.tenant_feedback {
+                assert_eq!(self.b_mpl_rows.current(row), [usage[0]]);
+            }
+            mpl += usage[0];
+        }
+        assert_eq!(
+            mpl,
+            f64::from(self.holders),
+            "a tenant holding memory has no usage row"
+        );
     }
 
     // ----- Query manager --------------------------------------------------
@@ -1876,11 +1968,16 @@ impl Simulator {
             / self.disk_util_batch.len() as f64;
         let cpu_util = self.cpu.util_batch.fraction(now);
         let t = &mut self.tenants[ti];
+        // Closing the window restarts it at `now`.
+        let [realized_mpl] = match t.row {
+            Some(row) => self.b_mpl_rows.close_window(row as usize, now),
+            None => t.b_mpl.close_window(now),
+        };
         let stats = BatchStats {
             now,
             served: t.b_served,
             missed: t.b_missed,
-            realized_mpl: t.b_mpl.mean(now),
+            realized_mpl,
             cpu_util,
             disk_util,
             wait_time: to_summary(&t.b_wait),
@@ -1892,7 +1989,6 @@ impl Simulator {
         let tainted = t.b_tainted;
         t.b_served = 0;
         t.b_missed = 0;
-        t.b_mpl.reset_window(now);
         t.b_wait.reset();
         t.b_slack.reset();
         t.b_char_mem.reset();
@@ -1978,6 +2074,9 @@ impl Simulator {
             .map(|u| u.fraction(now))
             .sum::<f64>()
             / self.disk_util_run.len().max(1) as f64;
+        for (row, &ti) in self.row_tenant.iter().enumerate() {
+            self.tenants[ti as usize].usage = self.usage_rows.get(row);
+        }
         let tenant_outcomes: Vec<TenantOutcome> = self
             .tenants
             .iter_mut()
@@ -2273,20 +2372,29 @@ mod tests {
             .collect();
         let mut sim = Simulator::new(cfg, Box::new(TenantPmm::new(parts)));
         sim.run_to_horizon();
-        let listed: Vec<u32> = (0..sim.tenants.len() as u32)
-            .filter(|&ti| sim.tenants[ti as usize].listed)
+        // Every grant diff and departure is followed by a reallocation,
+        // which ends in `update_mpl`: nothing is left touched, and the rows
+        // are exactly the tenants holding memory.
+        assert!(sim.touched.is_empty() && sim.tenants.iter().all(|t| !t.touched));
+        let mut rows = sim.row_tenant.clone();
+        rows.sort_unstable();
+        let holding: Vec<u32> = (0..sim.tenants.len() as u32)
+            .filter(|&ti| sim.tenants[ti as usize].cur_holders > 0)
             .collect();
-        let mut holding = sim.holding.clone();
-        holding.sort_unstable();
-        assert_eq!(holding, listed, "the list holds each listed tenant once");
-        assert!(
-            sim.tenants.iter().any(|t| !t.listed && t.served > 0),
-            "some tenant went idle → holding → idle and left the list"
+        assert_eq!(rows, holding, "one row per tenant holding memory");
+        assert_eq!(
+            sim.b_mpl_rows.len(),
+            rows.len(),
+            "feedback rows mirror usage rows"
         );
-        for t in sim.tenants.iter().filter(|t| !t.listed) {
+        assert!(
+            sim.tenants.iter().any(|t| t.row.is_none() && t.served > 0),
+            "some tenant went idle → holding → idle and left the rows"
+        );
+        for t in sim.tenants.iter().filter(|t| t.row.is_none()) {
             assert_eq!((t.cur_holders, t.cur_pages), (0, 0), "tenant {}", t.name);
             assert_eq!(t.usage.current(), [0.0; 3], "tenant {} usage", t.name);
-            assert_eq!(t.b_mpl.current(), 0.0, "tenant {} b_mpl", t.name);
+            assert_eq!(t.b_mpl.current(), [0.0], "tenant {} b_mpl", t.name);
         }
     }
 

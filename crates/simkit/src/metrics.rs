@@ -4,6 +4,11 @@
 //!   (Welford's algorithm), e.g. per-query response times.
 //! * [`TimeWeighted`] — time-integrated average of a piecewise-constant
 //!   signal, e.g. multiprogramming level or resource utilization.
+//!   [`TimeWeightedN`] integrates `N` signals that change together on one
+//!   clock.
+//! * [`TimeWeightedRows`] — many [`TimeWeightedN`]s that are all set at the
+//!   same instants, stored column by column on one shared clock, so moving
+//!   them all forward is one dense loop (the engine's per-tenant usage).
 //! * [`Utilization`] — busy-time tracker for a serially used resource.
 //! * [`BatchMeans`] — the batch-means confidence-interval method the paper
 //!   cites \[Sarg76\] for its 90% miss-ratio intervals.
@@ -123,9 +128,7 @@ impl TimeWeighted {
 
     /// Restart the averaging window at `now`, keeping the current value.
     pub fn reset_window(&mut self, now: SimTime) {
-        self.0.set(now, self.0.values);
-        self.0.integrals = [0.0];
-        self.0.origin = now;
+        self.0.reset_window(now);
     }
 }
 
@@ -133,7 +136,7 @@ impl TimeWeighted {
 /// clock: each `set` converts `now − last_update` to seconds once and adds
 /// `v_i × dt` to every integral — bit-for-bit the sums of `N` separate
 /// [`TimeWeighted`]s set at the same instants.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct TimeWeightedN<const N: usize> {
     values: [f64; N],
     integrals: [f64; N],
@@ -167,6 +170,12 @@ impl<const N: usize> TimeWeightedN<N> {
         self.values
     }
 
+    /// The integrals `∫ v_i dt` since the window origin, up to the last
+    /// `set`.
+    pub fn integrals(&self) -> [f64; N] {
+        self.integrals
+    }
+
     /// Time-weighted means over `[origin, now]`.
     pub fn means(&mut self, now: SimTime) -> [f64; N] {
         self.set(now, self.values);
@@ -176,6 +185,173 @@ impl<const N: usize> TimeWeightedN<N> {
         } else {
             self.integrals.map(|i| i / span)
         }
+    }
+
+    /// Restart the averaging window at `now`, keeping the current values.
+    pub fn reset_window(&mut self, now: SimTime) {
+        self.set(now, self.values);
+        self.integrals = [0.0; N];
+        self.origin = now;
+    }
+
+    /// Close the window at `now` — its means, as [`means`](Self::means) —
+    /// and start the next one there ([`reset_window`](Self::reset_window)).
+    pub fn close_window(&mut self, now: SimTime) -> [f64; N] {
+        let means = self.means(now);
+        self.reset_window(now);
+        means
+    }
+}
+
+/// Rows of [`TimeWeightedN`] collectors that are all set at the same
+/// instants, kept on one shared clock and stored column by column.
+///
+/// [`advance`](Self::advance) converts `now − clock` to seconds once and
+/// adds `v × dt` to every row's integrals in one dense loop per column.
+/// Each row gains bit-for-bit what its own [`TimeWeightedN::set`] would
+/// add: a collector set at every instant the others are set has the same
+/// `last_update`, hence the same `dt`. Rows join ([`insert`](Self::insert))
+/// and leave ([`remove`](Self::remove), a swap-remove) as standalone
+/// collectors, and [`set`](Self::set) replaces a row's values between
+/// advances.
+///
+/// A row may close its averaging window between two advances
+/// ([`close_window`](Self::close_window)). It then sits on a clock of its
+/// own, the restart instant, until the next `advance` integrates it from
+/// there instead of from the shared clock.
+#[derive(Clone, Debug)]
+pub struct TimeWeightedRows<const N: usize> {
+    /// `values[i][row]`: signal `i` of `row`.
+    values: [Vec<f64>; N],
+    integrals: [Vec<f64>; N],
+    origins: Vec<SimTime>,
+    clock: SimTime,
+    /// Rows whose window restarted after `clock`, with the restart
+    /// instant. Their integrals stay zero until the next advance.
+    restarted: Vec<(usize, SimTime)>,
+}
+
+impl<const N: usize> TimeWeightedRows<N> {
+    /// No rows, with the shared clock at `start`.
+    pub fn new(start: SimTime) -> Self {
+        TimeWeightedRows {
+            values: [(); N].map(|_| Vec::new()),
+            integrals: [(); N].map(|_| Vec::new()),
+            origins: Vec::new(),
+            clock: start,
+            restarted: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.origins.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.origins.is_empty()
+    }
+
+    /// Integrate every row's current values up to `now`: the shared
+    /// `dt` for rows on the shared clock, `now − restart` for restarted
+    /// rows, which then rejoin the shared clock.
+    pub fn advance(&mut self, now: SimTime) {
+        let dt = now.since(self.clock).as_secs_f64();
+        for (vals, ints) in self.values.iter().zip(&mut self.integrals) {
+            for (acc, &v) in ints.iter_mut().zip(vals) {
+                *acc += v * dt;
+            }
+        }
+        // A restarted row's window opened at its restart with zero
+        // integrals: redo it from there.
+        for (row, since) in self.restarted.drain(..) {
+            let dt = now.since(since).as_secs_f64();
+            for (vals, ints) in self.values.iter().zip(&mut self.integrals) {
+                ints[row] = 0.0;
+                ints[row] += vals[row] * dt;
+            }
+        }
+        self.clock = now;
+    }
+
+    /// Add `tw` as a new row taking `values` at the shared clock (`tw` is
+    /// `set` there first, exactly as if it had been set with the other
+    /// rows). Returns its row index, which is the old [`len`](Self::len).
+    pub fn insert(&mut self, mut tw: TimeWeightedN<N>, values: [f64; N]) -> usize {
+        debug_assert!(tw.last_update <= self.clock, "row joins from the future");
+        tw.set(self.clock, values);
+        for i in 0..N {
+            self.values[i].push(tw.values[i]);
+            self.integrals[i].push(tw.integrals[i]);
+        }
+        self.origins.push(tw.origin);
+        self.origins.len() - 1
+    }
+
+    /// Take `row` out as a standalone collector on its own clock. The last
+    /// row moves into its place.
+    pub fn remove(&mut self, row: usize) -> TimeWeightedN<N> {
+        let tw = self.get(row);
+        for i in 0..N {
+            self.values[i].swap_remove(row);
+            self.integrals[i].swap_remove(row);
+        }
+        self.origins.swap_remove(row);
+        let moved = self.origins.len();
+        self.restarted.retain(|&(r, _)| r != row);
+        for (r, _) in &mut self.restarted {
+            if *r == moved {
+                *r = row;
+            }
+        }
+        tw
+    }
+
+    /// A copy of `row` as a standalone collector on its own clock.
+    pub fn get(&self, row: usize) -> TimeWeightedN<N> {
+        TimeWeightedN {
+            values: std::array::from_fn(|i| self.values[i][row]),
+            integrals: std::array::from_fn(|i| self.integrals[i][row]),
+            last_update: self.row_clock(row),
+            origin: self.origins[row],
+        }
+    }
+
+    /// `row` takes `values` from its clock onward: the shared clock, or
+    /// its window restart if that came later.
+    pub fn set(&mut self, row: usize, values: [f64; N]) {
+        for (col, v) in self.values.iter_mut().zip(values) {
+            col[row] = v;
+        }
+    }
+
+    /// `row`'s current values.
+    pub fn current(&self, row: usize) -> [f64; N] {
+        std::array::from_fn(|i| self.values[i][row])
+    }
+
+    /// Close `row`'s window at `now` (no earlier than its clock) and start
+    /// the next one there: [`TimeWeightedN::close_window`] on the row.
+    pub fn close_window(&mut self, row: usize, now: SimTime) -> [f64; N] {
+        let mut tw = self.get(row);
+        let means = tw.close_window(now);
+        for i in 0..N {
+            self.integrals[i][row] = tw.integrals[i];
+        }
+        self.origins[row] = tw.origin;
+        match self.restarted.iter_mut().find(|(r, _)| *r == row) {
+            Some((_, since)) => *since = now,
+            None => self.restarted.push((row, now)),
+        }
+        means
+    }
+
+    fn row_clock(&self, row: usize) -> SimTime {
+        self.restarted
+            .iter()
+            .find(|&&(r, _)| r == row)
+            .map_or(self.clock, |&(_, since)| since)
     }
 }
 
@@ -390,6 +566,126 @@ mod tests {
         let end = SimTime(10_000_000);
         let means = sep.each_mut().map(|tw| tw.mean(end).to_bits());
         assert_eq!(one.means(end).map(f64::to_bits), means);
+    }
+
+    /// Bit-for-bit equality of two collectors, clocks included.
+    fn assert_same<const N: usize>(a: &TimeWeightedN<N>, b: &TimeWeightedN<N>) {
+        assert_eq!(a.values.map(f64::to_bits), b.values.map(f64::to_bits));
+        assert_eq!(a.integrals.map(f64::to_bits), b.integrals.map(f64::to_bits));
+        assert_eq!((a.last_update, a.origin), (b.last_update, b.origin));
+    }
+
+    #[test]
+    fn rows_relist_a_collector_whose_clock_is_behind_the_shared_clock() {
+        let s = SimTime::from_secs;
+        let mut rows = TimeWeightedRows::<2>::new(SimTime::ZERO);
+        let mut a = TimeWeightedN::<2>::new(SimTime::ZERO);
+        let ra = rows.insert(a, [1.0, 0.25]);
+        a.set(SimTime::ZERO, [1.0, 0.25]);
+        // `b` was last set at 7 s, back to zero, and left alone since.
+        let mut b = TimeWeightedN::<2>::new(SimTime::ZERO);
+        b.set(s(3), [4.0, 2.0]);
+        b.set(s(7), [0.0, 0.0]);
+        let parked = b;
+        for (k, t) in [11, 19, 23].map(s).into_iter().enumerate() {
+            rows.advance(t);
+            let v = [k as f64 + 0.5, 3.0];
+            rows.set(ra, v);
+            a.set(t, v);
+        }
+        // Re-listed at the shared clock (23 s): its own set there adds
+        // `0 × (23 − 7)`, exactly what joining adds.
+        let rb = rows.insert(parked, [2.0, 9.0]);
+        b.set(s(23), [2.0, 9.0]);
+        assert_same(&rows.get(rb), &b);
+        for t in [29, 31].map(s) {
+            rows.advance(t);
+            a.set(t, a.current());
+            b.set(t, b.current());
+        }
+        assert_same(&rows.get(ra), &a);
+        assert_same(&rows.get(rb), &b);
+        let end = s(40);
+        let means = rows.get(rb).means(end).map(f64::to_bits);
+        assert_eq!(means, b.means(end).map(f64::to_bits));
+    }
+
+    #[test]
+    fn rows_window_reset_between_two_advances() {
+        let s = SimTime::from_secs;
+        let mut rows = TimeWeightedRows::<1>::new(SimTime::ZERO);
+        let mut x = TimeWeightedN::<1>::new(SimTime::ZERO);
+        let mut yref = x;
+        let rx = rows.insert(x, [3.0]);
+        x.set(SimTime::ZERO, [3.0]);
+        let ry = rows.insert(yref, [5.0]);
+        yref.set(SimTime::ZERO, [5.0]);
+        rows.advance(s(10));
+        x.set(s(10), x.current());
+        yref.set(s(10), yref.current());
+        // Two closes between advances: the second integrates from the
+        // first, and the next advance integrates from the second.
+        for r in [SimTime(13_000_001), SimTime(17_333_337)] {
+            let got = rows.close_window(rx, r).map(f64::to_bits);
+            assert_eq!(got, x.close_window(r).map(f64::to_bits));
+            assert_same(&rows.get(rx), &x);
+        }
+        rows.set(rx, [7.0]);
+        x.set(SimTime(17_333_337), [7.0]);
+        rows.advance(s(20));
+        x.set(s(20), x.current());
+        yref.set(s(20), yref.current());
+        assert_same(&rows.get(rx), &x);
+        assert_same(&rows.get(ry), &yref);
+        // Back on the shared clock afterwards.
+        rows.advance(s(26));
+        x.set(s(26), x.current());
+        assert_same(&rows.get(rx), &x);
+        let end = s(30);
+        let means = rows.get(rx).means(end).map(f64::to_bits);
+        assert_eq!(means, x.means(end).map(f64::to_bits));
+    }
+
+    #[test]
+    fn rows_swap_remove_last_and_middle_row() {
+        let s = SimTime::from_secs;
+        let mut rows = TimeWeightedRows::<2>::new(SimTime::ZERO);
+        let mut refs: Vec<TimeWeightedN<2>> = Vec::new();
+        for k in 0..4 {
+            let v = [k as f64 + 1.0, 0.1 * k as f64];
+            let mut tw = TimeWeightedN::new(SimTime::ZERO);
+            assert_eq!(rows.insert(tw, v), k);
+            tw.set(SimTime::ZERO, v);
+            refs.push(tw);
+        }
+        rows.advance(s(5));
+        refs.iter_mut().for_each(|tw| tw.set(s(5), tw.current()));
+        // The last row leaves: nothing moves.
+        assert_same(&rows.remove(3), &refs[3]);
+        assert_eq!(rows.len(), 3);
+        for (row, tw) in refs[..3].iter().enumerate() {
+            assert_same(&rows.get(row), tw);
+        }
+        // Row 2 restarts its window, then middle row 1 leaves: row 2 moves
+        // into slot 1 and keeps its restart clock.
+        let r = s(7);
+        rows.close_window(2, r);
+        refs[2].close_window(r);
+        assert_same(&rows.remove(1), &refs[1]);
+        assert_eq!(rows.len(), 2);
+        assert_same(&rows.get(1), &refs[2]);
+        rows.advance(s(9));
+        for k in [0, 2] {
+            let v = refs[k].current();
+            refs[k].set(s(9), v);
+        }
+        assert_same(&rows.get(0), &refs[0]);
+        assert_same(&rows.get(1), &refs[2]);
+        // Removing a restarted row hands back its own clock.
+        rows.close_window(0, s(10));
+        refs[0].close_window(s(10));
+        assert_same(&rows.remove(0), &refs[0]);
+        assert_same(&rows.get(0), &refs[2]);
     }
 
     #[test]
