@@ -190,10 +190,7 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // The faults sweep streams its structured traces to disk as the
         // runs progress — fault storms under Full tracing would otherwise
         // buffer large rings per cell.
-        let streamed = figure == "faults"
-            && fig_cfg.trace
-            && !fig_cfg.record_arrivals
-            && !fig_cfg.record_pmm_decisions;
+        let streamed = figure == "faults" && fig_cfg.trace && !fig_cfg.record_arrivals;
         if streamed {
             fig_cfg.stream_dir = Some(out_dir.clone());
         }

@@ -274,7 +274,7 @@ pub struct DriverConfig {
     /// Collect replication 0's PMM decision trace per cell into
     /// [`FigureResult::pmm_traces`] (`--record-pmm-decisions`) — the
     /// Figure 15 series the merged JSON drops. Metric-only: the points are
-    /// recovered from the structured trace sink's `PolicyDecision` records.
+    /// the policy's decision trace every [`RunReport`] carries.
     pub record_pmm_decisions: bool,
     /// Enable the observability subsystem (`--trace`): replication 0 of
     /// every cell records a full structured sim-time trace into
@@ -745,10 +745,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         .map(|rep| replication_seed(cfg.master_seed, rep))
         .collect();
     // Streaming applies only when nothing needs the in-memory records back.
-    let streaming = cfg.stream_dir.is_some()
-        && cfg.trace
-        && !cfg.record_arrivals
-        && !cfg.record_pmm_decisions;
+    let streaming = cfg.stream_dir.is_some() && cfg.trace && !cfg.record_arrivals;
 
     // One unit per (cell, replication); results land in a pre-sized table so
     // merge order is independent of which worker ran which unit.
@@ -768,11 +765,10 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         // Traces are per cell, not per replication: replication 0 is the
         // canonical recording (its seed derivation is stable).
         sim.record_arrivals = cfg.record_arrivals && s == 0;
-        // Structured traces follow the same convention; PMM decision
-        // recording rides the same sink (its points are recovered from the
-        // `PolicyDecision` records). Metrics are collected on *every*
-        // replication so the per-cell merge spans all seeds.
-        if s == 0 && (cfg.trace || cfg.record_pmm_decisions) {
+        // Structured traces follow the same convention. Metrics are
+        // collected on *every* replication so the per-cell merge spans all
+        // seeds.
+        if s == 0 && cfg.trace {
             sim.obs.trace = TraceMode::Full;
             if streaming {
                 if let Some(dir) = &cfg.stream_dir {
@@ -876,34 +872,14 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
             }
             if cfg.record_pmm_decisions {
                 // Replication 0 is the canonical recording, mirroring the
-                // arrival traces. The points come back out of the unified
-                // trace sink, not a side channel; static policies emit no
-                // `PolicyDecision` records and are skipped.
-                let points: Vec<pmm_core::pmm::TracePoint> = reports
-                    .first()
-                    .map(|first| {
-                        first
-                            .obs_trace
-                            .iter()
-                            .filter_map(|r| match r.event {
-                                obs::TraceEvent::PolicyDecision { mode, target_mpl } => {
-                                    Some(pmm_core::pmm::TracePoint {
-                                        at: r.at,
-                                        mode: mode.into(),
-                                        target_mpl,
-                                    })
-                                }
-                                _ => None,
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if !points.is_empty() {
+                // arrival traces; static policies decide nothing and are
+                // skipped.
+                if let Some(first) = reports.first().filter(|r| !r.trace.is_empty()) {
                     pmm_traces.push(RecordedPmmTrace {
                         cell: c,
                         x: cell.x,
                         policy: cell.policy.clone(),
-                        points,
+                        points: first.trace.clone(),
                     });
                 }
             }
@@ -1665,6 +1641,31 @@ mod tests {
         for w in t.points.windows(2) {
             assert!(w[0].at <= w[1].at, "decisions are in simulation order");
         }
+        // Needing no trace sink, the recording reads the report's decision
+        // trace: with the structured trace on too, the points are exactly
+        // its `PolicyDecision` records.
+        let traced = DriverConfig {
+            trace: true,
+            ..cfg.clone()
+        };
+        let traced = run_figure("fig12", traced).expect("traced rerun");
+        let decisions: Vec<pmm_core::pmm::TracePoint> = traced.obs_traces[t.cell]
+            .records
+            .iter()
+            .filter_map(|r| match r.event {
+                obs::TraceEvent::PolicyDecision { mode, target_mpl } => {
+                    Some(pmm_core::pmm::TracePoint {
+                        at: r.at,
+                        mode: mode.into(),
+                        target_mpl,
+                    })
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced.pmm_traces.len(), 1);
+        assert_eq!(traced.pmm_traces[0].points, decisions);
+        assert_eq!(traced.pmm_traces[0].points, t.points);
         // The recording is metric-only: the merged cells are byte-identical
         // to a run without it.
         let off = DriverConfig {

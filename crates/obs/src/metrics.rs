@@ -161,6 +161,13 @@ impl MetricsRegistry {
         self.gauge_families[id.0].values[label] = value;
     }
 
+    /// Set a counter that mirrors a count kept elsewhere. Counts only
+    /// grow, so window deltas stay what incrementing would give.
+    pub fn set_counter(&mut self, id: CounterId, value: u64) {
+        debug_assert!(value >= self.counters[id.0].value, "counters only grow");
+        self.counters[id.0].value = value;
+    }
+
     /// Current counter value.
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0].value
@@ -396,6 +403,22 @@ mod tests {
         assert_eq!(merged.windows.len(), 2);
         assert_eq!(merged.windows[0].deltas, vec![2 + 2]);
         assert_eq!(merged.windows[1].deltas, vec![3]);
+    }
+
+    #[test]
+    fn a_mirrored_counter_rolls_the_deltas_increments_would() {
+        let mut inc = MetricsRegistry::new();
+        let mut set = MetricsRegistry::new();
+        let (a, b) = (inc.counter("engine.served"), set.counter("engine.served"));
+        let mut total = 0;
+        for (t, by) in [(100.0, 3), (200.0, 0), (300.0, 4)] {
+            inc.inc(a, by);
+            total += by;
+            set.set_counter(b, total);
+            inc.roll(t);
+            set.roll(t);
+        }
+        assert_eq!(inc.report(), set.report());
     }
 
     #[test]

@@ -145,9 +145,8 @@ pub struct CpuManager {
     running: Option<Running>,
     /// Ready bursts, min-heap on (deadline, query id).
     ready: ReadyHeap,
-    /// Run-level and batch-level busy accounting.
-    pub util_run: Utilization,
-    pub util_batch: Utilization,
+    /// Busy accounting over the run and over the feedback batch.
+    pub util: Utilization,
 }
 
 impl CpuManager {
@@ -158,8 +157,7 @@ impl CpuManager {
             mips,
             running: None,
             ready: ReadyHeap::default(),
-            util_run: Utilization::new(start),
-            util_batch: Utilization::new(start),
+            util: Utilization::new(start),
         }
     }
 
@@ -178,8 +176,7 @@ impl CpuManager {
         let handle =
             cal.schedule(now + self.burst_duration(instr), Event::CpuDone { query });
         if self.running.is_none() {
-            self.util_run.begin_busy(now);
-            self.util_batch.begin_busy(now);
+            self.util.begin_busy(now);
         }
         self.running = Some(Running {
             query,
@@ -246,10 +243,8 @@ impl CpuManager {
         if cal.peek_time().is_some_and(|t| t <= end) {
             return None;
         }
-        self.util_run.begin_busy(now);
-        self.util_batch.begin_busy(now);
-        self.util_run.end_busy(end);
-        self.util_batch.end_busy(end);
+        self.util.begin_busy(now);
+        self.util.end_busy(end);
         cal.advance_to(end);
         Some(end)
     }
@@ -264,8 +259,7 @@ impl CpuManager {
     ) -> QueryId {
         let run = self.running.take().expect("CpuDone with idle CPU");
         debug_assert_eq!(run.query, query, "completion routed to wrong query");
-        self.util_run.end_busy(now);
-        self.util_batch.end_busy(now);
+        self.util.end_busy(now);
         self.dispatch_next(now, cal);
         query
     }
@@ -283,8 +277,7 @@ impl CpuManager {
         if self.running.as_ref().is_some_and(|r| r.query == query) {
             let run = self.running.take().expect("checked");
             cal.cancel(run.handle);
-            self.util_run.end_busy(now);
-            self.util_batch.end_busy(now);
+            self.util.end_busy(now);
             self.dispatch_next(now, cal);
         }
     }
@@ -497,7 +490,7 @@ mod tests {
         let (mut cpu, mut cal) = setup();
         cal.schedule(SimTime::from_secs(1), Event::Deadline { query: QueryId(7) });
         assert_eq!(cpu.run_inline(SimTime::ZERO, ONE_SEC, &mut cal), None);
-        assert_eq!(cpu.util_run.fraction(SimTime::from_secs(1)), 0.0);
+        assert_eq!(cpu.util.fraction(SimTime::from_secs(1)), 0.0);
     }
 
     #[test]
@@ -531,12 +524,8 @@ mod tests {
         cal.schedule(start, Event::EndOfRun);
         cal.pop();
         assert_eq!(inline.run_inline(start, ONE_SEC, &mut cal), Some(t));
-        for (a, b) in [
-            (&scheduled.util_run, &inline.util_run),
-            (&scheduled.util_batch, &inline.util_batch),
-        ] {
-            assert_eq!(a.fraction(read_at).to_bits(), b.fraction(read_at).to_bits());
-        }
+        let (a, b) = (&scheduled.util, &inline.util);
+        assert_eq!(a.fraction(read_at).to_bits(), b.fraction(read_at).to_bits());
     }
 
     #[test]
@@ -552,7 +541,7 @@ mod tests {
         let (t, q) = expect_done(&mut cal);
         cpu.on_done(t, q, &mut cal);
         // Busy 1 s out of 4.
-        let u = cpu.util_run.fraction(SimTime::from_secs(4));
+        let u = cpu.util.fraction(SimTime::from_secs(4));
         assert!((u - 0.25).abs() < 1e-9, "util {u}");
     }
 }

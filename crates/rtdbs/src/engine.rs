@@ -36,7 +36,8 @@ use crate::metrics::{
 use exec::{Action, ExternalSort, FileRef, HashJoin, Operator};
 use obs::{
     CounterFamilyId, CounterId, DegradedAction, FaultClass, GaugeFamilyId, GaugeId,
-    HistId, MetricsRegistry, Profiler, Section, TraceEvent, TraceKind, TraceMode, Tracer,
+    HistId, MetricsRegistry, MetricsReport, Profiler, Section, TraceEvent, TraceKind,
+    TraceMode, Tracer,
 };
 use pmm::{
     AllocScratch, BatchStats, DirtySet, Grants, MemoryPolicy, QueryDemand, QueryId,
@@ -238,18 +239,8 @@ struct TenantState {
     touched: bool,
     // Per-tenant feedback batch window (maintained only when the policy
     // wants tenant feedback). `b_mpl` is parked here like `usage`.
-    b_served: u64,
-    b_missed: u64,
+    feedback: FeedbackWindow,
     b_mpl: TimeWeightedN<1>,
-    b_wait: Tally,
-    b_slack: Tally,
-    b_char_mem: Tally,
-    b_char_ios: Tally,
-    b_char_norm: Tally,
-    /// The current feedback window overlapped a memory shock: close it
-    /// without feeding the policy (shock-era samples would poison the
-    /// learned batches), mirroring the global taint flag.
-    b_tainted: bool,
 }
 
 impl TenantState {
@@ -292,16 +283,77 @@ impl TenantState {
             cur_pages: 0,
             row: None,
             touched: false,
-            b_served: 0,
-            b_missed: 0,
+            feedback: FeedbackWindow::default(),
             b_mpl: TimeWeightedN::new(start),
-            b_wait: Tally::new(),
-            b_slack: Tally::new(),
-            b_char_mem: Tally::new(),
-            b_char_ios: Tally::new(),
-            b_char_norm: Tally::new(),
-            b_tainted: false,
         }
+    }
+}
+
+/// One `SampleSize` feedback window: the departures a policy learns from
+/// (Section 3). The global batch and each tenant's batch keep one. The
+/// window's MPL integral and the shared resources' busy clocks live
+/// outside it and are read at [`FeedbackWindow::close`].
+#[derive(Default)]
+struct FeedbackWindow {
+    served: u64,
+    missed: u64,
+    wait: Tally,
+    slack: Tally,
+    char_mem: Tally,
+    char_ios: Tally,
+    char_norm: Tally,
+    /// The window overlapped a memory shock: close it without feeding the
+    /// policy (shock-era samples would poison the learned batches).
+    tainted: bool,
+}
+
+impl FeedbackWindow {
+    /// Record one departure: its wait, its slack surplus (completed
+    /// queries only) and its maximum memory, operand I/Os and normalized
+    /// time constraint.
+    fn record(&mut self, missed: bool, wait: f64, slack: Option<f64>, chars: [f64; 3]) {
+        self.served += 1;
+        if missed {
+            self.missed += 1;
+        }
+        self.wait.record(wait);
+        if let Some(slack) = slack {
+            self.slack.record(slack);
+        }
+        let [mem, ios, norm] = chars;
+        self.char_mem.record(mem);
+        self.char_ios.record(ios);
+        self.char_norm.record(norm);
+    }
+
+    /// The window's batch statistics. The window restarts empty; its taint
+    /// flag is left to the caller.
+    fn close(
+        &mut self,
+        now: SimTime,
+        realized_mpl: f64,
+        cpu_util: f64,
+        disk_util: f64,
+    ) -> BatchStats {
+        let summary = |t: &Tally| SampleSummary::new(t.mean(), t.variance(), t.count());
+        let stats = BatchStats {
+            now,
+            served: self.served,
+            missed: self.missed,
+            realized_mpl,
+            cpu_util,
+            disk_util,
+            wait_time: summary(&self.wait),
+            slack_surplus: summary(&self.slack),
+            char_max_mem: summary(&self.char_mem),
+            char_operand_ios: summary(&self.char_ios),
+            char_norm_constraint: summary(&self.char_norm),
+        };
+        *self = FeedbackWindow {
+            tainted: self.tainted,
+            ..FeedbackWindow::default()
+        };
+        stats
     }
 }
 
@@ -478,6 +530,42 @@ struct ObsMetrics {
 }
 
 impl ObsMetrics {
+    /// Close a metrics window at `t_secs`. The outcome counters mirror the
+    /// engine's counts and are written just before, so each window's
+    /// delta is the departures inside it.
+    fn roll(&mut self, t_secs: f64, served: u64, missed: u64) {
+        self.reg.set_counter(self.served, served);
+        self.reg.set_counter(self.missed, missed);
+        self.reg.roll(t_secs);
+    }
+
+    /// Freeze the registry, first writing the instruments that mirror
+    /// engine state: the outcome counters, the MPL gauge and the
+    /// per-tenant outcome and MPL cells (written once, here).
+    fn report(
+        &mut self,
+        served: u64,
+        missed: u64,
+        holders: u32,
+        tenants: &[TenantState],
+    ) -> MetricsReport {
+        self.reg.set_counter(self.served, served);
+        self.reg.set_counter(self.missed, missed);
+        self.reg.set_gauge(self.mpl, f64::from(holders));
+        for (ti, t) in tenants.iter().enumerate() {
+            if let Some(id) = self.tenant_served {
+                self.reg.inc_cell(id, ti, t.served);
+            }
+            if let Some(id) = self.tenant_missed {
+                self.reg.inc_cell(id, ti, t.missed);
+            }
+            if let Some(id) = self.tenant_mpl {
+                self.reg.set_gauge_cell(id, ti, f64::from(t.cur_holders));
+            }
+        }
+        self.reg.report()
+    }
+
     fn new(tenant_count: usize) -> Self {
         let mut reg = MetricsRegistry::new();
         let arrivals = reg.counter("engine.arrivals");
@@ -539,8 +627,7 @@ pub struct Simulator {
     layout: Layout,
     disks: DiskFarm,
     disk_inflight: Vec<Option<QueryId>>,
-    disk_util_run: Vec<Utilization>,
-    disk_util_batch: Vec<Utilization>,
+    disk_util: Vec<Utilization>,
     cpu: CpuManager,
     policy: Box<dyn MemoryPolicy>,
     live: QueryTable,
@@ -582,15 +669,9 @@ pub struct Simulator {
     window_start: SimTime,
     window_served: u64,
     window_missed: u64,
-    // Batch (SampleSize) accumulators for policy feedback.
-    batch_served: u64,
-    batch_missed: u64,
+    // The global (SampleSize) feedback window and its MPL integral.
+    feedback: FeedbackWindow,
     mpl_batch: TimeWeighted,
-    batch_wait: Tally,
-    batch_slack: Tally,
-    batch_char_mem: Tally,
-    batch_char_ios: Tally,
-    batch_char_norm: Tally,
     // Per-tenant tracking (empty for single-tenant configs) and whether
     // per-tenant feedback batches are routed to the policy.
     tenants: Vec<TenantState>,
@@ -617,12 +698,11 @@ pub struct Simulator {
     realloc_pending: bool,
     // Fault plan: precomputed window edges (empty plans schedule nothing —
     // the dark path cannot move an event), the memory ceiling the policy
-    // sees (shrunk by an active shock), and the batch taint flags that keep
-    // shock-era samples out of the policy's learned batches.
+    // sees (shrunk by an active shock), and whether a shock is active (new
+    // feedback windows start tainted while it is).
     fault_events: Vec<(SimTime, FaultTransition)>,
     effective_memory: u32,
     shock_active: bool,
-    batch_tainted: bool,
     end: SimTime,
 }
 
@@ -721,8 +801,7 @@ impl Simulator {
             layout,
             disks,
             disk_inflight: vec![None; n_disks],
-            disk_util_run: vec![Utilization::new(start); n_disks],
-            disk_util_batch: vec![Utilization::new(start); n_disks],
+            disk_util: vec![Utilization::new(start); n_disks],
             cpu: CpuManager::new(cfg.resources.cpu_mips, start),
             policy,
             live: QueryTable::new(),
@@ -774,14 +853,8 @@ impl Simulator {
             window_start: start,
             window_served: 0,
             window_missed: 0,
-            batch_served: 0,
-            batch_missed: 0,
+            feedback: FeedbackWindow::default(),
             mpl_batch: TimeWeighted::new(start, 0.0),
-            batch_wait: Tally::new(),
-            batch_slack: Tally::new(),
-            batch_char_mem: Tally::new(),
-            batch_char_ios: Tally::new(),
-            batch_char_norm: Tally::new(),
             tenants,
             tenant_feedback,
             usage_rows: TimeWeightedRows::new(start),
@@ -797,7 +870,6 @@ impl Simulator {
             fault_events,
             effective_memory: cfg.resources.memory_pages,
             shock_active: false,
-            batch_tainted: false,
             end,
             cfg,
         }
@@ -1229,9 +1301,6 @@ impl Simulator {
         let holders = f64::from(self.holders);
         self.mpl_run.set(now, holders);
         self.mpl_batch.set(now, holders);
-        if let Some(m) = &mut self.obs_metrics {
-            m.reg.set_gauge(m.mpl, holders);
-        }
     }
 
     /// Fold the per-tenant usage readings (MPL, pages in use, pages
@@ -1246,9 +1315,7 @@ impl Simulator {
     /// `v × dt` its own clock would. Only the tenants whose counters
     /// changed since (the touched list, filled by `TenantState::billed`)
     /// are re-read: a tenant gets a row when it starts holding memory
-    /// and hands its integrals back to `TenantState` when it stops. The
-    /// per-tenant MPL gauge cell is written only when the MPL changes, so
-    /// it holds what rewriting it at every call would.
+    /// and hands its integrals back to `TenantState` when it stops.
     ///
     /// `b_mpl` restarts with each closed feedback batch
     /// (`finish_tenant_batch`), in between two calls: that row then
@@ -1264,10 +1331,9 @@ impl Simulator {
             t.touched = false;
             let usage = t.usage_now();
             let mpl = usage[0];
-            let last_mpl = match t.row {
+            match t.row {
                 Some(row) => {
                     let row = row as usize;
-                    let last_mpl = self.usage_rows.current(row)[0];
                     self.usage_rows.set(row, usage);
                     if feedback {
                         self.b_mpl_rows.set(row, [mpl]);
@@ -1283,7 +1349,6 @@ impl Simulator {
                             self.tenants[moved as usize].row = Some(row as u32);
                         }
                     }
-                    last_mpl
                 }
                 None if t.cur_holders > 0 => {
                     t.row = Some(self.row_tenant.len() as u32);
@@ -1292,16 +1357,8 @@ impl Simulator {
                         self.b_mpl_rows.insert(t.b_mpl, [mpl]);
                     }
                     self.row_tenant.push(ti as u32);
-                    0.0
                 }
-                None => continue,
-            };
-            if mpl != last_mpl {
-                if let Some(m) = &mut self.obs_metrics {
-                    if let Some(id) = m.tenant_mpl {
-                        m.reg.set_gauge_cell(id, ti, mpl);
-                    }
-                }
+                None => {}
             }
         }
         self.touched.clear();
@@ -1448,8 +1505,7 @@ impl Simulator {
 
     fn on_disk_done(&mut self, now: SimTime, disk: usize) {
         self.disks.disk_mut(disk).finish();
-        self.disk_util_run[disk].end_busy(now);
-        self.disk_util_batch[disk].end_busy(now);
+        self.disk_util[disk].end_busy(now);
         let owner = self.disk_inflight[disk].take();
         self.pump_disk(now, disk);
         if let Some(id) = owner {
@@ -1562,8 +1618,7 @@ impl Simulator {
                     self.cal.schedule(now, Event::DiskDone { disk });
                 }
                 Service::Media { time, .. } => {
-                    self.disk_util_run[disk].begin_busy(now);
-                    self.disk_util_batch[disk].begin_busy(now);
+                    self.disk_util[disk].begin_busy(now);
                     self.cal.schedule(now + time, Event::DiskDone { disk });
                 }
                 _ => unreachable!("fault services handled above"),
@@ -1701,9 +1756,9 @@ impl Simulator {
     /// both shock edges: a window straddling either edge mixes regimes and
     /// must not reach the policy.
     fn taint_batches(&mut self) {
-        self.batch_tainted = true;
+        self.feedback.tainted = true;
         for t in &mut self.tenants {
-            t.b_tainted = true;
+            t.feedback.tainted = true;
         }
     }
 
@@ -1773,21 +1828,15 @@ impl Simulator {
             },
         );
         if let Some(m) = &mut self.obs_metrics {
-            m.reg.inc(m.served, 1);
-            if missed {
-                m.reg.inc(m.missed, 1);
-            }
             m.reg
                 .observe(m.response, now.since(q.arrival).as_secs_f64());
         }
         self.served += 1;
         self.window_served += 1;
-        self.batch_served += 1;
         self.class_outcomes[q.class].served += 1;
         if missed {
             self.missed += 1;
             self.window_missed += 1;
-            self.batch_missed += 1;
             self.class_outcomes[q.class].missed += 1;
         }
         self.miss_series.record(if missed { 1.0 } else { 0.0 });
@@ -1796,8 +1845,8 @@ impl Simulator {
             .first_admit
             .map_or(now.since(q.arrival), |t| t.since(q.arrival))
             .as_secs_f64();
-        self.batch_wait.record(wait);
         let constraint = q.deadline.since(q.arrival).as_secs_f64();
+        let mut slack = None;
         if let Some(admit) = q.first_admit {
             let exec = now.since(admit).as_secs_f64();
             if !missed {
@@ -1807,53 +1856,34 @@ impl Simulator {
                 self.timings.response.record(wait + exec);
                 // Condition-4 evidence only from completed queries: aborted
                 // executions are truncated and would bias the surplus.
-                self.batch_slack.record(constraint - exec);
+                slack = Some(constraint - exec);
             }
         }
         self.timings.fluctuations.record(q.op.fluctuations() as f64);
-        self.batch_char_mem.record(q.op.max_memory() as f64);
-        self.batch_char_ios.record(q.operand_ios as f64);
-        self.batch_char_norm
-            .record(constraint / q.operand_ios as f64);
+        let chars = [
+            q.op.max_memory() as f64,
+            q.operand_ios as f64,
+            constraint / q.operand_ios as f64,
+        ];
+        self.feedback.record(missed, wait, slack, chars);
 
-        // Per-tenant bookkeeping, mirroring the global accumulators.
-        let tenant_batch_full = if self.tenants.is_empty() {
-            false
-        } else {
+        // Per-tenant outcomes and, when the policy wants them, the
+        // tenant's own feedback window.
+        let mut full_tenant_batch = None;
+        if !self.tenants.is_empty() {
             let ti = (q.tenant as usize).min(self.tenants.len() - 1);
-            if let Some(m) = &mut self.obs_metrics {
-                if let Some(id) = m.tenant_served {
-                    m.reg.inc_cell(id, ti, 1);
-                }
-                if missed {
-                    if let Some(id) = m.tenant_missed {
-                        m.reg.inc_cell(id, ti, 1);
-                    }
-                }
-            }
             let t = &mut self.tenants[ti];
             t.served += 1;
             if missed {
                 t.missed += 1;
             }
             if self.tenant_feedback {
-                t.b_served += 1;
-                if missed {
-                    t.b_missed += 1;
+                t.feedback.record(missed, wait, slack, chars);
+                if t.feedback.served >= u64::from(self.cfg.sample_size) {
+                    full_tenant_batch = Some(ti);
                 }
-                t.b_wait.record(wait);
-                if let Some(admit) = q.first_admit {
-                    if !missed {
-                        t.b_slack
-                            .record(constraint - now.since(admit).as_secs_f64());
-                    }
-                }
-                t.b_char_mem.record(q.op.max_memory() as f64);
-                t.b_char_ios.record(q.operand_ios as f64);
-                t.b_char_norm.record(constraint / q.operand_ios as f64);
             }
-            self.tenant_feedback && t.b_served >= u64::from(self.cfg.sample_size)
-        };
+        }
 
         self.roll_windows(now);
         // Tenant batches close BEFORE the global batch: `finish_batch`
@@ -1862,11 +1892,10 @@ impl Simulator {
         // carries all the traffic) the tenant's stats must read the
         // utilization accumulated over the sample — not a just-reset
         // zero-span window.
-        if tenant_batch_full {
-            let ti = (q.tenant as usize).min(self.tenants.len() - 1);
+        if let Some(ti) = full_tenant_batch {
             self.finish_tenant_batch(now, ti);
         }
-        if self.batch_served >= self.cfg.sample_size as u64 {
+        if self.feedback.served >= u64::from(self.cfg.sample_size) {
             self.finish_batch(now);
         }
     }
@@ -1882,7 +1911,7 @@ impl Simulator {
             });
             // Metrics snapshots roll on exactly the fig12 boundaries.
             if let Some(m) = &mut self.obs_metrics {
-                m.reg.roll(t_secs);
+                m.roll(t_secs, self.served, self.missed);
             }
             self.window_start += window;
             self.window_served = 0;
@@ -1891,36 +1920,7 @@ impl Simulator {
     }
 
     fn finish_batch(&mut self, now: SimTime) {
-        let to_summary =
-            |t: &Tally| SampleSummary::new(t.mean(), t.variance(), t.count());
-        let disk_util = self
-            .disk_util_batch
-            .iter()
-            .map(|u| u.fraction(now))
-            .sum::<f64>()
-            / self.disk_util_batch.len() as f64;
-        let stats = BatchStats {
-            now,
-            served: self.batch_served,
-            missed: self.batch_missed,
-            realized_mpl: self.mpl_batch.mean(now),
-            cpu_util: self.cpu.util_batch.fraction(now),
-            disk_util,
-            wait_time: to_summary(&self.batch_wait),
-            slack_surplus: to_summary(&self.batch_slack),
-            char_max_mem: to_summary(&self.batch_char_mem),
-            char_operand_ios: to_summary(&self.batch_char_ios),
-            char_norm_constraint: to_summary(&self.batch_char_norm),
-        };
-        // A window that overlapped a memory shock is segmented out — closed
-        // and reset without feeding the policy, exactly like the regime
-        // detector segments its history — so shock-era samples never poison
-        // the learned batches.
-        if self.batch_tainted {
-            if let Some(m) = &mut self.obs_metrics {
-                m.reg.inc(m.faults_batches_segmented, 1);
-            }
-        } else {
+        if let Some(stats) = self.close_feedback(now, None) {
             self.policy.on_batch(&stats);
             self.tracer.emit(
                 now,
@@ -1934,79 +1934,67 @@ impl Simulator {
                 m.reg.inc(m.batches, 1);
             }
         }
-        // The next window starts tainted while a shock is still active.
-        self.batch_tainted = self.shock_active;
-        // Reset the batch windows.
-        self.batch_served = 0;
-        self.batch_missed = 0;
+        // Restart the window's MPL integral and busy clocks.
         self.mpl_batch.reset_window(now);
-        self.cpu.util_batch.reset_window(now);
-        for u in &mut self.disk_util_batch {
+        self.cpu.util.reset_window(now);
+        for u in &mut self.disk_util {
             u.reset_window(now);
         }
-        self.batch_wait.reset();
-        self.batch_slack.reset();
-        self.batch_char_mem.reset();
-        self.batch_char_ios.reset();
-        self.batch_char_norm.reset();
         // The policy may have changed its mind — re-run allocation.
         self.reallocate(now);
     }
 
-    /// Close one tenant's feedback batch: assemble its `BatchStats` (the
-    /// shared CPU/disk readings come from the current global sample window
-    /// — shared resources have no per-tenant utilization) and hand it to
-    /// the policy's per-tenant controller.
+    /// Close one tenant's feedback batch and hand it to the policy's
+    /// per-tenant controller.
     fn finish_tenant_batch(&mut self, now: SimTime, ti: usize) {
-        let to_summary =
-            |t: &Tally| SampleSummary::new(t.mean(), t.variance(), t.count());
-        let disk_util = self
-            .disk_util_batch
-            .iter()
-            .map(|u| u.fraction(now))
-            .sum::<f64>()
-            / self.disk_util_batch.len() as f64;
-        let cpu_util = self.cpu.util_batch.fraction(now);
-        let t = &mut self.tenants[ti];
-        // Closing the window restarts it at `now`.
-        let [realized_mpl] = match t.row {
-            Some(row) => self.b_mpl_rows.close_window(row as usize, now),
-            None => t.b_mpl.close_window(now),
-        };
-        let stats = BatchStats {
-            now,
-            served: t.b_served,
-            missed: t.b_missed,
-            realized_mpl,
-            cpu_util,
-            disk_util,
-            wait_time: to_summary(&t.b_wait),
-            slack_surplus: to_summary(&t.b_slack),
-            char_max_mem: to_summary(&t.b_char_mem),
-            char_operand_ios: to_summary(&t.b_char_ios),
-            char_norm_constraint: to_summary(&t.b_char_norm),
-        };
-        let tainted = t.b_tainted;
-        t.b_served = 0;
-        t.b_missed = 0;
-        t.b_wait.reset();
-        t.b_slack.reset();
-        t.b_char_mem.reset();
-        t.b_char_ios.reset();
-        t.b_char_norm.reset();
-        t.b_tainted = self.shock_active;
-        if tainted {
-            // Shock-era tenant windows are segmented out like the global
-            // batch: reset but never fed to the per-tenant controller.
-            if let Some(m) = &mut self.obs_metrics {
-                m.reg.inc(m.faults_batches_segmented, 1);
-            }
+        let Some(stats) = self.close_feedback(now, Some(ti)) else {
             return;
-        }
+        };
         self.policy.on_tenant_batch(ti as u32, &stats);
         self.emit_policy_decisions();
         // The tenant's controller may have changed its strategy.
         self.reallocate(now);
+    }
+
+    /// Close the global feedback window (`tenant` is `None`) or one
+    /// tenant's. Utilization comes from the shared CPU and disk busy
+    /// clocks over the current global window: shared resources have no
+    /// per-tenant utilization. A window that overlapped a memory shock is
+    /// segmented out — closed and counted but never returned, like the
+    /// regime detector segments its history — and the next window starts
+    /// tainted while a shock is still active.
+    fn close_feedback(
+        &mut self,
+        now: SimTime,
+        tenant: Option<usize>,
+    ) -> Option<BatchStats> {
+        let cpu_util = self.cpu.util.window_fraction(now);
+        let disk_util = self
+            .disk_util
+            .iter()
+            .map(|u| u.window_fraction(now))
+            .sum::<f64>()
+            / self.disk_util.len() as f64;
+        let (window, realized_mpl) = match tenant {
+            None => (&mut self.feedback, self.mpl_batch.mean(now)),
+            Some(ti) => {
+                let t = &mut self.tenants[ti];
+                // Closing the window restarts it at `now`.
+                let [mpl] = match t.row {
+                    Some(row) => self.b_mpl_rows.close_window(row as usize, now),
+                    None => t.b_mpl.close_window(now),
+                };
+                (&mut t.feedback, mpl)
+            }
+        };
+        let stats = window.close(now, realized_mpl, cpu_util, disk_util);
+        if !std::mem::replace(&mut window.tainted, self.shock_active) {
+            return Some(stats);
+        }
+        if let Some(m) = &mut self.obs_metrics {
+            m.reg.inc(m.faults_batches_segmented, 1);
+        }
+        None
     }
 
     /// Forward policy trace points recorded since the last check into the
@@ -2040,7 +2028,7 @@ impl Simulator {
                 missed: self.window_missed,
             });
             if let Some(m) = &mut self.obs_metrics {
-                m.reg.roll(now.as_secs_f64());
+                m.roll(now.as_secs_f64(), self.served, self.missed);
             }
         }
         // Catch policy decisions recorded since the last batch boundary,
@@ -2066,14 +2054,13 @@ impl Simulator {
         } else {
             Vec::new()
         };
-        let metrics = self.obs_metrics.as_ref().map(|m| m.reg.report());
+        let metrics = self
+            .obs_metrics
+            .as_mut()
+            .map(|m| m.report(self.served, self.missed, self.holders, &self.tenants));
         let profile = self.profiler.report();
-        let disk_util = self
-            .disk_util_run
-            .iter()
-            .map(|u| u.fraction(now))
-            .sum::<f64>()
-            / self.disk_util_run.len().max(1) as f64;
+        let disk_util = self.disk_util.iter().map(|u| u.fraction(now)).sum::<f64>()
+            / self.disk_util.len().max(1) as f64;
         for (row, &ti) in self.row_tenant.iter().enumerate() {
             self.tenants[ti as usize].usage = self.usage_rows.get(row);
         }
@@ -2105,7 +2092,7 @@ impl Simulator {
             classes: self.class_outcomes,
             tenants: tenant_outcomes,
             avg_mpl: self.mpl_run.mean(now),
-            cpu_util: self.cpu.util_run.fraction(now),
+            cpu_util: self.cpu.util.fraction(now),
             disk_util,
             timings: self.timings.summarize(),
             avg_fluctuations: self.timings.fluctuations.mean(),
@@ -2433,14 +2420,19 @@ mod tests {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        // Records the utilization readings each per-tenant batch carries.
-        struct UtilProbe {
-            inner: MinMaxPolicy,
-            disk_utils: Rc<RefCell<Vec<f64>>>,
+        // Records every global and per-tenant batch.
+        #[derive(Default)]
+        struct Batches {
+            global: Vec<BatchStats>,
+            tenant: Vec<BatchStats>,
         }
-        impl MemoryPolicy for UtilProbe {
+        struct BatchProbe {
+            inner: MinMaxPolicy,
+            batches: Rc<RefCell<Batches>>,
+        }
+        impl MemoryPolicy for BatchProbe {
             fn name(&self) -> String {
-                "UtilProbe".into()
+                "BatchProbe".into()
             }
             fn allocate_into(
                 &mut self,
@@ -2453,8 +2445,11 @@ mod tests {
             fn wants_tenant_feedback(&self) -> bool {
                 true
             }
+            fn on_batch(&mut self, stats: &BatchStats) {
+                self.batches.borrow_mut().global.push(stats.clone());
+            }
             fn on_tenant_batch(&mut self, _tenant: u32, stats: &BatchStats) {
-                self.disk_utils.borrow_mut().push(stats.disk_util);
+                self.batches.borrow_mut().tenant.push(stats.clone());
             }
             fn mode(&self) -> StrategyMode {
                 StrategyMode::MinMax
@@ -2471,19 +2466,42 @@ mod tests {
         let mut cfg = SimConfig::multi_tenant(0.5);
         cfg.classes[1].arrival = workload::ArrivalSpec::poisson(0.0);
         cfg.duration_secs = 6_000.0;
-        let readings = Rc::new(RefCell::new(Vec::new()));
-        let probe = UtilProbe {
+        let batches = Rc::new(RefCell::new(Batches::default()));
+        let probe = BatchProbe {
             inner: MinMaxPolicy::unlimited(),
-            disk_utils: Rc::clone(&readings),
+            batches: Rc::clone(&batches),
         };
         run_simulation(cfg, Box::new(probe));
-        let readings = readings.borrow();
+        let batches = batches.borrow();
+        let readings: Vec<f64> = batches.tenant.iter().map(|b| b.disk_util).collect();
         assert!(readings.len() >= 3, "several tenant batches: {readings:?}");
         assert!(
             readings.iter().all(|&u| u > 0.0),
             "tenant batches must carry the sample's utilization, not a \
              just-reset window: {readings:?}"
         );
+        // The two windows saw the same departures over the same span, so
+        // the shared close path hands the policy the same batch twice. The
+        // MPL integrals are separate collectors and may round apart.
+        assert_eq!(batches.tenant.len(), batches.global.len());
+        for (t, g) in batches.tenant.iter().zip(&batches.global) {
+            assert_eq!(t.now, g.now);
+            assert_eq!((t.served, t.missed), (g.served, g.missed));
+            assert_eq!(t.wait_time, g.wait_time);
+            assert_eq!(t.slack_surplus, g.slack_surplus);
+            assert_eq!(t.char_max_mem, g.char_max_mem);
+            assert_eq!(t.char_operand_ios, g.char_operand_ios);
+            assert_eq!(t.char_norm_constraint, g.char_norm_constraint);
+            assert_eq!(t.cpu_util.to_bits(), g.cpu_util.to_bits());
+            assert_eq!(t.disk_util.to_bits(), g.disk_util.to_bits());
+            let scale = g.realized_mpl.abs().max(f64::MIN_POSITIVE);
+            assert!(
+                (t.realized_mpl - g.realized_mpl).abs() <= 1e-9 * scale,
+                "realized MPL {} vs {}",
+                t.realized_mpl,
+                g.realized_mpl
+            );
+        }
     }
 
     #[test]

@@ -29,11 +29,7 @@ pub struct ClassOutcome {
 impl ClassOutcome {
     /// Class miss ratio in percent.
     pub fn miss_pct(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            100.0 * self.missed as f64 / self.served as f64
-        }
+        miss_pct(self.served, self.missed)
     }
 }
 
@@ -65,11 +61,7 @@ pub struct TenantOutcome {
 impl TenantOutcome {
     /// Tenant miss ratio in percent.
     pub fn miss_pct(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            100.0 * self.missed as f64 / self.served as f64
-        }
+        miss_pct(self.served, self.missed)
     }
 }
 
@@ -87,11 +79,7 @@ pub struct WindowPoint {
 impl WindowPoint {
     /// Window miss ratio in percent.
     pub fn miss_pct(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            100.0 * self.missed as f64 / self.served as f64
-        }
+        miss_pct(self.served, self.missed)
     }
 }
 
@@ -158,11 +146,7 @@ pub struct RunReport {
 impl RunReport {
     /// Overall miss ratio in percent — the paper's headline metric.
     pub fn miss_pct(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            100.0 * self.missed as f64 / self.served as f64
-        }
+        miss_pct(self.served, self.missed)
     }
 }
 
@@ -187,6 +171,15 @@ impl TimingTallies {
             execution: self.execution.mean(),
             response: self.response.mean(),
         }
+    }
+}
+
+/// `missed` as a percentage of `served`; 0 when nothing was served.
+fn miss_pct(served: u64, missed: u64) -> f64 {
+    if served == 0 {
+        0.0
+    } else {
+        100.0 * missed as f64 / served as f64
     }
 }
 

@@ -356,12 +356,21 @@ impl<const N: usize> TimeWeightedRows<N> {
 }
 
 /// Busy-fraction tracker for a resource that serves one request at a time
-/// (the CPU, or one disk).
+/// (the CPU, or one disk), over the whole run and over a window restarted
+/// by [`Utilization::reset_window`] (the engine's feedback batch).
+///
+/// One busy clock serves both readings: the window's busy time is the
+/// total at `now` minus the total at the window start. Both are integer
+/// ticks, so each fraction is bit-identical to a separate collector's.
 #[derive(Clone, Debug)]
 pub struct Utilization {
+    /// Busy time of the intervals closed so far.
     busy: Duration,
     busy_since: Option<SimTime>,
+    start: SimTime,
     window_start: SimTime,
+    /// Total busy time at `window_start`, the open interval included.
+    window_busy: Duration,
 }
 
 impl Utilization {
@@ -370,7 +379,9 @@ impl Utilization {
         Utilization {
             busy: Duration::ZERO,
             busy_since: None,
+            start,
             window_start: start,
+            window_busy: Duration::ZERO,
         }
     }
 
@@ -388,26 +399,37 @@ impl Utilization {
         }
     }
 
-    /// Busy fraction over the current window, in `[0, 1]`.
-    pub fn fraction(&self, now: SimTime) -> f64 {
-        let span = now.since(self.window_start).as_secs_f64();
+    /// Total busy time at `now`, the open interval included.
+    fn busy_at(&self, now: SimTime) -> Duration {
+        match self.busy_since {
+            Some(since) => self.busy + now.since(since),
+            None => self.busy,
+        }
+    }
+
+    fn fraction_since(&self, from: SimTime, busy: Duration, now: SimTime) -> f64 {
+        let span = now.since(from).as_secs_f64();
         if span <= 0.0 {
             return 0.0;
-        }
-        let mut busy = self.busy;
-        if let Some(since) = self.busy_since {
-            busy += now.since(since);
         }
         (busy.as_secs_f64() / span).min(1.0)
     }
 
+    /// Busy fraction over the run so far, in `[0, 1]`.
+    pub fn fraction(&self, now: SimTime) -> f64 {
+        self.fraction_since(self.start, self.busy_at(now), now)
+    }
+
+    /// Busy fraction over the current window, in `[0, 1]`.
+    pub fn window_fraction(&self, now: SimTime) -> f64 {
+        let busy = self.busy_at(now) - self.window_busy;
+        self.fraction_since(self.window_start, busy, now)
+    }
+
     /// Restart the measurement window at `now` (busy state carries over).
     pub fn reset_window(&mut self, now: SimTime) {
-        self.busy = Duration::ZERO;
         self.window_start = now;
-        if self.busy_since.is_some() {
-            self.busy_since = Some(now);
-        }
+        self.window_busy = self.busy_at(now);
     }
 }
 
@@ -711,8 +733,12 @@ mod tests {
         let mut u = Utilization::new(SimTime::ZERO);
         u.begin_busy(SimTime::ZERO);
         u.reset_window(SimTime::from_secs(10));
+        u.end_busy(SimTime::from_secs(15));
+        let f = u.window_fraction(SimTime::from_secs(20));
+        assert!((f - 0.5).abs() < 1e-9);
+        // The run reading ignores the window.
         let f = u.fraction(SimTime::from_secs(20));
-        assert!((f - 1.0).abs() < 1e-9);
+        assert!((f - 0.75).abs() < 1e-9);
     }
 
     #[test]
