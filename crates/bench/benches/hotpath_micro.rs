@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pmm_core::exec::{Action, ExecConfig, ExternalSort, HashJoin, Operator};
-use pmm_core::obs::{MetricsRegistry, TraceEvent, TraceKind, TraceMode, Tracer};
+use pmm_core::obs::{MetricsRegistry, TraceEvent, TraceKind, Tracer};
 use pmm_core::pmm::{
     minmax_allocate_into, partitioned_allocate_with_into, AllocScratch, DirtySet, Grants,
     IncrementalPartitioned, PartitionScratch, PartitionSpec, PartitionStrategy,
@@ -566,7 +566,7 @@ fn bench(c: &mut Criterion) {
     // Observability overhead cells: the engine calls `Tracer::emit` and
     // `MetricsRegistry::inc` on every arrival/burst/departure, so the off
     // path must price at a masked branch (the <2% hot-path budget) and the
-    // ring path at a bounded rotate — these cells pin both in the
+    // buffered path at a vector push — these cells pin both in the
     // trajectory.
     c.bench_function("obs/emit_off_10k", |b| {
         let mut tracer = Tracer::off();
@@ -586,9 +586,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("obs/emit_ring_10k", |b| {
+    c.bench_function("obs/emit_full_10k", |b| {
         b.iter(|| {
-            let mut tracer = Tracer::with_mask(TraceMode::Ring, 1024, TraceKind::ALL);
+            let mut tracer = Tracer::with_mask(TraceKind::ALL);
             for i in 0..10_000u64 {
                 tracer.emit(
                     SimTime(i),

@@ -13,8 +13,7 @@
 //! 3–5, 7–11, 16–17 and Table 7. Figures with a time series (fig12) also
 //! print each cell's window series (Figures 12–14), and multiclass cells
 //! print their per-class miss split (Figure 18 is fig17's PMM rows). The
-//! PMM decision traces of Figures 6 and 15 are `--record-pmm-decisions`
-//! files.
+//! PMM decision traces of Figures 6 and 15 are `--trace=pmm` files.
 //!
 //! ```text
 //! cargo run --release -p bench --bin experiments -- --figure fig3 --seeds 8 --threads 4
@@ -28,21 +27,21 @@
 //! `--out DIR` (default `.`), `--smoke` (defaults-only: the seed and
 //! sim-secs *defaults* become 1 and 300 — the CI smoke configuration —
 //! but an explicit `--seeds`/`--secs` still wins, so a long-horizon smoke
-//! like `--smoke --secs 36000` works), `--record-arrivals` (write
-//! replication 0's
-//! inter-arrival gaps per cell and class as `TRACE_<figure>_cell<i>_
-//! class<j>.txt`, replayable via `workload::Trace::from_file` /
-//! `ArrivalSpec::Trace`), `--record-pmm-decisions` (write replication 0's
+//! like `--smoke --secs 36000` works), `--trace=<kinds>` (record
+//! replication 0's trace of each cell, `<kinds>` a comma list over
+//! `all|arrivals|pmm`, and write each projection whose kind was recorded:
+//! `all` renders the structured sim-time trace as
+//! `TRACE_obs_<figure>_cell<i>.txt` and exports cell 0 as Chrome
+//! trace-event JSON `CHROME_<figure>_cell0.json` for chrome://tracing /
+//! Perfetto; `arrivals` writes the inter-arrival gaps per cell and class as
+//! `TRACE_<figure>_cell<i>_class<j>.txt`, replayable via
+//! `workload::Trace::from_file` / `ArrivalSpec::Trace`; `pmm` writes the
 //! PMM decision trace per adaptive cell as `TRACE_pmm_<figure>_cell<i>.txt`
-//! — the Figure 15 series the merged JSON drops), `--trace` (record
-//! replication 0's structured sim-time trace per cell as
-//! `TRACE_obs_<figure>_cell<i>.txt`, export cell 0 as Chrome trace-event
-//! JSON `CHROME_<figure>_cell0.json` for chrome://tracing / Perfetto, and
-//! write the seed-merged metrics registry as
-//! `BENCH_<figure>_metrics.json`), `--metrics` (collect and write
-//! `BENCH_<figure>_metrics.json` *without* record-level tracing — the
+//! — the Figure 15 series the merged JSON drops), `--trace` (bare: the
+//! same as `--trace=all --metrics`), `--metrics` (collect and write the
+//! seed-merged metrics registry as `BENCH_<figure>_metrics.json` — the
 //! long-horizon configuration: registry memory stays O(counters) while
-//! `--trace` buffers or streams O(events); implied by `--trace`),
+//! a trace buffers or streams O(events)),
 //! `--profile` (attribute wall-clock time
 //! per engine subsystem and write `BENCH_profile.json` — machine-dependent,
 //! like `BENCH_perf.json`).
@@ -64,19 +63,19 @@
 //! 10¹→10³ (one soft-quota tenant grid per cell) under incremental
 //! partitioned reallocation, the pinned full-snapshot reference path
 //! (`"snapshot/Partitioned-soft"` cells), and per-tenant-adaptive
-//! `PMM-tenant`. Under `--trace` the faults figure streams each
+//! `PMM-tenant`. Under `--trace=all` the faults figure streams each
 //! cell's structured trace straight to `TRACE_obs_faults_cell<i>.txt`
-//! instead of buffering it in memory (so no Chrome export is produced for
-//! streamed cells). A replication that panics does not abort the sweep:
+//! instead of buffering it in memory (so no Chrome export or other
+//! projection is produced for streamed cells). A replication that panics does not abort the sweep:
 //! the surviving cells complete and the failed units are written to
 //! `BENCH_<figure>_quarantine.json` with their cell, policy, replication
 //! index, and seed.
 
 use bench::driver::{
-    metrics_json, perf_json, profile_json, quarantine_json, run_figure, DriverConfig,
-    FIGURES,
+    metrics_json, perf_json, profile_json, quarantine_json, run_figure, trace_files,
+    DriverConfig, FIGURES,
 };
-use pmm_core::obs;
+use pmm_core::obs::{self, TraceKind};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -112,6 +111,26 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
+/// The kind mask of `--trace=<kinds>`: a comma list over
+/// `all|arrivals|pmm`. An empty or unknown kind is an error.
+fn trace_mask(kinds: &str) -> Result<u16, String> {
+    let mut mask = 0;
+    for kind in kinds.split(',') {
+        mask |= match kind {
+            "all" => TraceKind::ALL,
+            "arrivals" => TraceKind::ArrivalGap.bit(),
+            "pmm" => TraceKind::PolicyDecision.bit(),
+            _ => {
+                return Err(format!(
+                    "invalid trace kind {kind:?} in --trace={kinds}; expected a \
+                     comma list over all|arrivals|pmm"
+                ))
+            }
+        };
+    }
+    Ok(mask)
+}
+
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -120,6 +139,8 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     // Strict scan: collect `--figure` values, reject unknown flags and stray
     // positionals (a bare figure name would otherwise be silently dropped).
     let mut figures: Vec<String> = Vec::new();
+    let mut trace = 0;
+    let mut bare_trace = false;
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -129,13 +150,14 @@ fn run_driver(args: &[String]) -> Result<(), String> {
                 _ => return Err("--figure requires a value".into()),
             }
             i += 2;
-        } else if a == "--smoke"
-            || a == "--record-arrivals"
-            || a == "--record-pmm-decisions"
-            || a == "--trace"
-            || a == "--metrics"
-            || a == "--profile"
-        {
+        } else if a == "--trace" {
+            trace |= TraceKind::ALL;
+            bare_trace = true;
+            i += 1;
+        } else if let Some(kinds) = a.strip_prefix("--trace=") {
+            trace |= trace_mask(kinds)?;
+            i += 1;
+        } else if a == "--smoke" || a == "--metrics" || a == "--profile" {
             i += 1;
         } else if VALUE_FLAGS.contains(&a.as_str()) {
             if args.get(i + 1).is_none() {
@@ -164,10 +186,9 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         threads: parse_flag(args, "--threads", default_threads())?,
         secs: parse_flag(args, "--secs", if smoke { 300.0 } else { 3_600.0 })?,
         master_seed: parse_flag(args, "--master-seed", 1994)?,
-        record_arrivals: args.iter().any(|a| a == "--record-arrivals"),
-        record_pmm_decisions: args.iter().any(|a| a == "--record-pmm-decisions"),
-        trace: args.iter().any(|a| a == "--trace"),
-        metrics: args.iter().any(|a| a == "--metrics"),
+        trace,
+        // A bare `--trace` is `--trace=all --metrics`.
+        metrics: bare_trace || args.iter().any(|a| a == "--metrics"),
         profile: args.iter().any(|a| a == "--profile"),
         stream_dir: None,
     };
@@ -187,10 +208,10 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     for figure in &figures {
         let started = std::time::Instant::now();
         let mut fig_cfg = cfg.clone();
-        // The faults sweep streams its structured traces to disk as the
-        // runs progress — fault storms under Full tracing would otherwise
-        // buffer large rings per cell.
-        let streamed = figure == "faults" && fig_cfg.trace && !fig_cfg.record_arrivals;
+        // The faults sweep streams its full traces to disk as the runs
+        // progress — fault storms would otherwise buffer large record
+        // streams per cell.
+        let streamed = figure == "faults" && fig_cfg.trace == TraceKind::ALL;
         if streamed {
             fig_cfg.stream_dir = Some(out_dir.clone());
         }
@@ -210,82 +231,20 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             result.perf.sim_s_per_wall_s(),
             result.perf.events_per_sec(),
         );
-        // Recorded arrival traces: one whitespace/comment text file per
-        // cell and class, in the exact format `Trace::from_file` parses.
-        for t in &result.traces {
-            let trace_path = out_dir.join(format!(
-                "TRACE_{figure}_cell{}_class{}.txt",
-                t.cell, t.class
-            ));
-            let mut body = format!(
-                "# {figure} cell {} (x={:?}, policy={}) class {} — replication 0 \
-                 inter-arrival gaps (s)\n",
-                t.cell, t.x, t.policy, t.class
-            );
-            for g in &t.gaps {
-                body.push_str(&format!("{g:?}\n"));
-            }
-            std::fs::write(&trace_path, body)
-                .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
-        }
-        if !result.traces.is_empty() {
-            println!(
-                "wrote {} arrival trace file(s) (replayable via ArrivalSpec::Trace)",
-                result.traces.len()
-            );
-        }
-        // PMM decision traces (Figure 15): one text file per cell whose
-        // policy took adaptive decisions, in the Figures 6/15 layout.
-        for t in &result.pmm_traces {
-            let trace_path =
-                out_dir.join(format!("TRACE_pmm_{figure}_cell{}.txt", t.cell));
-            let mut body = format!(
-                "# {figure} cell {} (x={:?}, policy={}) — replication 0 PMM \
-                 decision trace: t_secs mode target_mpl\n",
-                t.cell, t.x, t.policy
-            );
-            for p in &t.points {
-                body.push_str(&format!(
-                    "{:?} {} {}\n",
-                    p.at.as_secs_f64(),
-                    p.mode,
-                    p.target_mpl.map_or("-".into(), |m| m.to_string())
-                ));
-            }
-            std::fs::write(&trace_path, body)
-                .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
-        }
-        if !result.pmm_traces.is_empty() {
-            println!(
-                "wrote {} PMM decision trace file(s) (Figure 15 series)",
-                result.pmm_traces.len()
-            );
-        }
-        // Structured observability artifacts (--trace): the rendered text
-        // trace per cell, the seed-merged metrics registry, and a Chrome
-        // trace-event export of cell 0 for chrome://tracing / Perfetto.
+        // Each projection of replication 0's recorded trace: the rendered
+        // structured trace and Chrome export, the arrival-gap streams, the
+        // PMM decision series — as far as the recorded kinds allow.
+        let mut written = 0;
         for t in &result.obs_traces {
-            let trace_path =
-                out_dir.join(format!("TRACE_obs_{figure}_cell{}.txt", t.cell));
-            let mut body = format!(
-                "# {figure} cell {} (x={:?}, policy={}) — replication 0 \
-                 structured sim-time trace\n",
-                t.cell, t.x, t.policy
-            );
-            body.push_str(&obs::render_text(&t.records));
-            std::fs::write(&trace_path, body)
-                .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
+            for (name, body) in trace_files(figure, cfg.trace, t) {
+                let trace_path = out_dir.join(name);
+                std::fs::write(&trace_path, body)
+                    .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
+                written += 1;
+            }
         }
-        if let Some(t) = result.obs_traces.first() {
-            let chrome_path = out_dir.join(format!("CHROME_{figure}_cell0.json"));
-            std::fs::write(&chrome_path, obs::chrome_trace_json(&t.records))
-                .map_err(|e| format!("cannot write {}: {e}", chrome_path.display()))?;
-            println!(
-                "wrote {} structured trace file(s) and {} (Chrome trace-event \
-                 export)",
-                result.obs_traces.len(),
-                chrome_path.display()
-            );
+        if written > 0 {
+            println!("wrote {written} trace file(s) to {}", out_dir.display());
         }
         if !result.metrics.is_empty() {
             let metrics_path = out_dir.join(format!("BENCH_{figure}_metrics.json"));

@@ -19,7 +19,7 @@
 use crate::make_policy_for;
 use pmm_core::obs;
 use pmm_core::prelude::*;
-use pmm_core::rtdbs::WindowPoint;
+use pmm_core::rtdbs::{arrival_gaps, WindowPoint};
 use pmm_core::simkit::metrics::BatchMeans;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -267,41 +267,31 @@ pub struct DriverConfig {
     pub secs: f64,
     /// Master seed the per-replication streams derive from.
     pub master_seed: u64,
-    /// Record replication 0's inter-arrival gaps per cell into
-    /// [`FigureResult::traces`], replayable via `workload::Trace`
-    /// (`--record-arrivals`). Metric-only: the merged JSON is unaffected.
-    pub record_arrivals: bool,
-    /// Collect replication 0's PMM decision trace per cell into
-    /// [`FigureResult::pmm_traces`] (`--record-pmm-decisions`) — the
-    /// Figure 15 series the merged JSON drops. Metric-only: the points are
-    /// the policy's decision trace every [`RunReport`] carries.
-    pub record_pmm_decisions: bool,
-    /// Enable the observability subsystem (`--trace`): replication 0 of
-    /// every cell records a full structured sim-time trace into
-    /// [`FigureResult::obs_traces`], and every replication collects the
-    /// metrics registry, merged per cell in seed order into
-    /// [`FigureResult::metrics`]. Metric-only: the merged
-    /// `BENCH_<figure>.json` is unaffected.
-    pub trace: bool,
-    /// Collect the metrics registry on every replication (`--metrics`)
-    /// *without* structured tracing: [`FigureResult::metrics`] is populated
-    /// exactly as under [`DriverConfig::trace`], but no replication buffers
-    /// (or streams) a record-level trace. This is the long-horizon
-    /// configuration — `BENCH_<figure>_metrics.json` over tens of thousands
-    /// of sim-seconds with O(registry) memory instead of O(events). Implied
-    /// by [`DriverConfig::trace`]; metric-only like it.
+    /// The trace kinds replication 0 of every cell records into
+    /// [`FigureResult::obs_traces`] (`--trace=<kinds>`), as an
+    /// [`obs::TraceKind`] mask: 0 records nothing, [`obs::TraceKind::ALL`]
+    /// the full structured sim-time trace. [`trace_files`] turns a
+    /// recording into the artifacts its kinds allow: the rendered trace,
+    /// the arrival-gap streams, the PMM decision series. Metric-only: the
+    /// merged `BENCH_<figure>.json` is unaffected.
+    pub trace: u16,
+    /// Collect the metrics registry on every replication (`--metrics`),
+    /// merged per cell in seed order into [`FigureResult::metrics`]. Its
+    /// memory is O(registry), not O(events), so it is the long-horizon
+    /// configuration. Metric-only, and independent of
+    /// [`DriverConfig::trace`].
     pub metrics: bool,
     /// Enable engine self-profiling (`--profile`): wall-clock attribution
     /// per subsystem, aggregated over all replications into
     /// [`FigureResult::profile`]. Machine-dependent — never byte-diffed.
     pub profile: bool,
-    /// Stream replication 0's structured trace of every cell to
+    /// Stream replication 0's recorded trace of every cell to
     /// `TRACE_obs_<figure>_cell<i>.txt` under this directory *while the run
     /// executes* instead of buffering the full record stream in memory
-    /// (long `--trace` runs). Only effective with [`DriverConfig::trace`];
-    /// ignored when arrival or PMM-decision recording needs the in-memory
-    /// records back. Streamed cells are absent from
-    /// [`FigureResult::obs_traces`] — their bytes are already on disk.
+    /// (long `--trace` runs). Only effective with a non-zero
+    /// [`DriverConfig::trace`]. Streamed cells are absent from
+    /// [`FigureResult::obs_traces`] — their bytes are already on disk, and
+    /// no other projection is made from them.
     pub stream_dir: Option<std::path::PathBuf>,
 }
 
@@ -312,9 +302,7 @@ impl Default for DriverConfig {
             threads: 1,
             secs: 3_600.0,
             master_seed: 1994,
-            record_arrivals: false,
-            record_pmm_decisions: false,
-            trace: false,
+            trace: 0,
             metrics: false,
             profile: false,
             stream_dir: None,
@@ -440,43 +428,9 @@ fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
         .collect()
 }
 
-/// One recorded arrival trace: replication 0's inter-arrival gaps for one
-/// class of one cell, replayable through `workload::Trace` /
-/// `ArrivalSpec::Trace { gaps, repeat: false }`.
-#[derive(Clone, Debug)]
-pub struct RecordedTrace {
-    /// Cell index in the figure's canonical order.
-    pub cell: usize,
-    /// The cell's swept parameter.
-    pub x: f64,
-    /// The cell's policy.
-    pub policy: String,
-    /// Workload class index within the cell's config.
-    pub class: usize,
-    /// Inter-arrival gaps in seconds, in arrival order.
-    pub gaps: Vec<f64>,
-}
-
-/// One recorded PMM decision trace: replication 0's
-/// [`pmm_core::pmm::TracePoint`] series
-/// for one cell — the strategy-mode / target-MPL decisions Figures 6 and
-/// 15 plot, which the merged `BENCH_<figure>.json` deliberately drops.
-#[derive(Clone, Debug)]
-pub struct RecordedPmmTrace {
-    /// Cell index in the figure's canonical order.
-    pub cell: usize,
-    /// The cell's swept parameter.
-    pub x: f64,
-    /// The cell's policy.
-    pub policy: String,
-    /// Replication 0's decision points, in simulation order.
-    pub points: Vec<pmm_core::pmm::TracePoint>,
-}
-
-/// One cell's recorded structured trace: replication 0's full sim-time
-/// record stream (arrivals through departures, policy decisions, batch
-/// boundaries), rendered by the binary as `TRACE_obs_<figure>_cell<i>.txt`
-/// and exportable to Chrome trace-event JSON.
+/// One cell's recorded trace: replication 0's records of the kinds in
+/// [`DriverConfig::trace`], from which [`trace_files`] makes every
+/// projection.
 #[derive(Clone, Debug)]
 pub struct RecordedObsTrace {
     /// Cell index in the figure's canonical order.
@@ -485,8 +439,79 @@ pub struct RecordedObsTrace {
     pub x: f64,
     /// The cell's policy.
     pub policy: String,
+    /// Workload classes in the cell's config (one arrival-gap stream each).
+    pub classes: usize,
     /// Replication 0's trace records, chronological.
     pub records: Vec<obs::TraceRecord>,
+}
+
+/// The artifact files one cell's recording projects to, as
+/// `(file name, body)` pairs — one per projection whose kind `mask`
+/// recorded:
+///
+/// - the full mask ([`obs::TraceKind::ALL`]): the rendered structured trace
+///   `TRACE_obs_<figure>_cell<i>.txt`, plus the Chrome trace-event export
+///   `CHROME_<figure>_cell0.json` for cell 0;
+/// - [`obs::TraceKind::ArrivalGap`]: one `TRACE_<figure>_cell<i>_class<j>.txt`
+///   per workload class, in the exact format `workload::Trace::from_file`
+///   parses (replayable via `ArrivalSpec::Trace`);
+/// - [`obs::TraceKind::PolicyDecision`]: the Figures 6/15 decision series
+///   `TRACE_pmm_<figure>_cell<i>.txt`, skipped for a cell whose policy
+///   decided nothing (the static baselines).
+pub fn trace_files(
+    figure: &str,
+    mask: u16,
+    t: &RecordedObsTrace,
+) -> Vec<(String, String)> {
+    let (c, x, policy) = (t.cell, t.x, &t.policy);
+    let mut files = Vec::new();
+    if mask == obs::TraceKind::ALL {
+        let mut body = format!(
+            "# {figure} cell {c} (x={x:?}, policy={policy}) — replication 0 \
+             structured sim-time trace\n"
+        );
+        body.push_str(&obs::render_text(&t.records));
+        files.push((format!("TRACE_obs_{figure}_cell{c}.txt"), body));
+        if c == 0 {
+            files.push((
+                format!("CHROME_{figure}_cell0.json"),
+                obs::chrome_trace_json(&t.records),
+            ));
+        }
+    }
+    if mask & obs::TraceKind::ArrivalGap.bit() != 0 {
+        for (class, gaps) in arrival_gaps(&t.records, t.classes).iter().enumerate() {
+            let mut body = format!(
+                "# {figure} cell {c} (x={x:?}, policy={policy}) class {class} — \
+                 replication 0 inter-arrival gaps (s)\n"
+            );
+            for g in gaps {
+                body.push_str(&format!("{g:?}\n"));
+            }
+            files.push((format!("TRACE_{figure}_cell{c}_class{class}.txt"), body));
+        }
+    }
+    if mask & obs::TraceKind::PolicyDecision.bit() != 0 {
+        let mut body = format!(
+            "# {figure} cell {c} (x={x:?}, policy={policy}) — replication 0 PMM \
+             decision trace: t_secs mode target_mpl\n"
+        );
+        let mut decided = false;
+        for r in &t.records {
+            if let obs::TraceEvent::PolicyDecision { mode, target_mpl } = r.event {
+                decided = true;
+                body.push_str(&format!(
+                    "{:?} {mode} {}\n",
+                    r.at.as_secs_f64(),
+                    target_mpl.map_or("-".into(), |m| m.to_string())
+                ));
+            }
+        }
+        if decided {
+            files.push((format!("TRACE_pmm_{figure}_cell{c}.txt"), body));
+        }
+    }
+    files
 }
 
 /// One cell's metrics registry, merged over the replications in seed order
@@ -682,20 +707,12 @@ pub struct FigureResult {
     pub cells: Vec<MergedCell>,
     /// Wall-clock perf readings (kept out of the deterministic JSON).
     pub perf: FigurePerf,
-    /// Replication 0's recorded arrival traces per cell and class (empty
-    /// unless [`DriverConfig::record_arrivals`] is set; kept out of the
-    /// merged JSON — the binary writes them as separate `TRACE_*` files).
-    pub traces: Vec<RecordedTrace>,
-    /// Replication 0's PMM decision traces per cell (empty unless
-    /// [`DriverConfig::record_pmm_decisions`] is set; cells whose policy
-    /// produced no decisions — the static baselines — are skipped). The
-    /// binary writes them as `TRACE_pmm_<figure>_cell<i>.txt`.
-    pub pmm_traces: Vec<RecordedPmmTrace>,
-    /// Replication 0's structured traces per cell (empty unless
-    /// [`DriverConfig::trace`] is set; kept out of the merged JSON).
+    /// Replication 0's recorded trace per cell (empty unless
+    /// [`DriverConfig::trace`] is non-zero, and for streamed cells; kept
+    /// out of the merged JSON — [`trace_files`] projects them to files).
     pub obs_traces: Vec<RecordedObsTrace>,
     /// Per-cell merged metrics registries (empty unless
-    /// [`DriverConfig::trace`] or [`DriverConfig::metrics`] is set).
+    /// [`DriverConfig::metrics`] is set).
     /// Serialized by [`metrics_json`] —
     /// byte-identical across thread counts, like the figure JSON.
     pub metrics: Vec<CellMetrics>,
@@ -744,8 +761,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     let seeds: Vec<u64> = (0..cfg.seeds)
         .map(|rep| replication_seed(cfg.master_seed, rep))
         .collect();
-    // Streaming applies only when nothing needs the in-memory records back.
-    let streaming = cfg.stream_dir.is_some() && cfg.trace && !cfg.record_arrivals;
+    let streaming = cfg.stream_dir.is_some() && cfg.trace != 0;
 
     // One unit per (cell, replication); results land in a pre-sized table so
     // merge order is independent of which worker ran which unit.
@@ -763,13 +779,11 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         sim.duration_secs = cfg.secs;
         sim.seed = seeds[s];
         // Traces are per cell, not per replication: replication 0 is the
-        // canonical recording (its seed derivation is stable).
-        sim.record_arrivals = cfg.record_arrivals && s == 0;
-        // Structured traces follow the same convention. Metrics are
+        // canonical recording (its seed derivation is stable). Metrics are
         // collected on *every* replication so the per-cell merge spans all
         // seeds.
-        if s == 0 && cfg.trace {
-            sim.obs.trace = TraceMode::Full;
+        if s == 0 {
+            sim.obs.trace = cfg.trace;
             if streaming {
                 if let Some(dir) = &cfg.stream_dir {
                     sim.obs.trace_path =
@@ -777,7 +791,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 }
             }
         }
-        sim.obs.metrics = cfg.trace || cfg.metrics;
+        sim.obs.metrics = cfg.metrics;
         sim.obs.profile = cfg.profile;
         // Device-sweep cells fold a device × eviction choice into the
         // policy name, fault-sweep cells a degradation mode; all other
@@ -821,9 +835,12 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         });
     }
 
+    // Reports move out of the table: a traced replication 0's records are
+    // carried into the cell's recording without a copy.
+    let mut results = results
+        .into_iter()
+        .map(|r| r.into_inner().expect("all units completed"));
     let mut perf = FigurePerf::default();
-    let mut traces: Vec<RecordedTrace> = Vec::new();
-    let mut pmm_traces: Vec<RecordedPmmTrace> = Vec::new();
     let mut obs_traces: Vec<RecordedObsTrace> = Vec::new();
     let mut metrics: Vec<CellMetrics> = Vec::new();
     let mut profile: Option<obs::ProfileReport> = None;
@@ -838,64 +855,36 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
             // land in the quarantine instead, in cell-major / replication-
             // minor order — deterministic regardless of worker count.
             let mut reports: Vec<RunReport> = Vec::with_capacity(seeds.len());
-            for s in 0..seeds.len() {
-                match results[c * seeds.len() + s]
-                    .get()
-                    .expect("all units completed")
-                {
+            for (s, &seed) in seeds.iter().enumerate() {
+                match results.next().expect("one result per unit") {
                     Ok((report, wall)) => {
                         wall_secs += wall;
-                        reports.push(report.clone());
+                        reports.push(report);
                     }
                     Err(message) => quarantine.push(QuarantinedUnit {
                         cell: c,
                         x: cell.x,
                         policy: cell.policy.clone(),
                         rep: s as u64,
-                        seed: seeds[s],
-                        message: message.clone(),
+                        seed,
+                        message,
                     }),
                 }
             }
-            if cfg.record_arrivals {
-                if let Some(first) = reports.first() {
-                    for (class, gaps) in first.arrival_gaps.iter().enumerate() {
-                        traces.push(RecordedTrace {
-                            cell: c,
-                            x: cell.x,
-                            policy: cell.policy.clone(),
-                            class,
-                            gaps: gaps.clone(),
-                        });
-                    }
-                }
-            }
-            if cfg.record_pmm_decisions {
-                // Replication 0 is the canonical recording, mirroring the
-                // arrival traces; static policies decide nothing and are
-                // skipped.
-                if let Some(first) = reports.first().filter(|r| !r.trace.is_empty()) {
-                    pmm_traces.push(RecordedPmmTrace {
-                        cell: c,
-                        x: cell.x,
-                        policy: cell.policy.clone(),
-                        points: first.trace.clone(),
-                    });
-                }
-            }
-            if cfg.trace && !streaming {
+            if cfg.trace != 0 && !streaming {
                 // Streamed cells wrote their trace bytes to disk as the run
                 // progressed; there is no in-memory copy to carry here.
-                if let Some(first) = reports.first() {
+                if let Some(first) = reports.first_mut() {
                     obs_traces.push(RecordedObsTrace {
                         cell: c,
                         x: cell.x,
                         policy: cell.policy.clone(),
-                        records: first.obs_trace.clone(),
+                        classes: first.classes.len(),
+                        records: std::mem::take(&mut first.obs_trace),
                     });
                 }
             }
-            if cfg.trace || cfg.metrics {
+            if cfg.metrics {
                 let per_seed: Vec<&obs::MetricsReport> =
                     reports.iter().filter_map(|r| r.metrics.as_ref()).collect();
                 metrics.push(CellMetrics {
@@ -948,8 +937,6 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         config: cfg,
         cells,
         perf,
-        traces,
-        pmm_traces,
         obs_traces,
         metrics,
         profile,
@@ -1615,65 +1602,77 @@ mod tests {
     fn pmm_decision_traces_are_recorded_on_request() {
         // Off by default: the merged JSON keeps dropping the Figure 15
         // series unless the caller opts in.
-        assert!(!DriverConfig::default().record_pmm_decisions);
+        assert_eq!(DriverConfig::default().trace, 0);
         let cfg = DriverConfig {
             seeds: 1,
             threads: 1,
             secs: 1_500.0,
             master_seed: 1994,
-            record_pmm_decisions: true,
+            trace: obs::TraceKind::PolicyDecision.bit(),
             ..DriverConfig::default()
         };
         let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
+        assert_eq!(r.obs_traces.len(), 3, "one recording per cell");
+        assert!(
+            r.obs_traces
+                .iter()
+                .flat_map(|t| &t.records)
+                .all(|rec| rec.event.kind() == obs::TraceKind::PolicyDecision),
+            "the mask keeps only policy decisions"
+        );
+        let files: Vec<(String, String)> = r
+            .obs_traces
+            .iter()
+            .flat_map(|t| trace_files("fig12", cfg.trace, t))
+            .collect();
         assert_eq!(
-            r.pmm_traces.len(),
+            files.len(),
             1,
             "exactly the PMM cell produces decisions; static baselines trace \
              nothing"
         );
-        let t = &r.pmm_traces[0];
-        assert_eq!(t.policy, "PMM");
         assert_eq!(
-            t.cell, 2,
+            files[0].0, "TRACE_pmm_fig12_cell2.txt",
             "fig12's canonical cell order is Max, MinMax, PMM"
         );
-        assert!(!t.points.is_empty(), "decision trace carries points");
-        for w in t.points.windows(2) {
-            assert!(w[0].at <= w[1].at, "decisions are in simulation order");
+        // The body is replication 0's `RunReport::trace` in the Figures
+        // 6/15 layout.
+        let spec = figure_spec("fig12").expect("fig12 exists");
+        let cell = &spec.cells[2];
+        assert_eq!(cell.policy, "PMM");
+        let mut sim = cell_config(&spec, cell.x);
+        sim.duration_secs = cfg.secs;
+        sim.seed = replication_seed(cfg.master_seed, 0);
+        let report = run_simulation(sim.clone(), make_policy_for(&sim, &cell.policy));
+        assert!(!report.trace.is_empty(), "decision trace carries points");
+        let mut want = format!(
+            "# fig12 cell 2 (x={:?}, policy=PMM) — replication 0 PMM decision \
+             trace: t_secs mode target_mpl\n",
+            cell.x
+        );
+        for p in &report.trace {
+            want.push_str(&format!(
+                "{:?} {} {}\n",
+                p.at.as_secs_f64(),
+                p.mode,
+                p.target_mpl.map_or("-".into(), |m| m.to_string())
+            ));
         }
-        // Needing no trace sink, the recording reads the report's decision
-        // trace: with the structured trace on too, the points are exactly
-        // its `PolicyDecision` records.
-        let traced = DriverConfig {
-            trace: true,
+        assert_eq!(files[0].1, want);
+        // The full trace projects the same file, and the recording is
+        // metric-only: the merged cells are byte-identical to a run
+        // without it.
+        let full = DriverConfig {
+            trace: obs::TraceKind::ALL,
             ..cfg.clone()
         };
-        let traced = run_figure("fig12", traced).expect("traced rerun");
-        let decisions: Vec<pmm_core::pmm::TracePoint> = traced.obs_traces[t.cell]
-            .records
-            .iter()
-            .filter_map(|r| match r.event {
-                obs::TraceEvent::PolicyDecision { mode, target_mpl } => {
-                    Some(pmm_core::pmm::TracePoint {
-                        at: r.at,
-                        mode: mode.into(),
-                        target_mpl,
-                    })
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(traced.pmm_traces.len(), 1);
-        assert_eq!(traced.pmm_traces[0].points, decisions);
-        assert_eq!(traced.pmm_traces[0].points, t.points);
-        // The recording is metric-only: the merged cells are byte-identical
-        // to a run without it.
-        let off = DriverConfig {
-            record_pmm_decisions: false,
-            ..cfg
-        };
-        let plain = run_figure("fig12", off).expect("rerun");
-        assert!(plain.pmm_traces.is_empty());
+        let full = run_figure("fig12", full).expect("traced rerun");
+        assert!(
+            trace_files("fig12", obs::TraceKind::ALL, &full.obs_traces[2])
+                .contains(&files[0])
+        );
+        let plain = run_figure("fig12", DriverConfig { trace: 0, ..cfg }).expect("rerun");
+        assert!(plain.obs_traces.is_empty());
         assert_eq!(plain.to_json(), r.to_json());
     }
 
@@ -1684,7 +1683,8 @@ mod tests {
             threads: 1,
             secs: 300.0,
             master_seed: 1994,
-            trace: true,
+            trace: obs::TraceKind::ALL,
+            metrics: true,
             profile: true,
             ..DriverConfig::default()
         };
@@ -1715,7 +1715,8 @@ mod tests {
         // Observability is metric-only: the merged figure JSON is
         // unaffected, and everything stays empty when it is off.
         let off = DriverConfig {
-            trace: false,
+            trace: 0,
+            metrics: false,
             profile: false,
             ..cfg.clone()
         };
@@ -1753,7 +1754,7 @@ mod tests {
         let traced = run_figure(
             "fig12",
             DriverConfig {
-                trace: true,
+                trace: obs::TraceKind::ALL,
                 ..cfg.clone()
             },
         )

@@ -3,6 +3,8 @@
 //! which worker ran which replication.
 
 use bench::driver::{run_figure, DriverConfig};
+use pmm_core::obs::TraceKind;
+use pmm_core::rtdbs::arrival_gaps;
 
 /// A parallel 4-thread run over N seeds produces byte-identical merged JSON
 /// to the serial run over the same seeds.
@@ -195,7 +197,7 @@ fn devices_json_matches_serial_and_covers_grid() {
     );
 }
 
-/// `--record-arrivals`: replication 0's gaps are captured per cell and
+/// `--trace=arrivals`: replication 0's gaps are captured per cell and
 /// class, replay exactly through `workload::Trace`, and do not perturb the
 /// merged JSON.
 #[test]
@@ -208,11 +210,11 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
         ..DriverConfig::default()
     };
     let plain = run_figure("fig11", base.clone()).expect("plain run");
-    assert!(plain.traces.is_empty(), "recording is off by default");
+    assert!(plain.obs_traces.is_empty(), "recording is off by default");
     let recorded = run_figure(
         "fig11",
         DriverConfig {
-            record_arrivals: true,
+            trace: TraceKind::ArrivalGap.bit(),
             ..base
         },
     )
@@ -223,18 +225,20 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
         "recording must not perturb the merged JSON"
     );
     assert_eq!(
-        recorded.traces.len(),
+        recorded.obs_traces.len(),
         recorded.cells.len(),
-        "one single-class trace per cell"
+        "one recording per cell"
     );
-    for t in &recorded.traces {
-        assert_eq!(t.class, 0);
-        assert!(!t.gaps.is_empty(), "cell {} recorded no gaps", t.cell);
+    for t in &recorded.obs_traces {
+        assert_eq!(t.classes, 1, "fig11 cells run one class");
+        let gaps = arrival_gaps(&t.records, t.classes).remove(0);
+        assert!(!gaps.is_empty(), "cell {} recorded no gaps", t.cell);
+        assert_eq!(gaps.len(), t.records.len(), "the mask keeps only gaps");
         // The recorded gaps replay through the Trace process exactly.
-        let mut trace = pmm_core::workload::Trace::from_gaps(t.gaps.clone(), false);
+        let mut trace = pmm_core::workload::Trace::from_gaps(gaps.clone(), false);
         let mut rng = pmm_core::simkit::Rng::new(1);
         use pmm_core::workload::ArrivalProcess;
-        for (i, &g) in t.gaps.iter().enumerate() {
+        for (i, &g) in gaps.iter().enumerate() {
             let replayed = trace
                 .next_interarrival(&mut rng)
                 .unwrap_or_else(|| panic!("gap {i} missing"));
@@ -259,7 +263,8 @@ fn trace_artifacts_are_thread_count_invariant() {
         threads: 1,
         secs: 300.0,
         master_seed: 1994,
-        trace: true,
+        trace: TraceKind::ALL,
+        metrics: true,
         ..DriverConfig::default()
     };
     let serial = run_figure("fig12", base.clone()).expect("serial run");
@@ -296,14 +301,7 @@ fn trace_artifacts_are_thread_count_invariant() {
     );
     // A trace run leaves the figure JSON identical to a no-trace run: the
     // observability path never perturbs the simulation.
-    let off = run_figure(
-        "fig12",
-        DriverConfig {
-            trace: false,
-            ..base
-        },
-    )
-    .expect("plain run");
+    let off = run_figure("fig12", DriverConfig { trace: 0, ..base }).expect("plain run");
     assert_eq!(off.to_json(), serial.to_json());
 }
 

@@ -29,7 +29,7 @@ pub use workload;
 /// Everything a typical experiment needs.
 pub mod prelude {
     pub use exec::{ExecConfig, ExternalSort, HashJoin, Operator};
-    pub use obs::{ObsConfig, TraceEvent, TraceMode};
+    pub use obs::{ObsConfig, TraceEvent, TraceKind};
     pub use pmm::{
         MaxPolicy, MemoryPolicy, MinMaxPolicy, PartitionSpec, PartitionedPolicy, Pmm,
         PmmParams, ProportionalPolicy, SnapshotOnly, StrategyMode, TenantPmm,

@@ -3,9 +3,10 @@
 //! Four pieces, all independent of the engine so every crate can use them:
 //!
 //! 1. **Tracing** ([`trace`]): typed [`TraceEvent`] records stamped in
-//!    *virtual* time, written through a pluggable [`Tracer`] whose sink is a
-//!    null device (compiles to one load+test+branch on the hot path), a
-//!    fixed-capacity ring-buffer flight recorder, or a full in-memory log.
+//!    *virtual* time, written through a [`Tracer`] whose event-kind mask
+//!    picks what is kept. Its sink is a null device (compiles to one
+//!    load+test+branch on the hot path), a full in-memory log, or a file
+//!    the records stream to.
 //! 2. **Metrics** ([`metrics`]): a registry of named counters, gauges, and
 //!    fixed-bucket histograms with windowed counter-delta snapshots that
 //!    reuse the fig12 window boundaries.
@@ -39,16 +40,14 @@ pub use trace::{
 ///
 /// The default is everything off: no trace records, no metrics registry,
 /// no profiling, and a golden report byte-identical to the pre-obs engine.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Trace sink mode for this run.
-    pub trace: TraceMode,
-    /// Capacity (records) of the ring-buffer flight recorder. Only used
-    /// when `trace == TraceMode::Ring`; must be non-zero then.
-    pub ring_capacity: usize,
-    /// Stream trace records to this file incrementally (rendered text,
-    /// one line per record, appended) instead of buffering the full run
-    /// in memory. Only honored when `trace != TraceMode::Off`; the run's
+    /// The event kinds to record, as a [`TraceKind`] bit mask: 0 records
+    /// nothing (null sink), [`TraceKind::ALL`] the full trace.
+    pub trace: u16,
+    /// Stream the recorded kinds to this file incrementally (rendered
+    /// text, one line per record, appended) instead of buffering the run
+    /// in memory. Only honored with a non-zero `trace` mask; the run's
     /// in-memory trace then stays empty.
     pub trace_path: Option<std::path::PathBuf>,
     /// Enable the metrics registry (counters/gauges/histograms with
@@ -56,27 +55,4 @@ pub struct ObsConfig {
     pub metrics: bool,
     /// Enable wall-clock self-profiling of engine subsystems.
     pub profile: bool,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            trace: TraceMode::Off,
-            ring_capacity: 4096,
-            trace_path: None,
-            metrics: false,
-            profile: false,
-        }
-    }
-}
-
-/// Which trace sink a run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceMode {
-    /// Null sink: `Tracer::emit` is a single masked branch, no storage.
-    Off,
-    /// Flight recorder: keep only the most recent `ring_capacity` records.
-    Ring,
-    /// Full log: keep every record for the whole run.
-    Full,
 }

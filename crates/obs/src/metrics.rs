@@ -168,11 +168,6 @@ impl MetricsRegistry {
         self.counters[id.0].value = value;
     }
 
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].value
-    }
-
     /// Set a gauge to its latest observed value.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, value: f64) {

@@ -1,12 +1,11 @@
 //! Sim-time tracing: typed events, a pluggable sink, and a text renderer.
 //!
-//! A [`Tracer`] owns an event-kind bitmask and a sink (null, ring, or
-//! full, per [`TraceMode`]). `emit` is
+//! A [`Tracer`] owns an event-kind bitmask and a sink (null, in-memory
+//! log, or file stream). `emit` is
 //! `#[inline]` and checks the mask first, so a disabled tracer costs one
 //! load, test, and (not-taken) branch per call site — the "compiles to
-//! nothing on the hot path" null sink the flight-recorder design calls for.
+//! nothing on the hot path" null sink.
 
-use crate::{ObsConfig, TraceMode};
 use simkit::{Duration, SimTime};
 
 /// Event categories, one bit each, for the tracer's enable mask.
@@ -129,7 +128,8 @@ pub enum TraceEvent {
         class: u32,
     },
     /// An inter-arrival gap was drawn (recorded even when the resulting
-    /// arrival falls past the horizon, matching `--record-arrivals`).
+    /// arrival falls past the horizon, so a recorded stream replays every
+    /// draw).
     ArrivalGap {
         /// Workload class index.
         class: u32,
@@ -275,12 +275,6 @@ struct FileSink {
 enum Sink {
     /// Drop everything (the mask is zero too, so `emit` never reaches here).
     Null,
-    /// Fixed-capacity circular buffer keeping the most recent records.
-    Ring {
-        buf: Vec<TraceRecord>,
-        head: usize,
-        cap: usize,
-    },
     /// Unbounded in-memory log.
     Full(Vec<TraceRecord>),
     /// Streaming file sink: write each record out incrementally.
@@ -309,37 +303,16 @@ impl Tracer {
         }
     }
 
-    /// Build from an [`ObsConfig`]: all kinds enabled unless the mode is
-    /// `Off`.
-    pub fn new(cfg: &ObsConfig) -> Self {
-        let mask = match cfg.trace {
-            TraceMode::Off => 0,
-            _ => TraceKind::ALL,
-        };
-        Tracer::with_mask(cfg.trace, cfg.ring_capacity, mask)
-    }
-
-    /// Build with an explicit enable mask (bits from [`TraceKind::bit`]).
-    /// A zero mask forces the null sink regardless of `mode`.
-    pub fn with_mask(mode: TraceMode, ring_capacity: usize, mask: u16) -> Self {
-        let sink = if mask == 0 {
-            Sink::Null
-        } else {
-            match mode {
-                TraceMode::Off => Sink::Null,
-                TraceMode::Ring => Sink::Ring {
-                    buf: Vec::with_capacity(ring_capacity.min(1 << 20)),
-                    head: 0,
-                    cap: ring_capacity.max(1),
-                },
-                TraceMode::Full => Sink::Full(Vec::new()),
-            }
-        };
-        let mask = match sink {
-            Sink::Null => 0,
-            _ => mask,
-        };
-        Tracer { mask, sink }
+    /// Build an in-memory tracer keeping every record whose kind is in
+    /// `mask` (bits from [`TraceKind::bit`]). A zero mask is the null sink.
+    pub fn with_mask(mask: u16) -> Self {
+        if mask == 0 {
+            return Tracer::off();
+        }
+        Tracer {
+            mask,
+            sink: Sink::Full(Vec::new()),
+        }
     }
 
     /// Build a streaming tracer: records are rendered with the
@@ -403,14 +376,6 @@ impl Tracer {
     fn push(&mut self, rec: TraceRecord) {
         match &mut self.sink {
             Sink::Null => {}
-            Sink::Ring { buf, head, cap } => {
-                if buf.len() < *cap {
-                    buf.push(rec);
-                } else {
-                    buf[*head] = rec;
-                    *head = (*head + 1) % *cap;
-                }
-            }
             Sink::Full(v) => v.push(rec),
             Sink::Stream(s) => {
                 s.line.clear();
@@ -427,7 +392,6 @@ impl Tracer {
     pub fn len(&self) -> usize {
         match &self.sink {
             Sink::Null | Sink::Stream(_) => 0,
-            Sink::Ring { buf, .. } => buf.len(),
             Sink::Full(v) => v.len(),
         }
     }
@@ -445,21 +409,13 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Drain the held records in chronological order (ring buffers are
-    /// unrotated first). The tracer keeps recording afterwards. A
+    /// Drain the held records in chronological order. The tracer keeps
+    /// recording afterwards. A
     /// streaming sink holds nothing — its records are already on disk —
     /// so it flushes and returns empty.
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
         match &mut self.sink {
             Sink::Null => Vec::new(),
-            Sink::Ring { buf, head, .. } => {
-                let mut out = Vec::with_capacity(buf.len());
-                out.extend_from_slice(&buf[*head..]);
-                out.extend_from_slice(&buf[..*head]);
-                buf.clear();
-                *head = 0;
-                out
-            }
             Sink::Full(v) => std::mem::take(v),
             Sink::Stream(_) => {
                 self.finish();
@@ -594,11 +550,7 @@ mod tests {
 
     #[test]
     fn full_sink_keeps_everything_in_order() {
-        let cfg = ObsConfig {
-            trace: TraceMode::Full,
-            ..ObsConfig::default()
-        };
-        let mut t = Tracer::new(&cfg);
+        let mut t = Tracer::with_mask(TraceKind::ALL);
         for i in 0..10 {
             t.emit(rec(i, i).at, rec(i, i).event);
         }
@@ -609,31 +561,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent_in_order() {
-        let cfg = ObsConfig {
-            trace: TraceMode::Ring,
-            ring_capacity: 4,
-            ..ObsConfig::default()
-        };
-        let mut t = Tracer::new(&cfg);
-        for i in 0..11u64 {
-            t.emit(SimTime(i), TraceEvent::Arrival { query: i, class: 0 });
-        }
-        let got = t.take_records();
-        assert_eq!(got.len(), 4);
-        let qs: Vec<u64> = got
-            .iter()
-            .map(|r| match r.event {
-                TraceEvent::Arrival { query, .. } => query,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(qs, vec![7, 8, 9, 10]);
-    }
-
-    #[test]
     fn mask_filters_kinds() {
-        let mut t = Tracer::with_mask(TraceMode::Full, 0, TraceKind::ArrivalGap.bit());
+        let mut t = Tracer::with_mask(TraceKind::ArrivalGap.bit());
         assert!(t.wants(TraceKind::ArrivalGap));
         assert!(!t.wants(TraceKind::Arrival));
         t.emit(SimTime(1), TraceEvent::Arrival { query: 0, class: 0 });
@@ -651,7 +580,7 @@ mod tests {
 
     #[test]
     fn zero_mask_forces_null_sink() {
-        let t = Tracer::with_mask(TraceMode::Full, 0, 0);
+        let t = Tracer::with_mask(0);
         assert!(t.is_off());
     }
 
@@ -786,7 +715,7 @@ mod tests {
 
     #[test]
     fn fault_kinds_have_distinct_mask_bits() {
-        let mut t = Tracer::with_mask(TraceMode::Full, 0, TraceKind::Degraded.bit());
+        let mut t = Tracer::with_mask(TraceKind::Degraded.bit());
         assert!(t.wants(TraceKind::Degraded));
         assert!(!t.wants(TraceKind::Fault));
         assert!(!t.wants(TraceKind::IoRetry));

@@ -9,7 +9,7 @@
 
 use crate::faults::{FaultPlan, FaultSpec};
 use exec::ExecConfig;
-pub use obs::{ObsConfig, TraceMode};
+pub use obs::ObsConfig;
 pub use storage::{DeviceSpec, EvictionSpec, SsdSpec};
 use storage::{DiskGeometry, RelationGroupSpec};
 pub use workload::{
@@ -81,8 +81,6 @@ pub enum ConfigError {
     /// A non-positive or non-finite miss-ratio/metrics window length —
     /// the fig12 window machinery would never (or always) roll.
     NonPositiveWindow,
-    /// Flight-recorder tracing requested with a zero-capacity ring.
-    ZeroRingCapacity,
     /// A fault targets a disk index ≥ `resources.num_disks`.
     FaultDiskOutOfRange,
     /// A fault window is empty, negative, or non-finite.
@@ -109,9 +107,6 @@ impl std::fmt::Display for ConfigError {
                 "duration_secs must be positive and finite"
             }
             ConfigError::NonPositiveWindow => "window_secs must be positive and finite",
-            ConfigError::ZeroRingCapacity => {
-                "obs.ring_capacity must be positive for ring tracing"
-            }
             ConfigError::FaultDiskOutOfRange => {
                 "fault plan targets a disk index beyond resources.num_disks"
             }
@@ -158,13 +153,6 @@ pub struct SimConfig {
     /// Firm deadlines: abort queries at their deadline (the paper's model).
     /// Setting this false is the run-to-completion ablation.
     pub firm_deadlines: bool,
-    /// Record every class's inter-arrival gaps into
-    /// `RunReport::arrival_gaps` so the run can be replayed through
-    /// `workload::Trace` (`--record-arrivals` in the driver). Metric-only:
-    /// recording never changes the simulation. Routed through the obs
-    /// trace sink: setting it forces a full sink with (at least) the
-    /// arrival-gap event kind enabled.
-    pub record_arrivals: bool,
     /// Observability switches (tracing, metrics, profiling). All off by
     /// default; never changes simulated behavior, only what is recorded.
     pub obs: ObsConfig,
@@ -212,7 +200,6 @@ impl SimConfig {
             sample_size: 30,
             window_secs: 1_200.0,
             firm_deadlines: true,
-            record_arrivals: false,
             obs: ObsConfig::default(),
             faults: FaultPlan::default(),
         }
@@ -285,9 +272,6 @@ impl SimConfig {
         }
         if !(self.window_secs > 0.0 && self.window_secs.is_finite()) {
             return Err(ConfigError::NonPositiveWindow);
-        }
-        if self.obs.trace == TraceMode::Ring && self.obs.ring_capacity == 0 {
-            return Err(ConfigError::ZeroRingCapacity);
         }
         for fault in &self.faults.events {
             let (start, end) = fault.window();
@@ -662,17 +646,6 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ConfigError::NonPositiveWindow));
         cfg.window_secs = -1.0;
         assert_eq!(cfg.validate(), Err(ConfigError::NonPositiveWindow));
-
-        let mut cfg = SimConfig::baseline(0.06);
-        cfg.obs.trace = TraceMode::Ring;
-        cfg.obs.ring_capacity = 0;
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroRingCapacity));
-        cfg.obs.ring_capacity = 16;
-        assert_eq!(cfg.validate(), Ok(()));
-        // A zero ring capacity is fine when the ring is not in use.
-        cfg.obs.trace = TraceMode::Full;
-        cfg.obs.ring_capacity = 0;
-        assert_eq!(cfg.validate(), Ok(()));
 
         // Errors render as readable one-liners.
         assert_eq!(

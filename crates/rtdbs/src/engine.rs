@@ -37,7 +37,7 @@ use exec::{Action, ExternalSort, FileRef, HashJoin, Operator};
 use obs::{
     CounterFamilyId, CounterId, DegradedAction, FaultClass, GaugeFamilyId, GaugeId,
     HistId, MetricsRegistry, MetricsReport, Profiler, Section, TraceEvent, TraceKind,
-    TraceMode, Tracer,
+    Tracer,
 };
 use pmm::{
     AllocScratch, BatchStats, DirtySet, Grants, MemoryPolicy, QueryDemand, QueryId,
@@ -763,33 +763,13 @@ impl Simulator {
             .collect();
         let tenant_feedback = !tenants.is_empty() && policy.wants_tenant_feedback();
         let use_dirty = !tenants.is_empty() && policy.supports_dirty_allocation();
-        // One recording path: `--record-arrivals` routes through the obs
-        // sink too. It needs every gap, so it forces a full (non-evicting)
-        // sink and enables (at least) the arrival-gap event kind.
-        let tracer = {
-            let mode = if cfg.record_arrivals {
-                TraceMode::Full
-            } else {
-                cfg.obs.trace
-            };
-            let mut mask = match cfg.obs.trace {
-                TraceMode::Off => 0,
-                _ => TraceKind::ALL,
-            };
-            if cfg.record_arrivals {
-                mask |= TraceKind::ArrivalGap.bit();
-            }
-            // A trace path streams records to disk instead of buffering the
-            // run; arrival recording needs the in-memory records back, so
-            // it keeps the buffered sink.
-            match &cfg.obs.trace_path {
-                Some(path) if !cfg.record_arrivals && cfg.obs.trace != TraceMode::Off => {
-                    Tracer::streaming(path, mask).unwrap_or_else(|e| {
-                        panic!("cannot open trace stream {}: {e}", path.display())
-                    })
-                }
-                _ => Tracer::with_mask(mode, cfg.obs.ring_capacity, mask),
-            }
+        // A zero mask is the null sink either way; a trace path streams
+        // the recorded kinds to disk instead of buffering the run.
+        let tracer = match &cfg.obs.trace_path {
+            Some(path) => Tracer::streaming(path, cfg.obs.trace).unwrap_or_else(|e| {
+                panic!("cannot open trace stream {}: {e}", path.display())
+            }),
+            None => Tracer::with_mask(cfg.obs.trace),
         };
         let obs_metrics = cfg
             .obs
@@ -2031,29 +2011,9 @@ impl Simulator {
                 m.roll(now.as_secs_f64(), self.served, self.missed);
             }
         }
-        // Catch policy decisions recorded since the last batch boundary,
-        // then drain the sink once for both consumers: the structured
-        // trace and the per-class arrival-gap sequences.
+        // Catch policy decisions recorded since the last batch boundary.
         self.emit_policy_decisions();
-        let obs_records = self.tracer.take_records();
-        let arrival_gaps = if self.cfg.record_arrivals {
-            let mut gaps = vec![Vec::new(); self.cfg.classes.len()];
-            for r in &obs_records {
-                if let TraceEvent::ArrivalGap { class, gap_secs } = r.event {
-                    gaps[class as usize].push(gap_secs);
-                }
-            }
-            gaps
-        } else {
-            Vec::new()
-        };
-        // The structured trace is surfaced only when obs tracing was asked
-        // for; a bare `record_arrivals` run keeps the report lean.
-        let obs_trace = if self.cfg.obs.trace != TraceMode::Off {
-            obs_records
-        } else {
-            Vec::new()
-        };
+        let obs_trace = self.tracer.take_records();
         let metrics = self
             .obs_metrics
             .as_mut()
@@ -2101,7 +2061,6 @@ impl Simulator {
             miss_ci_half_width: self.miss_series.half_width(1.645),
             sim_secs: now.as_secs_f64(),
             events: self.cal.events_dispatched(),
-            arrival_gaps,
             obs_trace,
             metrics,
             profile,
@@ -2506,22 +2465,29 @@ mod tests {
 
     #[test]
     fn recorded_arrivals_replay_bit_for_bit() {
-        let mut cfg = quick_cfg(0.05, 2_000.0);
-        cfg.record_arrivals = true;
-        let recorded = run_simulation(cfg.clone(), Box::new(MinMaxPolicy::unlimited()));
-        assert_eq!(recorded.arrival_gaps.len(), 1, "one class recorded");
-        let gaps = recorded.arrival_gaps[0].clone();
+        let plain = quick_cfg(0.05, 2_000.0);
+        let mut cfg = plain.clone();
+        cfg.obs.trace = TraceKind::ArrivalGap.bit();
+        let recorded = run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()));
+        assert!(
+            recorded
+                .obs_trace
+                .iter()
+                .all(|r| r.event.kind() == TraceKind::ArrivalGap),
+            "the mask keeps only arrival gaps"
+        );
+        let per_class = crate::metrics::arrival_gaps(&recorded.obs_trace, 1);
+        assert_eq!(per_class.len(), 1, "one class recorded");
+        let gaps = per_class[0].clone();
         assert!(!gaps.is_empty());
+        assert_eq!(gaps.len(), recorded.obs_trace.len());
         // Recording must not change the simulation itself.
-        let mut plain = cfg.clone();
-        plain.record_arrivals = false;
-        let baseline = run_simulation(plain, Box::new(MinMaxPolicy::unlimited()));
+        let baseline = run_simulation(plain.clone(), Box::new(MinMaxPolicy::unlimited()));
         assert_eq!(baseline.served, recorded.served);
         assert_eq!(baseline.avg_mpl, recorded.avg_mpl);
-        assert!(baseline.arrival_gaps.is_empty());
+        assert!(baseline.obs_trace.is_empty());
         // Replaying the recorded gaps as a trace reproduces the run.
-        let mut replay_cfg = cfg;
-        replay_cfg.record_arrivals = false;
+        let mut replay_cfg = plain;
         replay_cfg.classes[0].arrival = workload::ArrivalSpec::Trace {
             gaps,
             repeat: false,
@@ -2592,7 +2558,7 @@ mod tests {
     fn fault_transitions_reach_the_trace() {
         let mut cfg = SimConfig::faulty(1.0);
         cfg.duration_secs = 400.0;
-        cfg.obs.trace = TraceMode::Full;
+        cfg.obs.trace = TraceKind::ALL;
         let report = run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()));
         let faults = report
             .obs_trace
@@ -2607,7 +2573,7 @@ mod tests {
     fn outage_across_all_disks_forces_retries() {
         use crate::faults::{FaultPlan, FaultSpec};
         let mut cfg = quick_cfg(0.08, 800.0);
-        cfg.obs.trace = TraceMode::Full;
+        cfg.obs.trace = TraceKind::ALL;
         let mut plan = FaultPlan::default();
         for d in 0..cfg.resources.num_disks {
             plan.events.push(FaultSpec::DiskOutage {
@@ -2653,7 +2619,7 @@ mod tests {
         use obs::DegradedAction;
         let run = |mode| {
             let mut cfg = quick_cfg(0.10, 800.0);
-            cfg.obs.trace = TraceMode::Full;
+            cfg.obs.trace = TraceKind::ALL;
             cfg.faults = FaultPlan {
                 events: vec![FaultSpec::MemoryShock {
                     start_secs: 100.0,
@@ -2698,7 +2664,7 @@ mod tests {
         let path = dir.join("trace.txt");
         let _ = std::fs::remove_file(&path);
         let mut cfg = quick_cfg(0.05, 600.0);
-        cfg.obs.trace = TraceMode::Full;
+        cfg.obs.trace = TraceKind::ALL;
         let buffered = run_simulation(cfg.clone(), Box::new(MinMaxPolicy::unlimited()));
         let rendered = obs::render_text(&buffered.obs_trace);
         cfg.obs.trace_path = Some(path.clone());

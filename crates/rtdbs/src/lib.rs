@@ -27,8 +27,10 @@ pub mod metrics;
 pub use config::{
     AlternationSchedule, ArrivalSpec, ConfigError, DeviceSpec, EvictionSpec, ObsConfig,
     PhaseSchedule, QueryType, ResourceConfig, Scenario, SimConfig, SsdSpec, TenantSpec,
-    TraceMode, WorkloadClass,
+    WorkloadClass,
 };
 pub use engine::{run_simulation, Event, Simulator};
 pub use faults::{DegradationMode, FaultPlan, FaultSpec, RetrySpec};
-pub use metrics::{ClassOutcome, RunReport, TenantOutcome, Timings, WindowPoint};
+pub use metrics::{
+    arrival_gaps, ClassOutcome, RunReport, TenantOutcome, Timings, WindowPoint,
+};

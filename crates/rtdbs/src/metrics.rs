@@ -121,17 +121,12 @@ pub struct RunReport {
     /// cancelling dead deadline events instead of dispatching them), so it
     /// is excluded from behavior goldens and from `BENCH_<figure>.json`.
     pub events: u64,
-    /// Recorded inter-arrival gaps per workload class (seconds, in arrival
-    /// order), populated only when `SimConfig::record_arrivals` is set.
-    /// Each sequence replays exactly through `workload::Trace`
-    /// (`ArrivalSpec::Trace { gaps, repeat: false }`). Excluded from
-    /// goldens and figure JSON — it is trace tooling, not a metric.
-    pub arrival_gaps: Vec<Vec<f64>>,
-    /// Structured sim-time trace (arrivals, admissions, grants, CPU/I/O
-    /// bursts, departures, policy decisions, batch boundaries), populated
-    /// when `SimConfig::obs.trace` is not `TraceMode::Off`. Chronological;
-    /// ring mode keeps only the most recent records. Excluded from goldens
-    /// and figure JSON — observability, not a metric.
+    /// Structured sim-time trace: every record whose kind is in the
+    /// `SimConfig::obs.trace` mask (arrivals, gaps, admissions, grants,
+    /// CPU/I/O bursts, departures, policy decisions, batch boundaries,
+    /// faults), chronological. Empty when the mask is zero or the records
+    /// streamed to `obs.trace_path`. Excluded from goldens and figure
+    /// JSON — observability, not a metric.
     pub obs_trace: Vec<obs::TraceRecord>,
     /// Frozen metrics registry (counters/gauges/histograms + windowed
     /// counter deltas), populated when `SimConfig::obs.metrics` is set.
@@ -148,6 +143,21 @@ impl RunReport {
     pub fn miss_pct(&self) -> f64 {
         miss_pct(self.served, self.missed)
     }
+}
+
+/// The inter-arrival gaps per workload class (seconds, in draw order) in
+/// `records` — a run traced with the [`obs::TraceKind::ArrivalGap`] bit.
+/// Each sequence replays exactly through `workload::Trace`
+/// (`ArrivalSpec::Trace { gaps, repeat: false }`). A class that drew no
+/// gap keeps an empty list, so the result always has `n_classes` entries.
+pub fn arrival_gaps(records: &[obs::TraceRecord], n_classes: usize) -> Vec<Vec<f64>> {
+    let mut gaps = vec![Vec::new(); n_classes];
+    for r in records {
+        if let obs::TraceEvent::ArrivalGap { class, gap_secs } = r.event {
+            gaps[class as usize].push(gap_secs);
+        }
+    }
+    gaps
 }
 
 /// Mutable accumulators the engine updates while running.

@@ -60,11 +60,6 @@ impl Tally {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Merge another tally into this one (parallel Welford combination).
     pub fn merge(&mut self, other: &Tally) {
         if other.n == 0 {

@@ -214,139 +214,9 @@ impl LinFit {
     }
 }
 
-/// Coefficients of `y = a + b·x + c·x² + d·x³` (ablation: the paper argues a
-/// quadratic stabilizes faster than higher-order fits; we keep a cubic
-/// around to measure that claim).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Cubic {
-    /// Constant term.
-    pub a: f64,
-    /// Linear coefficient.
-    pub b: f64,
-    /// Quadratic coefficient.
-    pub c: f64,
-    /// Cubic coefficient.
-    pub d: f64,
-}
-
-impl Cubic {
-    /// Evaluate the polynomial at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        ((self.d * x + self.c) * x + self.b) * x + self.a
-    }
-
-    /// The interior local minimum of the cubic within `[lo, hi]`, if any.
-    pub fn interior_minimum(&self, lo: f64, hi: f64) -> Option<f64> {
-        // y' = b + 2c x + 3d x^2
-        let (p, q, r) = (3.0 * self.d, 2.0 * self.c, self.b);
-        if p.abs() < 1e-12 {
-            // Quadratic derivative: single critical point.
-            if q.abs() < 1e-12 {
-                return None;
-            }
-            let x = -r / q;
-            // Minimum requires y'' = q > 0 there.
-            return (q > 0.0 && x > lo && x < hi).then_some(x);
-        }
-        let disc = q * q - 4.0 * p * r;
-        if disc < 0.0 {
-            return None;
-        }
-        let sq = disc.sqrt();
-        let candidates = [(-q + sq) / (2.0 * p), (-q - sq) / (2.0 * p)];
-        candidates
-            .into_iter()
-            .filter(|&x| x > lo && x < hi)
-            // y'' = 2c + 6d x > 0 for a local minimum.
-            .find(|&x| 2.0 * self.c + 6.0 * self.d * x > 0.0)
-    }
-}
-
-/// Incremental least-squares fit of a cubic (ablation use only).
-#[derive(Clone, Debug, Default)]
-pub struct CubicFit {
-    k: u64,
-    s: [f64; 7], // Σ x^1..x^6
-    sy: f64,
-    sxy: f64,
-    sx2y: f64,
-    sx3y: f64,
-    min_x: f64,
-    max_x: f64,
-}
-
-impl CubicFit {
-    /// An empty fit.
-    pub fn new() -> Self {
-        CubicFit {
-            min_x: f64::INFINITY,
-            max_x: f64::NEG_INFINITY,
-            ..Default::default()
-        }
-    }
-
-    /// Add an `(x, y)` observation.
-    pub fn add(&mut self, x: f64, y: f64) {
-        self.k += 1;
-        let mut p = 1.0;
-        for slot in &mut self.s {
-            p *= x;
-            *slot += p;
-        }
-        self.sy += y;
-        self.sxy += x * y;
-        self.sx2y += x * x * y;
-        self.sx3y += x * x * x * y;
-        self.min_x = self.min_x.min(x);
-        self.max_x = self.max_x.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.k
-    }
-
-    /// Smallest x observed so far.
-    pub fn min_x(&self) -> f64 {
-        self.min_x
-    }
-
-    /// Largest x observed so far.
-    pub fn max_x(&self) -> f64 {
-        self.max_x
-    }
-
-    /// Solve the 4×4 normal equations; `None` if under-determined.
-    pub fn solve(&self) -> Option<Cubic> {
-        if self.k < 4 {
-            return None;
-        }
-        let k = self.k as f64;
-        let s = &self.s;
-        let mut m = [
-            [k, s[0], s[1], s[2], self.sy],
-            [s[0], s[1], s[2], s[3], self.sxy],
-            [s[1], s[2], s[3], s[4], self.sx2y],
-            [s[2], s[3], s[4], s[5], self.sx3y],
-        ];
-        let sol = solve4(&mut m)?;
-        Some(Cubic {
-            a: sol[0],
-            b: sol[1],
-            c: sol[2],
-            d: sol[3],
-        })
-    }
-}
-
 /// Gaussian elimination with partial pivoting for a 3×3 augmented system.
 fn solve3(m: &mut [[f64; 4]; 3]) -> Option<[f64; 3]> {
     gauss::<3, 4>(m)
-}
-
-/// Gaussian elimination with partial pivoting for a 4×4 augmented system.
-fn solve4(m: &mut [[f64; 5]; 4]) -> Option<[f64; 4]> {
-    gauss::<4, 5>(m)
 }
 
 fn gauss<const N: usize, const M: usize>(m: &mut [[f64; M]; N]) -> Option<[f64; N]> {
@@ -540,37 +410,6 @@ mod tests {
     #[test]
     fn lin_fit_empty_is_none() {
         assert!(LinFit::new().solve().is_none());
-    }
-
-    #[test]
-    fn cubic_fit_recovers_exact_polynomial() {
-        let mut fit = CubicFit::new();
-        // y = 1 + x - 2x^2 + 0.1 x^3
-        for x in 0..8 {
-            let x = x as f64;
-            fit.add(x, 1.0 + x - 2.0 * x * x + 0.1 * x * x * x);
-        }
-        let c = fit.solve().unwrap();
-        assert_close(c.a, 1.0, 1e-6);
-        assert_close(c.b, 1.0, 1e-6);
-        assert_close(c.c, -2.0, 1e-6);
-        assert_close(c.d, 0.1, 1e-6);
-    }
-
-    #[test]
-    fn cubic_interior_minimum() {
-        // y = (x-2)^2 (x+1) has a local min at x = 1... actually derivative
-        // 3x^2 - 6x  ... use y = x^3 - 3x: y' = 3x^2 - 3, min at x=1.
-        let c = Cubic {
-            a: 0.0,
-            b: -3.0,
-            c: 0.0,
-            d: 1.0,
-        };
-        let m = c.interior_minimum(-2.0, 2.0).unwrap();
-        assert_close(m, 1.0, 1e-9);
-        // Outside the window: none.
-        assert!(c.interior_minimum(-0.5, 0.5).is_none());
     }
 
     #[test]

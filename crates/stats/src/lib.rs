@@ -20,6 +20,6 @@ pub mod fit;
 pub mod hypothesis;
 pub mod normal;
 
-pub use fit::{CubicFit, CurveShape, LinFit, QuadFit};
+pub use fit::{CurveShape, LinFit, QuadFit};
 pub use hypothesis::{mean_positive_test, means_differ_test, SampleSummary};
 pub use normal::{cdf as normal_cdf, inverse_cdf as normal_inverse_cdf};

@@ -170,11 +170,6 @@ impl Disk {
         self.outage = outage;
     }
 
-    /// True inside an outage window.
-    pub fn is_outage(&self) -> bool {
-        self.outage
-    }
-
     /// Replace the retry/backoff parameters.
     pub fn set_retry_spec(&mut self, spec: RetrySpec) {
         self.retry_cfg = spec;

@@ -50,11 +50,6 @@ impl DiskGeometry {
         self.cache_bytes / self.page_bytes
     }
 
-    /// Total pages on the disk.
-    pub fn total_pages(&self) -> u64 {
-        self.num_cylinders as u64 * self.pages_per_cylinder as u64
-    }
-
     /// Seek time across `n` cylinders: `SeekFactor · √n`; zero when the head
     /// is already on-cylinder.
     pub fn seek_time(&self, cylinders: u32) -> Duration {

@@ -222,29 +222,6 @@ impl Layout {
         id
     }
 
-    /// Allocate a temp file on a specific disk (used to co-locate a query's
-    /// spool files with its operand relation when desired).
-    pub fn create_temp_on(&mut self, disk: DiskId, pages: u32) -> FileId {
-        let inner = self.temp_toggle;
-        self.temp_toggle = !self.temp_toggle;
-        let start = if inner {
-            self.geometry.num_cylinders / 6
-        } else {
-            5 * self.geometry.num_cylinders / 6
-        };
-        let id = FileId::Temp(self.next_temp);
-        self.next_temp += 1;
-        self.files.insert(
-            id,
-            FileMeta {
-                disk,
-                start_cylinder: start,
-                pages,
-            },
-        );
-        id
-    }
-
     /// Release a temporary file. Dropping an already-dropped temp is an
     /// error; dropping a base relation is forbidden.
     pub fn drop_temp(&mut self, file: FileId) {

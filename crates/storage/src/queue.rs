@@ -264,24 +264,8 @@ impl<T> DiskQueue<T> {
     }
 
     /// Remove every request whose tag matches `remove` (e.g. requests of an
-    /// aborted query). Returns the removed requests.
-    pub fn drain_where<F: Fn(&T) -> bool>(&mut self, remove: F) -> Vec<QueuedRequest<T>> {
-        self.cached = None;
-        let mut removed = Vec::new();
-        let mut i = 0;
-        while i < self.reqs.len() {
-            if remove(&self.reqs[i].tag) {
-                self.keys.swap_remove(i);
-                removed.push(self.reqs.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        removed
-    }
-
-    /// Like [`DiskQueue::drain_where`], but only counts the removals —
-    /// allocation-free, for the firm-abort path that never inspects them.
+    /// aborted query) and count them — allocation-free, for the firm-abort
+    /// path that never inspects them.
     pub fn discard_where<F: Fn(&T) -> bool>(&mut self, remove: F) -> usize {
         self.cached = None;
         let before = self.reqs.len();
@@ -377,18 +361,6 @@ mod tests {
         assert_eq!(q.pop(42).unwrap().tag, 1);
         assert_eq!(q.pop(42).unwrap().tag, 2);
         assert_eq!(q.pop(42).unwrap().tag, 3);
-    }
-
-    #[test]
-    fn drain_removes_aborted_query() {
-        let mut q = DiskQueue::new();
-        q.push(req(10, 1, 7));
-        q.push(req(20, 2, 8));
-        q.push(req(30, 3, 7));
-        let removed = q.drain_where(|&tag| tag == 7);
-        assert_eq!(removed.len(), 2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(0).unwrap().tag, 8);
     }
 
     #[test]

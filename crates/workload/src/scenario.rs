@@ -63,17 +63,6 @@ impl Scenario {
         })
     }
 
-    /// One external-sort class over `group` under `arrival`.
-    pub fn sort_heavy(group: u32, arrival: ArrivalSpec) -> Self {
-        Scenario::named("sort-heavy").class(WorkloadClass {
-            name: "Sort".into(),
-            query_type: QueryType::ExternalSort { group },
-            arrival,
-            slack_range: (2.5, 7.5),
-            tenant: 0,
-        })
-    }
-
     /// A mixed join+sort scenario: both classes always active, each with
     /// its own arrival process.
     pub fn mixed(

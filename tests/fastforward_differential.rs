@@ -10,7 +10,7 @@
 //!
 //! Before the batched path was deleted, every case below ran on it and
 //! recorded two digests under `golden/fastforward_*.txt`: one of its full
-//! obs trace (`TraceMode::Full`, rendered by `obs::render_text`) and one of
+//! obs trace (the `TraceKind::ALL` mask, rendered by `obs::render_text`) and one of
 //! its serialized report. The single-step engine must reproduce both, so the
 //! comparison still spans the two paths, now against the recording. The
 //! cases cover the presets, arrival rates, seeds, policies, feedback batch
@@ -39,7 +39,7 @@ const POLICIES: &[&str] = &[
 
 /// Run `cfg` under `policy` with a full trace and append its digest line.
 fn record(out: &mut String, label: &str, mut cfg: SimConfig, policy: &str) {
-    cfg.obs.trace = TraceMode::Full;
+    cfg.obs.trace = TraceKind::ALL;
     let policy = bench::make_policy_for(&cfg, policy);
     let report = run_simulation(cfg, policy);
     let trace = render_text(&report.obs_trace);

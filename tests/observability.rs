@@ -20,11 +20,10 @@ fn fingerprint(r: &RunReport) -> (u64, u64, String, usize, usize) {
     )
 }
 
-fn observed(secs: f64, mode: TraceMode) -> RunReport {
+fn observed(secs: f64, trace: u16) -> RunReport {
     let mut cfg = short_baseline(0.06, secs);
     cfg.obs = ObsConfig {
-        trace: mode,
-        ring_capacity: 64,
+        trace,
         trace_path: None,
         metrics: true,
         profile: true,
@@ -43,7 +42,7 @@ fn observability_is_behavior_invariant() {
         Box::new(Pmm::with_defaults()),
     );
     assert!(dark.obs_trace.is_empty() && dark.metrics.is_none());
-    let lit = observed(2_000.0, TraceMode::Full);
+    let lit = observed(2_000.0, TraceKind::ALL);
     assert_eq!(fingerprint(&dark), fingerprint(&lit));
     assert_eq!(dark.trace, lit.trace, "policy decisions unchanged");
     assert!(!lit.obs_trace.is_empty());
@@ -56,7 +55,7 @@ fn observability_is_behavior_invariant() {
 /// boundaries — in chronological order.
 #[test]
 fn full_trace_covers_query_lifecycle() {
-    let r = observed(2_000.0, TraceMode::Full);
+    let r = observed(2_000.0, TraceKind::ALL);
     let kinds: u16 = r
         .obs_trace
         .iter()
@@ -104,26 +103,11 @@ fn full_trace_covers_query_lifecycle() {
     assert_eq!(decisions, expected);
 }
 
-/// Ring mode is a flight recorder: it keeps exactly the most recent
-/// records of the equivalent full trace, in order.
-#[test]
-fn ring_keeps_the_most_recent_records() {
-    let full = observed(2_000.0, TraceMode::Full);
-    let ring = observed(2_000.0, TraceMode::Ring);
-    assert_eq!(ring.obs_trace.len(), 64, "ring holds exactly its capacity");
-    let tail = &full.obs_trace[full.obs_trace.len() - 64..];
-    assert_eq!(
-        obs::render_text(&ring.obs_trace),
-        obs::render_text(tail),
-        "ring contents must be the full trace's tail"
-    );
-}
-
 /// The metrics registry agrees with the run report it rode along with, and
 /// its windowed counter deltas land on the report's window boundaries.
 #[test]
 fn metrics_registry_agrees_with_report() {
-    let r = observed(2_000.0, TraceMode::Off);
+    let r = observed(2_000.0, 0);
     assert!(r.obs_trace.is_empty(), "metrics do not imply tracing");
     let m = r.metrics.as_ref().expect("metrics collected");
     let counter = |name: &str| {
@@ -155,7 +139,7 @@ fn metrics_registry_agrees_with_report() {
 /// async begin/end events per completed query.
 #[test]
 fn chrome_export_is_well_formed() {
-    let r = observed(1_000.0, TraceMode::Full);
+    let r = observed(1_000.0, TraceKind::ALL);
     let json = obs::chrome_trace_json(&r.obs_trace);
     assert!(json.starts_with("{\"traceEvents\": ["));
     assert!(json.trim_end().ends_with('}'));
@@ -170,7 +154,7 @@ fn chrome_export_is_well_formed() {
 /// Self-profiling attributes wall time to every mandated engine section.
 #[test]
 fn profile_covers_every_section() {
-    let r = observed(1_000.0, TraceMode::Off);
+    let r = observed(1_000.0, 0);
     let p = r.profile.as_ref().expect("profiling enabled");
     let names: Vec<&str> = p.sections.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(
