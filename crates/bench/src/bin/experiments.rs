@@ -55,25 +55,28 @@
 //! carry the merged per-window miss-ratio series (with 90% CIs across
 //! seeds) in their `windows` array. `--figure devices` crosses the storage
 //! service models (cylinder disk vs. SSD) with the buffer-pool eviction
-//! policies (LRU vs. LRU-2) at two baseline arrival rates; each cell's
-//! policy name reads `"<device>+<eviction>/<policy>"`. `--figure faults`
-//! sweeps fault-plan intensity (0 = fault-free control) × degradation
-//! policy; each cell's policy name reads `"<mode>/<policy>"` with mode
-//! `abort` or `requeue`. `--figure scale` sweeps the tenant population
-//! 10¹→10³ (one soft-quota tenant grid per cell) under incremental
-//! partitioned reallocation, the pinned full-snapshot reference path
-//! (`"snapshot/Partitioned-soft"` cells), and per-tenant-adaptive
-//! `PMM-tenant`. Under `--trace=all` the faults figure streams each
-//! cell's structured trace straight to `TRACE_obs_faults_cell<i>.txt`
-//! instead of buffering it in memory (so no Chrome export or other
-//! projection is produced for streamed cells). A replication that panics does not abort the sweep:
+//! policies (LRU vs. LRU-2) at two baseline arrival rates; each cell is
+//! labelled `"<device>+<eviction>/<policy>"`. `--figure faults` sweeps
+//! fault-plan intensity (0 = fault-free control) × degradation policy;
+//! each cell is labelled `"<mode>/<policy>"` with mode `abort` or
+//! `requeue`. The labels are only printed: every cell carries its own
+//! config (`bench::driver::CellSpec`), and nothing parses them.
+//! `--figure scale` sweeps the tenant population 10¹→10³ (one soft-quota
+//! tenant grid per cell) under incremental partitioned reallocation, the
+//! pinned full-snapshot reference path (the `"snapshot/Partitioned-soft"`
+//! policy), and per-tenant-adaptive `PMM-tenant`. Under `--trace=all` the
+//! faults figure streams each cell's structured trace straight to
+//! `TRACE_obs_faults_cell<i>.txt`, created fresh after the buffered
+//! traces' header line, instead of buffering it in memory (so no Chrome
+//! export or other projection is produced for streamed cells). A
+//! replication that panics does not abort the sweep:
 //! the surviving cells complete and the failed units are written to
 //! `BENCH_<figure>_quarantine.json` with their cell, policy, replication
 //! index, and seed.
 
 use bench::driver::{
     metrics_json, perf_json, profile_json, quarantine_json, run_figure, trace_files,
-    DriverConfig, FIGURES,
+    DriverConfig, FigureResult, FIGURES,
 };
 use pmm_core::obs::{self, TraceKind};
 use std::path::PathBuf;
@@ -203,7 +206,7 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     }
     let out_dir = PathBuf::from(flag_value(args, "--out").unwrap_or_else(|| ".".into()));
 
-    let mut perf: Vec<(String, bench::driver::FigurePerf)> = Vec::new();
+    let mut results: Vec<FigureResult> = Vec::new();
     let mut profiles: Vec<(String, obs::ProfileReport)> = Vec::new();
     for figure in &figures {
         let started = std::time::Instant::now();
@@ -215,7 +218,7 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         if streamed {
             fig_cfg.stream_dir = Some(out_dir.clone());
         }
-        let result = run_figure(figure, fig_cfg)?;
+        let mut result = run_figure(figure, fig_cfg)?;
         print!("{}", result.render());
         let path = out_dir.join(format!("BENCH_{figure}.json"));
         std::fs::write(&path, result.to_json())
@@ -228,25 +231,29 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             cfg.seeds,
             started.elapsed().as_secs_f64(),
             cfg.threads,
-            result.perf.sim_s_per_wall_s(),
-            result.perf.events_per_sec(),
+            result.sim_s_per_wall_s(),
+            result.events_per_sec(),
         );
         // Each projection of replication 0's recorded trace: the rendered
         // structured trace and Chrome export, the arrival-gap streams, the
         // PMM decision series — as far as the recorded kinds allow.
+        // Streamed cells are on disk already.
+        let mask = if streamed { 0 } else { cfg.trace };
         let mut written = 0;
-        for t in &result.obs_traces {
-            for (name, body) in trace_files(figure, cfg.trace, t) {
+        for (c, cell) in result.cells.iter_mut().enumerate() {
+            for (name, body) in trace_files(figure, mask, c, cell) {
                 let trace_path = out_dir.join(name);
                 std::fs::write(&trace_path, body)
                     .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
                 written += 1;
             }
+            // The records are projected; drop them before the next figure.
+            cell.trace = Vec::new();
         }
         if written > 0 {
             println!("wrote {written} trace file(s) to {}", out_dir.display());
         }
-        if !result.metrics.is_empty() {
+        if cfg.metrics {
             let metrics_path = out_dir.join(format!("BENCH_{figure}_metrics.json"));
             std::fs::write(&metrics_path, metrics_json(&result))
                 .map_err(|e| format!("cannot write {}: {e}", metrics_path.display()))?;
@@ -267,27 +274,27 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // Quarantined replications: the sweep survived a panicking unit.
         // Keep the exit status green — the partial results are valid and
         // deterministic — but say so loudly and leave the evidence behind.
-        if !result.quarantine.is_empty() {
+        let quarantined: usize = result.cells.iter().map(|c| c.quarantine.len()).sum();
+        if quarantined > 0 {
             let q_path = out_dir.join(format!("BENCH_{figure}_quarantine.json"));
             std::fs::write(&q_path, quarantine_json(&result))
                 .map_err(|e| format!("cannot write {}: {e}", q_path.display()))?;
             eprintln!(
-                "warning: {} replication(s) of {figure} panicked and were \
-                 quarantined; see {}",
-                result.quarantine.len(),
+                "warning: {quarantined} replication(s) of {figure} panicked and \
+                 were quarantined; see {}",
                 q_path.display()
             );
         }
         if let Some(p) = &result.profile {
             profiles.push((figure.clone(), p.clone()));
         }
-        perf.push((figure.clone(), result.perf));
+        results.push(result);
     }
     // The perf trajectory is a separate artifact: BENCH_<figure>.json stays
     // byte-identical across machines and thread counts, BENCH_perf.json
     // deliberately is not.
     let perf_path = out_dir.join("BENCH_perf.json");
-    std::fs::write(&perf_path, perf_json(&cfg, &perf))
+    std::fs::write(&perf_path, perf_json(&cfg, &results))
         .map_err(|e| format!("cannot write {}: {e}", perf_path.display()))?;
     println!(
         "wrote {} (perf trajectory; not determinism-pinned)",

@@ -56,16 +56,38 @@ pub fn t_quantile_90(df: usize) -> f64 {
     }
 }
 
-/// One experiment cell: a point on a figure's x-axis run under one policy.
+/// One experiment cell: a point on a figure's x-axis run under one memory
+/// algorithm, with the config it runs.
 #[derive(Clone, Debug)]
 pub struct CellSpec {
     /// The swept parameter (arrival rate, MinMax N, Small-class rate, ...).
     pub x: f64,
-    /// Policy short name, as accepted by [`crate::make_policy_for`].
+    /// The cell's label, as every artifact prints it: the memory algorithm,
+    /// prefixed by what else the cell varies (`"ssd+lruk/PMM"`,
+    /// `"requeue/PMM"`). Nothing parses it.
     pub policy: String,
+    /// The memory algorithm, as [`crate::make_policy_for`] resolves it.
+    pub algorithm: String,
+    /// The cell's simulation config: the figure's preset for `x`, its
+    /// window, and the device, eviction policy or degradation mode the
+    /// label names. The driver fills in the duration, seed and
+    /// observability settings per replication.
+    pub config: SimConfig,
 }
 
-/// A figure experiment: its cells plus how to build each cell's config.
+impl CellSpec {
+    /// A cell whose label is its memory algorithm.
+    fn new(x: f64, algorithm: &str, config: SimConfig) -> CellSpec {
+        CellSpec {
+            x,
+            policy: algorithm.to_string(),
+            algorithm: algorithm.to_string(),
+            config,
+        }
+    }
+}
+
+/// A figure experiment: its cells, in output order.
 #[derive(Clone, Debug)]
 pub struct FigureSpec {
     /// Figure name ("fig3", ...).
@@ -73,21 +95,23 @@ pub struct FigureSpec {
     /// Meaning of the x axis, for reports.
     pub x_label: &'static str,
     /// Window length (simulated seconds) of the miss-ratio time series the
-    /// figure plots (Figures 12–14). `None` keeps the config's default
-    /// window, and [`FigureResult::render`] prints no series.
+    /// figure plots (Figures 12–14), installed in every cell's config.
+    /// `None` keeps the config's default window, and
+    /// [`FigureResult::render`] prints no series.
     pub window_secs: Option<f64>,
     /// The cells, in output order.
     pub cells: Vec<CellSpec>,
 }
 
-fn cross(xs: &[f64], policies: &[&str]) -> Vec<CellSpec> {
+/// Every x under every algorithm, x-major, each cell on `preset(x)`.
+fn cross(
+    xs: &[f64],
+    algorithms: &[&str],
+    preset: impl Fn(f64) -> SimConfig,
+) -> Vec<CellSpec> {
     xs.iter()
-        .flat_map(|&x| {
-            policies.iter().map(move |&p| CellSpec {
-                x,
-                policy: p.to_string(),
-            })
-        })
+        .flat_map(|&x| algorithms.iter().map(move |&a| (x, a)))
+        .map(|(x, a)| CellSpec::new(x, a, preset(x)))
         .collect()
 }
 
@@ -96,12 +120,16 @@ fn cross(xs: &[f64], policies: &[&str]) -> Vec<CellSpec> {
 /// # Errors
 /// Returns the list of known figures if `name` is not one of them.
 pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
-    let spec = match name {
+    let mut spec = match name {
         "fig3" => FigureSpec {
             name: "fig3",
             x_label: "arrival rate (queries/s)",
             window_secs: None,
-            cells: cross(&crate::BASELINE_RATES, &crate::BASELINE_POLICIES),
+            cells: cross(
+                &crate::BASELINE_RATES,
+                &crate::BASELINE_POLICIES,
+                SimConfig::baseline,
+            ),
         },
         "fig8" => FigureSpec {
             name: "fig8",
@@ -110,6 +138,7 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             cells: cross(
                 &crate::BASELINE_RATES,
                 &["Max", "MinMax", "PMM", "MinMax-2"],
+                SimConfig::disk_contention,
             ),
         },
         "fig11" => FigureSpec {
@@ -118,9 +147,12 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             window_secs: None,
             cells: crate::FIG11_LIMITS
                 .iter()
-                .map(|&n| CellSpec {
-                    x: f64::from(n),
-                    policy: format!("MinMax-{n}"),
+                .map(|&n| {
+                    CellSpec::new(
+                        f64::from(n),
+                        &format!("MinMax-{n}"),
+                        SimConfig::disk_contention(0.07),
+                    )
                 })
                 .collect(),
         },
@@ -128,48 +160,71 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             name: "fig12",
             x_label: "(single alternating workload)",
             window_secs: Some(crate::CHANGES_WINDOW_SECS),
-            cells: cross(&[0.0], &["Max", "MinMax", "PMM"]),
+            cells: cross(&[0.0], &["Max", "MinMax", "PMM"], |_| {
+                SimConfig::workload_changes()
+            }),
         },
         "fig16" => FigureSpec {
             name: "fig16",
             x_label: "arrival rate (queries/s)",
             window_secs: None,
-            cells: cross(&crate::SORT_RATES, &crate::BASELINE_POLICIES),
+            cells: cross(
+                &crate::SORT_RATES,
+                &crate::BASELINE_POLICIES,
+                SimConfig::sorts,
+            ),
         },
         "fig17" => FigureSpec {
             name: "fig17",
             x_label: "Small-class arrival rate (queries/s)",
             window_secs: None,
-            cells: cross(&crate::MULTICLASS_SMALL_RATES, &["Max", "MinMax", "PMM"]),
+            cells: cross(
+                &crate::MULTICLASS_SMALL_RATES,
+                &["Max", "MinMax", "PMM"],
+                SimConfig::multiclass,
+            ),
         },
         "burst" => FigureSpec {
             name: "burst",
             x_label: "MMPP burst ratio (1 = Poisson control)",
             window_secs: None,
-            cells: cross(&crate::BURST_RATIOS, &crate::BURST_POLICIES),
+            cells: cross(
+                &crate::BURST_RATIOS,
+                &crate::BURST_POLICIES,
+                SimConfig::bursty,
+            ),
         },
         "tenants" => FigureSpec {
             name: "tenants",
             x_label: "analytics-tenant memory fraction",
             window_secs: None,
-            cells: cross(&crate::TENANT_FRACTIONS, &crate::TENANT_POLICIES),
+            cells: cross(
+                &crate::TENANT_FRACTIONS,
+                &crate::TENANT_POLICIES,
+                SimConfig::multi_tenant,
+            ),
         },
         "devices" => FigureSpec {
             name: "devices",
             x_label: "arrival rate (queries/s)",
             window_secs: None,
-            // Every device × eviction combination under every policy; the
-            // combo rides in the cell's policy name ("ssd+lruk/PMM") and is
-            // split back out by `apply_device_cell` when the cell runs.
+            // Every device × eviction combination under every algorithm,
+            // labelled "<device>+<eviction>/<algorithm>".
             cells: crate::DEVICE_RATES
                 .iter()
                 .flat_map(|&x| {
-                    crate::DEVICE_COMBOS.iter().flat_map(move |&combo| {
-                        crate::DEVICE_POLICIES.iter().map(move |&p| CellSpec {
-                            x,
-                            policy: format!("{combo}/{p}"),
+                    [DeviceSpec::Cylinder, DeviceSpec::Ssd(SsdSpec::default())]
+                        .into_iter()
+                        .flat_map(|d| crate::DEVICE_EVICTIONS.map(|e| (d, e)))
+                        .flat_map(|(d, e)| crate::DEVICE_POLICIES.map(|a| (d, e, a)))
+                        .map(move |(d, e, a)| CellSpec {
+                            policy: format!("{}+{}/{a}", d.name(), e.name()),
+                            ..CellSpec::new(
+                                x,
+                                a,
+                                SimConfig::baseline(x).with_device(d).with_eviction(e),
+                            )
                         })
-                    })
                 })
                 .collect(),
         },
@@ -177,22 +232,33 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             name: "faults",
             x_label: "fault intensity (0 = fault-free control)",
             window_secs: None,
-            // Degradation mode rides in the cell's policy name
-            // ("requeue/PMM") and is split back out by `apply_fault_cell`
-            // when the cell runs.
-            cells: cross(&crate::FAULT_INTENSITIES, &crate::FAULT_POLICIES),
+            // x is the fault-storm intensity; each cell's degradation mode
+            // is its plan's default, labelled "<mode>/<algorithm>".
+            cells: crate::FAULT_INTENSITIES
+                .iter()
+                .flat_map(|&x| {
+                    crate::FAULT_POLICIES.map(|(mode, a)| {
+                        let mut config = SimConfig::faulty(x);
+                        config.faults.default_mode = mode;
+                        CellSpec {
+                            policy: format!("{mode}/{a}"),
+                            ..CellSpec::new(x, a, config)
+                        }
+                    })
+                })
+                .collect(),
         },
         "scale" => FigureSpec {
             name: "scale",
             x_label: "tenant count",
             window_secs: None,
-            // The `snapshot/` prefix pins the reference full-snapshot
-            // allocation path (split back out by `split_snapshot_cell`),
-            // so incremental vs snapshot reallocation is an arm of the
-            // sweep rather than a separate figure.
+            // The `snapshot/` algorithms pin the reference full-snapshot
+            // allocation path, so incremental vs snapshot reallocation is
+            // an arm of the sweep rather than a separate figure.
             cells: cross(
                 &crate::SCALE_TENANTS.map(|n| n as f64),
                 &crate::SCALE_POLICIES,
+                |x| SimConfig::scale(x as usize),
             ),
         },
         // Hidden from `FIGURES` (and so from `--figure all`): a tiny sweep
@@ -203,20 +269,10 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             name: "crashtest",
             x_label: "(crashtest cells)",
             window_secs: None,
-            cells: vec![
-                CellSpec {
-                    x: 0.0,
-                    policy: "MinMax".to_string(),
-                },
-                CellSpec {
-                    x: 1.0,
-                    policy: "panic".to_string(),
-                },
-                CellSpec {
-                    x: 2.0,
-                    policy: "MinMax".to_string(),
-                },
-            ],
+            cells: [(0.0, "MinMax"), (1.0, "panic"), (2.0, "MinMax")]
+                .into_iter()
+                .map(|(x, a)| CellSpec::new(x, a, SimConfig::baseline(0.05)))
+                .collect(),
         },
         other => {
             return Err(format!(
@@ -225,35 +281,12 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             ))
         }
     };
-    Ok(spec)
-}
-
-/// Build the simulation config for one cell of `spec` (seed and duration
-/// are filled in per replication by the driver).
-fn cell_config(spec: &FigureSpec, x: f64) -> SimConfig {
-    let mut cfg = match spec.name {
-        "fig3" => SimConfig::baseline(x),
-        "fig8" => SimConfig::disk_contention(x),
-        "fig11" => SimConfig::disk_contention(0.07),
-        "fig12" => SimConfig::workload_changes(),
-        "fig16" => SimConfig::sorts(x),
-        "fig17" => SimConfig::multiclass(x),
-        "burst" => SimConfig::bursty(x),
-        "tenants" => SimConfig::multi_tenant(x),
-        // The device/eviction choice is per cell, not per figure: it is
-        // applied from the cell's policy name by `apply_device_cell`.
-        "devices" => SimConfig::baseline(x),
-        // x is the fault-storm intensity; the degradation mode is per cell,
-        // applied from the cell's policy name by `apply_fault_cell`.
-        "faults" => SimConfig::faulty(x),
-        "scale" => SimConfig::scale(x as usize),
-        "crashtest" => SimConfig::baseline(0.05),
-        other => unreachable!("figure_spec admitted unknown figure {other}"),
-    };
     if let Some(w) = spec.window_secs {
-        cfg.window_secs = w;
+        for cell in &mut spec.cells {
+            cell.config.window_secs = w;
+        }
     }
-    cfg
+    Ok(spec)
 }
 
 /// Driver parameters.
@@ -268,7 +301,7 @@ pub struct DriverConfig {
     /// Master seed the per-replication streams derive from.
     pub master_seed: u64,
     /// The trace kinds replication 0 of every cell records into
-    /// [`FigureResult::obs_traces`] (`--trace=<kinds>`), as an
+    /// [`MergedCell::trace`] (`--trace=<kinds>`), as an
     /// [`obs::TraceKind`] mask: 0 records nothing, [`obs::TraceKind::ALL`]
     /// the full structured sim-time trace. [`trace_files`] turns a
     /// recording into the artifacts its kinds allow: the rendered trace,
@@ -276,7 +309,7 @@ pub struct DriverConfig {
     /// merged `BENCH_<figure>.json` is unaffected.
     pub trace: u16,
     /// Collect the metrics registry on every replication (`--metrics`),
-    /// merged per cell in seed order into [`FigureResult::metrics`]. Its
+    /// merged per cell in seed order into [`MergedCell::metrics`]. Its
     /// memory is O(registry), not O(events), so it is the long-horizon
     /// configuration. Metric-only, and independent of
     /// [`DriverConfig::trace`].
@@ -289,8 +322,9 @@ pub struct DriverConfig {
     /// `TRACE_obs_<figure>_cell<i>.txt` under this directory *while the run
     /// executes* instead of buffering the full record stream in memory
     /// (long `--trace` runs). Only effective with a non-zero
-    /// [`DriverConfig::trace`]. Streamed cells are absent from
-    /// [`FigureResult::obs_traces`] — their bytes are already on disk, and
+    /// [`DriverConfig::trace`]. Each file is created fresh, with the
+    /// header line [`trace_files`] writes. A streamed cell's
+    /// [`MergedCell::trace`] is empty — its bytes are already on disk, and
     /// no other projection is made from them.
     pub stream_dir: Option<std::path::PathBuf>,
 }
@@ -428,26 +462,19 @@ fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
         .collect()
 }
 
-/// One cell's recorded trace: replication 0's records of the kinds in
-/// [`DriverConfig::trace`], from which [`trace_files`] makes every
-/// projection.
-#[derive(Clone, Debug)]
-pub struct RecordedObsTrace {
-    /// Cell index in the figure's canonical order.
-    pub cell: usize,
-    /// The cell's swept parameter.
-    pub x: f64,
-    /// The cell's policy.
-    pub policy: String,
-    /// Workload classes in the cell's config (one arrival-gap stream each).
-    pub classes: usize,
-    /// Replication 0's trace records, chronological.
-    pub records: Vec<obs::TraceRecord>,
+/// The first line of a cell's trace artifact: `# <figure> cell <i>
+/// (x=…, policy=…)` followed by `what` the file holds.
+fn trace_header(figure: &str, c: usize, x: f64, policy: &str, what: &str) -> String {
+    format!("# {figure} cell {c} (x={x:?}, policy={policy}){what}\n")
 }
 
-/// The artifact files one cell's recording projects to, as
-/// `(file name, body)` pairs — one per projection whose kind `mask`
-/// recorded:
+/// What the structured sim-time trace `TRACE_obs_<figure>_cell<i>.txt`
+/// holds, after the cell part of its header.
+const OBS_TRACE: &str = " — replication 0 structured sim-time trace";
+
+/// The artifact files cell `c`'s recording ([`MergedCell::trace`])
+/// projects to, as `(file name, body)` pairs — one per projection whose
+/// kind `mask` recorded:
 ///
 /// - the full mask ([`obs::TraceKind::ALL`]): the rendered structured trace
 ///   `TRACE_obs_<figure>_cell<i>.txt`, plus the Chrome trace-event export
@@ -458,33 +485,38 @@ pub struct RecordedObsTrace {
 /// - [`obs::TraceKind::PolicyDecision`]: the Figures 6/15 decision series
 ///   `TRACE_pmm_<figure>_cell<i>.txt`, skipped for a cell whose policy
 ///   decided nothing (the static baselines).
+///
+/// A cell none of whose replications completed projects to nothing.
 pub fn trace_files(
     figure: &str,
     mask: u16,
-    t: &RecordedObsTrace,
+    c: usize,
+    cell: &MergedCell,
 ) -> Vec<(String, String)> {
-    let (c, x, policy) = (t.cell, t.x, &t.policy);
     let mut files = Vec::new();
+    if cell.replications == 0 {
+        return files;
+    }
+    let header = |what: &str| trace_header(figure, c, cell.x, &cell.policy, what);
     if mask == obs::TraceKind::ALL {
-        let mut body = format!(
-            "# {figure} cell {c} (x={x:?}, policy={policy}) — replication 0 \
-             structured sim-time trace\n"
-        );
-        body.push_str(&obs::render_text(&t.records));
+        let mut body = header(OBS_TRACE);
+        body.push_str(&obs::render_text(&cell.trace));
         files.push((format!("TRACE_obs_{figure}_cell{c}.txt"), body));
         if c == 0 {
             files.push((
                 format!("CHROME_{figure}_cell0.json"),
-                obs::chrome_trace_json(&t.records),
+                obs::chrome_trace_json(&cell.trace),
             ));
         }
     }
     if mask & obs::TraceKind::ArrivalGap.bit() != 0 {
-        for (class, gaps) in arrival_gaps(&t.records, t.classes).iter().enumerate() {
-            let mut body = format!(
-                "# {figure} cell {c} (x={x:?}, policy={policy}) class {class} — \
-                 replication 0 inter-arrival gaps (s)\n"
-            );
+        for (class, gaps) in arrival_gaps(&cell.trace, cell.classes.len())
+            .iter()
+            .enumerate()
+        {
+            let mut body = header(&format!(
+                " class {class} — replication 0 inter-arrival gaps (s)"
+            ));
             for g in gaps {
                 body.push_str(&format!("{g:?}\n"));
             }
@@ -492,12 +524,10 @@ pub fn trace_files(
         }
     }
     if mask & obs::TraceKind::PolicyDecision.bit() != 0 {
-        let mut body = format!(
-            "# {figure} cell {c} (x={x:?}, policy={policy}) — replication 0 PMM \
-             decision trace: t_secs mode target_mpl\n"
-        );
+        let mut body =
+            header(" — replication 0 PMM decision trace: t_secs mode target_mpl");
         let mut decided = false;
-        for r in &t.records {
+        for r in &cell.trace {
             if let obs::TraceEvent::PolicyDecision { mode, target_mpl } = r.event {
                 decided = true;
                 body.push_str(&format!(
@@ -514,27 +544,14 @@ pub fn trace_files(
     files
 }
 
-/// One cell's metrics registry, merged over the replications in seed order
-/// (counters and histogram buckets sum, gauges average, windowed deltas
-/// merge index-by-index) — the payload of `BENCH_<figure>_metrics.json`.
-#[derive(Clone, Debug)]
-pub struct CellMetrics {
-    /// Cell index in the figure's canonical order.
-    pub cell: usize,
-    /// The cell's swept parameter.
-    pub x: f64,
-    /// The cell's policy.
-    pub policy: String,
-    /// The merged registry snapshot.
-    pub metrics: obs::MetricsReport,
-}
-
-/// One cell's merged statistics over all replications.
+/// One cell's results over all replications: the merged statistics, the
+/// run's cost, its observability payloads and its quarantined
+/// replications.
 #[derive(Clone, Debug)]
 pub struct MergedCell {
     /// The swept parameter.
     pub x: f64,
-    /// Policy short name.
+    /// The cell's label ([`CellSpec::policy`]).
     pub policy: String,
     /// Replications merged.
     pub replications: u64,
@@ -565,6 +582,50 @@ pub struct MergedCell {
     /// Merged per-class outcomes, in the config's class order. Not
     /// serialized by [`FigureResult::to_json`].
     pub classes: Vec<MergedClass>,
+    /// Calendar events dispatched, summed over replications.
+    pub events: u64,
+    /// Simulated seconds, summed over replications.
+    pub sim_secs: f64,
+    /// Wall seconds, summed over replications. Each replication is timed
+    /// on its own worker, so the rates approximate per-core simulator
+    /// throughput; oversubscribed workers on a CPU-quota-limited machine
+    /// timeshare and inflate it, so trust `--threads 1` readings. Kept out
+    /// of the deterministic JSON: [`perf_json`] writes it.
+    pub wall_secs: f64,
+    /// The metrics registry merged over the replications in seed order
+    /// (counters and histogram buckets sum, gauges average, windowed deltas
+    /// merge index-by-index), `None` unless [`DriverConfig::metrics`] is
+    /// set. Serialized by [`metrics_json`].
+    pub metrics: Option<obs::MetricsReport>,
+    /// Replication 0's trace records of the kinds in
+    /// [`DriverConfig::trace`], chronological; [`trace_files`] projects
+    /// them. Empty when nothing is recorded and for streamed cells.
+    pub trace: Vec<obs::TraceRecord>,
+    /// The replications that panicked, in replication order. Empty on a
+    /// healthy cell.
+    pub quarantine: Vec<QuarantinedUnit>,
+}
+
+/// `n` per wall second, or 0 when no wall time was recorded.
+fn per_wall_sec(n: f64, wall_secs: f64) -> f64 {
+    if wall_secs > 0.0 {
+        n / wall_secs
+    } else {
+        0.0
+    }
+}
+
+impl MergedCell {
+    /// Simulator throughput in events per wall second.
+    pub fn events_per_sec(&self) -> f64 {
+        per_wall_sec(self.events as f64, self.wall_secs)
+    }
+
+    /// Simulated seconds per wall second. Prefer it to events/s: an engine
+    /// that covers the same horizon with fewer events reads lower there.
+    pub fn sim_s_per_wall_s(&self) -> f64 {
+        per_wall_sec(self.sim_secs, self.wall_secs)
+    }
 }
 
 /// Merge the per-replication window series index-by-index. Replication
@@ -595,94 +656,12 @@ fn merge_windows(reports: &[RunReport]) -> Vec<MergedWindow> {
         .collect()
 }
 
-/// Wall-clock perf readings for one cell: calendar events dispatched,
-/// simulated seconds covered and wall seconds spent, summed over the
-/// cell's replications. `wall_secs` is per-unit wall time (each unit is
-/// timed on its own worker), so the rates approximate per-core simulator
-/// throughput. For trustworthy numbers run with `--threads 1`:
-/// oversubscribed workers on a CPU-quota-limited machine timeshare, which
-/// inflates per-unit wall time. Prefer `sim_s_per_wall_s`: an engine that
-/// covers the same horizon with fewer events reads lower in events/s.
-#[derive(Clone, Debug)]
-pub struct CellPerf {
-    /// The swept parameter.
-    pub x: f64,
-    /// Policy short name.
-    pub policy: String,
-    /// Calendar events dispatched, summed over replications.
-    pub events: u64,
-    /// Simulated seconds, summed over replications.
-    pub sim_secs: f64,
-    /// Wall seconds, summed over replications.
-    pub wall_secs: f64,
-}
-
-/// `n` per wall second, or 0 when no wall time was recorded.
-fn per_wall_sec(n: f64, wall_secs: f64) -> f64 {
-    if wall_secs > 0.0 {
-        n / wall_secs
-    } else {
-        0.0
-    }
-}
-
-impl CellPerf {
-    /// Simulator throughput in events per wall second.
-    pub fn events_per_sec(&self) -> f64 {
-        per_wall_sec(self.events as f64, self.wall_secs)
-    }
-
-    /// Simulated seconds per wall second.
-    pub fn sim_s_per_wall_s(&self) -> f64 {
-        per_wall_sec(self.sim_secs, self.wall_secs)
-    }
-}
-
-/// One figure's perf trajectory. Deliberately **not** part of
-/// [`FigureResult::to_json`]: wall-clock readings vary by machine and run,
-/// so they live in the separate `BENCH_perf.json` (see [`perf_json`]) which
-/// is never diffed for byte-identity.
-#[derive(Clone, Debug, Default)]
-pub struct FigurePerf {
-    /// Per-cell readings, in the figure's canonical cell order.
-    pub cells: Vec<CellPerf>,
-}
-
-impl FigurePerf {
-    /// Total events dispatched across cells.
-    pub fn events(&self) -> u64 {
-        self.cells.iter().map(|c| c.events).sum()
-    }
-
-    /// Total wall seconds across cells.
-    pub fn wall_secs(&self) -> f64 {
-        self.cells.iter().map(|c| c.wall_secs).sum()
-    }
-
-    /// Aggregate throughput in events per wall second.
-    pub fn events_per_sec(&self) -> f64 {
-        per_wall_sec(self.events() as f64, self.wall_secs())
-    }
-
-    /// Aggregate simulated seconds per wall second.
-    pub fn sim_s_per_wall_s(&self) -> f64 {
-        let sim: f64 = self.cells.iter().map(|c| c.sim_secs).sum();
-        per_wall_sec(sim, self.wall_secs())
-    }
-}
-
 /// One replication that panicked mid-run: quarantined with its provenance
 /// instead of aborting the sweep. The remaining replications of its cell
 /// (and every other cell) still merge normally; the binary writes the list
 /// as `BENCH_<figure>_quarantine.json` (see [`quarantine_json`]).
 #[derive(Clone, Debug)]
 pub struct QuarantinedUnit {
-    /// Cell index in the figure's canonical order.
-    pub cell: usize,
-    /// The cell's swept parameter.
-    pub x: f64,
-    /// The cell's policy name.
-    pub policy: String,
     /// Replication index within the cell.
     pub rep: u64,
     /// The replication's derived RNG seed — rerun it with
@@ -705,24 +684,33 @@ pub struct FigureResult {
     pub config: DriverConfig,
     /// Merged cells, in the figure's canonical order.
     pub cells: Vec<MergedCell>,
-    /// Wall-clock perf readings (kept out of the deterministic JSON).
-    pub perf: FigurePerf,
-    /// Replication 0's recorded trace per cell (empty unless
-    /// [`DriverConfig::trace`] is non-zero, and for streamed cells; kept
-    /// out of the merged JSON — [`trace_files`] projects them to files).
-    pub obs_traces: Vec<RecordedObsTrace>,
-    /// Per-cell merged metrics registries (empty unless
-    /// [`DriverConfig::metrics`] is set).
-    /// Serialized by [`metrics_json`] —
-    /// byte-identical across thread counts, like the figure JSON.
-    pub metrics: Vec<CellMetrics>,
     /// Wall-clock self-profile aggregated over every replication of every
     /// cell (`None` unless [`DriverConfig::profile`] is set).
     /// Machine-dependent: serialized by [`profile_json`], never diffed.
     pub profile: Option<obs::ProfileReport>,
-    /// Replications that panicked, in cell-major / replication-minor order
-    /// (deterministic across thread counts). Empty on a healthy sweep.
-    pub quarantine: Vec<QuarantinedUnit>,
+}
+
+impl FigureResult {
+    /// Total events dispatched across cells.
+    pub fn events(&self) -> u64 {
+        self.cells.iter().map(|c| c.events).sum()
+    }
+
+    /// Total wall seconds across cells.
+    pub fn wall_secs(&self) -> f64 {
+        self.cells.iter().map(|c| c.wall_secs).sum()
+    }
+
+    /// Aggregate throughput in events per wall second.
+    pub fn events_per_sec(&self) -> f64 {
+        per_wall_sec(self.events() as f64, self.wall_secs())
+    }
+
+    /// Aggregate simulated seconds per wall second.
+    pub fn sim_s_per_wall_s(&self) -> f64 {
+        let sim: f64 = self.cells.iter().map(|c| c.sim_secs).sum();
+        per_wall_sec(sim, self.wall_secs())
+    }
 }
 
 /// Derive the RNG seed for replication `rep` — stable for a given master
@@ -737,36 +725,58 @@ pub fn replication_seed(master_seed: u64, rep: u64) -> u64 {
 /// `cfg.threads` workers, then merge per cell in seed order.
 ///
 /// # Errors
-/// Propagates [`figure_spec`]'s error for unknown figure names.
+/// Propagates [`figure_spec`]'s error for unknown figure names, rejects a
+/// cell config that fails validation, and reports a streamed trace file
+/// that cannot be created.
 ///
 /// # Panics
 /// A replication that panics does **not** abort the sweep: the panic is
-/// caught on its worker and the unit lands in
-/// [`FigureResult::quarantine`] while every other unit completes. Only
+/// caught on its worker and the unit lands in its cell's
+/// [`MergedCell::quarantine`] while every other unit completes. Only
 /// driver-internal invariant violations still panic.
 pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, String> {
     let spec = figure_spec(figure)?;
-    // Reject degenerate configs before any replication spawns: every cell's
-    // fully-resolved config (device, eviction, and degradation mode
-    // applied) must validate.
-    for cell in &spec.cells {
-        let mut sim = cell_config(&spec, cell.x);
+    let stream_dir = cfg.stream_dir.as_ref().filter(|_| cfg.trace != 0);
+    let stream_path = |c: usize| {
+        stream_dir.map(|d| d.join(format!("TRACE_obs_{}_cell{c}.txt", spec.name)))
+    };
+    // Replication `s` of cell `c` runs the cell's config with the driver's
+    // duration, seed and observability settings. Traces are per cell, not
+    // per replication: replication 0 is the canonical recording (its seed
+    // derivation is stable). Metrics are collected on *every* replication
+    // so the per-cell merge spans all seeds.
+    let unit_config = |c: usize, s: u64| {
+        let mut sim = spec.cells[c].config.clone();
         sim.duration_secs = cfg.secs;
-        let (sim, rest) = crate::apply_device_cell(sim, &cell.policy);
-        let (sim, _) = crate::apply_fault_cell(sim, &rest);
-        sim.validate().map_err(|e| {
+        sim.seed = replication_seed(cfg.master_seed, s);
+        if s == 0 {
+            sim.obs.trace = cfg.trace;
+            sim.obs.trace_path = stream_path(c);
+        }
+        sim.obs.metrics = cfg.metrics;
+        sim.obs.profile = cfg.profile;
+        sim
+    };
+    // Reject degenerate configs before any replication spawns.
+    for (c, cell) in spec.cells.iter().enumerate() {
+        unit_config(c, 0).validate().map_err(|e| {
             format!("invalid config for {figure} cell {:?}: {e}", cell.policy)
         })?;
     }
-    let seeds: Vec<u64> = (0..cfg.seeds)
-        .map(|rep| replication_seed(cfg.master_seed, rep))
-        .collect();
-    let streaming = cfg.stream_dir.is_some() && cfg.trace != 0;
+    // A streamed trace file starts fresh with the buffered files' header;
+    // the sink appends the records after it.
+    for (c, cell) in spec.cells.iter().enumerate() {
+        if let Some(path) = stream_path(c) {
+            let header = trace_header(spec.name, c, cell.x, &cell.policy, OBS_TRACE);
+            std::fs::write(&path, header)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        }
+    }
 
     // One unit per (cell, replication); results land in a pre-sized table so
     // merge order is independent of which worker ran which unit.
-    let units: Vec<(usize, usize)> = (0..spec.cells.len())
-        .flat_map(|c| (0..seeds.len()).map(move |s| (c, s)))
+    let units: Vec<(usize, u64)> = (0..spec.cells.len())
+        .flat_map(|c| (0..cfg.seeds).map(move |s| (c, s)))
         .collect();
     let results: Vec<OnceLock<Result<(RunReport, f64), String>>> =
         units.iter().map(|_| OnceLock::new()).collect();
@@ -774,36 +784,13 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
 
     let run_unit = |unit: usize| {
         let (c, s) = units[unit];
-        let cell = &spec.cells[c];
-        let mut sim = cell_config(&spec, cell.x);
-        sim.duration_secs = cfg.secs;
-        sim.seed = seeds[s];
-        // Traces are per cell, not per replication: replication 0 is the
-        // canonical recording (its seed derivation is stable). Metrics are
-        // collected on *every* replication so the per-cell merge spans all
-        // seeds.
-        if s == 0 {
-            sim.obs.trace = cfg.trace;
-            if streaming {
-                if let Some(dir) = &cfg.stream_dir {
-                    sim.obs.trace_path =
-                        Some(dir.join(format!("TRACE_obs_{}_cell{c}.txt", spec.name)));
-                }
-            }
-        }
-        sim.obs.metrics = cfg.metrics;
-        sim.obs.profile = cfg.profile;
-        // Device-sweep cells fold a device × eviction choice into the
-        // policy name, fault-sweep cells a degradation mode; all other
-        // cells pass through unchanged.
-        let (sim, rest) = crate::apply_device_cell(sim, &cell.policy);
-        let (sim, policy_name) = crate::apply_fault_cell(sim, &rest);
+        let sim = unit_config(c, s);
         let started = std::time::Instant::now();
         // A panicking replication (crashing policy, engine invariant blown
         // on a hostile config) is caught here on its own worker: the unit
         // quarantines, the sweep survives.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let policy = make_policy_for(&sim, &policy_name);
+            let policy = make_policy_for(&sim, &spec.cells[c].algorithm);
             run_simulation(sim, policy)
         }));
         let wall = started.elapsed().as_secs_f64();
@@ -836,63 +823,33 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
     }
 
     // Reports move out of the table: a traced replication 0's records are
-    // carried into the cell's recording without a copy.
+    // carried into the cell without a copy.
     let mut results = results
         .into_iter()
         .map(|r| r.into_inner().expect("all units completed"));
-    let mut perf = FigurePerf::default();
-    let mut obs_traces: Vec<RecordedObsTrace> = Vec::new();
-    let mut metrics: Vec<CellMetrics> = Vec::new();
     let mut profile: Option<obs::ProfileReport> = None;
-    let mut quarantine: Vec<QuarantinedUnit> = Vec::new();
     let cells = spec
         .cells
         .iter()
-        .enumerate()
-        .map(|(c, cell)| {
+        .map(|cell| {
             let mut wall_secs = 0.0;
             // Panicked replications drop out of the per-cell report set and
-            // land in the quarantine instead, in cell-major / replication-
-            // minor order — deterministic regardless of worker count.
-            let mut reports: Vec<RunReport> = Vec::with_capacity(seeds.len());
-            for (s, &seed) in seeds.iter().enumerate() {
+            // land in the cell's quarantine instead, in replication order —
+            // deterministic regardless of worker count.
+            let mut reports: Vec<RunReport> = Vec::new();
+            let mut quarantine = Vec::new();
+            for rep in 0..cfg.seeds {
                 match results.next().expect("one result per unit") {
                     Ok((report, wall)) => {
                         wall_secs += wall;
                         reports.push(report);
                     }
                     Err(message) => quarantine.push(QuarantinedUnit {
-                        cell: c,
-                        x: cell.x,
-                        policy: cell.policy.clone(),
-                        rep: s as u64,
-                        seed,
+                        rep,
+                        seed: replication_seed(cfg.master_seed, rep),
                         message,
                     }),
                 }
-            }
-            if cfg.trace != 0 && !streaming {
-                // Streamed cells wrote their trace bytes to disk as the run
-                // progressed; there is no in-memory copy to carry here.
-                if let Some(first) = reports.first_mut() {
-                    obs_traces.push(RecordedObsTrace {
-                        cell: c,
-                        x: cell.x,
-                        policy: cell.policy.clone(),
-                        classes: first.classes.len(),
-                        records: std::mem::take(&mut first.obs_trace),
-                    });
-                }
-            }
-            if cfg.metrics {
-                let per_seed: Vec<&obs::MetricsReport> =
-                    reports.iter().filter_map(|r| r.metrics.as_ref()).collect();
-                metrics.push(CellMetrics {
-                    cell: c,
-                    x: cell.x,
-                    policy: cell.policy.clone(),
-                    metrics: obs::MetricsReport::merge(&per_seed),
-                });
             }
             for r in &reports {
                 if let Some(p) = &r.profile {
@@ -902,12 +859,10 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                     }
                 }
             }
-            perf.cells.push(CellPerf {
-                x: cell.x,
-                policy: cell.policy.clone(),
-                events: reports.iter().map(|r| r.events).sum(),
-                sim_secs: reports.iter().map(|r| r.sim_secs).sum(),
-                wall_secs,
+            let metrics = cfg.metrics.then(|| {
+                let per_seed: Vec<&obs::MetricsReport> =
+                    reports.iter().filter_map(|r| r.metrics.as_ref()).collect();
+                obs::MetricsReport::merge(&per_seed)
             });
             MergedCell {
                 x: cell.x,
@@ -926,6 +881,15 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 windows: merge_windows(&reports),
                 tenants: merge_tenants(&reports),
                 classes: merge_classes(&reports),
+                events: reports.iter().map(|r| r.events).sum(),
+                sim_secs: reports.iter().map(|r| r.sim_secs).sum(),
+                wall_secs,
+                metrics,
+                trace: reports
+                    .first_mut()
+                    .map(|r| std::mem::take(&mut r.obs_trace))
+                    .unwrap_or_default(),
+                quarantine,
             }
         })
         .collect();
@@ -936,11 +900,7 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         window_secs: spec.window_secs,
         config: cfg,
         cells,
-        perf,
-        obs_traces,
-        metrics,
         profile,
-        quarantine,
     })
 }
 
@@ -968,21 +928,24 @@ pub fn quarantine_json(result: &FigureResult) -> String {
          \"units\": [\n",
         result.figure, result.config.seeds, result.config.master_seed
     ));
-    for (i, u) in result.quarantine.iter().enumerate() {
-        out.push_str(&format!("    {{\"cell\":{},\"x\":", u.cell));
-        push_f64(&mut out, u.x);
+    // Cell-major, replication-minor.
+    let units: Vec<(usize, &MergedCell, &QuarantinedUnit)> = result
+        .cells
+        .iter()
+        .enumerate()
+        .flat_map(|(c, cell)| cell.quarantine.iter().map(move |u| (c, cell, u)))
+        .collect();
+    for (i, (c, cell, u)) in units.iter().enumerate() {
+        out.push_str(&format!("    {{\"cell\":{c},\"x\":"));
+        push_f64(&mut out, cell.x);
         out.push_str(&format!(
             ",\"policy\":\"{}\",\"rep\":{},\"seed\":{},\"message\":{}}}",
-            u.policy,
+            cell.policy,
             u.rep,
             u.seed,
             json_string(&u.message)
         ));
-        out.push_str(if i + 1 < result.quarantine.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+        out.push_str(if i + 1 < units.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     out
@@ -1014,7 +977,7 @@ fn json_string(s: &str) -> String {
 /// `BENCH_perf.json` format. Unlike `BENCH_<figure>.json` this output
 /// contains wall-clock readings, so it varies by machine and run — CI
 /// archives it as a trajectory artifact but never diffs it byte-for-byte.
-pub fn perf_json(cfg: &DriverConfig, figures: &[(String, FigurePerf)]) -> String {
+pub fn perf_json(cfg: &DriverConfig, figures: &[FigureResult]) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str(&format!(
         "{{\n  \"paper\": \"conf_sigmod_PangCL94\",\n  \"kind\": \"perf\",\n  \
@@ -1025,18 +988,19 @@ pub fn perf_json(cfg: &DriverConfig, figures: &[(String, FigurePerf)]) -> String
     ));
     push_f64(&mut out, cfg.secs);
     out.push_str(",\n  \"figures\": [\n");
-    for (i, (name, perf)) in figures.iter().enumerate() {
+    for (i, result) in figures.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"figure\":\"{name}\",\"events\":{},\"wall_secs\":",
-            perf.events()
+            "    {{\"figure\":\"{}\",\"events\":{},\"wall_secs\":",
+            result.figure,
+            result.events()
         ));
-        push_f64(&mut out, perf.wall_secs());
+        push_f64(&mut out, result.wall_secs());
         out.push_str(",\"events_per_sec\":");
-        push_f64(&mut out, perf.events_per_sec());
+        push_f64(&mut out, result.events_per_sec());
         out.push_str(",\"sim_s_per_wall_s\":");
-        push_f64(&mut out, perf.sim_s_per_wall_s());
+        push_f64(&mut out, result.sim_s_per_wall_s());
         out.push_str(",\"cells\":[");
-        for (j, c) in perf.cells.iter().enumerate() {
+        for (j, c) in result.cells.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -1075,19 +1039,25 @@ pub fn metrics_json(result: &FigureResult) -> String {
     ));
     push_f64(&mut out, result.config.secs);
     out.push_str(",\n  \"cells\": [\n");
-    for (i, cm) in result.metrics.iter().enumerate() {
+    let cells: Vec<(usize, &MergedCell, &obs::MetricsReport)> = result
+        .cells
+        .iter()
+        .enumerate()
+        .filter_map(|(c, cell)| Some((c, cell, cell.metrics.as_ref()?)))
+        .collect();
+    for (i, (c, cell, metrics)) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"cell\":{},\"x\":{:?},\"policy\":\"{}\",\"counters\":{{",
-            cm.cell, cm.x, cm.policy
+            "    {{\"cell\":{c},\"x\":{:?},\"policy\":\"{}\",\"counters\":{{",
+            cell.x, cell.policy
         ));
-        for (j, (name, total)) in cm.metrics.counters.iter().enumerate() {
+        for (j, (name, total)) in metrics.counters.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{name}\":{total}"));
         }
         out.push_str("},\"gauges\":{");
-        for (j, (name, value)) in cm.metrics.gauges.iter().enumerate() {
+        for (j, (name, value)) in metrics.gauges.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -1095,7 +1065,7 @@ pub fn metrics_json(result: &FigureResult) -> String {
             push_f64(&mut out, *value);
         }
         out.push_str("},\"histograms\":[");
-        for (j, h) in cm.metrics.hists.iter().enumerate() {
+        for (j, h) in metrics.hists.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -1118,12 +1088,10 @@ pub fn metrics_json(result: &FigureResult) -> String {
         out.push(']');
         // Label families ride only in multi-tenant cells, so single-tenant
         // metrics JSON keeps its established byte-exact shape.
-        if !cm.metrics.counter_families.is_empty()
-            || !cm.metrics.gauge_families.is_empty()
-        {
+        if !metrics.counter_families.is_empty() || !metrics.gauge_families.is_empty() {
             out.push_str(",\"families\":[");
             let mut first = true;
-            for (name, values) in &cm.metrics.counter_families {
+            for (name, values) in &metrics.counter_families {
                 if !first {
                     out.push(',');
                 }
@@ -1139,7 +1107,7 @@ pub fn metrics_json(result: &FigureResult) -> String {
                 }
                 out.push_str("]}");
             }
-            for (name, values) in &cm.metrics.gauge_families {
+            for (name, values) in &metrics.gauge_families {
                 if !first {
                     out.push(',');
                 }
@@ -1158,7 +1126,7 @@ pub fn metrics_json(result: &FigureResult) -> String {
             out.push(']');
         }
         out.push_str(",\"windows\":[");
-        for (j, w) in cm.metrics.windows.iter().enumerate() {
+        for (j, w) in metrics.windows.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
@@ -1172,7 +1140,7 @@ pub fn metrics_json(result: &FigureResult) -> String {
             out.push_str("]}");
         }
         out.push_str("]}");
-        if i + 1 < result.metrics.len() {
+        if i + 1 < cells.len() {
             out.push(',');
         }
         out.push('\n');
@@ -1450,18 +1418,18 @@ mod tests {
         assert_eq!(
             spec.cells.len(),
             crate::DEVICE_RATES.len()
-                * crate::DEVICE_COMBOS.len()
+                * 2
+                * crate::DEVICE_EVICTIONS.len()
                 * crate::DEVICE_POLICIES.len()
         );
-        // Every cell name splits back into a device, an eviction policy,
-        // and a known allocation policy.
+        // Every cell runs a known allocation policy, named after its combo.
         for cell in &spec.cells {
-            let (_, _, p) =
-                crate::split_device_cell(&cell.policy).expect("device cell name");
-            assert!(crate::DEVICE_POLICIES.contains(&p), "known policy {p}");
+            let a = cell.algorithm.as_str();
+            assert!(crate::DEVICE_POLICIES.contains(&a), "known policy {a}");
+            assert!(cell.policy.ends_with(&format!("/{a}")), "{}", cell.policy);
         }
         // The acceptance grid is present: cylinder vs SSD × LRU vs LRU-K.
-        for combo in crate::DEVICE_COMBOS {
+        for combo in ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"] {
             assert!(
                 spec.cells.iter().any(|c| c.policy.starts_with(combo)),
                 "combo {combo} covered"
@@ -1470,23 +1438,96 @@ mod tests {
     }
 
     #[test]
+    fn figure_cells_keep_their_labels() {
+        let labels = |figure: &str| -> Vec<String> {
+            let spec = figure_spec(figure).expect("known figure");
+            spec.cells
+                .iter()
+                .map(|c| format!("{:?} {}", c.x, c.policy))
+                .collect()
+        };
+        let mut devices = Vec::new();
+        for x in ["0.05", "0.07"] {
+            for combo in ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"] {
+                for a in ["Max", "MinMax", "PMM"] {
+                    devices.push(format!("{x} {combo}/{a}"));
+                }
+            }
+        }
+        assert_eq!(labels("devices"), devices);
+        let mut faults = Vec::new();
+        for x in ["0.0", "0.5", "1.0"] {
+            for cell in ["abort/MinMax", "requeue/MinMax", "abort/PMM", "requeue/PMM"] {
+                faults.push(format!("{x} {cell}"));
+            }
+        }
+        assert_eq!(labels("faults"), faults);
+        let mut scale = Vec::new();
+        for x in ["10.0", "100.0", "1000.0"] {
+            for a in [
+                "Partitioned-soft",
+                "snapshot/Partitioned-soft",
+                "PMM-tenant",
+            ] {
+                scale.push(format!("{x} {a}"));
+            }
+        }
+        assert_eq!(labels("scale"), scale);
+
+        // Each cell's config carries what its label names.
+        for cell in figure_spec("devices").expect("known figure").cells {
+            let (combo, algorithm) = cell.policy.split_once('/').expect("combo/policy");
+            assert_eq!(algorithm, cell.algorithm);
+            let res = &cell.config.resources;
+            let want = match combo {
+                "cyl+lru" => (DeviceSpec::Cylinder, EvictionSpec::Lru),
+                "cyl+lruk" => (DeviceSpec::Cylinder, EvictionSpec::LruK { k: 2 }),
+                "ssd+lru" => (DeviceSpec::Ssd(SsdSpec::default()), EvictionSpec::Lru),
+                _ => (
+                    DeviceSpec::Ssd(SsdSpec::default()),
+                    EvictionSpec::LruK { k: 2 },
+                ),
+            };
+            assert_eq!((res.device, res.eviction), want, "{}", cell.policy);
+        }
+        for cell in figure_spec("faults").expect("known figure").cells {
+            let (mode, algorithm) = cell.policy.split_once('/').expect("mode/policy");
+            assert_eq!(algorithm, cell.algorithm);
+            let want = match mode {
+                "abort" => DegradationMode::Abort,
+                _ => DegradationMode::Requeue,
+            };
+            assert_eq!(cell.config.faults.default_mode, want, "{}", cell.policy);
+            assert_eq!(cell.config.faults.events.is_empty(), cell.x == 0.0);
+        }
+        for cell in figure_spec("scale").expect("known figure").cells {
+            assert_eq!(cell.policy, cell.algorithm);
+            assert_eq!(cell.config.tenants.len() as f64, cell.x);
+        }
+    }
+
+    #[test]
     fn perf_json_reports_sim_seconds_per_wall_second() {
-        let cell = |events, wall_secs| CellPerf {
-            x: 0.07,
-            policy: "PMM".into(),
-            events,
-            sim_secs: 600.0,
-            wall_secs,
+        let cfg = DriverConfig {
+            seeds: 1,
+            secs: 10.0,
+            ..DriverConfig::default()
         };
-        let perf = FigurePerf {
-            cells: vec![cell(300, 2.0), cell(100, 1.0)],
-        };
-        assert_eq!(perf.cells[0].sim_s_per_wall_s(), 300.0);
+        let mut r = run_figure("fig12", cfg).expect("fig12 runs");
+        r.cells.truncate(2);
+        for (cell, (events, wall_secs)) in
+            r.cells.iter_mut().zip([(300, 2.0), (100, 1.0)])
+        {
+            cell.events = events;
+            cell.sim_secs = 600.0;
+            cell.wall_secs = wall_secs;
+        }
+        assert_eq!(r.cells[0].sim_s_per_wall_s(), 300.0);
         // Fewer events over the same horizon read as faster, not slower.
-        assert_eq!(perf.cells[1].sim_s_per_wall_s(), 600.0);
-        assert_eq!(perf.cells[1].events_per_sec(), 100.0);
-        assert_eq!(perf.sim_s_per_wall_s(), 400.0);
-        let json = perf_json(&DriverConfig::default(), &[("fig8".into(), perf)]);
+        assert_eq!(r.cells[1].sim_s_per_wall_s(), 600.0);
+        assert_eq!(r.cells[1].events_per_sec(), 100.0);
+        assert_eq!(r.sim_s_per_wall_s(), 400.0);
+        let json = perf_json(&DriverConfig::default(), &[r]);
         assert!(json.contains("\"sim_s_per_wall_s\":400.0,\"cells\""));
         assert!(json.contains("\"events_per_sec\":150.0,\"sim_s_per_wall_s\":300.0}"));
         assert!(json.contains("\"events_per_sec\":100.0,\"sim_s_per_wall_s\":600.0}"));
@@ -1494,13 +1535,12 @@ mod tests {
 
     #[test]
     fn run_figure_validates_cells_before_spawning() {
-        // All shipped figures pass validation with sane driver settings...
-        for f in FIGURES {
-            let spec = figure_spec(f).expect("known figure");
-            for cell in &spec.cells {
-                let mut sim = cell_config(&spec, cell.x);
+        // Every shipped cell's config — device, eviction and degradation
+        // mode included — passes validation with sane driver settings...
+        for f in FIGURES.into_iter().chain(["crashtest"]) {
+            for cell in figure_spec(f).expect("known figure").cells {
+                let mut sim = cell.config;
                 sim.duration_secs = 600.0;
-                let (sim, _) = crate::apply_device_cell(sim, &cell.policy);
                 sim.validate().expect("shipped cells validate");
             }
         }
@@ -1612,18 +1652,19 @@ mod tests {
             ..DriverConfig::default()
         };
         let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
-        assert_eq!(r.obs_traces.len(), 3, "one recording per cell");
+        assert_eq!(r.cells.len(), 3, "one recording per cell");
         assert!(
-            r.obs_traces
+            r.cells
                 .iter()
-                .flat_map(|t| &t.records)
+                .flat_map(|c| &c.trace)
                 .all(|rec| rec.event.kind() == obs::TraceKind::PolicyDecision),
             "the mask keeps only policy decisions"
         );
         let files: Vec<(String, String)> = r
-            .obs_traces
+            .cells
             .iter()
-            .flat_map(|t| trace_files("fig12", cfg.trace, t))
+            .enumerate()
+            .flat_map(|(c, cell)| trace_files("fig12", cfg.trace, c, cell))
             .collect();
         assert_eq!(
             files.len(),
@@ -1640,10 +1681,10 @@ mod tests {
         let spec = figure_spec("fig12").expect("fig12 exists");
         let cell = &spec.cells[2];
         assert_eq!(cell.policy, "PMM");
-        let mut sim = cell_config(&spec, cell.x);
+        let mut sim = cell.config.clone();
         sim.duration_secs = cfg.secs;
         sim.seed = replication_seed(cfg.master_seed, 0);
-        let report = run_simulation(sim.clone(), make_policy_for(&sim, &cell.policy));
+        let report = run_simulation(sim.clone(), make_policy_for(&sim, &cell.algorithm));
         assert!(!report.trace.is_empty(), "decision trace carries points");
         let mut want = format!(
             "# fig12 cell 2 (x={:?}, policy=PMM) — replication 0 PMM decision \
@@ -1667,12 +1708,10 @@ mod tests {
             ..cfg.clone()
         };
         let full = run_figure("fig12", full).expect("traced rerun");
-        assert!(
-            trace_files("fig12", obs::TraceKind::ALL, &full.obs_traces[2])
-                .contains(&files[0])
-        );
+        assert!(trace_files("fig12", obs::TraceKind::ALL, 2, &full.cells[2])
+            .contains(&files[0]));
         let plain = run_figure("fig12", DriverConfig { trace: 0, ..cfg }).expect("rerun");
-        assert!(plain.obs_traces.is_empty());
+        assert!(plain.cells.iter().all(|c| c.trace.is_empty()));
         assert_eq!(plain.to_json(), r.to_json());
     }
 
@@ -1689,12 +1728,13 @@ mod tests {
             ..DriverConfig::default()
         };
         let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
-        assert_eq!(r.obs_traces.len(), 3, "one structured trace per cell");
-        assert!(r.obs_traces.iter().all(|t| !t.records.is_empty()));
-        assert_eq!(r.metrics.len(), 3, "one merged registry per cell");
-        for cm in &r.metrics {
+        assert_eq!(r.cells.len(), 3, "one structured trace per cell");
+        assert!(r.cells.iter().all(|c| !c.trace.is_empty()));
+        for cell in &r.cells {
             assert!(
-                cm.metrics
+                cell.metrics
+                    .as_ref()
+                    .expect("one merged registry per cell")
                     .counters
                     .iter()
                     .any(|(n, v)| n == "engine.arrivals" && *v > 0),
@@ -1721,8 +1761,8 @@ mod tests {
             ..cfg.clone()
         };
         let plain = run_figure("fig12", off).expect("rerun");
-        assert!(plain.obs_traces.is_empty());
-        assert!(plain.metrics.is_empty());
+        assert!(plain.cells.iter().all(|c| c.trace.is_empty()));
+        assert!(plain.cells.iter().all(|c| c.metrics.is_none()));
         assert!(plain.profile.is_none());
         assert_eq!(plain.to_json(), r.to_json());
         let pjson = profile_json(&cfg, &[("fig12".to_string(), prof.clone())]);
@@ -1746,8 +1786,14 @@ mod tests {
             ..DriverConfig::default()
         };
         let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
-        assert!(r.obs_traces.is_empty(), "no trace is recorded");
-        assert_eq!(r.metrics.len(), 3, "one merged registry per cell");
+        assert!(
+            r.cells.iter().all(|c| c.trace.is_empty()),
+            "no trace is recorded"
+        );
+        assert!(
+            r.cells.iter().all(|c| c.metrics.is_some()),
+            "one merged registry per cell"
+        );
         assert!(metrics_json(&r).contains("\"engine.arrivals\""));
         // The registries are byte-identical to a traced run's: tracing is
         // observation, not perturbation.
@@ -1770,7 +1816,7 @@ mod tests {
             },
         )
         .expect("plain rerun");
-        assert!(plain.metrics.is_empty());
+        assert!(plain.cells.iter().all(|c| c.metrics.is_none()));
         assert_eq!(plain.to_json(), r.to_json());
     }
 
@@ -1795,10 +1841,10 @@ mod tests {
         for (cell, merged) in spec.cells.iter().zip(&r.cells) {
             let reports: Vec<RunReport> = (0..cfg.seeds)
                 .map(|rep| {
-                    let mut sim = cell_config(&spec, cell.x);
+                    let mut sim = cell.config.clone();
                     sim.duration_secs = cfg.secs;
                     sim.seed = replication_seed(cfg.master_seed, rep);
-                    let policy = make_policy_for(&sim, &cell.policy);
+                    let policy = make_policy_for(&sim, &cell.algorithm);
                     run_simulation(sim, policy)
                 })
                 .collect();

@@ -1,14 +1,17 @@
 //! `bench` — the experiment harness behind the paper's Section 5.
 //!
 //! [`driver`] is the one place a figure is defined: [`driver::figure_spec`]
-//! lists each figure's cells, the driver runs every cell under independently
-//! seeded replications, and [`driver::FigureResult::render`] prints the
+//! lists each figure's cells, each one value with its printed label, the
+//! policy name it runs and its full `SimConfig`; the driver runs every cell
+//! under independently seeded replications and merges each into one
+//! [`driver::MergedCell`]; [`driver::FigureResult::render`] prints the
 //! merged results in the paper's layouts (the `experiments` binary's
 //! terminal output) while [`driver::FigureResult::to_json`] writes the
 //! machine-readable `BENCH_<figure>.json`.
 //!
 //! This crate root holds the figure constants the driver sweeps and the
-//! policy-name resolver [`make_policy_for`]. Wall-clock cost grows with
+//! policy-name resolver [`make_policy_for`], which resolves only the memory
+//! algorithm. Wall-clock cost grows with
 //! simulated duration; [`PAPER_SECS`] (10 simulated hours) is the paper's
 //! measurement horizon.
 
@@ -53,26 +56,21 @@ impl MemoryPolicy for PanicPolicy {
 /// declared (hard unless the spec says otherwise), `"Partitioned-soft"`
 /// lets every partition borrow idle pages, and `"PMM-tenant"` /
 /// `"PMM-tenant-regime"` run one (optionally regime-aware) PMM controller
-/// per partition (PMM v2). Device-sweep cell names
-/// (`"<combo>/<policy>"`, see [`split_device_cell`]) resolve to their
-/// inner allocation policy — the device part only shapes the config —
-/// and `"snapshot/<policy>"` cells wrap the inner policy in
-/// [`SnapshotOnly`], pinning it to the full-snapshot allocation
-/// path (see [`split_snapshot_cell`]). The plain names are `"Max"`,
+/// per partition (PMM v2). `"snapshot/<policy>"` wraps the inner policy in
+/// [`SnapshotOnly`], pinning it to the full-snapshot allocation path (the
+/// name `SnapshotOnly::name` reports). The plain names are `"Max"`,
 /// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"Proportional-<N>"`,
 /// `"PMM"`, `"PMM-regime"`, and the crashtest figure's `"panic"`.
+///
+/// Only the memory algorithm is named here: a figure cell's device,
+/// eviction policy and degradation mode are in its `SimConfig`
+/// ([`driver::CellSpec::config`]).
 ///
 /// # Panics
 /// Panics on an unknown name, or a tenant-aware name against a config
 /// with no tenants.
 pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
-    if let Some((_, _, policy)) = split_device_cell(name) {
-        return make_policy_for(cfg, policy);
-    }
-    if let Some((_, policy)) = split_fault_cell(name) {
-        return make_policy_for(cfg, policy);
-    }
-    if let Some(policy) = split_snapshot_cell(name) {
+    if let Some(policy) = name.strip_prefix("snapshot/") {
         return Box::new(SnapshotOnly::new(make_policy_for(cfg, policy)));
     }
     let partitions = || -> Vec<PartitionSpec> {
@@ -138,81 +136,23 @@ pub const BURST_POLICIES: [&str; 4] = ["Max", "MinMax", "PMM", "PMM-regime"];
 /// Arrival rates of the device sweep: one below and one above the
 /// cylinder disk's saturation knee, so the SSD's headroom is visible.
 pub const DEVICE_RATES: [f64; 2] = [0.05, 0.07];
-/// Device × eviction combinations of the device sweep.
-pub const DEVICE_COMBOS: [&str; 4] = ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"];
-/// The allocation policies crossed with each device combination.
+/// Buffer-pool eviction policies of the device sweep: plain LRU and LRU-2
+/// (the classic O'Neil et al. setting).
+pub const DEVICE_EVICTIONS: [EvictionSpec; 2] =
+    [EvictionSpec::Lru, EvictionSpec::LruK { k: 2 }];
+/// The allocation policies crossed with each device × eviction combination.
 pub const DEVICE_POLICIES: [&str; 3] = ["Max", "MinMax", "PMM"];
-/// History depth of the LRU-K cells in the device sweep (LRU-2, the
-/// classic O'Neil et al. setting).
-pub const DEVICE_LRUK_K: u32 = 2;
-
-/// Split a device-sweep cell name `"<combo>/<policy>"` (e.g.
-/// `"ssd+lruk/PMM"`) into its device, eviction policy, and allocation
-/// policy name. Returns `None` for plain policy names, which keeps every
-/// other figure's cells flowing through untouched.
-pub fn split_device_cell(name: &str) -> Option<(DeviceSpec, EvictionSpec, &str)> {
-    let (combo, policy) = name.split_once('/')?;
-    let (device, eviction) = combo.split_once('+')?;
-    let device = match device {
-        "cyl" => DeviceSpec::Cylinder,
-        "ssd" => DeviceSpec::Ssd(SsdSpec::default()),
-        _ => return None,
-    };
-    let eviction = match eviction {
-        "lru" => EvictionSpec::Lru,
-        "lruk" => EvictionSpec::LruK { k: DEVICE_LRUK_K },
-        _ => return None,
-    };
-    Some((device, eviction, policy))
-}
-
-/// Apply a device-sweep cell name to a config: returns the config with the
-/// cell's device and eviction policy installed, plus the allocation-policy
-/// name left over. Non-device names pass through as the identity.
-pub fn apply_device_cell(cfg: SimConfig, name: &str) -> (SimConfig, String) {
-    match split_device_cell(name) {
-        Some((device, eviction, policy)) => (
-            cfg.with_device(device).with_eviction(eviction),
-            policy.to_string(),
-        ),
-        None => (cfg, name.to_string()),
-    }
-}
 
 /// Fault intensities of the faults sweep: the empty-plan control cell plus
 /// a half- and a full-strength storm (see `FaultPlan::scaled`).
 pub const FAULT_INTENSITIES: [f64; 3] = [0.0, 0.5, 1.0];
 /// Degradation-mode × allocation-policy cells of the faults sweep.
-pub const FAULT_POLICIES: [&str; 4] =
-    ["abort/MinMax", "requeue/MinMax", "abort/PMM", "requeue/PMM"];
-
-/// Split a faults-sweep cell name `"<mode>/<policy>"` (e.g.
-/// `"requeue/PMM"`) into its degradation mode and allocation-policy name.
-/// Returns `None` for plain policy names and for device cells (their combo
-/// part is never a mode name), so every other figure's cells pass through
-/// untouched.
-pub fn split_fault_cell(name: &str) -> Option<(DegradationMode, &str)> {
-    let (mode, policy) = name.split_once('/')?;
-    let mode = match mode {
-        "abort" => DegradationMode::Abort,
-        "requeue" => DegradationMode::Requeue,
-        _ => return None,
-    };
-    Some((mode, policy))
-}
-
-/// Apply a faults-sweep cell name to a config: installs the cell's
-/// degradation mode as the plan's default and returns the allocation-policy
-/// name left over. Non-fault names pass through as the identity.
-pub fn apply_fault_cell(mut cfg: SimConfig, name: &str) -> (SimConfig, String) {
-    match split_fault_cell(name) {
-        Some((mode, policy)) => {
-            cfg.faults.default_mode = mode;
-            (cfg, policy.to_string())
-        }
-        None => (cfg, name.to_string()),
-    }
-}
+pub const FAULT_POLICIES: [(DegradationMode, &str); 4] = [
+    (DegradationMode::Abort, "MinMax"),
+    (DegradationMode::Requeue, "MinMax"),
+    (DegradationMode::Abort, "PMM"),
+    (DegradationMode::Requeue, "PMM"),
+];
 
 /// Tenant counts of the scale figure's 10¹ → 10³ sweep.
 pub const SCALE_TENANTS: [usize; 3] = [10, 100, 1000];
@@ -224,16 +164,6 @@ pub const SCALE_POLICIES: [&str; 3] = [
     "snapshot/Partitioned-soft",
     "PMM-tenant",
 ];
-
-/// Split a scale-figure cell name `"snapshot/<policy>"` into the wrapped
-/// allocation-policy name. The `snapshot/` prefix pins the policy to the
-/// full-snapshot reference allocation path (`pmm::SnapshotOnly`) — the
-/// control arm of the incremental-reallocation comparison. Returns `None`
-/// for every other name, including device (`ssd+lruk/…`) and fault
-/// (`requeue/…`) cells.
-pub fn split_snapshot_cell(name: &str) -> Option<&str> {
-    name.strip_prefix("snapshot/")
-}
 
 /// Analytics-tenant memory fractions of the multi-tenant sweep.
 pub const TENANT_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
@@ -285,94 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn device_cell_names_round_trip() {
-        use pmm_core::storage::{DeviceSpec, EvictionSpec};
-        let (dev, ev, p) = split_device_cell("ssd+lruk/PMM").expect("device cell");
-        assert!(matches!(dev, DeviceSpec::Ssd(_)));
-        assert_eq!(ev, EvictionSpec::LruK { k: DEVICE_LRUK_K });
-        assert_eq!(p, "PMM");
-        let (dev, ev, p) = split_device_cell("cyl+lru/MinMax").expect("device cell");
-        assert_eq!(dev, DeviceSpec::Cylinder);
-        assert_eq!(ev, EvictionSpec::Lru);
-        assert_eq!(p, "MinMax");
-        // Plain policy names and malformed combos pass through as None.
-        assert!(split_device_cell("PMM").is_none());
-        assert!(split_device_cell("MinMax-10").is_none());
-        assert!(split_device_cell("tape+lru/PMM").is_none());
-        assert!(split_device_cell("ssd+fifo/PMM").is_none());
-    }
-
-    #[test]
-    fn apply_device_cell_installs_device_and_eviction() {
-        use pmm_core::storage::{DeviceSpec, EvictionSpec};
-        let base = SimConfig::baseline(0.05);
-        let (cfg, policy) = apply_device_cell(base.clone(), "ssd+lruk/Max");
-        assert!(matches!(cfg.resources.device, DeviceSpec::Ssd(_)));
-        assert_eq!(
-            cfg.resources.eviction,
-            EvictionSpec::LruK { k: DEVICE_LRUK_K }
-        );
-        assert_eq!(policy, "Max");
-        // Identity on non-device names: config untouched, name passed back.
-        let (cfg, policy) = apply_device_cell(base, "PMM");
-        assert_eq!(cfg.resources.device, DeviceSpec::Cylinder);
-        assert_eq!(cfg.resources.eviction, EvictionSpec::Lru);
-        assert_eq!(policy, "PMM");
-    }
-
-    #[test]
-    fn make_policy_for_resolves_device_cell_names() {
-        let cfg = SimConfig::baseline(0.05);
-        assert_eq!(make_policy_for(&cfg, "ssd+lruk/PMM").name(), "PMM");
-        assert_eq!(make_policy_for(&cfg, "cyl+lru/MinMax").name(), "MinMax");
-    }
-
-    #[test]
-    fn fault_cell_names_round_trip() {
-        let (mode, p) = split_fault_cell("abort/MinMax").expect("fault cell");
-        assert_eq!(mode, DegradationMode::Abort);
-        assert_eq!(p, "MinMax");
-        let (mode, p) = split_fault_cell("requeue/PMM").expect("fault cell");
-        assert_eq!(mode, DegradationMode::Requeue);
-        assert_eq!(p, "PMM");
-        // Plain names, unknown modes, and device cells pass through.
-        assert!(split_fault_cell("PMM").is_none());
-        assert!(split_fault_cell("retry/PMM").is_none());
-        assert!(split_fault_cell("ssd+lruk/PMM").is_none());
-        assert!(split_device_cell("abort/PMM").is_none());
-    }
-
-    #[test]
-    fn apply_fault_cell_installs_the_degradation_mode() {
-        let base = SimConfig::faulty(1.0);
-        let (cfg, policy) = apply_fault_cell(base.clone(), "requeue/PMM");
-        assert_eq!(cfg.faults.default_mode, DegradationMode::Requeue);
-        assert_eq!(policy, "PMM");
-        // Identity on non-fault names.
-        let (cfg, policy) = apply_fault_cell(base, "MinMax");
-        assert_eq!(cfg.faults.default_mode, DegradationMode::Abort);
-        assert_eq!(policy, "MinMax");
-    }
-
-    #[test]
     fn make_policy_for_resolves_fault_cell_names() {
-        let cfg = SimConfig::faulty(0.5);
-        assert_eq!(make_policy_for(&cfg, "abort/PMM").name(), "PMM");
-        assert_eq!(make_policy_for(&cfg, "requeue/MinMax").name(), "MinMax");
-    }
-
-    #[test]
-    fn snapshot_cell_names_round_trip() {
-        assert_eq!(
-            split_snapshot_cell("snapshot/Partitioned-soft"),
-            Some("Partitioned-soft")
-        );
-        // Plain names, device cells, and fault cells pass through.
-        assert!(split_snapshot_cell("Partitioned-soft").is_none());
-        assert!(split_snapshot_cell("ssd+lruk/PMM").is_none());
-        assert!(split_snapshot_cell("requeue/PMM").is_none());
-        assert!(split_device_cell("snapshot/Partitioned-soft").is_none());
-        assert!(split_fault_cell("snapshot/Partitioned-soft").is_none());
+        // A faults cell names its memory algorithm apart from its label;
+        // the degradation mode is in the cell's config, not the name.
+        let spec = crate::driver::figure_spec("faults").expect("known figure");
+        for cell in &spec.cells {
+            let policy = make_policy_for(&cell.config, &cell.algorithm);
+            assert_eq!(policy.name(), cell.algorithm);
+            assert!(cell.policy.ends_with(&format!("/{}", cell.algorithm)));
+        }
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn devices_json_matches_serial_and_covers_grid() {
         parallel.to_json(),
         "devices: 4-thread JSON must match the serial run"
     );
-    for combo in bench::DEVICE_COMBOS {
+    for combo in ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"] {
         for policy in bench::DEVICE_POLICIES {
             let name = format!("{combo}/{policy}");
             assert!(
@@ -210,7 +210,10 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
         ..DriverConfig::default()
     };
     let plain = run_figure("fig11", base.clone()).expect("plain run");
-    assert!(plain.obs_traces.is_empty(), "recording is off by default");
+    assert!(
+        plain.cells.iter().all(|c| c.trace.is_empty()),
+        "recording is off by default"
+    );
     let recorded = run_figure(
         "fig11",
         DriverConfig {
@@ -224,16 +227,11 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
         recorded.to_json(),
         "recording must not perturb the merged JSON"
     );
-    assert_eq!(
-        recorded.obs_traces.len(),
-        recorded.cells.len(),
-        "one recording per cell"
-    );
-    for t in &recorded.obs_traces {
-        assert_eq!(t.classes, 1, "fig11 cells run one class");
-        let gaps = arrival_gaps(&t.records, t.classes).remove(0);
-        assert!(!gaps.is_empty(), "cell {} recorded no gaps", t.cell);
-        assert_eq!(gaps.len(), t.records.len(), "the mask keeps only gaps");
+    for (c, cell) in recorded.cells.iter().enumerate() {
+        assert_eq!(cell.classes.len(), 1, "fig11 cells run one class");
+        let gaps = arrival_gaps(&cell.trace, 1).remove(0);
+        assert!(!gaps.is_empty(), "cell {c} recorded no gaps");
+        assert_eq!(gaps.len(), cell.trace.len(), "the mask keeps only gaps");
         // The recorded gaps replay through the Trace process exactly.
         let mut trace = pmm_core::workload::Trace::from_gaps(gaps.clone(), false);
         let mut rng = pmm_core::simkit::Rng::new(1);
@@ -277,21 +275,20 @@ fn trace_artifacts_are_thread_count_invariant() {
     )
     .expect("parallel run");
     assert_eq!(serial.to_json(), parallel.to_json());
-    assert_eq!(serial.obs_traces.len(), parallel.obs_traces.len());
-    for (s, p) in serial.obs_traces.iter().zip(&parallel.obs_traces) {
+    assert_eq!(serial.cells.len(), parallel.cells.len());
+    for (c, (s, p)) in serial.cells.iter().zip(&parallel.cells).enumerate() {
+        assert!(!s.trace.is_empty(), "cell {c} recorded a trace");
         assert_eq!(
-            pmm_core::obs::render_text(&s.records),
-            pmm_core::obs::render_text(&p.records),
-            "cell {}: rendered trace must be byte-identical across thread \
-             counts",
-            s.cell
+            pmm_core::obs::render_text(&s.trace),
+            pmm_core::obs::render_text(&p.trace),
+            "cell {c}: rendered trace must be byte-identical across thread \
+             counts"
         );
         assert_eq!(
-            pmm_core::obs::chrome_trace_json(&s.records),
-            pmm_core::obs::chrome_trace_json(&p.records),
-            "cell {}: Chrome export must be byte-identical across thread \
-             counts",
-            s.cell
+            pmm_core::obs::chrome_trace_json(&s.trace),
+            pmm_core::obs::chrome_trace_json(&p.trace),
+            "cell {c}: Chrome export must be byte-identical across thread \
+             counts"
         );
     }
     assert_eq!(
@@ -303,6 +300,50 @@ fn trace_artifacts_are_thread_count_invariant() {
     // observability path never perturbs the simulation.
     let off = run_figure("fig12", DriverConfig { trace: 0, ..base }).expect("plain run");
     assert_eq!(off.to_json(), serial.to_json());
+}
+
+/// Streamed traces (`DriverConfig::stream_dir`, the faults figure under
+/// `--trace`) are created fresh with the buffered files' header: a rerun
+/// into the same directory leaves identical bytes instead of appending.
+#[test]
+fn streamed_traces_start_fresh_with_the_header() {
+    let dir = std::env::temp_dir().join(format!("bench-stream-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cfg = DriverConfig {
+        seeds: 1,
+        threads: 2,
+        secs: 100.0,
+        master_seed: 1994,
+        trace: TraceKind::ALL,
+        stream_dir: Some(dir.clone()),
+        ..DriverConfig::default()
+    };
+    let read_all = |n: usize| -> Vec<String> {
+        (0..n)
+            .map(|c| {
+                let path = dir.join(format!("TRACE_obs_faults_cell{c}.txt"));
+                std::fs::read_to_string(&path).expect("streamed file written")
+            })
+            .collect()
+    };
+    let first = run_figure("faults", cfg.clone()).expect("first run");
+    assert!(
+        first.cells.iter().all(|c| c.trace.is_empty()),
+        "records on disk"
+    );
+    let once = read_all(first.cells.len());
+    run_figure("faults", cfg).expect("second run");
+    let twice = read_all(first.cells.len());
+    std::fs::remove_dir_all(&dir).expect("clean up");
+    assert!(
+        once[0].starts_with("# faults cell 0 (x="),
+        "header first: {:?}",
+        once[0].lines().next()
+    );
+    for (c, (a, b)) in once.iter().zip(&twice).enumerate() {
+        assert!(a.lines().count() > 1, "cell {c} streamed records");
+        assert_eq!(a, b, "cell {c}: a rerun must leave identical bytes");
+    }
 }
 
 /// The `scale` figure obeys the same contract at every tenant population:
@@ -419,16 +460,15 @@ fn tenant_metric_families_merge_and_stay_thread_invariant() {
         json.contains("{\"name\":\"engine.tenant.mpl\",\"kind\":\"gauge\",\"values\":["),
         "{json}"
     );
-    for cm in &serial.metrics {
-        let served: u64 = cm
-            .metrics
+    for (c, cell) in serial.cells.iter().enumerate() {
+        let metrics = cell.metrics.as_ref().expect("metrics collected");
+        let served: u64 = metrics
             .counter_families
             .iter()
             .find(|(n, _)| n == "engine.tenant.served")
             .map(|(_, v)| v.iter().sum())
             .expect("tenants cells carry the served family");
-        let total = cm
-            .metrics
+        let total = metrics
             .counters
             .iter()
             .find(|(n, _)| n == "engine.served")
@@ -436,8 +476,7 @@ fn tenant_metric_families_merge_and_stay_thread_invariant() {
             .expect("plain served counter present");
         assert_eq!(
             served, total,
-            "cell {}: per-tenant served cells must sum to the global counter",
-            cm.cell
+            "cell {c}: per-tenant served cells must sum to the global counter"
         );
     }
     // Single-tenant figures: no families key, same shape as before.

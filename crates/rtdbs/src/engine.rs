@@ -663,15 +663,17 @@ pub struct Simulator {
     missed: u64,
     class_outcomes: Vec<ClassOutcome>,
     timings: TimingTallies,
-    mpl_run: TimeWeighted,
+    /// The MPL over the run and over the global feedback window, on one
+    /// clock.
+    mpl: TimeWeighted,
     miss_series: BatchMeans,
     windows: Vec<WindowPoint>,
     window_start: SimTime,
     window_served: u64,
     window_missed: u64,
-    // The global (SampleSize) feedback window and its MPL integral.
+    // The global (SampleSize) feedback window; its MPL integral is
+    // `mpl`'s window.
     feedback: FeedbackWindow,
-    mpl_batch: TimeWeighted,
     // Per-tenant tracking (empty for single-tenant configs) and whether
     // per-tenant feedback batches are routed to the policy.
     tenants: Vec<TenantState>,
@@ -827,14 +829,13 @@ impl Simulator {
                 })
                 .collect(),
             timings: TimingTallies::default(),
-            mpl_run: TimeWeighted::new(start, 0.0),
+            mpl: TimeWeighted::new(start, 0.0),
             miss_series: BatchMeans::new(100),
             windows: Vec::new(),
             window_start: start,
             window_served: 0,
             window_missed: 0,
             feedback: FeedbackWindow::default(),
-            mpl_batch: TimeWeighted::new(start, 0.0),
             tenants,
             tenant_feedback,
             usage_rows: TimeWeightedRows::new(start),
@@ -1279,8 +1280,7 @@ impl Simulator {
             self.update_tenant_usage(now);
         }
         let holders = f64::from(self.holders);
-        self.mpl_run.set(now, holders);
-        self.mpl_batch.set(now, holders);
+        self.mpl.set(now, holders);
     }
 
     /// Fold the per-tenant usage readings (MPL, pages in use, pages
@@ -1915,7 +1915,7 @@ impl Simulator {
             }
         }
         // Restart the window's MPL integral and busy clocks.
-        self.mpl_batch.reset_window(now);
+        self.mpl.reset_window(now);
         self.cpu.util.reset_window(now);
         for u in &mut self.disk_util {
             u.reset_window(now);
@@ -1956,7 +1956,7 @@ impl Simulator {
             .sum::<f64>()
             / self.disk_util.len() as f64;
         let (window, realized_mpl) = match tenant {
-            None => (&mut self.feedback, self.mpl_batch.mean(now)),
+            None => (&mut self.feedback, self.mpl.window_mean(now)),
             Some(ti) => {
                 let t = &mut self.tenants[ti];
                 // Closing the window restarts it at `now`.
@@ -2051,7 +2051,7 @@ impl Simulator {
             missed: self.missed,
             classes: self.class_outcomes,
             tenants: tenant_outcomes,
-            avg_mpl: self.mpl_run.mean(now),
+            avg_mpl: self.mpl.mean(now),
             cpu_util: self.cpu.util.fraction(now),
             disk_util,
             timings: self.timings.summarize(),

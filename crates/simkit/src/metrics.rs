@@ -3,7 +3,8 @@
 //! * [`Tally`] — running mean / variance over discrete observations
 //!   (Welford's algorithm), e.g. per-query response times.
 //! * [`TimeWeighted`] — time-integrated average of a piecewise-constant
-//!   signal, e.g. multiprogramming level or resource utilization.
+//!   signal, e.g. multiprogramming level, over the run and over a
+//!   restartable window.
 //!   [`TimeWeightedN`] integrates `N` signals that change together on one
 //!   clock.
 //! * [`TimeWeightedRows`] — many [`TimeWeightedN`]s that are all set at the
@@ -85,45 +86,86 @@ impl Tally {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal such as the MPL.
+/// Time-weighted average of a piecewise-constant signal such as the MPL,
+/// read over the whole run and over a restartable window (the engine's
+/// feedback batch) from one clock, the way [`Utilization`] serves both of
+/// its fractions.
 ///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the collector
-/// integrates `signal × dt` between updates. It is the one-signal
-/// [`TimeWeightedN`].
+/// Call [`TimeWeighted::set`] whenever the signal changes; each `set`
+/// converts `now − last_update` to seconds once and adds `signal × dt` to
+/// both integrals. [`reset_window`](Self::reset_window) folds the open
+/// interval in and zeroes only the window. The readings are bit for bit
+/// those of a run collector and a window collector kept apart, provided
+/// every window reset is followed by a `set` at the same instant (the
+/// engine's batch close is: it reallocates, which sets the MPL).
 #[derive(Clone, Debug)]
-pub struct TimeWeighted(TimeWeightedN<1>);
+pub struct TimeWeighted {
+    value: f64,
+    last_update: SimTime,
+    start: SimTime,
+    integral: f64,
+    window_start: SimTime,
+    window_integral: f64,
+}
 
 impl TimeWeighted {
     /// Start tracking at time `start` with initial signal value `initial`.
     pub fn new(start: SimTime, initial: f64) -> Self {
-        let mut tw = TimeWeightedN::new(start);
-        tw.values = [initial];
-        TimeWeighted(tw)
+        TimeWeighted {
+            value: initial,
+            last_update: start,
+            start,
+            integral: 0.0,
+            window_start: start,
+            window_integral: 0.0,
+        }
     }
 
     /// Record that the signal takes value `v` from `now` onward.
     pub fn set(&mut self, now: SimTime, v: f64) {
-        self.0.set(now, [v]);
+        let area = self.value * now.since(self.last_update).as_secs_f64();
+        self.integral += area;
+        self.window_integral += area;
+        self.value = v;
+        self.last_update = now;
     }
 
     /// Adjust the signal by `delta` (e.g. +1 on admission, −1 on departure).
     pub fn add(&mut self, now: SimTime, delta: f64) {
-        self.set(now, self.current() + delta);
+        self.set(now, self.value + delta);
     }
 
     /// Current instantaneous value.
     pub fn current(&self) -> f64 {
-        self.0.values[0]
+        self.value
     }
 
-    /// Time-weighted mean over `[origin, now]`.
-    pub fn mean(&mut self, now: SimTime) -> f64 {
-        self.0.means(now)[0]
+    /// Mean of `integral` (up to the last `set`) plus the open interval,
+    /// over `[from, now]`; the current value for an empty span.
+    fn mean_since(&self, from: SimTime, integral: f64, now: SimTime) -> f64 {
+        let span = now.since(from).as_secs_f64();
+        if span <= 0.0 {
+            return self.value;
+        }
+        (integral + self.value * now.since(self.last_update).as_secs_f64()) / span
     }
 
-    /// Restart the averaging window at `now`, keeping the current value.
+    /// Time-weighted mean over the run, `[start, now]`.
+    pub fn mean(&self, now: SimTime) -> f64 {
+        self.mean_since(self.start, self.integral, now)
+    }
+
+    /// Time-weighted mean over the current window, `[window_start, now]`.
+    pub fn window_mean(&self, now: SimTime) -> f64 {
+        self.mean_since(self.window_start, self.window_integral, now)
+    }
+
+    /// Restart the window at `now`, keeping the current value and the run
+    /// integral.
     pub fn reset_window(&mut self, now: SimTime) {
-        self.0.reset_window(now);
+        self.set(now, self.value);
+        self.window_integral = 0.0;
+        self.window_start = now;
     }
 }
 
@@ -556,7 +598,7 @@ mod tests {
     fn time_weighted_window_reset() {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 4.0);
         tw.reset_window(SimTime::from_secs(100));
-        let mean = tw.mean(SimTime::from_secs(200));
+        let mean = tw.window_mean(SimTime::from_secs(200));
         assert!((mean - 4.0).abs() < 1e-9);
     }
 

@@ -70,71 +70,6 @@ pub struct CacheKey {
     pub block: u32,
 }
 
-/// Key → slot index of the LRU-K order, sized to the cache it serves: at
-/// the paper's 5-line capacity a linear scan over a flat pair vector wins;
-/// larger caches keep the hashed index so big-cache experiments stay O(1).
-/// Both arms are pinned against the same reference model by
-/// `crates/storage/tests/lru_model.rs` (paper size *and* stress shapes).
-#[derive(Debug)]
-enum KeyIndex {
-    /// Small capacity: flat `(key, slot)` pairs, scanned.
-    Small(Vec<(CacheKey, u32)>),
-    /// Large capacity: hashed point lookups.
-    Hashed(FastMap<CacheKey, u32>),
-}
-
-impl KeyIndex {
-    /// Largest capacity (entries) served by the linear index.
-    const SMALL_MAX: usize = 32;
-
-    fn with_capacity(entries: usize) -> Self {
-        if entries <= Self::SMALL_MAX {
-            KeyIndex::Small(Vec::with_capacity(entries + 1))
-        } else {
-            KeyIndex::Hashed(FastMap::default())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            KeyIndex::Small(v) => v.len(),
-            KeyIndex::Hashed(m) => m.len(),
-        }
-    }
-
-    fn get(&self, key: &CacheKey) -> Option<u32> {
-        match self {
-            KeyIndex::Small(v) => v.iter().find(|(k, _)| k == key).map(|&(_, slot)| slot),
-            KeyIndex::Hashed(m) => m.get(key).copied(),
-        }
-    }
-
-    fn insert(&mut self, key: CacheKey, slot: u32) {
-        match self {
-            KeyIndex::Small(v) => {
-                debug_assert!(!v.iter().any(|(k, _)| *k == key));
-                v.push((key, slot));
-            }
-            KeyIndex::Hashed(m) => {
-                m.insert(key, slot);
-            }
-        }
-    }
-
-    fn remove(&mut self, key: &CacheKey) {
-        match self {
-            KeyIndex::Small(v) => {
-                if let Some(at) = v.iter().position(|(k, _)| k == key) {
-                    v.swap_remove(at);
-                }
-            }
-            KeyIndex::Hashed(m) => {
-                m.remove(key);
-            }
-        }
-    }
-}
-
 /// How a [`BufferPool`] orders its lines for replacement.
 ///
 /// Object-safe: the pool boxes one, selected by [`EvictionSpec`]. The
@@ -242,7 +177,6 @@ impl EvictionPolicy for IndexedLru {
 #[derive(Clone, Debug)]
 struct LruKEntry {
     key: CacheKey,
-    live: bool,
     /// Logical access stamps, oldest at index 0, at most `k` retained.
     history: Vec<u64>,
 }
@@ -253,18 +187,18 @@ struct LruKEntry {
 /// fully-historied line, oldest first access first. Stamps come from a
 /// pool-global logical access counter, so all comparisons are exact and
 /// tie-free (every stamp is unique) — victim selection is deterministic
-/// regardless of slab layout.
+/// regardless of the order the lines are stored in.
 ///
-/// Eviction scans the slab — O(capacity) — which is fine at cache-line
-/// counts (the paper's pool holds 5 lines; the stress shapes dozens).
+/// The lines live in one flat vector, like [`IndexedLru`]: every operation
+/// scans it — O(resident lines) — which is fine at cache-line counts (the
+/// paper's pool holds 5 lines; the stress shapes dozens).
 #[derive(Debug)]
 pub struct LruKPolicy {
     k: u32,
     /// Pool-global logical clock, incremented on every recorded access.
     clock: u64,
-    index: KeyIndex,
-    slots: Vec<LruKEntry>,
-    free: Vec<u32>,
+    /// Resident lines, in no particular order.
+    lines: Vec<LruKEntry>,
 }
 
 impl LruKPolicy {
@@ -274,16 +208,18 @@ impl LruKPolicy {
         LruKPolicy {
             k,
             clock: 0,
-            index: KeyIndex::with_capacity(capacity_entries),
-            slots: Vec::new(),
-            free: Vec::new(),
+            lines: Vec::with_capacity(capacity_entries + 1),
         }
     }
 
-    /// Record one access to the line in `slot`.
-    fn record(&mut self, slot: u32) {
+    fn position(&self, key: &CacheKey) -> Option<usize> {
+        self.lines.iter().position(|e| e.key == *key)
+    }
+
+    /// Record one access to the line at `at`.
+    fn record(&mut self, at: usize) {
         self.clock += 1;
-        let entry = &mut self.slots[slot as usize];
+        let entry = &mut self.lines[at];
         entry.history.push(self.clock);
         if entry.history.len() > self.k as usize {
             entry.history.remove(0);
@@ -305,73 +241,39 @@ impl EvictionPolicy for LruKPolicy {
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.lines.len()
     }
 
     fn contains(&self, key: &CacheKey) -> bool {
-        self.index.get(key).is_some()
+        self.position(key).is_some()
     }
 
     fn touch(&mut self, key: &CacheKey) {
-        if let Some(slot) = self.index.get(key) {
-            self.record(slot);
+        if let Some(at) = self.position(key) {
+            self.record(at);
         }
     }
 
     fn insert(&mut self, key: CacheKey) {
-        if let Some(slot) = self.index.get(&key) {
-            self.record(slot);
-            return;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                let entry = &mut self.slots[s as usize];
-                entry.key = key;
-                entry.live = true;
-                entry.history.clear();
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("cache fits u32 slots");
-                self.slots.push(LruKEntry {
-                    key,
-                    live: true,
-                    history: Vec::with_capacity(self.k as usize + 1),
-                });
-                s
-            }
-        };
-        self.index.insert(key, slot);
-        self.record(slot);
+        let at = self.position(&key).unwrap_or_else(|| {
+            self.lines.push(LruKEntry {
+                key,
+                history: Vec::with_capacity(self.k as usize + 1),
+            });
+            self.lines.len() - 1
+        });
+        self.record(at);
     }
 
     fn evict(&mut self) -> Option<CacheKey> {
         let k = self.k;
-        let victim = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.live)
-            .min_by_key(|(_, e)| Self::victim_key(e, k))
-            .map(|(i, _)| i as u32)?;
-        let entry = &mut self.slots[victim as usize];
-        entry.live = false;
-        let key = entry.key;
-        self.free.push(victim);
-        self.index.remove(&key);
-        Some(key)
+        let victim =
+            (0..self.lines.len()).min_by_key(|&i| Self::victim_key(&self.lines[i], k))?;
+        Some(self.lines.swap_remove(victim).key)
     }
 
     fn retain(&mut self, pred: &dyn Fn(&CacheKey) -> bool) {
-        for i in 0..self.slots.len() {
-            let entry = &self.slots[i];
-            if entry.live && !pred(&entry.key) {
-                let key = entry.key;
-                self.slots[i].live = false;
-                self.free.push(i as u32);
-                self.index.remove(&key);
-            }
-        }
+        self.lines.retain(|e| pred(&e.key));
     }
 }
 
@@ -575,7 +477,7 @@ mod tests {
         assert_eq!(p.len(), 1);
         assert!(p.contains(&key(1, 0)));
         assert!(!p.contains(&key(0, 0)));
-        // Reused slots must start with a clean history.
+        // A line inserted after the retain starts with a clean history.
         p.insert(key(2, 0));
         p.insert(key(2, 0));
         assert_eq!(p.evict(), Some(key(1, 0)), "fresh full history wins");

@@ -13,9 +13,9 @@
 //! from-the-paper transcription (a flat list of lines, each holding its
 //! last K access stamps; the victim minimizes `(has full history, oldest
 //! retained stamp)`), replayed against `BufferPool` with
-//! `EvictionSpec::LruK`. Both of LRU-K's key-index arms, flat-scan (small
-//! capacity) and hashed (large capacity), are covered, and LRU-1 is
-//! checked to degenerate to exact LRU against the deque reference.
+//! `EvictionSpec::LruK`, at the paper's pool size and at larger
+//! capacities, and LRU-1 is checked to degenerate to exact LRU against the
+//! deque reference.
 
 use std::collections::VecDeque;
 use storage::{BufferPool, EvictionSpec, FileId, PrefetchCache};
@@ -282,7 +282,7 @@ fn equivalence_run(capacity_pages: u32, block_pages: u32, ops: u64, seed: u64) {
     );
 }
 
-/// Pin the slab-and-index LRU-K pool against the naive reference.
+/// Pin the flat-vector LRU-K pool against the naive reference.
 fn equivalence_run_lruk(
     capacity_pages: u32,
     block_pages: u32,
@@ -311,14 +311,14 @@ fn stress_shapes() {
     equivalence_run(4, 4, 5_000, 7);
 }
 
-/// LRU-2 at the paper's 5-line pool size (the flat-scan index arm).
+/// LRU-2 at the paper's 5-line pool size.
 #[test]
 fn paper_size_five_lines_lru2() {
     equivalence_run_lruk(32, 6, 2, 20_000, 0x9E37_79B9);
 }
 
-/// LRU-K across the hashed index arm, a 1-line degenerate pool with deeper
-/// history, and a mid-size K = 4 shape.
+/// LRU-K on a larger cache, a 1-line degenerate pool with deeper history,
+/// and a mid-size K = 4 shape.
 #[test]
 fn stress_shapes_lruk() {
     equivalence_run_lruk(256, 6, 2, 20_000, 0xDEAD_BEEF);
@@ -328,7 +328,7 @@ fn stress_shapes_lruk() {
 
 /// LRU-1 keeps exactly one stamp — the last access — so its victim is the
 /// least-recently-used line: it must replay bit-for-bit against the seed
-/// deque LRU reference, on both index arms.
+/// deque LRU reference, at the paper's size and on a larger cache.
 #[test]
 fn lru1_degenerates_to_exact_lru() {
     for (cap, bp) in [(32u32, 6u32), (256, 6)] {

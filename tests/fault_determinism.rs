@@ -34,7 +34,7 @@ fn faults_figure_is_thread_count_invariant() {
     // The sweep exercises both degradation modes at a fault-free control
     // and a full-intensity storm; nothing quarantines on a healthy plan.
     assert!(
-        serial.quarantine.is_empty(),
+        serial.cells.iter().all(|c| c.quarantine.is_empty()),
         "healthy sweep quarantines nothing"
     );
     assert!(serial.cells.iter().all(|c| c.replications == 2));
@@ -162,10 +162,11 @@ fn panicking_replication_is_quarantined_not_fatal() {
     let r = run_figure("crashtest", cfg.clone()).expect("sweep survives");
     // The middle cell runs the deliberately panicking policy: both of its
     // replications quarantine, in replication order.
-    assert_eq!(r.quarantine.len(), 2, "both panic-cell replications caught");
-    for (rep, q) in r.quarantine.iter().enumerate() {
-        assert_eq!(q.cell, 1);
-        assert_eq!(q.policy, "panic");
+    let quarantine = &r.cells[1].quarantine;
+    assert_eq!(quarantine.len(), 2, "both panic-cell replications caught");
+    assert!(r.cells[0].quarantine.is_empty() && r.cells[2].quarantine.is_empty());
+    assert_eq!(r.cells[1].policy, "panic");
+    for (rep, q) in quarantine.iter().enumerate() {
         assert_eq!(q.rep, rep as u64);
         assert!(
             q.message.contains("deliberate crashtest panic"),
@@ -185,7 +186,8 @@ fn panicking_replication_is_quarantined_not_fatal() {
     let qjson = quarantine_json(&r);
     assert!(qjson.contains("\"kind\": \"quarantine\""));
     assert!(qjson.contains("\"policy\":\"panic\""));
-    assert!(qjson.contains(&format!("\"seed\":{}", r.quarantine[0].seed)));
+    assert!(qjson.contains("\"cell\":1,"));
+    assert!(qjson.contains(&format!("\"seed\":{}", quarantine[0].seed)));
     let again = run_figure("crashtest", cfg).expect("rerun survives");
     assert_eq!(r.to_json(), again.to_json());
     assert_eq!(qjson, quarantine_json(&again));
