@@ -382,21 +382,21 @@ fn bench(c: &mut Criterion) {
                 };
                 n
             ];
-            let strategies = vec![PartitionStrategy::MinMax(None); n];
-            let mut inc = IncrementalPartitioned::new(partitions);
+            let mut inc =
+                IncrementalPartitioned::new(partitions, PartitionStrategy::MinMax(None));
             let mut groups = tenant_groups(n, 8);
             let mut dirty = DirtySet::new(n);
             let mut out = Grants::new();
             // Prime: the first call full-rebuilds; the timed rounds are
             // steady-state incremental re-runs.
             dirty.mark_all();
-            inc.allocate_dirty_into(&groups, &strategies, total, &dirty, &mut out);
+            inc.allocate_dirty_into(&groups, total, &dirty, &mut out);
             dirty.clear();
             let mut round = 0u64;
             b.iter(|| {
                 round += 1;
                 churn_round(&mut groups, churn, round, Some(&mut dirty));
-                inc.allocate_dirty_into(&groups, &strategies, total, &dirty, &mut out);
+                inc.allocate_dirty_into(&groups, total, &dirty, &mut out);
                 dirty.clear();
                 black_box(out.len())
             })
@@ -454,8 +454,11 @@ fn bench(c: &mut Criterion) {
                 };
                 n
             ];
-            let strategies = vec![PartitionStrategy::MinMax(None); n];
-            let mut inc = IncrementalPartitioned::with_group_size(partitions, group_size);
+            let mut inc = IncrementalPartitioned::with_group_size(
+                partitions,
+                PartitionStrategy::MinMax(None),
+                group_size,
+            );
             let mut groups = tenant_groups(n, 4);
             for (g, group) in groups.iter_mut().enumerate() {
                 if g % 2 == 0 {
@@ -469,7 +472,7 @@ fn bench(c: &mut Criterion) {
             let mut dirty = DirtySet::new(n);
             let mut out = Grants::new();
             dirty.mark_all();
-            inc.allocate_dirty_into(&groups, &strategies, total, &dirty, &mut out);
+            inc.allocate_dirty_into(&groups, total, &dirty, &mut out);
             dirty.clear();
             let mut round = 0u64;
             b.iter(|| {
@@ -480,7 +483,7 @@ fn bench(c: &mut Criterion) {
                 let qi = (mix(round ^ 0xD1CE) as usize) % groups[g].len();
                 groups[g][qi].max_mem = 300 + (mix(round ^ 0xFEED) % 600) as u32;
                 dirty.mark(g);
-                inc.allocate_dirty_into(&groups, &strategies, total, &dirty, &mut out);
+                inc.allocate_dirty_into(&groups, total, &dirty, &mut out);
                 dirty.clear();
                 black_box(out.len())
             })

@@ -54,9 +54,8 @@ impl MemoryPolicy for PanicPolicy {
 /// Construct a policy by short name, resolving the tenant-aware names
 /// against `cfg.tenants`: `"Partitioned"` enforces the config's quotas as
 /// declared (hard unless the spec says otherwise), `"Partitioned-soft"`
-/// lets every partition borrow idle pages, and `"PMM-tenant"` /
-/// `"PMM-tenant-regime"` run one (optionally regime-aware) PMM controller
-/// per partition (PMM v2). `"snapshot/<policy>"` wraps the inner policy in
+/// lets every partition borrow idle pages, and `"PMM-tenant"` runs one PMM
+/// controller per partition (PMM v2). `"snapshot/<policy>"` wraps the inner policy in
 /// [`SnapshotOnly`], pinning it to the full-snapshot allocation path (the
 /// name `SnapshotOnly::name` reports). The plain names are `"Max"`,
 /// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"Proportional-<N>"`,
@@ -73,7 +72,9 @@ pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
     if let Some(policy) = name.strip_prefix("snapshot/") {
         return Box::new(SnapshotOnly::new(make_policy_for(cfg, policy)));
     }
-    let partitions = || -> Vec<PartitionSpec> {
+    // `all_soft` makes every partition soft (quota + borrowing): the
+    // "shared when idle" configuration swept against hard isolation.
+    let partitions = |all_soft: bool| -> Vec<PartitionSpec> {
         assert!(
             !cfg.tenants.is_empty(),
             "policy {name} needs tenants in the SimConfig"
@@ -82,15 +83,14 @@ pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
             .iter()
             .map(|t| PartitionSpec {
                 quota: t.quota_pages,
-                soft: t.soft,
+                soft: all_soft || t.soft,
             })
             .collect()
     };
     match name {
-        "Partitioned" => Box::new(PartitionedPolicy::new(partitions())),
-        "Partitioned-soft" => Box::new(PartitionedPolicy::new(partitions()).soften()),
-        "PMM-tenant" => Box::new(TenantPmm::new(partitions())),
-        "PMM-tenant-regime" => Box::new(TenantPmm::new(partitions()).regime_aware()),
+        "Partitioned" => Box::new(PartitionedPolicy::new(partitions(false))),
+        "Partitioned-soft" => Box::new(PartitionedPolicy::new(partitions(true))),
+        "PMM-tenant" => Box::new(TenantPmm::new(partitions(false))),
         "Max" => Box::new(MaxPolicy),
         "MinMax" => Box::new(MinMaxPolicy::unlimited()),
         "Proportional" => Box::new(ProportionalPolicy::unlimited()),

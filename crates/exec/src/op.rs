@@ -142,14 +142,6 @@ pub fn blocks_for(pages: u32, block: u32) -> u32 {
     pages.div_ceil(block)
 }
 
-/// Iterator over `(first_page, pages)` block ranges of a `len`-page file.
-pub fn block_ranges(len: u32, block: u32) -> impl Iterator<Item = (u32, u32)> {
-    (0..blocks_for(len, block)).map(move |i| {
-        let first = i * block;
-        (first, block.min(len - first))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,14 +152,6 @@ mod tests {
         assert_eq!(blocks_for(13, 6), 3);
         assert_eq!(blocks_for(1, 6), 1);
         assert_eq!(blocks_for(0, 6), 0);
-    }
-
-    #[test]
-    fn block_ranges_cover_file_exactly() {
-        let ranges: Vec<_> = block_ranges(14, 6).collect();
-        assert_eq!(ranges, vec![(0, 6), (6, 6), (12, 2)]);
-        let total: u32 = ranges.iter().map(|&(_, p)| p).sum();
-        assert_eq!(total, 14);
     }
 
     #[test]

@@ -206,21 +206,15 @@ impl Pmm {
         Pmm::new(PmmParams::default())
     }
 
-    /// Regime-aware PMM (v2) with the Table 1 defaults and a
-    /// [`REGIME_WINDOW_BATCHES`]-batch detector window. Reports as
-    /// `"PMM-regime"`.
+    /// Regime-aware PMM (v2) with the Table 1 defaults: a detector over the
+    /// miss-ratio series compares the last [`REGIME_WINDOW_BATCHES`]
+    /// feedback batches against the ones before them at
+    /// `change_conf_level`. Reports as `"PMM-regime"`.
     pub fn regime_aware() -> Self {
-        Pmm::with_regime(PmmParams::default(), REGIME_WINDOW_BATCHES)
-    }
-
-    /// Regime-aware PMM with explicit parameters: the miss-ratio series
-    /// detector compares the last `window_batches` feedback batches against
-    /// the `window_batches` before them at `params.change_conf_level`.
-    pub fn with_regime(params: PmmParams, window_batches: usize) -> Self {
-        let mut pmm = Pmm::new(params);
+        let mut pmm = Pmm::with_defaults();
         pmm.regime = Some(RegimeDetector::new(
-            window_batches,
-            params.change_conf_level,
+            REGIME_WINDOW_BATCHES,
+            pmm.params.change_conf_level,
         ));
         pmm
     }

@@ -226,9 +226,9 @@ pub struct PartitionSpec {
     pub soft: bool,
 }
 
-/// Reusable scratch for [`partitioned_allocate_into`]: per-partition demand
-/// groups and grant buffers, plus the shared [`AllocScratch`] the inner
-/// MinMax passes sort in.
+/// Reusable scratch for [`partitioned_allocate_with_into`]: per-partition
+/// demand groups and grant buffers, plus the shared [`AllocScratch`] the
+/// inner divisions sort in.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     groups: Vec<Vec<QueryDemand>>,
@@ -237,52 +237,10 @@ pub struct PartitionScratch {
     alloc: AllocScratch,
 }
 
-/// **Partitioned** mode: divide memory across tenant partitions, running the
-/// MinMax-N machinery *within* each partition.
-///
-/// Pass 1 hands every partition its quota and allocates its queries with
-/// [`minmax_allocate_into`] against that budget — a hard guarantee that a
-/// tenant is never starved below its reservation by another tenant's load. Pass 2
-/// is the borrow-back round: pages no partition is using (unused quota plus
-/// any pool pages outside all quotas) are offered to `soft` partitions in
-/// declaration order, which re-allocate with the enlarged budget. Because
-/// the whole division is recomputed from scratch at every allocation event,
-/// borrowed pages flow back automatically the moment the lender's own demand
-/// returns — pass 1 always serves quotas first.
-///
-/// Queries name their partition via [`QueryDemand::tenant`]; out-of-range
-/// indices clamp to the last partition. With no partitions declared this
-/// degenerates to plain [`minmax_allocate_into`] over the whole pool.
-/// Quotas that oversubscribe the pool are honored first-declared-first:
-/// each partition's reservation is capped to the pages not already reserved
-/// ahead of it, so the grants can never exceed `total`. Writes into
-/// caller-owned buffers; allocation-free once warm.
-pub fn partitioned_allocate_into(
-    queries: &[QueryDemand],
-    partitions: &[PartitionSpec],
-    total: u32,
-    limit: Option<u32>,
-    scratch: &mut PartitionScratch,
-    out: &mut Grants,
-) {
-    if partitions.is_empty() {
-        minmax_allocate_into(queries, total, limit, &mut scratch.alloc, out);
-        return;
-    }
-    partitioned_allocate_core(
-        queries,
-        partitions,
-        total,
-        |_| PartitionStrategy::MinMax(limit),
-        scratch,
-        out,
-    );
-}
-
 /// Which memory-division function one partition's budget is divided by —
-/// the per-tenant arbitration knob of the adaptive multi-tenant policy
-/// (`TenantPmm`): each tenant's PMM controller picks its partition's
-/// strategy independently.
+/// the per-tenant arbitration knob of the multi-tenant policies:
+/// `PartitionedPolicy` runs MinMax-∞ everywhere, and each `TenantPmm`
+/// controller picks its partition's strategy independently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// Max within the partition: each query its maximum — *capped at the
@@ -298,20 +256,9 @@ pub enum PartitionStrategy {
 }
 
 impl PartitionStrategy {
-    /// Divide `budget` among `queries` by this strategy.
-    fn divide(
-        self,
-        queries: &[QueryDemand],
-        budget: u32,
-        alloc: &mut AllocScratch,
-        out: &mut Grants,
-    ) {
-        let _ = self.divide_flagged(queries, budget, alloc, out);
-    }
-
-    /// [`PartitionStrategy::divide`], reporting whether the division was
-    /// budget-limited (see [`minmax_allocate_flagged_into`]); the grants are
-    /// identical either way.
+    /// Divide `budget` among `queries` by this strategy, reporting whether
+    /// the division was budget-limited (see [`minmax_allocate_flagged_into`]
+    /// for the flag's contract).
     pub(crate) fn divide_flagged(
         self,
         queries: &[QueryDemand],
@@ -331,25 +278,15 @@ impl PartitionStrategy {
 }
 
 /// [`max_allocate_into`] with each query's demand capped at `total` (the
-/// partition budget): in ED order, a query receives
-/// `min(max_mem, total)` pages or the admission stops. Equal to the plain
-/// Max division whenever every `max_mem ≤ total`; used by
-/// [`PartitionStrategy::Max`], where the cap is the difference between a
-/// small tenant making progress and starving (see the variant docs).
-pub fn max_allocate_clamped_into(
-    queries: &[QueryDemand],
-    total: u32,
-    scratch: &mut AllocScratch,
-    out: &mut Grants,
-) {
-    let _ = max_allocate_clamped_flagged_into(queries, total, scratch, out);
-}
-
-/// [`max_allocate_clamped_into`], additionally reporting whether the
-/// division was budget-limited: admission stopped on memory, or any demand
-/// was clamped at the budget (the clamp makes grants budget-*dependent*, so
-/// a different budget could redistribute). The grants are identical either
-/// way; see [`minmax_allocate_flagged_into`] for the flag's contract.
+/// partition budget): in ED order, a query receives `min(max_mem, total)`
+/// pages or the admission stops. Equal to the plain Max division whenever
+/// every `max_mem ≤ total`; used by [`PartitionStrategy::Max`], where the
+/// cap is the difference between a small tenant making progress and
+/// starving (see the variant docs). Also reports whether the division was
+/// budget-limited: admission stopped on memory, or any demand was clamped
+/// at the budget (the clamp makes grants budget-*dependent*, so a different
+/// budget could redistribute); see [`minmax_allocate_flagged_into`] for the
+/// flag's contract.
 pub(crate) fn max_allocate_clamped_flagged_into(
     queries: &[QueryDemand],
     total: u32,
@@ -373,14 +310,28 @@ pub(crate) fn max_allocate_clamped_flagged_into(
     clamped
 }
 
-/// [`partitioned_allocate_into`] generalized to a *per-partition* strategy:
-/// partition `i` divides its budget by `strategies[i]` in both the quota
-/// pass and the borrow-back pass. Identical structure otherwise — quotas
-/// first (capped against oversubscription), then idle pages to soft
-/// partitions in declaration order.
+/// **Partitioned** mode: divide memory across tenant partitions, partition
+/// `i` dividing its budget by `strategies[i]`.
 ///
-/// With no partitions declared this degenerates to plain MinMax-∞ over the
-/// whole pool, like its fixed-strategy sibling.
+/// Pass 1 hands every partition its quota and divides its queries against
+/// that budget — a hard guarantee that a tenant is never starved below its
+/// reservation by another tenant's load. Pass 2 is the borrow-back round:
+/// pages no partition is using (unused quota plus any pool pages outside
+/// all quotas) are offered to `soft` partitions in declaration order, which
+/// re-divide with the enlarged budget. Because the whole division is
+/// recomputed from scratch at every allocation event, borrowed pages flow
+/// back automatically the moment the lender's own demand returns — pass 1
+/// always serves quotas first.
+///
+/// Queries name their partition via [`QueryDemand::tenant`]; out-of-range
+/// indices clamp to the last partition. With no partitions declared this
+/// degenerates to plain MinMax-∞ over the whole pool. Quotas that
+/// oversubscribe the pool are honored first-declared-first: each
+/// partition's reservation is capped to the pages not already reserved
+/// ahead of it, so the grants can never exceed `total`. Writes into
+/// caller-owned buffers; allocation-free once warm. This is the reference
+/// the incremental allocator ([`crate::IncrementalPartitioned`]) matches
+/// bit for bit.
 ///
 /// # Panics
 /// Panics when `strategies.len() != partitions.len()` (a wiring bug).
@@ -401,26 +352,6 @@ pub fn partitioned_allocate_with_into(
         minmax_allocate_into(queries, total, None, &mut scratch.alloc, out);
         return;
     }
-    partitioned_allocate_core(
-        queries,
-        partitions,
-        total,
-        |i| strategies[i],
-        scratch,
-        out,
-    );
-}
-
-/// Shared two-pass machinery behind both partitioned entry points; callers
-/// have already handled the empty-partition degenerate case.
-fn partitioned_allocate_core(
-    queries: &[QueryDemand],
-    partitions: &[PartitionSpec],
-    total: u32,
-    strategy_of: impl Fn(usize) -> PartitionStrategy,
-    scratch: &mut PartitionScratch,
-    out: &mut Grants,
-) {
     let n = partitions.len();
     scratch.groups.resize_with(n, Vec::new);
     scratch.part_grants.resize_with(n, Grants::new);
@@ -436,7 +367,7 @@ fn partitioned_allocate_core(
     for (i, spec) in partitions.iter().enumerate() {
         let budget = spec.quota.min(unreserved);
         unreserved -= budget;
-        strategy_of(i).divide(
+        let _ = strategies[i].divide_flagged(
             &scratch.groups[i],
             budget,
             &mut scratch.alloc,
@@ -452,7 +383,7 @@ fn partitioned_allocate_core(
         }
         let own = granted_total(&scratch.part_grants[i]);
         let budget = (own + pool).min(u32::MAX as u64) as u32;
-        strategy_of(i).divide(
+        let _ = strategies[i].divide_flagged(
             &scratch.groups[i],
             budget,
             &mut scratch.alloc,
@@ -501,6 +432,26 @@ mod tests {
             tenant,
             ..q(id, deadline, min, max)
         }
+    }
+
+    /// The partitioned division with every partition on MinMax-`limit`.
+    fn minmax_partitioned_into(
+        queries: &[QueryDemand],
+        partitions: &[PartitionSpec],
+        total: u32,
+        limit: Option<u32>,
+        scratch: &mut PartitionScratch,
+        out: &mut Grants,
+    ) {
+        let strategies = vec![PartitionStrategy::MinMax(limit); partitions.len()];
+        partitioned_allocate_with_into(
+            queries,
+            partitions,
+            &strategies,
+            total,
+            scratch,
+            out,
+        );
     }
 
     #[test]
@@ -646,7 +597,7 @@ mod tests {
     fn partitioned_empty_spec_degenerates_to_minmax() {
         let queries: Vec<_> = (0..5).map(|i| q(i, 100 + i, 37, 1321)).collect();
         assert_eq!(
-            fresh(|s, o| partitioned_allocate_into(&queries, &[], 2560, None, s, o)),
+            fresh(|s, o| minmax_partitioned_into(&queries, &[], 2560, None, s, o)),
             fresh(|s, o| minmax_allocate_into(&queries, 2560, None, s, o))
         );
     }
@@ -666,7 +617,7 @@ mod tests {
         ];
         let queries: Vec<_> = (0..5).map(|i| qt(i, 100 + i, 37, 1321, 0)).collect();
         let grants =
-            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2560, None, s, o));
         assert!(granted_total(&grants) <= 1000, "hard quota respected");
         assert!(!grants.is_empty());
     }
@@ -685,7 +636,7 @@ mod tests {
         ];
         let queries: Vec<_> = (0..5).map(|i| qt(i, 100 + i, 37, 1321, 0)).collect();
         let grants =
-            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2560, None, s, o));
         assert!(
             granted_total(&grants) > 1000,
             "soft tenant borrows beyond its quota: {}",
@@ -708,15 +659,14 @@ mod tests {
         ];
         // Only tenant 0 active: it borrows tenant 1's idle pages.
         let t0: Vec<_> = (0..4).map(|i| qt(i, 100 + i, 300, 1321, 0)).collect();
-        let alone =
-            fresh(|s, o| partitioned_allocate_into(&t0, &parts, 2560, None, s, o));
+        let alone = fresh(|s, o| minmax_partitioned_into(&t0, &parts, 2560, None, s, o));
         assert!(granted_total(&alone) > 1280);
         // Tenant 1 wakes up: the division is recomputed and each side gets
         // at least its quota-backed share — the borrowed pages flowed back.
         let mut both = t0.clone();
         both.extend((10..14).map(|i| qt(i, 100 + i, 300, 1321, 1)));
         let shared =
-            fresh(|s, o| partitioned_allocate_into(&both, &parts, 2560, None, s, o));
+            fresh(|s, o| minmax_partitioned_into(&both, &parts, 2560, None, s, o));
         let t1_pages: u64 = shared
             .iter()
             .filter(|(id, _)| id.0 >= 10)
@@ -744,9 +694,8 @@ mod tests {
         let queries: Vec<_> = (0..40)
             .map(|i| qt(i, 100 + i, 37, 400, (i % 2) as u32))
             .collect();
-        let grants = fresh(|s, o| {
-            partitioned_allocate_into(&queries, &parts, 2000, Some(3), s, o)
-        });
+        let grants =
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2000, Some(3), s, o));
         assert!(grants.len() <= 6, "≤ limit per partition");
         assert!(granted_total(&grants) <= 2000);
         for (id, pages) in &grants {
@@ -769,7 +718,7 @@ mod tests {
         ];
         let queries = [qt(1, 100, 37, 1321, 9)];
         let grants =
-            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2560, None, s, o));
         assert_eq!(grants, vec![(QueryId(1), 1321)], "billed to partition 1");
     }
 
@@ -791,7 +740,7 @@ mod tests {
             .map(|i| qt(i, 100 + i, 37, 1321, (i % 2) as u32))
             .collect();
         let grants =
-            fresh(|s, o| partitioned_allocate_into(&queries, &parts, 2560, None, s, o));
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2560, None, s, o));
         assert!(
             granted_total(&grants) <= 2560,
             "grants {} exceed the pool",
@@ -816,12 +765,10 @@ mod tests {
         let queries: Vec<_> = (0..20)
             .map(|i| qt(i, 1000 - i * 7, 30 + (i % 5) as u32, 600, (i % 2) as u32))
             .collect();
-        let a = fresh(|s, o| {
-            partitioned_allocate_into(&queries, &parts, 2560, Some(8), s, o)
-        });
-        let b = fresh(|s, o| {
-            partitioned_allocate_into(&queries, &parts, 2560, Some(8), s, o)
-        });
+        let a =
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2560, Some(8), s, o));
+        let b =
+            fresh(|s, o| minmax_partitioned_into(&queries, &parts, 2560, Some(8), s, o));
         assert_eq!(a, b);
     }
 
@@ -877,7 +824,7 @@ mod tests {
                 out,
                 fresh(|s, o| proportional_allocate_into(&queries, total, limit, s, o))
             );
-            partitioned_allocate_into(
+            minmax_partitioned_into(
                 &queries,
                 &parts,
                 total,
@@ -887,46 +834,8 @@ mod tests {
             );
             assert_eq!(
                 out,
-                fresh(|s, o| partitioned_allocate_into(
+                fresh(|s, o| minmax_partitioned_into(
                     &queries, &parts, total, limit, s, o
-                ))
-            );
-        }
-    }
-
-    #[test]
-    fn with_strategies_all_minmax_matches_fixed_path() {
-        let parts = [
-            PartitionSpec {
-                quota: 1000,
-                soft: true,
-            },
-            PartitionSpec {
-                quota: 1560,
-                soft: false,
-            },
-        ];
-        let queries: Vec<_> = (0..12)
-            .map(|i| qt(i, 100 + i, 37, 900, (i % 2) as u32))
-            .collect();
-        let mut scratch = PartitionScratch::default();
-        let mut out = Grants::new();
-        for limit in [None, Some(3)] {
-            partitioned_allocate_with_into(
-                &queries,
-                &parts,
-                &[
-                    PartitionStrategy::MinMax(limit),
-                    PartitionStrategy::MinMax(limit),
-                ],
-                2560,
-                &mut scratch,
-                &mut out,
-            );
-            assert_eq!(
-                out,
-                fresh(|s, o| partitioned_allocate_into(
-                    &queries, &parts, 2560, limit, s, o
                 ))
             );
         }
@@ -938,17 +847,17 @@ mod tests {
         let mut out = Grants::new();
         // Equal to plain Max when every demand fits the budget.
         let queries = [q(1, 300, 37, 1321), q(2, 100, 37, 1321), q(3, 200, 37, 500)];
-        max_allocate_clamped_into(&queries, 2560, &mut scratch, &mut out);
+        let _ = max_allocate_clamped_flagged_into(&queries, 2560, &mut scratch, &mut out);
         assert_eq!(out, fresh(|s, o| max_allocate_into(&queries, 2560, s, o)));
         // A 640-page partition cannot grant a 1321-page maximum, but the
         // clamped division still admits the most urgent query at the
         // partition-wide cap instead of starving the tenant.
         let queries = [q(1, 300, 37, 1321), q(2, 100, 37, 1321)];
-        max_allocate_clamped_into(&queries, 640, &mut scratch, &mut out);
+        let _ = max_allocate_clamped_flagged_into(&queries, 640, &mut scratch, &mut out);
         assert_eq!(out, vec![(QueryId(2), 640)]);
         // A minimum that exceeds the budget still blocks (unservable).
         let queries = [q(1, 100, 700, 1321)];
-        max_allocate_clamped_into(&queries, 640, &mut scratch, &mut out);
+        let _ = max_allocate_clamped_flagged_into(&queries, 640, &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 

@@ -30,17 +30,20 @@
 //! makes bit-for-bit equality with the reference path provable (and
 //! property-tested in `tests/properties.rs`).
 //!
-//! The caller owns demand grouping: it hands in one `Vec<QueryDemand>` per
-//! partition (any order — divides ED-sort internally) and marks a partition
-//! dirty whenever that group's membership, any member's demand, or the
-//! partition's strategy changed since the previous call. Output is
+//! The allocator owns the partition table and the per-partition strategy
+//! table; [`IncrementalPartitioned::set_strategy`] marks a partition for
+//! re-division when its entry changes. The caller owns demand grouping: it
+//! hands in one `Vec<QueryDemand>` per partition (any order — divides
+//! ED-sort internally) and marks a partition dirty whenever that group's
+//! membership or any member's demand changed since the previous call. Output is
 //! *full-member emission*: one `(id, pages)` pair for **every** member of
 //! every recomputed partition (0 for unadmitted members), and nothing for
 //! carried-over partitions — exactly what an engine applying grant diffs
 //! against held allocations needs.
 
 use crate::allocator::{
-    granted_total, AllocScratch, Grants, PartitionSpec, PartitionStrategy,
+    granted_total, partitioned_allocate_with_into, AllocScratch, Grants,
+    PartitionScratch, PartitionSpec, PartitionStrategy,
 };
 use crate::types::QueryDemand;
 
@@ -50,7 +53,7 @@ use crate::types::QueryDemand;
 /// figure sweeps.
 pub const GROUP_SIZE: usize = 32;
 
-/// Which partitions' demand sets (or strategies) changed since the previous
+/// Which partitions' demand sets changed since the previous
 /// incremental allocation: dense flags for O(1) dedup plus a change list,
 /// so a feedback event costs O(changed), never O(tenants).
 #[derive(Clone, Debug, Default)]
@@ -175,26 +178,32 @@ struct GroupAgg {
     limited: bool,
 }
 
-/// Incremental counterpart of [`crate::partitioned_allocate_with_into`]:
-/// same partitions, same strategies, bit-for-bit identical grants, but each
-/// call re-divides only dirty partitions plus the (usually few) partitions
-/// whose borrow-back outcome the shifted pool invalidates.
+/// The partitioned allocator of both multi-tenant policies: one partition
+/// table, one per-partition strategy table, and two division paths over
+/// them. [`IncrementalPartitioned::allocate_into`] is the reference two-pass
+/// division ([`crate::partitioned_allocate_with_into`]) over a full demand
+/// snapshot; [`IncrementalPartitioned::allocate_dirty_into`] yields
+/// bit-for-bit the same grants but re-divides only dirty partitions plus
+/// the (usually few) partitions whose borrow-back outcome the shifted pool
+/// invalidates.
 ///
-/// Contract: the caller marks a partition in the [`DirtySet`] whenever its
-/// demand group or its strategy entry changed since the previous call; clean
-/// partitions' `groups[p]` and `strategies[p]` must be unchanged. A changed
-/// `total` or [`DirtySet::mark_all`] triggers a full rebuild (which is the
+/// Contract of the dirty path: the caller marks a partition in the
+/// [`DirtySet`] whenever its demand group changed since the previous call;
+/// clean partitions' `groups[p]` must be unchanged. Strategy changes mark
+/// themselves ([`IncrementalPartitioned::set_strategy`]). A changed `total`
+/// or [`DirtySet::mark_all`] triggers a full rebuild (which is the
 /// reference algorithm verbatim, caches filled as it goes).
 #[derive(Debug)]
 pub struct IncrementalPartitioned {
     partitions: Vec<PartitionSpec>,
+    /// The strategy each partition divides by, on both paths.
+    strategies: Vec<PartitionStrategy>,
     group_size: usize,
     valid: bool,
     total: u32,
     /// Pass-1 budget per partition — quotas capped first-declared-first
     /// against oversubscription; pure function of `(total, quotas)`.
     budgets: Vec<u32>,
-    strategies: Vec<PartitionStrategy>,
     /// Cached quota-pass grants per partition.
     pass1: Vec<Grants>,
     pass1_used: Vec<u64>,
@@ -212,16 +221,20 @@ pub struct IncrementalPartitioned {
     alloc: AllocScratch,
     emit: AllocScratch,
     regrant: Grants,
+    /// Buffers of the snapshot path's reference division.
+    snapshot: PartitionScratch,
 }
 
 impl IncrementalPartitioned {
-    /// Incremental allocator over `partitions` (fixed for its lifetime).
+    /// Allocator over `partitions` (fixed for its lifetime), every
+    /// partition dividing by `strategy` until [`Self::set_strategy`]
+    /// changes it.
     ///
     /// # Panics
     /// Panics on an empty partition table — the degenerate un-partitioned
     /// case has no dirty-set structure to exploit; use the plain policies.
-    pub fn new(partitions: Vec<PartitionSpec>) -> Self {
-        Self::with_group_size(partitions, GROUP_SIZE)
+    pub fn new(partitions: Vec<PartitionSpec>, strategy: PartitionStrategy) -> Self {
+        Self::with_group_size(partitions, strategy, GROUP_SIZE)
     }
 
     /// [`IncrementalPartitioned::new`] with an explicit tree fan-out;
@@ -230,19 +243,23 @@ impl IncrementalPartitioned {
     ///
     /// # Panics
     /// Panics on an empty partition table or a zero `group_size`.
-    pub fn with_group_size(partitions: Vec<PartitionSpec>, group_size: usize) -> Self {
+    pub fn with_group_size(
+        partitions: Vec<PartitionSpec>,
+        strategy: PartitionStrategy,
+        group_size: usize,
+    ) -> Self {
         assert!(
             !partitions.is_empty(),
             "IncrementalPartitioned needs at least one partition"
         );
         assert!(group_size >= 1, "group_size must be at least 1");
         IncrementalPartitioned {
+            strategies: vec![strategy; partitions.len()],
             partitions,
             group_size,
             valid: false,
             total: 0,
             budgets: Vec::new(),
-            strategies: Vec::new(),
             pass1: Vec::new(),
             pass1_used: Vec::new(),
             used_total: 0,
@@ -255,6 +272,7 @@ impl IncrementalPartitioned {
             alloc: AllocScratch::default(),
             emit: AllocScratch::default(),
             regrant: Grants::new(),
+            snapshot: PartitionScratch::default(),
         }
     }
 
@@ -263,14 +281,42 @@ impl IncrementalPartitioned {
         &self.partitions
     }
 
-    /// Drop every cache: the next call rebuilds from scratch.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
+    /// Make partition `i` divide by `strategy` from the next allocation on.
+    /// A changed entry marks the partition for re-division on the dirty
+    /// path, so callers never report strategy changes in the [`DirtySet`].
+    pub fn set_strategy(&mut self, i: usize, strategy: PartitionStrategy) {
+        if self.strategies[i] != strategy {
+            self.strategies[i] = strategy;
+            // Before the first rebuild there is no cache to invalidate.
+            if self.valid {
+                self.touch(i);
+            }
+        }
+    }
+
+    /// The reference two-pass division of `total` among the snapshot's
+    /// `queries` ([`crate::partitioned_allocate_with_into`] over this
+    /// table): every admitted query's grant, nothing for the rest.
+    pub fn allocate_into(
+        &mut self,
+        queries: &[QueryDemand],
+        total: u32,
+        out: &mut Grants,
+    ) {
+        partitioned_allocate_with_into(
+            queries,
+            &self.partitions,
+            &self.strategies,
+            total,
+            &mut self.snapshot,
+            out,
+        );
     }
 
     /// Divide `total` among `groups` exactly like
-    /// [`crate::partitioned_allocate_with_into`] over the concatenated
-    /// groups, re-dividing only what `dirty` (plus pool shifts) requires.
+    /// [`IncrementalPartitioned::allocate_into`] over the concatenated
+    /// groups, re-dividing only what `dirty`, strategy changes and pool
+    /// shifts require.
     ///
     /// `out` receives one `(id, pages)` pair for every member of every
     /// *recomputed* partition — explicit zeros for unadmitted members —
@@ -278,17 +324,15 @@ impl IncrementalPartitioned {
     pub fn allocate_dirty_into(
         &mut self,
         groups: &[Vec<QueryDemand>],
-        strategies: &[PartitionStrategy],
         total: u32,
         dirty: &DirtySet,
         out: &mut Grants,
     ) {
         let n = self.partitions.len();
         assert_eq!(groups.len(), n, "one demand group per partition");
-        assert_eq!(strategies.len(), n, "one strategy per partition");
         out.clear();
         if !self.valid || total != self.total || dirty.is_all() {
-            self.rebuild(groups, strategies, total, out);
+            self.rebuild(groups, total, out);
             return;
         }
         for p in dirty.iter() {
@@ -298,7 +342,6 @@ impl IncrementalPartitioned {
         // grant diffs.
         for k in 0..self.touched_members.len() {
             let j = self.touched_members[k] as usize;
-            self.strategies[j] = strategies[j];
             let _ = self.strategies[j].divide_flagged(
                 &groups[j],
                 self.budgets[j],
@@ -335,17 +378,9 @@ impl IncrementalPartitioned {
 
     /// Full reference rebuild: the two-pass division verbatim, filling every
     /// cache and emitting every partition.
-    fn rebuild(
-        &mut self,
-        groups: &[Vec<QueryDemand>],
-        strategies: &[PartitionStrategy],
-        total: u32,
-        out: &mut Grants,
-    ) {
+    fn rebuild(&mut self, groups: &[Vec<QueryDemand>], total: u32, out: &mut Grants) {
         let n = self.partitions.len();
         self.total = total;
-        self.strategies.clear();
-        self.strategies.extend_from_slice(strategies);
         self.budgets.clear();
         let mut unreserved = total;
         for spec in &self.partitions {
@@ -539,7 +574,6 @@ fn emit_partition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::{partitioned_allocate_with_into, PartitionScratch};
     use crate::types::QueryId;
     use simkit::SimTime;
     use std::collections::BTreeMap;
@@ -620,8 +654,14 @@ mod tests {
                     }
                 })
                 .collect();
-            let mut inc =
-                IncrementalPartitioned::with_group_size(parts.clone(), group_size);
+            let mut inc = IncrementalPartitioned::with_group_size(
+                parts.clone(),
+                PartitionStrategy::MinMax(None),
+                group_size,
+            );
+            for (i, &s) in strategies.iter().enumerate() {
+                inc.set_strategy(i, s);
+            }
             let mut groups: Vec<Vec<QueryDemand>> = vec![Vec::new(); nparts];
             let mut dirty = DirtySet::new(nparts);
             let mut out = Grants::new();
@@ -652,20 +692,20 @@ mod tests {
                     }
                     dirty.mark(t);
                 }
-                // Occasionally flip a strategy (must be marked dirty).
+                // Occasionally flip a strategy (marks itself dirty).
                 if x.is_multiple_of(7) {
                     let t = ((x >> 16) % nparts as u64) as usize;
                     strategies[t] = match strategies[t] {
                         PartitionStrategy::Max => PartitionStrategy::MinMax(None),
                         PartitionStrategy::MinMax(_) => PartitionStrategy::Max,
                     };
-                    dirty.mark(t);
+                    inc.set_strategy(t, strategies[t]);
                 }
                 // Occasionally shock the total (forces a rebuild).
                 if x.is_multiple_of(11) {
                     total = (nparts as u32) * (40 + (x % 160) as u32);
                 }
-                inc.allocate_dirty_into(&groups, &strategies, total, &dirty, &mut out);
+                inc.allocate_dirty_into(&groups, total, &dirty, &mut out);
                 dirty.clear();
                 apply(&mut inc_map, &out);
                 // Drop entries for departed queries the full map won't have.
@@ -681,26 +721,24 @@ mod tests {
     #[test]
     fn clean_call_emits_nothing() {
         let parts = specs(8, 200, 1);
-        let strategies = vec![PartitionStrategy::MinMax(None); 8];
-        let mut inc = IncrementalPartitioned::new(parts);
+        let mut inc = IncrementalPartitioned::new(parts, PartitionStrategy::MinMax(None));
         let groups: Vec<Vec<QueryDemand>> = (0..8)
             .map(|t| vec![qt(t, 100 + t, 20, 300, t as u32)])
             .collect();
         let mut dirty = DirtySet::new(8);
         dirty.mark_all();
         let mut out = Grants::new();
-        inc.allocate_dirty_into(&groups, &strategies, 1600, &dirty, &mut out);
+        inc.allocate_dirty_into(&groups, 1600, &dirty, &mut out);
         assert!(!out.is_empty(), "rebuild emits every partition");
         dirty.clear();
-        inc.allocate_dirty_into(&groups, &strategies, 1600, &dirty, &mut out);
+        inc.allocate_dirty_into(&groups, 1600, &dirty, &mut out);
         assert!(out.is_empty(), "no churn → all grants carry over");
     }
 
     #[test]
     fn emission_covers_every_member_of_a_dirty_partition() {
         let parts = specs(2, 100, 0); // hard quotas
-        let strategies = vec![PartitionStrategy::MinMax(None); 2];
-        let mut inc = IncrementalPartitioned::new(parts);
+        let mut inc = IncrementalPartitioned::new(parts, PartitionStrategy::MinMax(None));
         // Partition 0: two queries whose minimums both fit, then a churn
         // that leaves one unadmittable — it must be emitted with 0 pages.
         let mut groups = vec![
@@ -710,12 +748,12 @@ mod tests {
         let mut dirty = DirtySet::new(2);
         dirty.mark_all();
         let mut out = Grants::new();
-        inc.allocate_dirty_into(&groups, &strategies, 200, &dirty, &mut out);
+        inc.allocate_dirty_into(&groups, 200, &dirty, &mut out);
         dirty.clear();
         // A new urgent hog squeezes query 1 out entirely.
         groups[0].push(qt(2, 50, 100, 100, 0));
         dirty.mark(0);
-        inc.allocate_dirty_into(&groups, &strategies, 200, &dirty, &mut out);
+        inc.allocate_dirty_into(&groups, 200, &dirty, &mut out);
         let g: BTreeMap<u64, u32> = out.iter().map(|&(id, p)| (id.0, p)).collect();
         assert_eq!(
             g.len(),
@@ -743,19 +781,19 @@ mod tests {
             },
         ];
         let strategies = vec![PartitionStrategy::MinMax(None); 2];
-        let mut inc = IncrementalPartitioned::new(parts.clone());
+        let mut inc = IncrementalPartitioned::new(parts.clone(), strategies[0]);
         let mut groups = vec![vec![qt(0, 100, 50, 200, 0)], Vec::new()];
         let mut dirty = DirtySet::new(2);
         dirty.mark_all();
         let mut out = Grants::new();
-        inc.allocate_dirty_into(&groups, &strategies, 200, &dirty, &mut out);
+        inc.allocate_dirty_into(&groups, 200, &dirty, &mut out);
         dirty.clear();
         let mut map = BTreeMap::new();
         apply(&mut map, &out);
         assert_eq!(map[&0], 200, "borrowed up to its maximum");
         groups[1].push(qt(9, 10, 100, 100, 1));
         dirty.mark(1);
-        inc.allocate_dirty_into(&groups, &strategies, 200, &dirty, &mut out);
+        inc.allocate_dirty_into(&groups, 200, &dirty, &mut out);
         dirty.clear();
         apply(&mut map, &out);
         assert_eq!(map[&9], 100, "woken lender served from its quota");
@@ -784,6 +822,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one partition")]
     fn rejects_empty_partitions() {
-        IncrementalPartitioned::new(Vec::new());
+        IncrementalPartitioned::new(Vec::new(), PartitionStrategy::Max);
     }
 }

@@ -8,24 +8,29 @@
 //! The pieces:
 //!
 //! * [`allocator`] — the ED-ordered memory-division functions (Max,
-//!   two-pass MinMax, water-filled Proportional).
+//!   two-pass MinMax, water-filled Proportional) and the one partitioned
+//!   division, [`allocator::partitioned_allocate_with_into`]: quotas
+//!   first, each partition by its own [`allocator::PartitionStrategy`],
+//!   then soft-quota borrow-back of idle pages.
 //! * [`policy`] — the [`policy::MemoryPolicy`] trait the simulator drives,
 //!   and the static policies.
 //! * [`adaptive`] — PMM itself: miss-ratio projection, the resource
 //!   utilization heuristic, strategy switching, and workload-change
 //!   detection.
+//! * [`incremental`] — the partitioned allocator both multi-tenant
+//!   policies are built on: [`incremental::IncrementalPartitioned`] owns
+//!   the partition and strategy tables and serves the snapshot path (the
+//!   reference two-pass division) and the dirty-set path, which re-divides
+//!   only partitions whose demand or strategy changed, arbitrating
+//!   soft-quota borrow-back over a hierarchical partition tree —
+//!   bit-for-bit equal to the reference.
 //! * [`partition`] — multi-tenant quotas: [`partition::PartitionedPolicy`]
-//!   runs the MinMax machinery per tenant partition with hard/soft quotas
-//!   and borrow-back.
-//! * [`incremental`] — scale-out reallocation: the dirty-set incremental
-//!   allocator ([`incremental::IncrementalPartitioned`]) re-divides only
-//!   partitions whose demand or strategy changed, arbitrating soft-quota
-//!   borrow-back over a hierarchical partition tree — bit-for-bit equal to
-//!   the reference two-pass division.
+//!   (`"Partitioned"`, `"Partitioned-soft"`) runs MinMax-∞ in every tenant
+//!   partition with hard/soft quotas and borrow-back.
 //! * [`tenant_pmm`] — PMM v2's adaptive multi-tenant mode:
-//!   [`tenant_pmm::TenantPmm`] runs an independent PMM controller per
-//!   partition, fed by per-tenant batches, with soft-quota borrow-back
-//!   arbitrated across the controllers' chosen strategies.
+//!   [`tenant_pmm::TenantPmm`] (`"PMM-tenant"`) runs an independent PMM
+//!   controller per partition, fed by per-tenant batches, each publishing
+//!   its partition's strategy.
 //! * [`types`] — snapshot / feedback types shared with the simulator.
 //!
 //! PMM v2 also adds the *regime-aware* projection for bursty arrivals:
@@ -43,8 +48,7 @@ pub mod types;
 
 pub use adaptive::{Pmm, PmmParams};
 pub use allocator::{
-    max_allocate_clamped_into, max_allocate_into, minmax_allocate_into,
-    partitioned_allocate_into, partitioned_allocate_with_into,
+    max_allocate_into, minmax_allocate_into, partitioned_allocate_with_into,
     proportional_allocate_into, AllocScratch, Grants, PartitionScratch, PartitionSpec,
     PartitionStrategy,
 };

@@ -1,79 +1,45 @@
 //! Multi-tenant memory partitioning as a [`MemoryPolicy`].
 //!
-//! [`PartitionedPolicy`] wraps [`crate::allocator::partitioned_allocate_into`]:
-//! each tenant partition gets its quota allocated by the two-pass MinMax
+//! [`PartitionedPolicy`] is the partitioned allocator
+//! ([`IncrementalPartitioned`]) with every partition on MinMax-∞: each
+//! tenant partition gets its quota divided by the two-pass MinMax
 //! machinery, and soft partitions may borrow pages other tenants leave idle
-//! (handed back automatically at the next allocation event — see the
-//! allocator docs). This is the enforcement half of the `workload` crate's
-//! `TenantSpec`; the simulator stamps each query's partition into
-//! [`crate::QueryDemand::tenant`].
+//! (handed back automatically at the next allocation event — see
+//! [`crate::partitioned_allocate_with_into`]). This is the enforcement half
+//! of the `workload` crate's `TenantSpec`; the simulator stamps each
+//! query's partition into [`crate::QueryDemand::tenant`].
 
-use crate::allocator::{
-    partitioned_allocate_into, AllocScratch, Grants, PartitionScratch, PartitionSpec,
-    PartitionStrategy,
-};
+use crate::allocator::{AllocScratch, Grants, PartitionSpec, PartitionStrategy};
 use crate::incremental::{DirtySet, IncrementalPartitioned};
 use crate::policy::MemoryPolicy;
 use crate::types::{QueryDemand, StrategyMode, SystemSnapshot};
 
 /// MinMax-per-partition multi-tenant policy.
 pub struct PartitionedPolicy {
-    partitions: Vec<PartitionSpec>,
-    limit: Option<u32>,
-    /// Per-partition group/grant buffers reused across allocation events
-    /// (the caller-owned `AllocScratch` only covers the shared ED sort).
-    scratch: PartitionScratch,
-    /// Dirty-set allocation state, built on first use (after the builders
-    /// have finished shaping `partitions`). Strategies are static here —
-    /// MinMax-`limit` everywhere — so only demand churn dirties a partition.
-    incremental: Option<IncrementalPartitioned>,
-    strategies: Vec<PartitionStrategy>,
+    alloc: IncrementalPartitioned,
 }
 
 impl PartitionedPolicy {
-    /// Partitioned MinMax-∞ over `partitions`.
+    /// Partitioned MinMax-∞ over `partitions`; soft specs borrow idle pages.
+    ///
+    /// # Panics
+    /// Panics on an empty partition table.
     pub fn new(partitions: Vec<PartitionSpec>) -> Self {
         PartitionedPolicy {
-            partitions,
-            limit: None,
-            scratch: PartitionScratch::default(),
-            incremental: None,
-            strategies: Vec::new(),
+            alloc: IncrementalPartitioned::new(
+                partitions,
+                PartitionStrategy::MinMax(None),
+            ),
         }
-    }
-
-    /// Impose a per-partition MPL limit (MinMax-N within each partition).
-    pub fn with_limit(mut self, n: u32) -> Self {
-        self.limit = Some(n);
-        self
-    }
-
-    /// Make every partition soft (quota + borrowing) — the "shared when
-    /// idle" configuration the tenants experiment sweeps against hard
-    /// isolation.
-    pub fn soften(mut self) -> Self {
-        for p in &mut self.partitions {
-            p.soft = true;
-        }
-        self
-    }
-
-    /// The partition table in force.
-    pub fn partitions(&self) -> &[PartitionSpec] {
-        &self.partitions
     }
 }
 
 impl MemoryPolicy for PartitionedPolicy {
     fn name(&self) -> String {
-        let flavor = if self.partitions.iter().all(|p| p.soft) {
-            "Partitioned-soft"
+        if self.alloc.partitions().iter().all(|p| p.soft) {
+            "Partitioned-soft".into()
         } else {
-            "Partitioned"
-        };
-        match self.limit {
-            Some(n) => format!("{flavor}-{n}"),
-            None => flavor.into(),
+            "Partitioned".into()
         }
     }
 
@@ -83,20 +49,12 @@ impl MemoryPolicy for PartitionedPolicy {
         _scratch: &mut AllocScratch,
         out: &mut Grants,
     ) {
-        partitioned_allocate_into(
-            &snapshot.queries,
-            &self.partitions,
-            snapshot.total_memory,
-            self.limit,
-            &mut self.scratch,
-            out,
-        );
+        self.alloc
+            .allocate_into(&snapshot.queries, snapshot.total_memory, out);
     }
 
     fn supports_dirty_allocation(&self) -> bool {
-        // The empty table degenerates to un-partitioned MinMax, which has
-        // no dirty-set structure; it stays on the snapshot path.
-        !self.partitions.is_empty()
+        true
     }
 
     fn allocate_dirty_into(
@@ -106,24 +64,12 @@ impl MemoryPolicy for PartitionedPolicy {
         dirty: &mut DirtySet,
         out: &mut Grants,
     ) {
-        if self.incremental.is_none() {
-            self.incremental = Some(IncrementalPartitioned::new(self.partitions.clone()));
-            self.strategies =
-                vec![PartitionStrategy::MinMax(self.limit); self.partitions.len()];
-        }
-        self.incremental.as_mut().unwrap().allocate_dirty_into(
-            groups,
-            &self.strategies,
-            total_memory,
-            dirty,
-            out,
-        );
+        self.alloc
+            .allocate_dirty_into(groups, total_memory, dirty, out);
     }
 
     fn target_mpl(&self) -> Option<u32> {
-        // The limit is per partition; the system-wide ceiling is limit × P.
-        self.limit
-            .map(|n| n.saturating_mul(self.partitions.len().max(1) as u32))
+        None
     }
 
     fn mode(&self) -> StrategyMode {
@@ -164,13 +110,14 @@ mod tests {
     fn names_reflect_flavor_and_limit() {
         assert_eq!(PartitionedPolicy::new(halves(false)).name(), "Partitioned");
         assert_eq!(
-            PartitionedPolicy::new(halves(false)).soften().name(),
+            PartitionedPolicy::new(halves(true)).name(),
             "Partitioned-soft"
         );
-        assert_eq!(
-            PartitionedPolicy::new(halves(true)).with_limit(4).name(),
-            "Partitioned-soft-4"
-        );
+        // A mixed table is not "soft": one hard quota caps its tenant. No
+        // name carries a `-N` limit suffix: every partition runs MinMax-∞.
+        let mut mixed = halves(true);
+        mixed[1].soft = false;
+        assert_eq!(PartitionedPolicy::new(mixed).name(), "Partitioned");
     }
 
     #[test]
@@ -186,16 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn target_mpl_scales_with_partitions() {
-        let p = PartitionedPolicy::new(halves(false)).with_limit(3);
-        assert_eq!(p.target_mpl(), Some(6));
-        assert_eq!(PartitionedPolicy::new(halves(false)).target_mpl(), None);
+    fn target_mpl_is_unbounded() {
+        let p = PartitionedPolicy::new(halves(false));
+        assert_eq!(p.target_mpl(), None, "MinMax-∞ in every partition");
         assert_eq!(p.mode(), StrategyMode::MinMax);
-    }
-
-    #[test]
-    fn soften_flips_every_partition() {
-        let p = PartitionedPolicy::new(halves(false)).soften();
-        assert!(p.partitions().iter().all(|s| s.soft));
     }
 }

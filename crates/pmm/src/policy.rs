@@ -47,8 +47,8 @@ pub trait MemoryPolicy {
     /// policies that opt in via
     /// [`MemoryPolicy::supports_dirty_allocation`]: `groups[p]` holds
     /// partition `p`'s live demands (any order), `dirty` the partitions
-    /// whose demand set changed since the previous call (the policy may add
-    /// its own marks, e.g. for strategy switches, before consuming it).
+    /// whose demand set changed since the previous call (strategy switches
+    /// are the policy's own to track: `IncrementalPartitioned::set_strategy`).
     /// `out` receives one `(id, pages)` pair for **every** member of every
     /// recomputed partition — explicit zeros included — and nothing for
     /// partitions whose grants carry over bit-for-bit. The applied result

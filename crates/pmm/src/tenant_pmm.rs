@@ -15,40 +15,24 @@
 //! order — so adaptivity happens *within* the isolation contract, never
 //! across it.
 
-use crate::adaptive::{Pmm, PmmParams};
-use crate::allocator::{
-    partitioned_allocate_with_into, AllocScratch, Grants, PartitionScratch,
-    PartitionSpec, PartitionStrategy,
-};
+use crate::adaptive::Pmm;
+use crate::allocator::{AllocScratch, Grants, PartitionSpec, PartitionStrategy};
 use crate::incremental::{DirtySet, IncrementalPartitioned};
 use crate::policy::MemoryPolicy;
 use crate::types::{BatchStats, QueryDemand, StrategyMode, SystemSnapshot, TracePoint};
 
 /// Adaptive multi-tenant policy: one [`Pmm`] controller per partition.
 pub struct TenantPmm {
-    partitions: Vec<PartitionSpec>,
-    /// The parameter set every controller runs with (kept so builder
-    /// upgrades like [`TenantPmm::regime_aware`] preserve it).
-    params: PmmParams,
+    /// The partition and strategy tables; partition `i` divides by the
+    /// strategy controller `i` publishes.
+    alloc: IncrementalPartitioned,
     controllers: Vec<Pmm>,
-    /// Per-partition strategies, refreshed from the controllers before
-    /// every allocation (reused buffer).
-    strategies: Vec<PartitionStrategy>,
-    scratch: PartitionScratch,
     /// Merged decision trace: every controller's trace points, appended in
     /// the order the decisions were taken (tenant batches close in virtual
     /// time order, so the merge is chronological).
     trace: Vec<TracePoint>,
     /// How many trace points of each controller have been merged already.
     trace_seen: Vec<usize>,
-    regime_aware: bool,
-    /// Dirty-set allocation state, built on first use (after the builders
-    /// have finished shaping `partitions`).
-    incremental: Option<IncrementalPartitioned>,
-    /// Partitions whose controller switched strategy since the last
-    /// allocation — they must re-divide even if their demand set did not
-    /// change, so the allocator merges them into the caller's dirty set.
-    strategy_dirty: Vec<u32>,
 }
 
 impl TenantPmm {
@@ -58,70 +42,20 @@ impl TenantPmm {
     /// Panics on an empty partition table — a tenant-aware policy without
     /// tenants is a configuration bug.
     pub fn new(partitions: Vec<PartitionSpec>) -> Self {
-        Self::with_params(partitions, PmmParams::default())
-    }
-
-    /// Per-tenant controllers sharing one parameter set.
-    ///
-    /// # Panics
-    /// Panics on an empty partition table.
-    pub fn with_params(partitions: Vec<PartitionSpec>, params: PmmParams) -> Self {
-        assert!(
-            !partitions.is_empty(),
-            "TenantPmm needs at least one partition"
-        );
         let n = partitions.len();
+        // A fresh controller runs Max.
         TenantPmm {
-            partitions,
-            params,
-            controllers: (0..n).map(|_| Pmm::new(params)).collect(),
-            strategies: vec![PartitionStrategy::Max; n],
-            scratch: PartitionScratch::default(),
+            alloc: IncrementalPartitioned::new(partitions, PartitionStrategy::Max),
+            controllers: (0..n).map(|_| Pmm::with_defaults()).collect(),
             trace: Vec::new(),
             trace_seen: vec![0; n],
-            regime_aware: false,
-            incremental: None,
-            strategy_dirty: Vec::new(),
         }
     }
 
-    /// Upgrade every per-tenant controller to the regime-aware v2
-    /// projection (see [`Pmm::regime_aware`]); reports as
-    /// `"PMM-tenant-regime"`.
-    pub fn regime_aware(mut self) -> Self {
-        self.controllers = (0..self.partitions.len())
-            .map(|_| {
-                Pmm::with_regime(self.params, crate::adaptive::REGIME_WINDOW_BATCHES)
-            })
-            .collect();
-        self.regime_aware = true;
-        self
-    }
-
-    /// Make every partition soft (quota + borrow-back), mirroring
-    /// [`crate::PartitionedPolicy::soften`].
-    pub fn soften(mut self) -> Self {
-        for p in &mut self.partitions {
-            p.soft = true;
-        }
-        self
-    }
-
-    /// The partition table in force.
-    pub fn partitions(&self) -> &[PartitionSpec] {
-        &self.partitions
-    }
-
-    /// The per-tenant controllers, index-aligned with
-    /// [`TenantPmm::partitions`] (inspection / tests).
+    /// The per-tenant controllers, index-aligned with the partition table
+    /// (inspection / tests).
     pub fn controllers(&self) -> &[Pmm] {
         &self.controllers
-    }
-
-    /// Clamp a tenant index the way the allocator does: out-of-range bills
-    /// to the last partition.
-    fn clamp(&self, tenant: u32) -> usize {
-        (tenant as usize).min(self.partitions.len() - 1)
     }
 
     /// The partition strategy controller `c` currently publishes.
@@ -131,13 +65,6 @@ impl TenantPmm {
             // A PMM controller's MinMax target is its partition's MPL
             // ceiling here — per-tenant, not system-wide.
             _ => PartitionStrategy::MinMax(c.target_mpl()),
-        }
-    }
-
-    /// Refresh the per-partition strategy table from the controllers.
-    fn refresh_strategies(&mut self) {
-        for (s, c) in self.strategies.iter_mut().zip(&self.controllers) {
-            *s = Self::strategy_of(c);
         }
     }
 
@@ -154,11 +81,7 @@ impl TenantPmm {
 
 impl MemoryPolicy for TenantPmm {
     fn name(&self) -> String {
-        if self.regime_aware {
-            "PMM-tenant-regime".into()
-        } else {
-            "PMM-tenant".into()
-        }
+        "PMM-tenant".into()
     }
 
     fn allocate_into(
@@ -167,15 +90,8 @@ impl MemoryPolicy for TenantPmm {
         _scratch: &mut AllocScratch,
         out: &mut Grants,
     ) {
-        self.refresh_strategies();
-        partitioned_allocate_with_into(
-            &snapshot.queries,
-            &self.partitions,
-            &self.strategies,
-            snapshot.total_memory,
-            &mut self.scratch,
-            out,
-        );
+        self.alloc
+            .allocate_into(&snapshot.queries, snapshot.total_memory, out);
     }
 
     fn supports_dirty_allocation(&self) -> bool {
@@ -189,23 +105,8 @@ impl MemoryPolicy for TenantPmm {
         dirty: &mut DirtySet,
         out: &mut Grants,
     ) {
-        if self.incremental.is_none() {
-            self.refresh_strategies();
-            self.incremental = Some(IncrementalPartitioned::new(self.partitions.clone()));
-        }
-        // Controllers that switched strategy since the last allocation are
-        // as dirty as demand churn: their partitions must re-divide.
-        for k in 0..self.strategy_dirty.len() {
-            dirty.mark(self.strategy_dirty[k] as usize);
-        }
-        self.strategy_dirty.clear();
-        self.incremental.as_mut().unwrap().allocate_dirty_into(
-            groups,
-            &self.strategies,
-            total_memory,
-            dirty,
-            out,
-        );
+        self.alloc
+            .allocate_dirty_into(groups, total_memory, dirty, out);
     }
 
     fn wants_tenant_feedback(&self) -> bool {
@@ -213,16 +114,14 @@ impl MemoryPolicy for TenantPmm {
     }
 
     fn on_tenant_batch(&mut self, tenant: u32, stats: &BatchStats) {
-        let i = self.clamp(tenant);
+        // Out-of-range tenants bill to the last partition, as in the
+        // allocator.
+        let i = (tenant as usize).min(self.controllers.len() - 1);
         self.controllers[i].on_batch(stats);
-        // Track strategy switches for the incremental path; the strategy
-        // table is the allocator's input, so it is updated here too (the
-        // snapshot path refreshes the whole table per allocation anyway).
-        let new = Self::strategy_of(&self.controllers[i]);
-        if new != self.strategies[i] {
-            self.strategies[i] = new;
-            self.strategy_dirty.push(i as u32);
-        }
+        // The batch is the only thing that moves a controller's mode or
+        // target, so the strategy table stays in sync from here alone.
+        self.alloc
+            .set_strategy(i, Self::strategy_of(&self.controllers[i]));
         self.merge_trace(i);
     }
 
@@ -309,10 +208,6 @@ mod tests {
         let p = TenantPmm::new(halves(false));
         assert_eq!(p.name(), "PMM-tenant");
         assert!(p.wants_tenant_feedback());
-        assert_eq!(
-            TenantPmm::new(halves(false)).regime_aware().name(),
-            "PMM-tenant-regime"
-        );
         assert!(!crate::MaxPolicy.wants_tenant_feedback());
     }
 
@@ -320,20 +215,6 @@ mod tests {
     #[should_panic(expected = "at least one partition")]
     fn rejects_empty_partition_table() {
         TenantPmm::new(Vec::new());
-    }
-
-    #[test]
-    fn regime_upgrade_preserves_custom_params() {
-        let custom = PmmParams {
-            mpl_cap: 7,
-            util_low: 0.55,
-            ..PmmParams::default()
-        };
-        let p = TenantPmm::with_params(halves(false), custom).regime_aware();
-        for c in p.controllers() {
-            assert_eq!(c.params().mpl_cap, 7, "custom params survive the upgrade");
-            assert_eq!(c.params().util_low, 0.55);
-        }
     }
 
     #[test]

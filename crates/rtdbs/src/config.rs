@@ -412,8 +412,8 @@ impl SimConfig {
     /// Multi-tenant scenario: an "analytics" tenant running Medium joins and
     /// a "reporting" tenant running sorts, both Poisson λ = 0.05, with
     /// `analytics_frac` of the buffer pool reserved for analytics and the
-    /// rest for reporting. Pair with `pmm::PartitionedPolicy` (hard or
-    /// softened) or any shared policy as the no-isolation control.
+    /// rest for reporting. Pair with `pmm::PartitionedPolicy` (hard or soft
+    /// partitions) or any shared policy as the no-isolation control.
     pub fn multi_tenant(analytics_frac: f64) -> Self {
         let mut cfg = Self::baseline(0.05);
         let m = cfg.resources.memory_pages;

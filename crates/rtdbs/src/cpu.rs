@@ -7,13 +7,13 @@
 //! has the earliest deadline. Completion events are cancelled on preemption
 //! so no generation counters are needed.
 //!
-//! The ready queue is an 8-ary min-heap on `(deadline, query)` — the
-//! calendar's heap idiom — instead of the seed's `BTreeMap`: push and
-//! pop-min touch a flat `Vec` of 24-byte `Copy` entries with no node
-//! allocation or tree rebalancing on the per-burst hot path. Unlike the
-//! calendar no slab indirection is needed: entries carry their payload (the
-//! burst's remaining instructions) inline and there are no cancellation
-//! handles — the rare firm-abort removal scans the heap and re-heapifies.
+//! The ready queue is the calendar's 8-ary [`MinHeap`], keyed by
+//! `(deadline, query)`, instead of the seed's `BTreeMap`: push and pop-min
+//! touch a flat `Vec` of 24-byte `Copy` entries with no node allocation or
+//! tree rebalancing on the per-burst hot path. Unlike the calendar no slab
+//! indirection is needed: entries carry their payload (the burst's
+//! remaining instructions) inline and there are no cancellation handles —
+//! the rare firm-abort removal scans the heap and re-heapifies.
 //! `(deadline, query)` is unique (a query has at most one outstanding
 //! burst), so pop-min is deterministic.
 //!
@@ -28,6 +28,7 @@
 use crate::engine::Event;
 use pmm::QueryId;
 use simkit::calendar::EventHandle;
+use simkit::heap::{Keyed, MinHeap};
 use simkit::metrics::Utilization;
 use simkit::{Calendar, Duration, SimTime};
 
@@ -47,95 +48,12 @@ struct ReadyEntry {
     instr: f64,
 }
 
-impl ReadyEntry {
+impl Keyed for ReadyEntry {
+    type Key = (SimTime, QueryId);
+
     #[inline]
     fn key(&self) -> (SimTime, QueryId) {
         (self.deadline, self.query)
-    }
-}
-
-/// Min-heap of ready bursts keyed by `(deadline, query)`.
-#[derive(Default)]
-struct ReadyHeap {
-    entries: Vec<ReadyEntry>,
-}
-
-impl ReadyHeap {
-    const ARITY: usize = 8;
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn push(&mut self, entry: ReadyEntry) {
-        self.entries.push(entry);
-        self.sift_up(self.entries.len() - 1);
-    }
-
-    fn pop_min(&mut self) -> Option<ReadyEntry> {
-        let min = *self.entries.first()?;
-        let last = self.entries.pop().expect("heap is non-empty");
-        if !self.entries.is_empty() {
-            self.entries[0] = last;
-            self.sift_down(0);
-        }
-        Some(min)
-    }
-
-    /// Remove every burst owned by `query` (at most one exists). Rare —
-    /// only the firm-abort path — so a scan plus re-heapify is fine.
-    fn remove_query(&mut self, query: QueryId) {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.query != query);
-        if self.entries.len() != before {
-            // Floyd heapify restores the property after arbitrary removal.
-            for i in (0..self.entries.len() / Self::ARITY + 1).rev() {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.entries[i];
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if self.entries[parent].key() <= entry.key() {
-                break;
-            }
-            self.entries[i] = self.entries[parent];
-            i = parent;
-        }
-        self.entries[i] = entry;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        if i >= self.entries.len() {
-            return;
-        }
-        let entry = self.entries[i];
-        let n = self.entries.len();
-        loop {
-            let first_child = i * Self::ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            let last_child = (first_child + Self::ARITY).min(n);
-            let mut best = first_child;
-            let mut best_key = self.entries[first_child].key();
-            for c in first_child + 1..last_child {
-                let k = self.entries[c].key();
-                if k < best_key {
-                    best = c;
-                    best_key = k;
-                }
-            }
-            if best_key >= entry.key() {
-                break;
-            }
-            self.entries[i] = self.entries[best];
-            i = best;
-        }
-        self.entries[i] = entry;
     }
 }
 
@@ -144,7 +62,7 @@ pub struct CpuManager {
     mips: f64,
     running: Option<Running>,
     /// Ready bursts, min-heap on (deadline, query id).
-    ready: ReadyHeap,
+    ready: MinHeap<ReadyEntry>,
     /// Busy accounting over the run and over the feedback batch.
     pub util: Utilization,
 }
@@ -156,7 +74,7 @@ impl CpuManager {
         CpuManager {
             mips,
             running: None,
-            ready: ReadyHeap::default(),
+            ready: MinHeap::default(),
             util: Utilization::new(start),
         }
     }
@@ -236,7 +154,7 @@ impl CpuManager {
         instructions: u64,
         cal: &mut Calendar<Event>,
     ) -> Option<SimTime> {
-        if self.running.is_some() || self.ready.len() > 0 {
+        if self.running.is_some() || !self.ready.is_empty() {
             return None;
         }
         let end = now + self.burst_duration(instructions as f64);
@@ -265,7 +183,7 @@ impl CpuManager {
     }
 
     fn dispatch_next(&mut self, now: SimTime, cal: &mut Calendar<Event>) {
-        if let Some(next) = self.ready.pop_min() {
+        if let Some(next) = self.ready.pop() {
             self.begin(now, next.query, next.deadline, next.instr, cal);
         }
     }
@@ -273,7 +191,8 @@ impl CpuManager {
     /// Remove every trace of `query` (firm-deadline abort). If it was
     /// running, the CPU immediately moves on to the next ready burst.
     pub fn cancel(&mut self, now: SimTime, query: QueryId, cal: &mut Calendar<Event>) {
-        self.ready.remove_query(query);
+        // At most one burst per query; rare (firm aborts only).
+        self.ready.retain(|e| e.query != query);
         if self.running.as_ref().is_some_and(|r| r.query == query) {
             let run = self.running.take().expect("checked");
             cal.cancel(run.handle);

@@ -983,11 +983,11 @@ impl Simulator {
         let deadline = now + standalone.scale(slack);
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        let operand_ios = {
-            let block = exec_cfg.block_pages;
-            let s_pages = s_meta.map_or(0, |m| m.pages);
-            r_meta.pages.div_ceil(block) + s_pages.div_ceil(block)
-        };
+        let operand_ios = exec::hashjoin::operand_read_ios(
+            &exec_cfg,
+            r_meta.pages,
+            s_meta.map_or(0, |m| m.pages),
+        );
         let query = LiveQuery {
             id,
             class,
@@ -1094,6 +1094,7 @@ impl Simulator {
             if let Some(m) = &mut self.obs_metrics {
                 m.reg.inc(m.reallocations, 1);
             }
+            self.diffs.clear();
             if self.use_dirty {
                 // Incremental path: the policy sees only the partitions
                 // whose demand (or strategy) changed and re-emits grants for
@@ -1109,7 +1110,6 @@ impl Simulator {
                 // change (a completion cascading into `kill_query`) must
                 // re-mark their partitions for the pending re-run.
                 self.dirty.clear();
-                self.diffs.clear();
                 for &(id, new) in &self.policy_grants {
                     let slot = self.live.slot_of(id).expect("granted query is live");
                     let old = self.live.slot_ref(slot).granted;
@@ -1117,56 +1117,46 @@ impl Simulator {
                         self.diffs.push((id, old, new));
                     }
                 }
-                self.diffs
-                    .sort_unstable_by_key(|&(id, old, new)| (new > old, new, id));
-                for i in 0..self.diffs.len() {
-                    let (id, _, new) = self.diffs[i];
-                    self.apply_grant(now, id, new);
+            } else {
+                self.snapshot.now = now;
+                // The policy budgets against the *effective* memory: an
+                // active memory shock shrinks the ceiling without touching
+                // the config.
+                self.snapshot.total_memory = self.effective_memory;
+                self.snapshot.queries.clear();
+                // The incrementally-maintained ED order stands in for the
+                // policies' per-event re-sort: the snapshot arrives
+                // pre-sorted by their exact `(deadline, id)` key, so
+                // `ed_order` inside the allocators verifies instead of
+                // sorting. (The allocators still sort arbitrary input —
+                // standalone policy users are unaffected.)
+                for &(_, _, slot) in self.live.ed_order() {
+                    self.snapshot
+                        .queries
+                        .push(self.live.slot_ref(slot).demand());
                 }
-                self.update_mpl(now);
-                if !self.realloc_pending {
-                    break;
+                self.policy.allocate_into(
+                    &self.snapshot,
+                    &mut self.alloc_scratch,
+                    &mut self.policy_grants,
+                );
+                // Dense grant map keyed by slab slot (absent = 0 pages).
+                self.grant_by_slot.clear();
+                self.grant_by_slot.resize(self.live.slot_capacity(), 0);
+                for &(id, pages) in &self.policy_grants {
+                    let slot = self.live.slot_of(id).expect("granted query is live");
+                    self.grant_by_slot[slot as usize] = pages;
                 }
-                continue;
-            }
-            self.snapshot.now = now;
-            // The policy budgets against the *effective* memory: an active
-            // memory shock shrinks the ceiling without touching the config.
-            self.snapshot.total_memory = self.effective_memory;
-            self.snapshot.queries.clear();
-            // The incrementally-maintained ED order stands in for the
-            // policies' per-event re-sort: the snapshot arrives pre-sorted
-            // by their exact `(deadline, id)` key, so `ed_order` inside the
-            // allocators verifies instead of sorting. (The allocators still
-            // sort arbitrary input — standalone policy users are
-            // unaffected.)
-            for &(_, _, slot) in self.live.ed_order() {
-                self.snapshot
-                    .queries
-                    .push(self.live.slot_ref(slot).demand());
-            }
-            self.policy.allocate_into(
-                &self.snapshot,
-                &mut self.alloc_scratch,
-                &mut self.policy_grants,
-            );
-            // Dense grant map keyed by slab slot (absent = 0 pages).
-            self.grant_by_slot.clear();
-            self.grant_by_slot.resize(self.live.slot_capacity(), 0);
-            for &(id, pages) in &self.policy_grants {
-                let slot = self.live.slot_of(id).expect("granted query is live");
-                self.grant_by_slot[slot as usize] = pages;
+                for (slot, q) in self.live.iter_with_slots() {
+                    let new = self.grant_by_slot[slot as usize];
+                    if new != q.granted {
+                        self.diffs.push((q.id, q.granted, new));
+                    }
+                }
             }
             // Apply shrinking grants before growing ones so the growth is
             // backed by freed pages. The id tie-break reproduces the seed
             // behavior exactly: a stable sort over id-ordered input.
-            self.diffs.clear();
-            for (slot, q) in self.live.iter_with_slots() {
-                let new = self.grant_by_slot[slot as usize];
-                if new != q.granted {
-                    self.diffs.push((q.id, q.granted, new));
-                }
-            }
             self.diffs
                 .sort_unstable_by_key(|&(id, old, new)| (new > old, new, id));
             for i in 0..self.diffs.len() {

@@ -16,9 +16,10 @@
 //!   technique. Unlike the seed, the live-event count is exact: `len()`
 //!   counts scheduled-minus-(fired+cancelled), and cancelling after the
 //!   event fired is a true no-op (the seed undercounted forever after).
-//! * **8-ary layout.** Sift-down visits a third of the levels of a binary heap
-//!   with better cache locality; entries are compact 24-byte `(time, seq,
-//!   slot, lane)` records stored inline, payloads stay put in the slab.
+//! * **8-ary layout.** Each lane is a [`MinHeap`]: sift-down visits a third
+//!   of the levels of a binary heap with better cache locality; entries are
+//!   compact 24-byte `(time, seq, slot, lane)` records stored inline,
+//!   payloads stay put in the slab.
 //! * **Two lanes.** [`Calendar::schedule`] files an event in the
 //!   *completion* heap, [`Calendar::schedule_timer`] in the *timer* heap.
 //!   Completions are few; timers (arrivals, deadlines) scale with classes
@@ -40,6 +41,7 @@
 //!   popping a completion: the pop order of every queued event is
 //!   unchanged, and `events_dispatched` does not count the skipped event.
 
+use crate::heap::{Keyed, MinHeap};
 use crate::time::SimTime;
 
 /// A handle identifying one scheduled event, used for cancellation. Stale
@@ -63,7 +65,9 @@ struct HeapEntry {
     lane: u8,
 }
 
-impl HeapEntry {
+impl Keyed for HeapEntry {
+    type Key = (SimTime, u64);
+
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
@@ -85,7 +89,7 @@ struct Slot<E> {
 /// them.
 pub struct Calendar<E> {
     /// The completion and timer heaps, indexed by `HeapEntry::lane`.
-    lanes: [Vec<HeapEntry>; 2],
+    lanes: [MinHeap<HeapEntry>; 2],
     /// Fast-path buffer: when `Some`, this entry's key is strictly smaller
     /// than every key in both lanes, so it is the next entry to surface. Its
     /// payload lives in `slots` like any other event (cancellation works
@@ -109,7 +113,7 @@ impl<E> Calendar<E> {
     /// An empty calendar with the clock at `t = 0`.
     pub fn new() -> Self {
         Calendar {
-            lanes: [Vec::new(), Vec::new()],
+            lanes: Default::default(),
             front: None,
             slots: Vec::new(),
             free: Vec::new(),
@@ -220,7 +224,9 @@ impl<E> Calendar<E> {
         loop {
             let entry = match self.front.take() {
                 Some(front) => front,
-                None => pop_root(&mut self.lanes[self.min_lane()?]),
+                None => self.lanes[self.min_lane()?]
+                    .pop()
+                    .expect("min lane is non-empty"),
             };
             let (payload, was_cancelled) = self.vacate(entry.slot);
             if was_cancelled {
@@ -252,7 +258,7 @@ impl<E> Calendar<E> {
             if !self.slots[root.slot as usize].cancelled {
                 return Some(root.at);
             }
-            pop_root(&mut self.lanes[lane]);
+            self.lanes[lane].pop();
             self.vacate(root.slot);
         }
     }
@@ -267,7 +273,7 @@ impl<E> Calendar<E> {
         debug_assert!(
             self.front
                 .iter()
-                .chain(self.lanes.iter().flatten())
+                .chain(self.lanes.iter().flat_map(|lane| lane.iter()))
                 .all(|e| e.at > t || self.slots[e.slot as usize].cancelled),
             "advance_to({t:?}) would skip a live event due at or before it"
         );
@@ -297,10 +303,7 @@ impl<E> Calendar<E> {
     }
 
     fn push(&mut self, entry: HeapEntry) {
-        let heap = &mut self.lanes[entry.lane as usize];
-        let i = heap.len();
-        heap.push(entry);
-        sift_up(heap, i);
+        self.lanes[entry.lane as usize].push(entry);
     }
 
     /// The lane holding the smaller root key, or `None` if both are empty.
@@ -312,64 +315,6 @@ impl<E> Calendar<E> {
             (None, t) => t.map(|_| 1),
         }
     }
-}
-
-// ----- 8-ary heap on (at, seq) -------------------------------------------
-
-const ARITY: usize = 8;
-
-/// Remove and return the root of a non-empty heap, restoring the heap
-/// property.
-fn pop_root(heap: &mut Vec<HeapEntry>) -> HeapEntry {
-    let root = heap[0];
-    let last = heap.pop().expect("heap is non-empty");
-    if !heap.is_empty() {
-        heap[0] = last;
-        sift_down(heap, 0);
-    }
-    root
-}
-
-fn sift_up(heap: &mut [HeapEntry], mut i: usize) {
-    let entry = heap[i];
-    while i > 0 {
-        let parent = (i - 1) / ARITY;
-        if heap[parent].key() <= entry.key() {
-            break;
-        }
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = entry;
-}
-
-fn sift_down(heap: &mut [HeapEntry], mut i: usize) {
-    let entry = heap[i];
-    let n = heap.len();
-    loop {
-        let first_child = i * ARITY + 1;
-        if first_child >= n {
-            break;
-        }
-        let last_child = (first_child + ARITY).min(n);
-        let mut best = first_child;
-        let mut best_key = heap[first_child].key();
-        let mut c = first_child + 1;
-        while c < last_child {
-            let k = heap[c].key();
-            if k < best_key {
-                best = c;
-                best_key = k;
-            }
-            c += 1;
-        }
-        if best_key >= entry.key() {
-            break;
-        }
-        heap[i] = heap[best];
-        i = best;
-    }
-    heap[i] = entry;
 }
 
 #[cfg(test)]
@@ -519,7 +464,7 @@ mod tests {
             assert_eq!(cal.pop(), Some((SimTime(i), "step")));
         }
         assert_eq!(
-            cal.lanes.each_ref().map(Vec::len),
+            cal.lanes.each_ref().map(|lane| lane.len()),
             [0, 1],
             "the chain must bypass both heaps"
         );
@@ -545,7 +490,7 @@ mod tests {
                 cal.schedule(SimTime(5), "first");
                 cal.schedule_timer(SimTime(5), "second");
             }
-            assert_eq!(cal.lanes.each_ref().map(Vec::len), [1, 1]);
+            assert_eq!(cal.lanes.each_ref().map(|lane| lane.len()), [1, 1]);
             let order: Vec<_> =
                 std::iter::from_fn(|| cal.pop()).map(|(_, e)| e).collect();
             assert_eq!(

@@ -9,6 +9,8 @@
 //! * [`SimTime`] / [`Duration`] — fixed-point virtual time (microseconds).
 //! * [`Calendar`] — the event calendar (a priority queue keyed by time with
 //!   deterministic FIFO tie-breaking).
+//! * [`heap`] — the 8-ary min-heap behind the calendar's lanes, shared with
+//!   the simulator's CPU ready queue.
 //! * [`rng`] — a seedable xoshiro256++ generator with stream splitting, plus
 //!   the distributions the workload model needs (exponential inter-arrival
 //!   times, uniform ranges).
@@ -21,6 +23,7 @@
 //! checks explicitly.
 
 pub mod calendar;
+pub mod heap;
 pub mod metrics;
 pub mod rng;
 pub mod time;

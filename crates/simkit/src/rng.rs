@@ -83,12 +83,6 @@ impl Rng {
         }
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    pub fn int_in(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range [{lo}, {hi}]");
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Uniform float in `[lo, hi)`.
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo <= hi, "empty range [{lo}, {hi})");
@@ -199,20 +193,6 @@ mod tests {
                 "bucket count {c} out of range"
             );
         }
-    }
-
-    #[test]
-    fn int_in_inclusive() {
-        let mut rng = Rng::new(3);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let v = rng.int_in(5, 7);
-            assert!((5..=7).contains(&v));
-            saw_lo |= v == 5;
-            saw_hi |= v == 7;
-        }
-        assert!(saw_lo && saw_hi);
     }
 
     #[test]

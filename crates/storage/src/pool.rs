@@ -355,11 +355,6 @@ impl BufferPool {
         self.block_pages
     }
 
-    /// The active eviction policy's name.
-    pub fn policy_name(&self) -> String {
-        self.policy.name()
-    }
-
     fn key(&self, file: FileId, page: u32) -> CacheKey {
         CacheKey {
             file,
@@ -485,11 +480,6 @@ mod tests {
 
     #[test]
     fn pool_reports_policy_names() {
-        assert_eq!(BufferPool::new(32, 6).policy_name(), "lru");
-        assert_eq!(
-            BufferPool::with_policy(32, 6, EvictionSpec::LruK { k: 2 }).policy_name(),
-            "lru-2"
-        );
         assert_eq!(EvictionSpec::Lru.name(), "lru");
         assert_eq!(EvictionSpec::LruK { k: 2 }.name(), "lruk");
     }

@@ -52,11 +52,10 @@ struct Key {
 
 /// Total selection order of one request under a fixed head position and
 /// sweep direction: `(deadline, off-preferred-side, distance, seq)`. The
-/// argmin of this rank over all queued keys is exactly the request the
-/// [`DiskQueue::pop`] scan chooses — ED level first, then the preferred
-/// sweep side, then nearest cylinder, then FIFO — and an argmin with the
-/// penalty bit set means the preferred side was empty, i.e. the sweep
-/// reverses.
+/// argmin of this rank over all queued keys is the request
+/// [`DiskQueue::pop`] chooses — ED level first, then the preferred sweep
+/// side, then nearest cylinder, then FIFO — and an argmin with the penalty
+/// bit set means the preferred side was empty, i.e. the sweep reverses.
 type Rank = (SimTime, u8, u32, u64);
 
 fn rank_of(key: &Key, head: u32, ascending: bool) -> Rank {
@@ -184,83 +183,51 @@ impl<T> DiskQueue<T> {
     ///
     /// The most urgent deadline level is selected first (ED); within that
     /// level the elevator picks the nearest cylinder in the current sweep
-    /// direction, reversing direction at the end of a sweep. One scan finds
-    /// the deadline level and both sweep candidates simultaneously.
+    /// direction, reversing direction at the end of a sweep: the argmin of
+    /// one rank order, from the cached winner or one scan.
     pub fn pop(&mut self, head: u32) -> Option<QueuedRequest<T>> {
         if self.keys.is_empty() {
             self.cached = None;
             return None;
         }
-        let (chosen, reverse) = match self.cached.take() {
+        let (chosen, rank) = match self.cached.take() {
             Some(c) if c.head == head && c.ascending == self.ascending => {
                 debug_assert_eq!(
-                    self.keys[c.idx].seq,
-                    self.keys[self.scan_pick(head).0].seq,
-                    "cached winner diverged from the scan"
+                    c.idx,
+                    self.argmin(head).0,
+                    "cached winner diverged from the argmin"
                 );
-                // A winner off the preferred side means that side is empty
-                // at the most urgent level: the sweep reverses, exactly as
-                // the scan would have.
-                (c.idx, c.rank.1 == 1)
+                (c.idx, c.rank)
             }
-            _ => self.scan_pick(head),
+            _ => self.argmin(head),
         };
-        if reverse {
+        // A winner off the preferred side means that side is empty at the
+        // most urgent level: the sweep reverses.
+        if rank.1 == 1 {
             self.ascending = !self.ascending;
         }
         self.keys.swap_remove(chosen);
         Some(self.reqs.swap_remove(chosen))
     }
 
-    /// One scan over the dense key array selecting the next request:
-    /// returns its index and whether the sweep direction must reverse.
+    /// One scan over the dense key array: the index and rank of the
+    /// request with the smallest [`rank_of`] (ranks are unique — `seq` is).
     ///
     /// # Panics
     /// Panics if the queue is empty.
-    fn scan_pick(&self, head: u32) -> (usize, bool) {
-        // Per sweep direction: (distance from head, seq, index) — minimized.
-        let mut up: Option<(u32, u64, usize)> = None;
-        let mut down: Option<(u32, u64, usize)> = None;
-        let mut deadline = SimTime::MAX;
-        for (i, key) in self.keys.iter().enumerate() {
-            if key.deadline > deadline {
+    fn argmin(&self, head: u32) -> (usize, Rank) {
+        let (mut best, mut best_rank) = (0, rank_of(&self.keys[0], head, self.ascending));
+        for (i, key) in self.keys.iter().enumerate().skip(1) {
+            // A less urgent level never wins: skip it without ranking.
+            if key.deadline > best_rank.0 {
                 continue;
             }
-            if key.deadline < deadline {
-                // Strictly more urgent level: restart the selection.
-                deadline = key.deadline;
-                up = None;
-                down = None;
-            }
-            let cyl = key.cylinder;
-            if cyl >= head {
-                let cand = (cyl - head, key.seq, i);
-                if up.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    up = Some(cand);
-                }
-            }
-            if cyl <= head {
-                let cand = (head - cyl, key.seq, i);
-                if down.is_none_or(|b| (cand.0, cand.1) < (b.0, b.1)) {
-                    down = Some(cand);
-                }
+            let rank = rank_of(key, head, self.ascending);
+            if rank < best_rank {
+                (best, best_rank) = (i, rank);
             }
         }
-        let (first, second) = if self.ascending {
-            (up, down)
-        } else {
-            (down, up)
-        };
-        match first {
-            Some((_, _, i)) => (i, false),
-            // Sweep exhausted within the level: reverse direction.
-            None => (
-                second
-                    .expect("non-empty level has a cylinder on one side")
-                    .2,
-                true,
-            ),
-        }
+        (best, best_rank)
     }
 
     /// Remove every request whose tag matches `remove` (e.g. requests of an

@@ -100,16 +100,6 @@ impl AlternationSchedule {
         Some(&self.phases.last().expect("non-empty").1)
     }
 
-    /// Which classes are active at simulated second `t`. Allocates; use
-    /// [`AlternationSchedule::is_active`] or
-    /// [`AlternationSchedule::phase_at`] on hot paths.
-    pub fn active_at(&self, t: f64, num_classes: usize) -> Vec<usize> {
-        match self.phase_at(t) {
-            Some(classes) => classes.to_vec(),
-            None => (0..num_classes).collect(),
-        }
-    }
-
     /// True if `class` is active at `t`. Allocation-free.
     pub fn is_active(&self, t: f64, class: usize, num_classes: usize) -> bool {
         match self.phase_at(t) {
@@ -126,7 +116,9 @@ mod tests {
     #[test]
     fn empty_schedule_means_always_active() {
         let s = AlternationSchedule::default();
-        assert_eq!(s.active_at(12_345.0, 3), vec![0, 1, 2]);
+        for class in 0..3 {
+            assert!(s.is_active(12_345.0, class, 3));
+        }
         assert!(s.is_active(0.0, 2, 3));
         assert!(!s.is_active(0.0, 3, 3), "class index out of range");
         assert!(s.phase_at(999.0).is_none());
@@ -135,11 +127,10 @@ mod tests {
     #[test]
     fn schedule_cycles() {
         let s = AlternationSchedule::cycle(vec![(100.0, vec![0]), (50.0, vec![1])]);
-        assert_eq!(s.active_at(10.0, 2), vec![0]);
-        assert_eq!(s.active_at(120.0, 2), vec![1]);
+        assert!(s.is_active(10.0, 0, 2) && !s.is_active(10.0, 1, 2));
+        assert!(s.is_active(120.0, 1, 2) && !s.is_active(120.0, 0, 2));
         // Wraps: 160 ≡ 10 (mod 150).
-        assert_eq!(s.active_at(160.0, 2), vec![0]);
-        assert!(!s.is_active(120.0, 0, 2));
+        assert!(s.is_active(160.0, 0, 2) && !s.is_active(160.0, 1, 2));
     }
 
     #[test]

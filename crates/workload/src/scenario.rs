@@ -109,11 +109,6 @@ impl Scenario {
         self.classes.iter().map(WorkloadClass::mean_rate).sum()
     }
 
-    /// Sum of tenant quotas in pages.
-    pub fn quota_total(&self) -> u64 {
-        self.tenants.iter().map(|t| t.quota_pages as u64).sum()
-    }
-
     /// Internal consistency: class tenant indices must reference declared
     /// tenants (when any are declared).
     ///
@@ -153,7 +148,6 @@ mod tests {
         .tenant(TenantSpec::soft("sorts", 1000));
         assert_eq!(s.classes.len(), 2);
         assert_eq!(s.tenants.len(), 2);
-        assert_eq!(s.quota_total(), 2500);
         assert!((s.mean_rate() - 0.06).abs() < 1e-12);
         assert!(s.validate().is_ok());
     }

@@ -33,18 +33,18 @@ fn main() {
     for flavor in ["shared", "hard", "soft"] {
         let mut cfg = SimConfig::multi_tenant(frac);
         cfg.duration_secs = secs;
+        // The soft flavor lets every partition borrow idle pages.
         let partitions: Vec<PartitionSpec> = cfg
             .tenants
             .iter()
             .map(|t| PartitionSpec {
                 quota: t.quota_pages,
-                soft: t.soft,
+                soft: flavor == "soft" || t.soft,
             })
             .collect();
         let policy: Box<dyn MemoryPolicy> = match flavor {
             "shared" => Box::new(MinMaxPolicy::unlimited()),
-            "hard" => Box::new(PartitionedPolicy::new(partitions)),
-            _ => Box::new(PartitionedPolicy::new(partitions).soften()),
+            _ => Box::new(PartitionedPolicy::new(partitions)),
         };
         let report = run_simulation(cfg, policy);
         summarize(flavor, &report);

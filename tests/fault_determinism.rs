@@ -88,16 +88,18 @@ fn out_of_horizon_fault_plan_is_inert() {
 /// End-to-end equivalence of the incremental reallocation path under the
 /// storm machinery: a multi-tenant `scale` run through a mid-run memory
 /// shock and a disk outage must produce the very same report whether the
-/// engine drives the dirty-set path (`Partitioned-soft`) or the pinned
-/// full-snapshot reference (`snapshot/Partitioned-soft`). The shock is the
-/// hard case — total memory moves under the allocator, which must answer
-/// with a rebuild that is the reference algorithm verbatim.
+/// engine drives the dirty-set path (`Partitioned-soft`, `PMM-tenant`) or
+/// the pinned full-snapshot reference (`snapshot/<policy>`). The shock is
+/// the hard case — total memory moves under the allocator, which must
+/// answer with a rebuild that is the reference algorithm verbatim.
+/// `PMM-tenant` adds the controllers' decisions: each of its runs must
+/// record some, both paths must record the same ones, and at least one
+/// must change a partition's strategy (the 48-tenant grid never leaves Max
+/// mode — its tenants never wait for memory — so its controllers only
+/// restart; the two-tenant preset switches to MinMax and moves targets).
 #[test]
 fn incremental_reallocation_survives_storms_bit_for_bit() {
-    let mut cfg = SimConfig::scale(48);
-    cfg.duration_secs = 600.0;
-    cfg.window_secs = 150.0;
-    cfg.faults = FaultPlan {
+    let faults = FaultPlan {
         events: vec![
             FaultSpec::MemoryShock {
                 start_secs: 120.0,
@@ -112,42 +114,71 @@ fn incremental_reallocation_survives_storms_bit_for_bit() {
         ],
         ..FaultPlan::default()
     };
-    let inc = run_simulation(cfg.clone(), make_policy_for(&cfg, "Partitioned-soft"));
-    let snap = run_simulation(
-        cfg.clone(),
-        make_policy_for(&cfg, "snapshot/Partitioned-soft"),
-    );
-    assert_eq!((inc.served, inc.missed), (snap.served, snap.missed));
-    assert_eq!(inc.events, snap.events, "not one event may move");
-    for (a, b) in [
-        (inc.avg_mpl, snap.avg_mpl),
-        (inc.cpu_util, snap.cpu_util),
-        (inc.disk_util, snap.disk_util),
-        (inc.avg_fluctuations, snap.avg_fluctuations),
+    let mut strategy_changed = false;
+    for (policy, mut cfg, secs) in [
+        ("Partitioned-soft", SimConfig::scale(48), 600.0),
+        ("PMM-tenant", SimConfig::scale(48), 9_600.0),
+        ("PMM-tenant", SimConfig::multi_tenant(0.5), 2_400.0),
     ] {
-        assert_eq!(a.to_bits(), b.to_bits(), "aggregate drifted: {a} vs {b}");
-    }
-    assert_eq!(inc.windows.len(), snap.windows.len());
-    for (w, v) in inc.windows.iter().zip(&snap.windows) {
-        assert_eq!((w.served, w.missed), (v.served, v.missed));
-    }
-    assert_eq!(inc.tenants.len(), 48);
-    for (t, u) in inc.tenants.iter().zip(&snap.tenants) {
-        assert_eq!((t.served, t.missed), (u.served, u.missed), "{}", t.name);
-        assert_eq!(t.avg_mpl.to_bits(), u.avg_mpl.to_bits(), "{}", t.name);
-        assert_eq!(
-            t.quota_utilization.to_bits(),
-            u.quota_utilization.to_bits(),
-            "{}",
-            t.name
+        cfg.duration_secs = secs;
+        cfg.window_secs = 150.0;
+        cfg.faults = faults.clone();
+        let inc = run_simulation(cfg.clone(), make_policy_for(&cfg, policy));
+        let snap = run_simulation(
+            cfg.clone(),
+            make_policy_for(&cfg, &format!("snapshot/{policy}")),
         );
         assert_eq!(
-            t.borrowed_pages.to_bits(),
-            u.borrowed_pages.to_bits(),
-            "{}",
-            t.name
+            (inc.served, inc.missed),
+            (snap.served, snap.missed),
+            "{policy}"
         );
+        assert_eq!(inc.events, snap.events, "{policy}: not one event may move");
+        for (a, b) in [
+            (inc.avg_mpl, snap.avg_mpl),
+            (inc.cpu_util, snap.cpu_util),
+            (inc.disk_util, snap.disk_util),
+            (inc.avg_fluctuations, snap.avg_fluctuations),
+        ] {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{policy}: aggregate drifted: {a} vs {b}"
+            );
+        }
+        assert_eq!(inc.windows.len(), snap.windows.len(), "{policy}");
+        for (w, v) in inc.windows.iter().zip(&snap.windows) {
+            assert_eq!((w.served, w.missed), (v.served, v.missed), "{policy}");
+        }
+        assert_eq!(inc.trace, snap.trace, "{policy}: decision traces differ");
+        if policy == "PMM-tenant" {
+            assert!(
+                !inc.trace.is_empty(),
+                "PMM-tenant took no decision in {secs} s: lengthen the run"
+            );
+        }
+        strategy_changed |= inc.trace.iter().any(|p| p.mode == StrategyMode::MinMax);
+        assert_eq!(inc.tenants.len(), cfg.tenants.len());
+        for (t, u) in inc.tenants.iter().zip(&snap.tenants) {
+            let who = format!("{policy} {}", t.name);
+            assert_eq!((t.served, t.missed), (u.served, u.missed), "{who}");
+            assert_eq!(t.avg_mpl.to_bits(), u.avg_mpl.to_bits(), "{who}");
+            assert_eq!(
+                t.quota_utilization.to_bits(),
+                u.quota_utilization.to_bits(),
+                "{who}"
+            );
+            assert_eq!(
+                t.borrowed_pages.to_bits(),
+                u.borrowed_pages.to_bits(),
+                "{who}"
+            );
+        }
     }
+    assert!(
+        strategy_changed,
+        "no controller changed its partition's strategy"
+    );
 }
 
 #[test]

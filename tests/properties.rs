@@ -242,8 +242,14 @@ proptest! {
                 _ => PartitionStrategy::MinMax(Some(1 + (i % 5) as u32)),
             })
             .collect();
-        let mut inc =
-            IncrementalPartitioned::with_group_size(partitions.clone(), group_size);
+        let mut inc = IncrementalPartitioned::with_group_size(
+            partitions.clone(),
+            PartitionStrategy::MinMax(None),
+            group_size,
+        );
+        for (i, &s) in strategies.iter().enumerate() {
+            inc.set_strategy(i, s);
+        }
         let mut groups: Vec<Vec<QueryDemand>> = vec![Vec::new(); nparts];
         let mut dirty = DirtySet::new(nparts);
         let mut out = Grants::new();
@@ -282,14 +288,14 @@ proptest! {
                 }
                 dirty.mark(t);
             }
-            // Occasional strategy flip (a dirty-set obligation).
+            // Occasional strategy flip (the allocator marks it dirty).
             if h.is_multiple_of(7) {
                 let t = ((h >> 40) % nparts as u64) as usize;
                 strategies[t] = match strategies[t] {
                     PartitionStrategy::Max => PartitionStrategy::MinMax(None),
                     PartitionStrategy::MinMax(_) => PartitionStrategy::Max,
                 };
-                dirty.mark(t);
+                inc.set_strategy(t, strategies[t]);
             }
             // Occasional memory shock: the pool shrinks or recovers, which
             // invalidates every cached borrow-back outcome at once.
@@ -297,7 +303,7 @@ proptest! {
                 total = (nparts as u32).saturating_mul(30 + (h >> 33) as u32 % 150);
                 dirty.mark_all();
             }
-            inc.allocate_dirty_into(&groups, &strategies, total, &dirty, &mut out);
+            inc.allocate_dirty_into(&groups, total, &dirty, &mut out);
             dirty.clear();
             for &(id, pages) in &out {
                 inc_map.insert(id.0, pages);
