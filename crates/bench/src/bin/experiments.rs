@@ -47,20 +47,20 @@
 //! like `BENCH_perf.json`).
 //!
 //! Beyond the paper: `--figure burst` sweeps MMPP burst ratios at the
-//! baseline's mean rate under the static policies, v1 PMM, and the
-//! regime-aware `PMM-regime`; `--figure tenants` sweeps multi-tenant quota
-//! splits under shared vs. hard- vs. soft-partitioned memory and the
-//! per-tenant-adaptive `PMM-tenant`, with per-tenant quota-utilization /
-//! borrow-volume aggregates in each cell's `tenants` array. `fig12` cells
-//! carry the merged per-window miss-ratio series (with 90% CIs across
-//! seeds) in their `windows` array. `--figure devices` crosses the storage
-//! service models (cylinder disk vs. SSD) with the buffer-pool eviction
-//! policies (LRU vs. LRU-2) at two baseline arrival rates; each cell is
-//! labelled `"<device>+<eviction>/<policy>"`. `--figure faults` sweeps
-//! fault-plan intensity (0 = fault-free control) × degradation policy;
-//! each cell is labelled `"<mode>/<policy>"` with mode `abort` or
-//! `requeue`. The labels are only printed: every cell carries its own
-//! config (`bench::driver::CellSpec`), and nothing parses them.
+//! baseline's mean rate under the static policies and PMM;
+//! `--figure tenants` sweeps multi-tenant quota splits under shared vs.
+//! hard- vs. soft-partitioned memory and the per-tenant-adaptive
+//! `PMM-tenant`, with per-tenant quota-utilization / borrow-volume
+//! aggregates in each cell's `tenants` array. `fig12` cells carry the
+//! merged per-window miss-ratio series (with 90% CIs across seeds) in
+//! their `windows` array. `--figure devices` crosses the storage service
+//! models (cylinder disk vs. SSD) with the allocation policies at two
+//! baseline arrival rates; each cell is labelled `"<device>/<policy>"`.
+//! `--figure faults` sweeps fault-plan intensity (0 = fault-free
+//! control) × degradation policy; each cell is labelled
+//! `"<mode>/<policy>"` with mode `abort` or `requeue`. The labels are
+//! only printed: every cell carries its own config
+//! (`bench::driver::CellSpec`), and nothing parses them.
 //! `--figure scale` sweeps the tenant population 10¹→10³ (one soft-quota
 //! tenant grid per cell) under incremental partitioned reallocation, the
 //! pinned full-snapshot reference path (the `"snapshot/Partitioned-soft"`

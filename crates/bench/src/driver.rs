@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 /// Names of the figure experiments the driver knows how to shard. Beyond
 /// the paper's figures, `burst` sweeps MMPP burst ratios, `tenants` sweeps
 /// multi-tenant quota splits, `devices` crosses the storage service models
-/// with the buffer-pool eviction policies, `faults` sweeps fault-storm
+/// with the allocation policies, `faults` sweeps fault-storm
 /// intensity × degradation policy, and `scale` sweeps tenant population
 /// 10¹→10³ under incremental vs snapshot reallocation.
 pub const FIGURES: [&str; 11] = [
@@ -63,15 +63,15 @@ pub struct CellSpec {
     /// The swept parameter (arrival rate, MinMax N, Small-class rate, ...).
     pub x: f64,
     /// The cell's label, as every artifact prints it: the memory algorithm,
-    /// prefixed by what else the cell varies (`"ssd+lruk/PMM"`,
+    /// prefixed by what else the cell varies (`"ssd/PMM"`,
     /// `"requeue/PMM"`). Nothing parses it.
     pub policy: String,
     /// The memory algorithm, as [`crate::make_policy_for`] resolves it.
     pub algorithm: String,
     /// The cell's simulation config: the figure's preset for `x`, its
-    /// window, and the device, eviction policy or degradation mode the
-    /// label names. The driver fills in the duration, seed and
-    /// observability settings per replication.
+    /// window, and the device or degradation mode the label names. The
+    /// driver fills in the duration, seed and observability settings per
+    /// replication.
     pub config: SimConfig,
 }
 
@@ -208,22 +208,17 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
             name: "devices",
             x_label: "arrival rate (queries/s)",
             window_secs: None,
-            // Every device × eviction combination under every algorithm,
-            // labelled "<device>+<eviction>/<algorithm>".
+            // Every device under every algorithm, labelled
+            // "<device>/<algorithm>".
             cells: crate::DEVICE_RATES
                 .iter()
                 .flat_map(|&x| {
                     [DeviceSpec::Cylinder, DeviceSpec::Ssd(SsdSpec::default())]
                         .into_iter()
-                        .flat_map(|d| crate::DEVICE_EVICTIONS.map(|e| (d, e)))
-                        .flat_map(|(d, e)| crate::DEVICE_POLICIES.map(|a| (d, e, a)))
-                        .map(move |(d, e, a)| CellSpec {
-                            policy: format!("{}+{}/{a}", d.name(), e.name()),
-                            ..CellSpec::new(
-                                x,
-                                a,
-                                SimConfig::baseline(x).with_device(d).with_eviction(e),
-                            )
+                        .flat_map(|d| crate::DEVICE_POLICIES.map(|a| (d, a)))
+                        .map(move |(d, a)| CellSpec {
+                            policy: format!("{}/{a}", d.name()),
+                            ..CellSpec::new(x, a, SimConfig::baseline(x).with_device(d))
                         })
                 })
                 .collect(),
@@ -1413,26 +1408,23 @@ mod tests {
     }
 
     #[test]
-    fn devices_figure_crosses_devices_evictions_and_policies() {
+    fn devices_figure_crosses_devices_rates_and_policies() {
         let spec = figure_spec("devices").expect("known figure");
         assert_eq!(
             spec.cells.len(),
-            crate::DEVICE_RATES.len()
-                * 2
-                * crate::DEVICE_EVICTIONS.len()
-                * crate::DEVICE_POLICIES.len()
+            crate::DEVICE_RATES.len() * 2 * crate::DEVICE_POLICIES.len()
         );
-        // Every cell runs a known allocation policy, named after its combo.
+        // Every cell runs a known allocation policy, named after its device.
         for cell in &spec.cells {
             let a = cell.algorithm.as_str();
             assert!(crate::DEVICE_POLICIES.contains(&a), "known policy {a}");
             assert!(cell.policy.ends_with(&format!("/{a}")), "{}", cell.policy);
         }
-        // The acceptance grid is present: cylinder vs SSD × LRU vs LRU-K.
-        for combo in ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"] {
+        // Both devices are present.
+        for device in ["cyl/", "ssd/"] {
             assert!(
-                spec.cells.iter().any(|c| c.policy.starts_with(combo)),
-                "combo {combo} covered"
+                spec.cells.iter().any(|c| c.policy.starts_with(device)),
+                "device {device} covered"
             );
         }
     }
@@ -1448,9 +1440,9 @@ mod tests {
         };
         let mut devices = Vec::new();
         for x in ["0.05", "0.07"] {
-            for combo in ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"] {
+            for device in ["cyl", "ssd"] {
                 for a in ["Max", "MinMax", "PMM"] {
-                    devices.push(format!("{x} {combo}/{a}"));
+                    devices.push(format!("{x} {device}/{a}"));
                 }
             }
         }
@@ -1476,19 +1468,13 @@ mod tests {
 
         // Each cell's config carries what its label names.
         for cell in figure_spec("devices").expect("known figure").cells {
-            let (combo, algorithm) = cell.policy.split_once('/').expect("combo/policy");
+            let (device, algorithm) = cell.policy.split_once('/').expect("device/policy");
             assert_eq!(algorithm, cell.algorithm);
-            let res = &cell.config.resources;
-            let want = match combo {
-                "cyl+lru" => (DeviceSpec::Cylinder, EvictionSpec::Lru),
-                "cyl+lruk" => (DeviceSpec::Cylinder, EvictionSpec::LruK { k: 2 }),
-                "ssd+lru" => (DeviceSpec::Ssd(SsdSpec::default()), EvictionSpec::Lru),
-                _ => (
-                    DeviceSpec::Ssd(SsdSpec::default()),
-                    EvictionSpec::LruK { k: 2 },
-                ),
+            let want = match device {
+                "cyl" => DeviceSpec::Cylinder,
+                _ => DeviceSpec::Ssd(SsdSpec::default()),
             };
-            assert_eq!((res.device, res.eviction), want, "{}", cell.policy);
+            assert_eq!(cell.config.resources.device, want, "{}", cell.policy);
         }
         for cell in figure_spec("faults").expect("known figure").cells {
             let (mode, algorithm) = cell.policy.split_once('/').expect("mode/policy");
@@ -1535,8 +1521,8 @@ mod tests {
 
     #[test]
     fn run_figure_validates_cells_before_spawning() {
-        // Every shipped cell's config — device, eviction and degradation
-        // mode included — passes validation with sane driver settings...
+        // Every shipped cell's config — device and degradation mode
+        // included — passes validation with sane driver settings...
         for f in FIGURES.into_iter().chain(["crashtest"]) {
             for cell in figure_spec(f).expect("known figure").cells {
                 let mut sim = cell.config;

@@ -59,10 +59,10 @@ impl MemoryPolicy for PanicPolicy {
 /// [`SnapshotOnly`], pinning it to the full-snapshot allocation path (the
 /// name `SnapshotOnly::name` reports). The plain names are `"Max"`,
 /// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"Proportional-<N>"`,
-/// `"PMM"`, `"PMM-regime"`, and the crashtest figure's `"panic"`.
+/// `"PMM"`, and the crashtest figure's `"panic"`.
 ///
-/// Only the memory algorithm is named here: a figure cell's device,
-/// eviction policy and degradation mode are in its `SimConfig`
+/// Only the memory algorithm is named here: a figure cell's device and
+/// degradation mode are in its `SimConfig`
 /// ([`driver::CellSpec::config`]).
 ///
 /// # Panics
@@ -95,7 +95,6 @@ pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
         "MinMax" => Box::new(MinMaxPolicy::unlimited()),
         "Proportional" => Box::new(ProportionalPolicy::unlimited()),
         "PMM" => Box::new(Pmm::with_defaults()),
-        "PMM-regime" => Box::new(Pmm::regime_aware()),
         "panic" => Box::new(PanicPolicy),
         other => {
             if let Some(n) = other.strip_prefix("MinMax-") {
@@ -129,18 +128,13 @@ pub const CHANGES_WINDOW_SECS: f64 = 2_400.0;
 /// MMPP burst ratios of the bursty-arrivals sweep (1 = the Poisson
 /// control cell).
 pub const BURST_RATIOS: [f64; 4] = [1.0, 4.0, 8.0, 16.0];
-/// The policies of the bursty-arrivals experiment: the static baselines,
-/// v1 PMM (stationary projection), and the regime-aware v2 variant that
-/// segments its learned batches at detected MMPP state switches.
-pub const BURST_POLICIES: [&str; 4] = ["Max", "MinMax", "PMM", "PMM-regime"];
+/// The policies of the bursty-arrivals experiment: the static baselines
+/// and PMM.
+pub const BURST_POLICIES: [&str; 3] = ["Max", "MinMax", "PMM"];
 /// Arrival rates of the device sweep: one below and one above the
 /// cylinder disk's saturation knee, so the SSD's headroom is visible.
 pub const DEVICE_RATES: [f64; 2] = [0.05, 0.07];
-/// Buffer-pool eviction policies of the device sweep: plain LRU and LRU-2
-/// (the classic O'Neil et al. setting).
-pub const DEVICE_EVICTIONS: [EvictionSpec; 2] =
-    [EvictionSpec::Lru, EvictionSpec::LruK { k: 2 }];
-/// The allocation policies crossed with each device × eviction combination.
+/// The allocation policies crossed with each device × rate cell.
 pub const DEVICE_POLICIES: [&str; 3] = ["Max", "MinMax", "PMM"];
 
 /// Fault intensities of the faults sweep: the empty-plan control cell plus

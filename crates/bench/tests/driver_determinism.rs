@@ -58,9 +58,8 @@ fn oversubscribed_threads_match_serial() {
 
 /// The wider-workload figures (MMPP bursts, multi-tenant partitions) obey
 /// the same contract: merged JSON — including the per-tenant
-/// quota-utilization/borrow-volume aggregates and the adaptive policy
-/// columns (`PMM-regime`, `PMM-tenant`) — is byte-identical across thread
-/// counts.
+/// quota-utilization/borrow-volume aggregates and the adaptive
+/// `PMM-tenant` column — is byte-identical across thread counts.
 #[test]
 fn burst_and_tenants_json_match_serial() {
     for figure in ["burst", "tenants"] {
@@ -89,10 +88,11 @@ fn burst_and_tenants_json_match_serial() {
 }
 
 /// The `tenants` figure's cells carry per-tenant aggregates and the
-/// per-tenant-adaptive PMM column; the `burst` figure carries the
-/// regime-aware PMM column plus its windowed miss-ratio series.
+/// per-tenant-adaptive PMM column; the `burst` figure carries the static
+/// policies and PMM at every burst ratio, plus their windowed miss-ratio
+/// series.
 #[test]
-fn tenant_and_regime_cells_are_emitted() {
+fn tenant_and_burst_cells_are_emitted() {
     let cfg = DriverConfig {
         seeds: 2,
         threads: 2,
@@ -119,10 +119,15 @@ fn tenant_and_regime_cells_are_emitted() {
     assert!(json.contains("\"borrowed_pages\""));
 
     let burst = run_figure("burst", cfg).expect("burst runs");
-    assert!(
-        burst.cells.iter().any(|c| c.policy == "PMM-regime"),
-        "regime-aware PMM column present"
-    );
+    for ratio in bench::BURST_RATIOS {
+        let policies: Vec<&str> = burst
+            .cells
+            .iter()
+            .filter(|c| c.x == ratio)
+            .map(|c| c.policy.as_str())
+            .collect();
+        assert_eq!(policies, bench::BURST_POLICIES, "ratio {ratio}");
+    }
     // At 200 sim-secs a high-ratio MMPP cell can sit in its slow state the
     // whole run and serve nothing; the Poisson control cells (x = 1) must
     // still carry their windowed miss-ratio series.
@@ -138,14 +143,12 @@ fn tenant_and_regime_cells_are_emitted() {
         burst.cells.iter().all(|c| c.tenants.is_empty()),
         "burst is single-tenant: no tenants array"
     );
-    let burst_json = burst.to_json();
-    assert!(burst_json.contains("\"policy\":\"PMM-regime\""));
-    assert!(!burst_json.contains("\"tenants\":["));
+    assert!(!burst.to_json().contains("\"tenants\":["));
 }
 
 /// The device sweep obeys the same contract: merged JSON — across the
-/// cylinder-vs-SSD service models and the LRU-vs-LRU-K buffer pools — is
-/// byte-identical across thread counts, and the grid's cells all appear.
+/// cylinder-vs-SSD service models — is byte-identical across thread
+/// counts, and the grid's cells all appear.
 #[test]
 fn devices_json_matches_serial_and_covers_grid() {
     let base = DriverConfig {
@@ -169,9 +172,13 @@ fn devices_json_matches_serial_and_covers_grid() {
         parallel.to_json(),
         "devices: 4-thread JSON must match the serial run"
     );
-    for combo in ["cyl+lru", "cyl+lruk", "ssd+lru", "ssd+lruk"] {
+    assert_eq!(
+        serial.cells.len(),
+        bench::DEVICE_RATES.len() * 2 * bench::DEVICE_POLICIES.len()
+    );
+    for device in ["cyl", "ssd"] {
         for policy in bench::DEVICE_POLICIES {
-            let name = format!("{combo}/{policy}");
+            let name = format!("{device}/{policy}");
             assert!(
                 serial.cells.iter().any(|c| c.policy == name),
                 "cell {name} present"
@@ -182,7 +189,7 @@ fn devices_json_matches_serial_and_covers_grid() {
     // cylinder disk's, so identical cells would mean the device spec was
     // dropped somewhere along the config plumbing.
     let json = serial.to_json();
-    assert!(json.contains("\"policy\":\"ssd+lruk/PMM\""), "{json}");
+    assert!(json.contains("\"policy\":\"ssd/PMM\""), "{json}");
     let cell = |name: &str| {
         serial
             .cells
@@ -191,8 +198,8 @@ fn devices_json_matches_serial_and_covers_grid() {
             .expect("grid cell")
     };
     assert_ne!(
-        cell("cyl+lru/PMM").disk_util.mean,
-        cell("ssd+lru/PMM").disk_util.mean,
+        cell("cyl/PMM").disk_util.mean,
+        cell("ssd/PMM").disk_util.mean,
         "SSD cells must not replicate the cylinder disk's utilization"
     );
 }

@@ -39,9 +39,7 @@ pub mod prelude {
         PhaseSchedule, QueryType, ResourceConfig, RunReport, SimConfig, WorkloadClass,
     };
     pub use simkit::{Duration, SimTime};
-    pub use storage::{
-        DeviceSpec, DiskGeometry, EvictionSpec, RelationGroupSpec, SsdSpec,
-    };
+    pub use storage::{DeviceSpec, DiskGeometry, RelationGroupSpec, SsdSpec};
     pub use workload::{
         AlternationSchedule, ArrivalProcess, ArrivalSpec, Scenario, TenantSpec,
     };

@@ -18,18 +18,6 @@
 //! PMM also monitors three workload characteristics and restarts itself
 //! (dropping all learned statistics) when any of them shifts significantly
 //! at `ChangeConfLevel` (Section 3.3).
-//!
-//! **PMM v2 — regime awareness.** The Section 3.3 tests watch *what* the
-//! queries are (memory demand, operand I/Os, normalized constraints); under
-//! a bursty MMPP arrival process the query mix never changes — only the
-//! arrival intensity does — so v1 happily pools feedback batches that span
-//! both MMPP states and projects from a curve that belongs to neither.
-//! [`Pmm::regime_aware`] adds a detector over the windowed miss-ratio
-//! series: when the last few batches sit at a significantly different
-//! miss level than the batches before them, the learned statistics are
-//! *segmented* at that point (projection fits and pooled evidence dropped,
-//! mode and target kept) so the projection re-learns inside the new regime
-//! instead of mixing both.
 
 use crate::allocator::{max_allocate_into, minmax_allocate_into, AllocScratch, Grants};
 use crate::policy::MemoryPolicy;
@@ -38,87 +26,6 @@ use simkit::metrics::Tally;
 use stats::{
     mean_positive_test, means_differ_test, CurveShape, LinFit, QuadFit, SampleSummary,
 };
-use std::collections::VecDeque;
-
-/// Default width (in feedback batches) of each half of the regime
-/// detector's comparison window: the last `N` batches are tested against
-/// the `N` before them. At the paper's `SampleSize` = 30 this gives ≥ 90
-/// Bernoulli observations per side — comfortably past the large-sample
-/// threshold of the z-test.
-pub const REGIME_WINDOW_BATCHES: usize = 3;
-
-/// Change detector over the windowed miss-ratio series (PMM v2).
-///
-/// Each feedback batch contributes one `(served, missed)` point. The
-/// detector keeps the last `2 × window` points and tests the older half
-/// against the newer half with the same two-sided difference-of-means test
-/// PMM uses for its workload characteristics — each batch expands to
-/// `served` Bernoulli observations, so a handful of batches already clears
-/// [`stats::LARGE_SAMPLE_MIN`]. A rejection marks a regime switch: the
-/// older half is discarded (it belongs to the previous regime) and the
-/// caller segments its learned statistics.
-#[derive(Clone, Debug)]
-struct RegimeDetector {
-    /// `(served, missed)` per batch, oldest first; at most `2 × window`.
-    series: VecDeque<(u64, u64)>,
-    window: usize,
-    conf_level: f64,
-}
-
-impl RegimeDetector {
-    fn new(window: usize, conf_level: f64) -> Self {
-        RegimeDetector {
-            series: VecDeque::new(),
-            window: window.max(1),
-            conf_level,
-        }
-    }
-
-    /// Bernoulli summary of a run of batches: `n` = total served, mean =
-    /// pooled miss ratio, unbiased p(1−p) variance.
-    fn summarize<'a, I: Iterator<Item = &'a (u64, u64)>>(points: I) -> SampleSummary {
-        let (served, missed) =
-            points.fold((0u64, 0u64), |(s, m), &(bs, bm)| (s + bs, m + bm));
-        if served == 0 {
-            return SampleSummary::default();
-        }
-        let p = missed as f64 / served as f64;
-        let var = if served > 1 {
-            p * (1.0 - p) * served as f64 / (served - 1) as f64
-        } else {
-            0.0
-        };
-        SampleSummary::new(p, var, served)
-    }
-
-    /// Record one batch. Returns `true` when the newest `window` batches
-    /// sit at a significantly different miss level than the `window`
-    /// batches before them — a regime switch.
-    fn observe(&mut self, served: u64, missed: u64) -> bool {
-        self.series.push_back((served, missed));
-        while self.series.len() > 2 * self.window {
-            self.series.pop_front();
-        }
-        if self.series.len() < 2 * self.window {
-            return false;
-        }
-        let old = Self::summarize(self.series.iter().take(self.window));
-        let new = Self::summarize(self.series.iter().skip(self.window));
-        if means_differ_test(old, new, self.conf_level) {
-            // The old half belongs to the previous regime; the new half
-            // seeds the next comparison window.
-            for _ in 0..self.window {
-                self.series.pop_front();
-            }
-            return true;
-        }
-        false
-    }
-
-    fn clear(&mut self) {
-        self.series.clear();
-    }
-}
 
 /// PMM tuning knobs (Table 1).
 #[derive(Clone, Copy, Debug)]
@@ -173,11 +80,6 @@ pub struct Pmm {
     trace: Vec<TracePoint>,
     batches_seen: u64,
     restarts: u64,
-    /// Regime detector over the windowed miss-ratio series (`None` = the
-    /// paper's v1 behavior).
-    regime: Option<RegimeDetector>,
-    /// Regime segmentations performed since construction.
-    segments: u64,
 }
 
 impl Pmm {
@@ -196,27 +98,12 @@ impl Pmm {
             trace: Vec::new(),
             batches_seen: 0,
             restarts: 0,
-            regime: None,
-            segments: 0,
         }
     }
 
     /// With the Table 1 defaults.
     pub fn with_defaults() -> Self {
         Pmm::new(PmmParams::default())
-    }
-
-    /// Regime-aware PMM (v2) with the Table 1 defaults: a detector over the
-    /// miss-ratio series compares the last [`REGIME_WINDOW_BATCHES`]
-    /// feedback batches against the ones before them at
-    /// `change_conf_level`. Reports as `"PMM-regime"`.
-    pub fn regime_aware() -> Self {
-        let mut pmm = Pmm::with_defaults();
-        pmm.regime = Some(RegimeDetector::new(
-            REGIME_WINDOW_BATCHES,
-            pmm.params.change_conf_level,
-        ));
-        pmm
     }
 
     /// The tuning parameters this instance runs with.
@@ -227,12 +114,6 @@ impl Pmm {
     /// Number of PMM self-restarts caused by detected workload changes.
     pub fn restarts(&self) -> u64 {
         self.restarts
-    }
-
-    /// Regime switches detected on the miss-ratio series (always 0 for the
-    /// v1 policy).
-    pub fn regime_switches(&self) -> u64 {
-        self.segments
     }
 
     /// Batches processed since the last restart.
@@ -282,33 +163,10 @@ impl Pmm {
         self.slack_evidence.reset();
         self.batches_seen = 0;
         self.restarts += 1;
-        if let Some(det) = &mut self.regime {
-            // A class-mix change invalidates the miss series along with
-            // everything else.
-            det.clear();
-        }
         self.trace.push(TracePoint {
             at: stats.now,
             mode: self.mode,
             target_mpl: None,
-        });
-    }
-
-    /// Segment the learned statistics at a detected regime switch (PMM v2).
-    /// Unlike [`Pmm::restart`] this keeps the current mode and target —
-    /// the workload *class* is unchanged, only its intensity moved — but
-    /// drops the projection fits and pooled evidence so the next target
-    /// is computed purely from post-switch batches.
-    fn segment(&mut self, stats: &BatchStats) {
-        self.miss_fit.reset();
-        self.util_fit.reset();
-        self.wait_evidence.reset();
-        self.slack_evidence.reset();
-        self.segments += 1;
-        self.trace.push(TracePoint {
-            at: stats.now,
-            mode: self.mode,
-            target_mpl: (self.mode == StrategyMode::MinMax).then_some(self.target_mpl),
         });
     }
 
@@ -359,11 +217,7 @@ impl Pmm {
 
 impl MemoryPolicy for Pmm {
     fn name(&self) -> String {
-        if self.regime.is_some() {
-            "PMM-regime".into()
-        } else {
-            "PMM".into()
-        }
+        "PMM".into()
     }
 
     fn allocate_into(
@@ -405,18 +259,6 @@ impl MemoryPolicy for Pmm {
             stats.char_norm_constraint,
         ]);
 
-        // 1b. Regime detection (v2 only): an MMPP intensity switch is
-        //     invisible to the characteristic tests above (same query mix),
-        //     but shows in the windowed miss-ratio series. Segment the
-        //     learned batches there instead of mixing both regimes, and
-        //     skip learning from the batch window that straddles the
-        //     switch.
-        if let Some(det) = &mut self.regime {
-            if det.observe(stats.served, stats.missed) {
-                self.segment(stats);
-                return;
-            }
-        }
         self.batches_seen += 1;
 
         // 2. Record the batch's observations.
@@ -704,76 +546,6 @@ mod tests {
         // Saturated resource → cut the MPL.
         let t = pmm.ru_heuristic(10.0, 0.97);
         assert!(t < 10, "target {t}");
-    }
-
-    #[test]
-    fn regime_name_and_default_off() {
-        assert_eq!(Pmm::with_defaults().name(), "PMM");
-        assert_eq!(Pmm::regime_aware().name(), "PMM-regime");
-        assert_eq!(Pmm::with_defaults().regime_switches(), 0);
-    }
-
-    #[test]
-    fn regime_detector_fires_on_level_shift_and_segments_the_fit() {
-        let mut pmm = Pmm::regime_aware();
-        pmm.on_batch(&max_mode_struggle(0));
-        assert_eq!(pmm.mode(), StrategyMode::MinMax);
-        // A calm regime at the warm-up batch's own miss level (~27%), so
-        // the Max→MinMax transition itself does not read as a switch.
-        for i in 0..6 {
-            pmm.on_batch(&minmax_batch(10 + i, 0.27));
-        }
-        assert_eq!(pmm.regime_switches(), 0, "stationary series: no switch");
-        let batches_before = pmm.batches_seen();
-        // The burst state arrives: miss level jumps to 60%.
-        let mut fired = false;
-        for i in 0..6 {
-            pmm.on_batch(&minmax_batch(100 + i, 0.6));
-            if pmm.regime_switches() > 0 {
-                fired = true;
-                break;
-            }
-        }
-        assert!(fired, "60% vs 3% over 90-query halves must reject");
-        // Segmentation keeps the mode but drops the projection data: the
-        // next MinMax batch starts a fresh fit (min_x == max_x == target).
-        assert_eq!(pmm.mode(), StrategyMode::MinMax, "segment keeps the mode");
-        assert!(
-            pmm.batches_seen() <= batches_before + 6,
-            "segmentation does not restart the batch counter"
-        );
-        assert_eq!(pmm.restarts(), 0, "a regime switch is not a restart");
-    }
-
-    #[test]
-    fn regime_detector_ignores_stationary_noise() {
-        let mut pmm = Pmm::regime_aware();
-        pmm.on_batch(&max_mode_struggle(0));
-        // 20 batches fluctuating between 10% and 17% misses: within noise
-        // for 90-observation halves at 99% confidence.
-        for i in 0..20 {
-            let frac = if i % 2 == 0 { 0.10 } else { 0.17 };
-            pmm.on_batch(&minmax_batch(10 + i, frac));
-        }
-        assert_eq!(pmm.regime_switches(), 0, "no switch on stationary noise");
-    }
-
-    #[test]
-    fn workload_restart_clears_the_regime_series() {
-        let mut pmm = Pmm::regime_aware();
-        pmm.on_batch(&max_mode_struggle(0));
-        for i in 0..5 {
-            pmm.on_batch(&minmax_batch(10 + i, 0.03));
-        }
-        // Class mix changes → full restart; the miss series must not carry
-        // pre-restart batches into the next comparison.
-        let mut changed = minmax_batch(100, 0.03);
-        changed.char_max_mem = summary(111.0, 100.0, 30);
-        changed.char_operand_ios = summary(100.0, 64.0, 30);
-        pmm.on_batch(&changed);
-        assert_eq!(pmm.restarts(), 1);
-        let det = pmm.regime.as_ref().expect("regime-aware");
-        assert!(det.series.is_empty(), "restart clears the series");
     }
 
     #[test]

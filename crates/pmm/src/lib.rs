@@ -32,11 +32,6 @@
 //!   controller per partition, fed by per-tenant batches, each publishing
 //!   its partition's strategy.
 //! * [`types`] — snapshot / feedback types shared with the simulator.
-//!
-//! PMM v2 also adds the *regime-aware* projection for bursty arrivals:
-//! [`adaptive::Pmm::regime_aware`] segments learned batches at detected
-//! switches in the windowed miss-ratio series (MMPP state changes are
-//! invisible to the Section 3.3 characteristic tests).
 
 pub mod adaptive;
 pub mod allocator;

@@ -251,6 +251,18 @@ mod tests {
         let grants = p.allocate(&snap);
         assert_eq!(grants.len(), 2, "one clamped admission per partition");
         assert!(grants.iter().all(|&(_, pages)| pages == 1280));
+        // The dirty path's caches, built before the switch.
+        let groups: Vec<Vec<QueryDemand>> = (0..2)
+            .map(|t| {
+                snap.queries
+                    .iter()
+                    .filter(|q| q.tenant == t)
+                    .cloned()
+                    .collect()
+            })
+            .collect();
+        let mut held = Grants::new();
+        p.allocate_dirty_into(2560, &groups, &mut DirtySet::new(2), &mut held);
         // Tenant 1 switches to MinMax: its partition admits many minimums
         // while tenant 0 still admits a single clamped maximum.
         p.on_tenant_batch(1, &struggle(100));
@@ -261,6 +273,20 @@ mod tests {
         let t0: Vec<_> = grants.iter().filter(|(id, _)| id.0 % 2 == 0).collect();
         assert_eq!(t0.len(), 1);
         assert_eq!(t0[0].1, 1280);
+        // The demands did not change, so the dirty set marks nothing: the
+        // switch alone must make the dirty path re-divide tenant 1.
+        let mut changed = Grants::new();
+        p.allocate_dirty_into(2560, &groups, &mut DirtySet::new(2), &mut changed);
+        // Both dirty calls emit explicit zeros for unadmitted members.
+        for (id, pages) in changed {
+            held.retain(|&(held_id, _)| held_id != id);
+            held.push((id, pages));
+        }
+        held.retain(|&(_, pages)| pages > 0);
+        held.sort();
+        let mut want = grants;
+        want.sort();
+        assert_eq!(held, want, "dirty path follows the strategy switch");
     }
 
     #[test]

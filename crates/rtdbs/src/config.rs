@@ -10,7 +10,7 @@
 use crate::faults::{FaultPlan, FaultSpec};
 use exec::ExecConfig;
 pub use obs::ObsConfig;
-pub use storage::{DeviceSpec, EvictionSpec, SsdSpec};
+pub use storage::{DeviceSpec, SsdSpec};
 use storage::{DiskGeometry, RelationGroupSpec};
 pub use workload::{
     AlternationSchedule, ArrivalSpec, QueryType, Scenario, TenantSpec, WorkloadClass,
@@ -34,9 +34,6 @@ pub struct ResourceConfig {
     /// Storage service model each disk runs (default: the paper's cylinder
     /// disk). Select via [`SimConfig::with_device`].
     pub device: DeviceSpec,
-    /// Eviction policy of each disk's prefetch pool (default: LRU, the
-    /// paper's behavior). Select via [`SimConfig::with_eviction`].
-    pub eviction: EvictionSpec,
     /// Operator cost-model parameters (tuples/page, block size, fudge).
     pub exec: ExecConfig,
 }
@@ -49,7 +46,6 @@ impl Default for ResourceConfig {
             memory_pages: 2560,
             geometry: DiskGeometry::default(),
             device: DeviceSpec::default(),
-            eviction: EvictionSpec::default(),
             exec: ExecConfig::default(),
         }
     }
@@ -70,8 +66,6 @@ pub enum ConfigError {
     NoClasses,
     /// An SSD device with queue depth 0 (its parallelism divisor).
     ZeroSsdQueueDepth,
-    /// LRU-K eviction with K = 0 (no history to rank victims by).
-    ZeroLruKHistory,
     /// No disks to place relations on.
     ZeroDisks,
     /// Zero buffer-pool pages: no query could ever be admitted.
@@ -100,7 +94,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroCacheCapacity => "device prefetch cache holds zero pages",
             ConfigError::NoClasses => "workload has no classes",
             ConfigError::ZeroSsdQueueDepth => "SSD queue depth must be positive",
-            ConfigError::ZeroLruKHistory => "LRU-K history depth must be positive",
             ConfigError::ZeroDisks => "resources.num_disks must be positive",
             ConfigError::ZeroMemory => "resources.memory_pages must be positive",
             ConfigError::NonPositiveDuration => {
@@ -167,14 +160,6 @@ impl SimConfig {
     /// [600, 1800] (13 sizes per disk), ‖S‖ from [3000, 9000], slack
     /// [2.5, 7.5], 10 disks, 2560 buffer pages.
     pub fn baseline(arrival_rate: f64) -> Self {
-        Self::baseline_core(arrival_rate)
-            .with_device(DeviceSpec::default())
-            .with_eviction(EvictionSpec::default())
-    }
-
-    /// The baseline preset before device/eviction routing (see
-    /// [`SimConfig::baseline`], which routes it through the builders).
-    fn baseline_core(arrival_rate: f64) -> Self {
         SimConfig {
             resources: ResourceConfig::default(),
             database: vec![
@@ -226,12 +211,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: evict prefetch-pool lines per `eviction`.
-    pub fn with_eviction(mut self, eviction: EvictionSpec) -> Self {
-        self.resources.eviction = eviction;
-        self
-    }
-
     /// Builder-style: inject faults per `plan`
     /// (`SimConfig::baseline(0.06).with_faults(FaultPlan::scaled(1.0))`).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -257,9 +236,6 @@ impl SimConfig {
             if spec.queue_depth == 0 {
                 return Err(ConfigError::ZeroSsdQueueDepth);
             }
-        }
-        if let EvictionSpec::LruK { k: 0 } = r.eviction {
-            return Err(ConfigError::ZeroLruKHistory);
         }
         if r.num_disks == 0 {
             return Err(ConfigError::ZeroDisks);
@@ -545,18 +521,15 @@ mod tests {
             SimConfig::sorts(0.1),
         ] {
             assert_eq!(cfg.resources.device, DeviceSpec::Cylinder);
-            assert_eq!(cfg.resources.eviction, EvictionSpec::Lru);
         }
     }
 
     #[test]
-    fn builders_set_device_and_eviction() {
-        let cfg = SimConfig::baseline(0.06)
-            .with_device(DeviceSpec::Ssd(SsdSpec::default()))
-            .with_eviction(EvictionSpec::LruK { k: 2 });
+    fn builder_sets_device() {
+        let cfg =
+            SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec::default()));
         assert!(matches!(cfg.resources.device, DeviceSpec::Ssd(_)));
-        assert_eq!(cfg.resources.eviction, EvictionSpec::LruK { k: 2 });
-        // The builders touch nothing else.
+        // The builder touches nothing else.
         assert_eq!(cfg.resources.memory_pages, 2560);
         assert_eq!(cfg.classes.len(), 1);
     }
@@ -573,9 +546,7 @@ mod tests {
             SimConfig::multi_tenant(0.75),
             SimConfig::scale(10),
             SimConfig::scale(1000),
-            SimConfig::baseline(0.06)
-                .with_device(DeviceSpec::Ssd(SsdSpec::default()))
-                .with_eviction(EvictionSpec::LruK { k: 2 }),
+            SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec::default())),
         ] {
             assert_eq!(cfg.validate(), Ok(()));
         }
@@ -621,9 +592,6 @@ mod tests {
             ..SsdSpec::default()
         }));
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroSsdQueueDepth));
-
-        let cfg = SimConfig::baseline(0.06).with_eviction(EvictionSpec::LruK { k: 0 });
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroLruKHistory));
 
         let mut cfg = SimConfig::baseline(0.06);
         cfg.resources.num_disks = 0;

@@ -725,7 +725,6 @@ impl Simulator {
         let mut disks = DiskFarm::new(
             cfg.resources.num_disks,
             || device.build(&geometry),
-            cfg.resources.eviction,
             cfg.resources.exec.block_pages,
         );
         let n_disks = cfg.resources.num_disks as usize;
@@ -1723,8 +1722,8 @@ impl Simulator {
     }
 
     /// Mark every open feedback window as overlapping a shock. Called on
-    /// both shock edges: a window straddling either edge mixes regimes and
-    /// must not reach the policy.
+    /// both shock edges: a window straddling either edge mixes pre- and
+    /// in-shock samples and must not reach the policy.
     fn taint_batches(&mut self) {
         self.feedback.tainted = true;
         for t in &mut self.tenants {
@@ -1930,9 +1929,8 @@ impl Simulator {
     /// tenant's. Utilization comes from the shared CPU and disk busy
     /// clocks over the current global window: shared resources have no
     /// per-tenant utilization. A window that overlapped a memory shock is
-    /// segmented out — closed and counted but never returned, like the
-    /// regime detector segments its history — and the next window starts
-    /// tainted while a shock is still active.
+    /// segmented out — closed and counted but never returned — and the
+    /// next window starts tainted while a shock is still active.
     fn close_feedback(
         &mut self,
         now: SimTime,
@@ -1968,9 +1966,7 @@ impl Simulator {
     }
 
     /// Forward policy trace points recorded since the last check into the
-    /// obs trace, each stamped with its own decision time (regime-aware
-    /// policies may record segmentation points that predate the batch
-    /// boundary that surfaced them).
+    /// obs trace, each stamped with its own decision time.
     fn emit_policy_decisions(&mut self) {
         if !self.tracer.wants(TraceKind::PolicyDecision) {
             return;

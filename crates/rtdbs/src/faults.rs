@@ -18,8 +18,8 @@
 //!   `fraction` of its configured size, then restores. The engine
 //!   reallocates under the shrunken pool and applies each de-scheduled
 //!   victim's [`DegradationMode`]; policy feedback batches that overlap the
-//!   shock are segmented out (like the regime detector's segmentation) so
-//!   learned estimates are not poisoned by shock-era samples.
+//!   shock are segmented out so learned estimates are not poisoned by
+//!   shock-era samples.
 
 pub use storage::RetrySpec;
 

@@ -18,7 +18,7 @@
 //! Busy time is the caller's to book: the disk keeps no clock.
 
 use crate::layout::FileId;
-use crate::pool::{BufferPool, EvictionSpec};
+use crate::pool::BufferPool;
 use crate::queue::{DiskQueue, QueuedRequest};
 use crate::service::ServiceModel;
 use simkit::{Duration, SimTime};
@@ -139,14 +139,10 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// A new idle disk running `model`, with a prefetch pool sized by the
-    /// model's cache capacity and evicting per `eviction`.
-    pub fn new(
-        model: Box<dyn ServiceModel>,
-        eviction: EvictionSpec,
-        block_pages: u32,
-    ) -> Self {
-        let cache = BufferPool::with_policy(model.cache_pages(), block_pages, eviction);
+    /// A new idle disk running `model`, with an LRU prefetch pool sized by
+    /// the model's cache capacity.
+    pub fn new(model: Box<dyn ServiceModel>, block_pages: u32) -> Self {
+        let cache = BufferPool::new(model.cache_pages(), block_pages);
         Disk {
             model,
             queue: DiskQueue::new(),
@@ -343,13 +339,12 @@ impl DiskFarm {
     pub fn new<F: Fn() -> Box<dyn ServiceModel>>(
         n: u32,
         make_model: F,
-        eviction: EvictionSpec,
         block_pages: u32,
     ) -> Self {
         assert!(n > 0, "a database system needs at least one disk");
         DiskFarm {
             disks: (0..n)
-                .map(|_| Disk::new(make_model(), eviction, block_pages))
+                .map(|_| Disk::new(make_model(), block_pages))
                 .collect(),
         }
     }
@@ -382,19 +377,11 @@ mod tests {
     use crate::service::{CylinderModel, DeviceSpec, SsdModel, SsdSpec};
 
     fn cyl_disk() -> Disk {
-        Disk::new(
-            Box::new(CylinderModel::new(DiskGeometry::default())),
-            EvictionSpec::Lru,
-            6,
-        )
+        Disk::new(Box::new(CylinderModel::new(DiskGeometry::default())), 6)
     }
 
     fn ssd_disk() -> Disk {
-        Disk::new(
-            Box::new(SsdModel::new(SsdSpec::default())),
-            EvictionSpec::Lru,
-            6,
-        )
+        Disk::new(Box::new(SsdModel::new(SsdSpec::default())), 6)
     }
 
     fn read(file: u32, first: u32, pages: u32, cylinder: u32) -> Access {
@@ -591,7 +578,7 @@ mod tests {
     fn farm_builds_from_device_spec() {
         let g = DiskGeometry::default();
         let device = DeviceSpec::Ssd(SsdSpec::default());
-        let farm = DiskFarm::new(2, || device.build(&g), EvictionSpec::Lru, 6);
+        let farm = DiskFarm::new(2, || device.build(&g), 6);
         assert_eq!(farm.len(), 2);
         assert_eq!(farm.disk(0).model().name(), "ssd");
     }

@@ -11,9 +11,7 @@
 //!   [`service::DeviceSpec`].
 //! * [`geometry::DiskGeometry`] — the cylinder device's physical
 //!   parameters, also used by every device for file layout addressing.
-//! * [`pool::BufferPool`] — the per-disk prefetch cache, generalized over
-//!   a pluggable [`pool::EvictionPolicy`] (LRU and LRU-K), selected by
-//!   [`pool::EvictionSpec`].
+//! * [`pool::BufferPool`] — the per-disk LRU prefetch cache.
 //! * [`queue::DiskQueue`] — per-disk Earliest-Deadline queues with elevator
 //!   (SCAN) ordering among requests of equal priority.
 //! * [`disk::Disk`] / [`disk::DiskFarm`] — the disks themselves, each with a
@@ -33,9 +31,6 @@ pub mod service;
 pub use disk::{Access, Disk, DiskFarm, IoKind, RetrySpec, Service};
 pub use geometry::{DiskGeometry, ServiceTable};
 pub use layout::{DiskId, FileId, FileMeta, Layout, RelationGroupSpec, RelationMeta};
-pub use pool::{
-    BufferPool, CacheKey, EvictionPolicy, EvictionSpec, FastHasher, FastMap, IndexedLru,
-    LruKPolicy, PrefetchCache,
-};
+pub use pool::{BufferPool, FastHasher, FastMap, PrefetchCache};
 pub use queue::{DiskQueue, QueuedRequest};
 pub use service::{CylinderModel, DeviceSpec, ServiceModel, SsdModel, SsdSpec};

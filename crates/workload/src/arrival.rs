@@ -32,14 +32,6 @@ pub trait ArrivalProcess: Send {
 
     /// Long-run mean arrival rate in arrivals/second (0 for a dead process).
     fn mean_rate(&self) -> f64;
-
-    /// The index of the process's current hidden regime, when it has one
-    /// (MMPP state after the last sampled gap). Ground truth for
-    /// experiments on regime-aware adaptation: detectors working from the
-    /// miss-ratio series can be checked against the actual switch points.
-    fn regime(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// The paper's Poisson process: i.i.d. exponential gaps with rate λ.
@@ -88,7 +80,6 @@ pub struct Mmpp {
     rates: [f64; 2],
     switch: [f64; 2],
     state: usize,
-    switches: u64,
 }
 
 impl Mmpp {
@@ -98,19 +89,7 @@ impl Mmpp {
             rates,
             switch,
             state: 0,
-            switches: 0,
         }
-    }
-
-    /// The hidden CTMC state after the last sampled gap (0 or 1).
-    pub fn state(&self) -> usize {
-        self.state
-    }
-
-    /// State flips performed so far — the ground-truth switch count a
-    /// regime-aware policy's detections can be compared against.
-    pub fn switches(&self) -> u64 {
-        self.switches
     }
 
     /// The MMPP with the given long-run `mean_rate` whose high state is
@@ -145,12 +124,7 @@ impl ArrivalProcess for Mmpp {
                 return Some(Duration::from_secs_f64(gap));
             }
             self.state ^= 1;
-            self.switches += 1;
         }
-    }
-
-    fn regime(&self) -> Option<usize> {
-        Some(self.state)
     }
 
     fn mean_rate(&self) -> f64 {
@@ -421,26 +395,6 @@ mod tests {
     fn mmpp_dead_state_terminates() {
         let mut m = Mmpp::new([0.0, 0.0], [0.0, 0.0]);
         assert!(m.next_interarrival(&mut Rng::new(1)).is_none());
-    }
-
-    #[test]
-    fn mmpp_exposes_regime_hints() {
-        let mut m = Mmpp::bursty(0.06, 16.0, 100.0);
-        assert_eq!(m.regime(), Some(0), "starts in state 0");
-        assert_eq!(m.switches(), 0);
-        // Poisson has no hidden regime.
-        assert_eq!(Poisson::new(0.06).regime(), None);
-        // Short sojourns: a few hundred gaps must cross several switches,
-        // and the reported state must track the flips.
-        let mut rng = Rng::new(42);
-        let mut seen_states = std::collections::BTreeSet::new();
-        for _ in 0..300 {
-            m.next_interarrival(&mut rng).expect("live process");
-            seen_states.insert(m.state());
-            assert_eq!(m.regime(), Some(m.state()));
-        }
-        assert!(m.switches() > 0, "state must flip over 300 gaps");
-        assert_eq!(seen_states.len(), 2, "both states visited");
     }
 
     #[test]

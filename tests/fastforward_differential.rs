@@ -25,16 +25,19 @@ use pmm_core::obs::render_text;
 use pmm_core::prelude::*;
 use std::fmt::Write as _;
 
-/// Policies the randomized cases rotate through: the three static
-/// allocators, a limited MinMax (different grant shapes), and both PMM
-/// variants (feedback-driven reallocations at batch boundaries).
-const POLICIES: &[&str] = &[
-    "Max",
-    "MinMax",
-    "MinMax-16",
-    "Proportional",
-    "PMM",
-    "PMM-regime",
+/// Policy slots the randomized cases draw from: the three static
+/// allocators, a limited MinMax (different grant shapes), and PMM
+/// (feedback-driven reallocations at batch boundaries). The sixth slot held
+/// the retired regime-aware PMM variant; it stays in the draw so every
+/// other case keeps its recorded config, and the cases that draw it are
+/// skipped.
+const POLICIES: [Option<&str>; 6] = [
+    Some("Max"),
+    Some("MinMax"),
+    Some("MinMax-16"),
+    Some("Proportional"),
+    Some("PMM"),
+    None,
 ];
 
 /// Run `cfg` under `policy` with a full trace and append its digest line.
@@ -108,6 +111,9 @@ fn fastforward_matches_reference() {
         let policy = POLICIES[rng.below(POLICIES.len() as u64) as usize];
         let sample_size = 4 + rng.below(20) as u32;
         let fault_intensity = (rng.below(2) == 1).then(|| rng.uniform(0.2, 1.0));
+        let Some(policy) = policy else {
+            continue;
+        };
         let secs = 240.0;
         let mut cfg = match preset {
             0 => SimConfig::baseline(rate),
