@@ -62,9 +62,9 @@
 //! only printed: every cell carries its own config
 //! (`bench::driver::CellSpec`), and nothing parses them.
 //! `--figure scale` sweeps the tenant population 10¹→10³ (one soft-quota
-//! tenant grid per cell) under incremental partitioned reallocation, the
-//! pinned full-snapshot reference path (the `"snapshot/Partitioned-soft"`
-//! policy), and per-tenant-adaptive `PMM-tenant`. Under `--trace=all` the
+//! tenant grid per cell) under incremental partitioned reallocation and
+//! the pinned full-snapshot reference path (the
+//! `"snapshot/Partitioned-soft"` policy). Under `--trace=all` the
 //! faults figure streams each cell's structured trace straight to
 //! `TRACE_obs_faults_cell<i>.txt`, created fresh after the buffered
 //! traces' header line, instead of buffering it in memory (so no Chrome

@@ -234,7 +234,7 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
                 .flat_map(|&x| {
                     crate::FAULT_POLICIES.map(|(mode, a)| {
                         let mut config = SimConfig::faulty(x);
-                        config.faults.default_mode = mode;
+                        config.faults.mode = mode;
                         CellSpec {
                             policy: format!("{mode}/{a}"),
                             ..CellSpec::new(x, a, config)
@@ -1456,11 +1456,7 @@ mod tests {
         assert_eq!(labels("faults"), faults);
         let mut scale = Vec::new();
         for x in ["10.0", "100.0", "1000.0"] {
-            for a in [
-                "Partitioned-soft",
-                "snapshot/Partitioned-soft",
-                "PMM-tenant",
-            ] {
+            for a in crate::SCALE_POLICIES {
                 scale.push(format!("{x} {a}"));
             }
         }
@@ -1483,7 +1479,7 @@ mod tests {
                 "abort" => DegradationMode::Abort,
                 _ => DegradationMode::Requeue,
             };
-            assert_eq!(cell.config.faults.default_mode, want, "{}", cell.policy);
+            assert_eq!(cell.config.faults.mode, want, "{}", cell.policy);
             assert_eq!(cell.config.faults.events.is_empty(), cell.x == 0.0);
         }
         for cell in figure_spec("scale").expect("known figure").cells {

@@ -150,14 +150,10 @@ pub const FAULT_POLICIES: [(DegradationMode, &str); 4] = [
 
 /// Tenant counts of the scale figure's 10¹ → 10³ sweep.
 pub const SCALE_TENANTS: [usize; 3] = [10, 100, 1000];
-/// The policies of the scale figure: incremental dirty-set allocation,
+/// The policies of the scale figure: incremental dirty-set allocation and
 /// the same policy pinned to the full-snapshot reference path (the
-/// `snapshot/` control arm), and the adaptive per-tenant controllers.
-pub const SCALE_POLICIES: [&str; 3] = [
-    "Partitioned-soft",
-    "snapshot/Partitioned-soft",
-    "PMM-tenant",
-];
+/// `snapshot/` control arm).
+pub const SCALE_POLICIES: [&str; 2] = ["Partitioned-soft", "snapshot/Partitioned-soft"];
 
 /// Analytics-tenant memory fractions of the multi-tenant sweep.
 pub const TENANT_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];

@@ -354,7 +354,7 @@ fn streamed_traces_start_fresh_with_the_header() {
 }
 
 /// The `scale` figure obeys the same contract at every tenant population:
-/// merged JSON is byte-identical across thread counts, the full
+/// merged JSON is byte-identical across thread counts, exactly the
 /// tenant-count × policy grid appears, and — the tentpole equivalence —
 /// the incremental `Partitioned-soft` arm merges to exactly the same
 /// statistics as the pinned `snapshot/Partitioned-soft` reference arm.
@@ -375,16 +375,17 @@ fn scale_json_matches_serial_and_incremental_equals_snapshot() {
         parallel.to_json(),
         "scale: 4-thread JSON must match the serial run"
     );
+    let grid: Vec<(f64, &str)> = serial
+        .cells
+        .iter()
+        .map(|c| (c.x, c.policy.as_str()))
+        .collect();
+    let want: Vec<(f64, &str)> = bench::SCALE_TENANTS
+        .iter()
+        .flat_map(|&n| bench::SCALE_POLICIES.map(|p| (n as f64, p)))
+        .collect();
+    assert_eq!(grid, want, "scale: exactly the tenant-count × policy grid");
     for n in bench::SCALE_TENANTS {
-        for policy in bench::SCALE_POLICIES {
-            assert!(
-                serial
-                    .cells
-                    .iter()
-                    .any(|c| c.x == n as f64 && c.policy == policy),
-                "cell ({n}, {policy}) present"
-            );
-        }
         let cell = |policy: &str| {
             serial
                 .cells

@@ -35,8 +35,8 @@ pub mod prelude {
         PmmParams, ProportionalPolicy, SnapshotOnly, StrategyMode, TenantPmm,
     };
     pub use rtdbs::{
-        run_simulation, ConfigError, DegradationMode, FaultPlan, FaultSpec,
-        PhaseSchedule, QueryType, ResourceConfig, RunReport, SimConfig, WorkloadClass,
+        run_simulation, ConfigError, DegradationMode, FaultPlan, FaultSpec, QueryType,
+        ResourceConfig, RunReport, SimConfig, WorkloadClass,
     };
     pub use simkit::{Duration, SimTime};
     pub use storage::{DeviceSpec, DiskGeometry, RelationGroupSpec, SsdSpec};

@@ -12,7 +12,8 @@
 //! page-range I/Os (see [`op`]), so they can be unit-tested against
 //! I/O-volume invariants without the full simulator, and
 //! [`standalone::standalone_time`] can price a query for deadline
-//! assignment by replaying the same machine against an idle-disk cost model.
+//! assignment by replaying the same machine against an idle device of the
+//! configured kind (cylinder disk or SSD).
 
 pub mod hashjoin;
 pub mod op;
@@ -22,4 +23,4 @@ pub mod standalone;
 pub use hashjoin::HashJoin;
 pub use op::{Action, ExecConfig, FileRef, IoRequest, Operator};
 pub use sort::ExternalSort;
-pub use standalone::{standalone_time, standalone_time_on, Placement};
+pub use standalone::{standalone_time, Placement};

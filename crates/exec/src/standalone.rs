@@ -8,10 +8,11 @@
 //!
 //! We compute it by *driving the actual operator state machine* through a
 //! private cost model: CPU bursts cost `instructions / MIPS`, and each I/O
-//! pays the geometric service time on an otherwise idle disk whose head
-//! tracks the query's own accesses. Because the query runs with its maximum
-//! allocation it performs no temp I/O, but the executor handles temp
-//! placement anyway so tests can estimate constrained executions too.
+//! pays the configured device's service time on an otherwise idle device
+//! (a cylinder disk's head tracks the query's own accesses). Because the
+//! query runs with its maximum allocation it performs no temp I/O, but the
+//! executor handles temp placement anyway so tests can estimate
+//! constrained executions too.
 //!
 //! The query alternates CPU and I/O (it is single-threaded), so the
 //! stand-alone time is the plain sum of both components — exactly how the
@@ -35,25 +36,8 @@ impl<F: FnMut(FileRef) -> (DiskId, u32)> Placement for F {
 }
 
 /// Estimate the stand-alone execution time of `op` at its current
-/// allocation on the paper's cylinder disk (callers wanting the paper's
-/// definition grant the maximum allocation first). Thin wrapper over
-/// [`standalone_time_on`] with [`DeviceSpec::Cylinder`] — bit-identical to
-/// the seed computation (the memoized service math is pinned bit-equal to
-/// the direct geometry expressions).
-///
-/// # Panics
-/// Panics if the operator parks (stand-alone execution never suspends) or
-/// fails to finish within a very generous step bound.
-pub fn standalone_time<P: Placement>(
-    op: &mut dyn Operator,
-    geometry: &DiskGeometry,
-    placement: &mut P,
-    cpu_mips: f64,
-) -> Duration {
-    standalone_time_on(op, &DeviceSpec::Cylinder, geometry, placement, cpu_mips)
-}
-
-/// Estimate the stand-alone execution time of `op` on `device`.
+/// allocation on `device` (callers wanting the paper's definition grant
+/// the maximum allocation first).
 ///
 /// Each disk the query touches gets a fresh service model whose positional
 /// state starts where the query's first access lands (no initial-seek
@@ -66,7 +50,7 @@ pub fn standalone_time<P: Placement>(
 /// # Panics
 /// Panics if the operator parks (stand-alone execution never suspends) or
 /// fails to finish within a very generous step bound.
-pub fn standalone_time_on<P: Placement>(
+pub fn standalone_time<P: Placement>(
     op: &mut dyn Operator,
     device: &DeviceSpec,
     geometry: &DiskGeometry,
@@ -135,6 +119,7 @@ mod tests {
         op.set_allocation(op.max_memory());
         let t = standalone_time(
             &mut op,
+            &DeviceSpec::Cylinder,
             &DiskGeometry::default(),
             &mut flat_placement(),
             40.0,
@@ -153,8 +138,20 @@ mod tests {
             HashJoin::new(cfg, FileId::Relation(0), 1800, FileId::Relation(1), 9000);
         large.set_allocation(large.max_memory());
         let g = DiskGeometry::default();
-        let ts = standalone_time(&mut small, &g, &mut flat_placement(), 40.0);
-        let tl = standalone_time(&mut large, &g, &mut flat_placement(), 40.0);
+        let ts = standalone_time(
+            &mut small,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
+        let tl = standalone_time(
+            &mut large,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
         assert!(tl.as_secs_f64() > 2.0 * ts.as_secs_f64());
     }
 
@@ -165,11 +162,23 @@ mod tests {
         let g = DiskGeometry::default();
         let mut sort = ExternalSort::new(cfg, FileId::Relation(0), 1200);
         sort.set_allocation(sort.max_memory());
-        let t_sort = standalone_time(&mut sort, &g, &mut flat_placement(), 40.0);
+        let t_sort = standalone_time(
+            &mut sort,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
         let mut join =
             HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
         join.set_allocation(join.max_memory());
-        let t_join = standalone_time(&mut join, &g, &mut flat_placement(), 40.0);
+        let t_join = standalone_time(
+            &mut join,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
         assert!(t_sort < t_join);
     }
 
@@ -179,34 +188,23 @@ mod tests {
         let g = DiskGeometry::default();
         let mut a = ExternalSort::new(cfg, FileId::Relation(0), 600);
         a.set_allocation(600);
-        let slow = standalone_time(&mut a, &g, &mut flat_placement(), 10.0);
+        let slow = standalone_time(
+            &mut a,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            10.0,
+        );
         let mut b = ExternalSort::new(cfg, FileId::Relation(0), 600);
         b.set_allocation(600);
-        let fast = standalone_time(&mut b, &g, &mut flat_placement(), 400.0);
-        assert!(fast < slow);
-    }
-
-    #[test]
-    fn cylinder_wrapper_is_bit_equal_to_device_path() {
-        // `standalone_time` must stay the seed computation exactly: the
-        // deadline of every simulated query rides on it.
-        let cfg = ExecConfig::default();
-        let g = DiskGeometry::default();
-        let mut a =
-            HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
-        a.set_allocation(a.max_memory());
-        let wrapped = standalone_time(&mut a, &g, &mut flat_placement(), 40.0);
-        let mut b =
-            HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
-        b.set_allocation(b.max_memory());
-        let explicit = standalone_time_on(
+        let fast = standalone_time(
             &mut b,
             &DeviceSpec::Cylinder,
             &g,
             &mut flat_placement(),
-            40.0,
+            400.0,
         );
-        assert_eq!(wrapped, explicit);
+        assert!(fast < slow);
     }
 
     #[test]
@@ -217,11 +215,17 @@ mod tests {
         let mut a =
             HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
         a.set_allocation(a.max_memory());
-        let t_disk = standalone_time(&mut a, &g, &mut flat_placement(), 40.0);
+        let t_disk = standalone_time(
+            &mut a,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
         let mut b =
             HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
         b.set_allocation(b.max_memory());
-        let t_ssd = standalone_time_on(
+        let t_ssd = standalone_time(
             &mut b,
             &DeviceSpec::Ssd(SsdSpec::default()),
             &g,
@@ -244,11 +248,23 @@ mod tests {
         let mut max =
             HashJoin::new(cfg, FileId::Relation(0), 600, FileId::Relation(1), 3000);
         max.set_allocation(max.max_memory());
-        let t_max = standalone_time(&mut max, &g, &mut flat_placement(), 40.0);
+        let t_max = standalone_time(
+            &mut max,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
         let mut min =
             HashJoin::new(cfg, FileId::Relation(0), 600, FileId::Relation(1), 3000);
         min.set_allocation(min.min_memory());
-        let t_min = standalone_time(&mut min, &g, &mut flat_placement(), 40.0);
+        let t_min = standalone_time(
+            &mut min,
+            &DeviceSpec::Cylinder,
+            &g,
+            &mut flat_placement(),
+            40.0,
+        );
         assert!(
             t_min.as_secs_f64() > 1.5 * t_max.as_secs_f64(),
             "two-pass {t_min:?} vs one-pass {t_max:?}"

@@ -262,7 +262,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::PolicyMode;
+    use crate::trace::StrategyMode;
     use simkit::{Duration, SimTime};
 
     fn sample() -> Vec<TraceRecord> {
@@ -311,7 +311,7 @@ mod tests {
             TraceRecord {
                 at: SimTime(2_000_000),
                 event: TraceEvent::PolicyDecision {
-                    mode: PolicyMode::Max,
+                    mode: StrategyMode::Max,
                     target_mpl: None,
                 },
             },

@@ -32,7 +32,7 @@ pub use metrics::{
 };
 pub use profile::{ProfileReport, Profiler, Section, SectionStats};
 pub use trace::{
-    render_text, DegradedAction, FaultClass, PolicyMode, TraceEvent, TraceKind,
+    render_text, DegradedAction, FaultClass, StrategyMode, TraceEvent, TraceKind,
     TraceRecord, Tracer,
 };
 

@@ -49,27 +49,27 @@ impl TraceKind {
     }
 }
 
-/// The strategy mode a policy decision selected.
+/// Which allocation strategy a policy is currently operating.
 ///
-/// Mirror of `pmm::StrategyMode` (the `pmm` crate provides `From`
-/// conversions both ways); `Display` is byte-identical to the original so
-/// re-routed `TRACE_pmm_*.txt` artifacts keep their exact format.
+/// Defined here, the lowest crate both the policies and the tracer depend
+/// on; `pmm` re-exports it as `pmm::StrategyMode`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PolicyMode {
-    /// Allocate each admitted query its one-pass maximum.
+pub enum StrategyMode {
+    /// Each query gets its maximum or nothing.
     Max,
-    /// Admit as many as possible at their minimum, top up leftovers.
+    /// High-priority queries get their maximum, the rest their minimum.
     MinMax,
-    /// Split memory proportionally to demand.
+    /// Equal percentage of maximum, at least the minimum (the baseline the
+    /// paper argues against).
     Proportional,
 }
 
-impl std::fmt::Display for PolicyMode {
+impl std::fmt::Display for StrategyMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PolicyMode::Max => write!(f, "Max"),
-            PolicyMode::MinMax => write!(f, "MinMax"),
-            PolicyMode::Proportional => write!(f, "Proportional"),
+            StrategyMode::Max => write!(f, "Max"),
+            StrategyMode::MinMax => write!(f, "MinMax"),
+            StrategyMode::Proportional => write!(f, "Proportional"),
         }
     }
 }
@@ -184,7 +184,7 @@ pub enum TraceEvent {
     /// The memory policy recorded a strategy decision.
     PolicyDecision {
         /// Strategy the policy switched to / reaffirmed.
-        mode: PolicyMode,
+        mode: StrategyMode,
         /// MPL target, when the strategy carries one.
         target_mpl: Option<u32>,
     },
@@ -641,7 +641,7 @@ mod tests {
             TraceRecord {
                 at: SimTime(2_000_000),
                 event: TraceEvent::PolicyDecision {
-                    mode: PolicyMode::MinMax,
+                    mode: StrategyMode::MinMax,
                     target_mpl: Some(12),
                 },
             },

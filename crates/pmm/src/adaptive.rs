@@ -106,21 +106,6 @@ impl Pmm {
         Pmm::new(PmmParams::default())
     }
 
-    /// The tuning parameters this instance runs with.
-    pub fn params(&self) -> &PmmParams {
-        &self.params
-    }
-
-    /// Number of PMM self-restarts caused by detected workload changes.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Batches processed since the last restart.
-    pub fn batches_seen(&self) -> u64 {
-        self.batches_seen
-    }
-
     /// The resource-utilization heuristic (Section 3.1.2):
     /// `MPL_new = (UtilLow + UtilHigh) / (2·Util_current) × MPL_current`,
     /// where `Util_current` comes from the least-squares utilization line
@@ -490,15 +475,15 @@ mod tests {
         pmm.on_batch(&max_mode_struggle(0));
         assert_eq!(pmm.mode(), StrategyMode::MinMax);
         pmm.on_batch(&minmax_batch(10, 0.1));
-        assert!(pmm.batches_seen() >= 2);
+        assert!(pmm.batches_seen >= 2);
         // The Small class arrives: max-mem demand drops 1321 → 111.
         let mut changed = minmax_batch(20, 0.1);
         changed.char_max_mem = summary(111.0, 100.0, 30);
         changed.char_operand_ios = summary(100.0, 64.0, 30);
         pmm.on_batch(&changed);
         assert_eq!(pmm.mode(), StrategyMode::Max, "restart returns to Max");
-        assert_eq!(pmm.restarts(), 1);
-        assert_eq!(pmm.batches_seen(), 0);
+        assert_eq!(pmm.restarts, 1);
+        assert_eq!(pmm.batches_seen, 0);
     }
 
     #[test]
@@ -509,7 +494,7 @@ mod tests {
         // 2% wiggle in the demand, large variance: not significant at 99%.
         b.char_max_mem = summary(1350.0, 200_000.0, 30);
         pmm.on_batch(&b);
-        assert_eq!(pmm.restarts(), 0);
+        assert_eq!(pmm.restarts, 0);
     }
 
     #[test]

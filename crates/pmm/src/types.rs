@@ -36,47 +36,7 @@ pub struct SystemSnapshot {
     pub queries: Vec<QueryDemand>,
 }
 
-/// Which allocation strategy a policy is currently operating.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StrategyMode {
-    /// Each query gets its maximum or nothing.
-    Max,
-    /// High-priority queries get their maximum, the rest their minimum.
-    MinMax,
-    /// Equal percentage of maximum, at least the minimum (the baseline the
-    /// paper argues against).
-    Proportional,
-}
-
-impl std::fmt::Display for StrategyMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StrategyMode::Max => write!(f, "Max"),
-            StrategyMode::MinMax => write!(f, "MinMax"),
-            StrategyMode::Proportional => write!(f, "Proportional"),
-        }
-    }
-}
-
-impl From<StrategyMode> for obs::PolicyMode {
-    fn from(m: StrategyMode) -> Self {
-        match m {
-            StrategyMode::Max => obs::PolicyMode::Max,
-            StrategyMode::MinMax => obs::PolicyMode::MinMax,
-            StrategyMode::Proportional => obs::PolicyMode::Proportional,
-        }
-    }
-}
-
-impl From<obs::PolicyMode> for StrategyMode {
-    fn from(m: obs::PolicyMode) -> Self {
-        match m {
-            obs::PolicyMode::Max => StrategyMode::Max,
-            obs::PolicyMode::MinMax => StrategyMode::MinMax,
-            obs::PolicyMode::Proportional => StrategyMode::Proportional,
-        }
-    }
-}
+pub use obs::StrategyMode;
 
 /// Feedback handed to adaptive policies after every `SampleSize` query
 /// completions (Section 3: PMM re-evaluates its decisions at this
@@ -174,18 +134,5 @@ mod tests {
     fn mode_display() {
         assert_eq!(StrategyMode::Max.to_string(), "Max");
         assert_eq!(StrategyMode::MinMax.to_string(), "MinMax");
-    }
-
-    #[test]
-    fn mode_roundtrips_through_obs_with_identical_display() {
-        for m in [
-            StrategyMode::Max,
-            StrategyMode::MinMax,
-            StrategyMode::Proportional,
-        ] {
-            let p: obs::PolicyMode = m.into();
-            assert_eq!(p.to_string(), m.to_string());
-            assert_eq!(StrategyMode::from(p), m);
-        }
     }
 }

@@ -16,9 +16,6 @@ pub use workload::{
     AlternationSchedule, ArrivalSpec, QueryType, Scenario, TenantSpec, WorkloadClass,
 };
 
-/// Backward-compatible alias: the Section 5.3 schedule under its seed name.
-pub type PhaseSchedule = AlternationSchedule;
-
 /// Physical resources (Table 3).
 #[derive(Clone, Copy, Debug)]
 pub struct ResourceConfig {
@@ -85,6 +82,9 @@ pub enum ConfigError {
     /// A zero base backoff or a cap below the base: the retry ladder
     /// would spin without advancing virtual time (or be non-monotone).
     FaultBackoffInvalid,
+    /// A class bills a tenant index ≥ `tenants.len()` while tenants are
+    /// declared.
+    ClassTenantOutOfRange,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -112,6 +112,9 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::FaultBackoffInvalid => {
                 "fault retry backoff needs base > 0 and cap >= base"
+            }
+            ConfigError::ClassTenantOutOfRange => {
+                "a class bills a tenant index beyond the declared tenants"
             }
         };
         f.write_str(msg)
@@ -231,6 +234,11 @@ impl SimConfig {
         }
         if self.classes.is_empty() {
             return Err(ConfigError::NoClasses);
+        }
+        if !self.tenants.is_empty()
+            && self.classes.iter().any(|c| c.tenant >= self.tenants.len())
+        {
+            return Err(ConfigError::ClassTenantOutOfRange);
         }
         if let DeviceSpec::Ssd(spec) = r.device {
             if spec.queue_depth == 0 {
@@ -587,6 +595,17 @@ mod tests {
         cfg.classes.clear();
         assert_eq!(cfg.validate(), Err(ConfigError::NoClasses));
 
+        let mut cfg = SimConfig::multi_tenant(0.5);
+        assert_eq!(cfg.tenants.len(), 2);
+        cfg.classes[0].tenant = 5;
+        assert_eq!(cfg.validate(), Err(ConfigError::ClassTenantOutOfRange));
+        cfg.tenants.clear();
+        assert_eq!(
+            cfg.validate(),
+            Ok(()),
+            "single-tenant runs ignore the field"
+        );
+
         let cfg = SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec {
             queue_depth: 0,
             ..SsdSpec::default()
@@ -631,10 +650,7 @@ mod tests {
             assert_eq!(SimConfig::faulty(i).validate(), Ok(()));
         }
         assert!(SimConfig::faulty(0.0).faults.is_empty());
-        assert_eq!(
-            SimConfig::faulty(1.0).faults.default_mode,
-            DegradationMode::Abort
-        );
+        assert_eq!(SimConfig::faulty(1.0).faults.mode, DegradationMode::Abort);
 
         let fault_cfg = |spec: FaultSpec| {
             SimConfig::baseline(0.06).with_faults(FaultPlan {

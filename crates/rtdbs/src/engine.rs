@@ -244,18 +244,17 @@ struct TenantState {
 }
 
 impl TenantState {
-    /// The tenant a query bills (out-of-range indices clamp to the last),
-    /// put on the touched list because its counters are about to change.
+    /// The tenant a query bills, put on the touched list because its
+    /// counters are about to change.
     fn billed<'a>(
         tenants: &'a mut [TenantState],
         touched: &mut Vec<u32>,
         tenant: u32,
     ) -> &'a mut TenantState {
-        let ti = (tenant as usize).min(tenants.len() - 1);
-        let t = &mut tenants[ti];
+        let t = &mut tenants[tenant as usize];
         if !t.touched {
             t.touched = true;
-            touched.push(ti as u32);
+            touched.push(tenant);
         }
         t
     }
@@ -1064,7 +1063,7 @@ impl Simulator {
         // Priced on the configured device: a faster device shrinks both
         // execution times and the deadlines derived from them, keeping the
         // paper's slack *ratios*.
-        let d = exec::standalone_time_on(
+        let d = exec::standalone_time(
             op.as_mut(),
             &self.cfg.resources.device,
             &geometry,
@@ -1224,7 +1223,7 @@ impl Simulator {
     /// the partition dirty (incremental allocation path only).
     fn group_insert(&mut self, slot: u32) {
         let d = self.live.slot_ref(slot).demand();
-        let g = (d.tenant as usize).min(self.demand_groups.len() - 1);
+        let g = d.tenant as usize;
         if self.group_pos.len() <= slot as usize {
             self.group_pos.resize(slot as usize + 1, 0);
         }
@@ -1248,7 +1247,7 @@ impl Simulator {
             }
         }
         if self.use_dirty {
-            let g = (q.tenant as usize).min(self.demand_groups.len() - 1);
+            let g = q.tenant as usize;
             let pos = self.group_pos[slot as usize] as usize;
             self.demand_groups[g].swap_remove(pos);
             if let Some(moved) = self.demand_groups[g].get(pos) {
@@ -1519,14 +1518,14 @@ impl Simulator {
                 }
                 Service::FaultExhausted => {
                     // Retry budget spent: the I/O surfaces as a hard error
-                    // and the owner's class degradation policy decides.
+                    // and the plan's degradation mode decides.
                     let owner = QueryId(access.owner);
                     let Some(q) = self.live.get_mut(owner) else {
                         continue; // owner already departed; drop the access
                     };
                     let class = q.class;
                     let deadline = q.deadline;
-                    match self.cfg.faults.mode_of(class) {
+                    match self.cfg.faults.mode {
                         DegradationMode::Abort => {
                             self.emit_degraded(
                                 now,
@@ -1706,7 +1705,7 @@ impl Simulator {
             if let Some(m) = &mut self.obs_metrics {
                 m.reg.inc(m.faults_shock_victims, 1);
             }
-            match self.cfg.faults.mode_of(class) {
+            match self.cfg.faults.mode {
                 DegradationMode::Abort => {
                     self.emit_degraded(now, id, class, DegradedAction::Aborted);
                     if let Some(m) = &mut self.obs_metrics {
@@ -1840,7 +1839,7 @@ impl Simulator {
         // tenant's own feedback window.
         let mut full_tenant_batch = None;
         if !self.tenants.is_empty() {
-            let ti = (q.tenant as usize).min(self.tenants.len() - 1);
+            let ti = q.tenant as usize;
             let t = &mut self.tenants[ti];
             t.served += 1;
             if missed {
@@ -1976,7 +1975,7 @@ impl Simulator {
             self.tracer.emit(
                 p.at,
                 TraceEvent::PolicyDecision {
-                    mode: p.mode.into(),
+                    mode: p.mode,
                     target_mpl: p.target_mpl,
                 },
             );
@@ -2612,7 +2611,7 @@ mod tests {
                     end_secs: 500.0,
                     fraction: 0.02,
                 }],
-                default_mode: mode,
+                mode,
                 ..FaultPlan::default()
             };
             run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()))

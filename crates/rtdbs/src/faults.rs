@@ -117,25 +117,14 @@ pub struct FaultPlan {
     pub events: Vec<FaultSpec>,
     /// Retry/backoff parameters every disk uses during outages.
     pub retry: RetrySpec,
-    /// Degradation mode for classes without an explicit entry in
-    /// `class_modes`.
-    pub default_mode: DegradationMode,
-    /// Per-class overrides, indexed by workload-class position.
-    pub class_modes: Vec<DegradationMode>,
+    /// Degradation mode for every fault victim.
+    pub mode: DegradationMode,
 }
 
 impl FaultPlan {
     /// True when the plan schedules nothing — the dark path.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// The degradation mode for workload class `class`.
-    pub fn mode_of(&self, class: usize) -> DegradationMode {
-        self.class_modes
-            .get(class)
-            .copied()
-            .unwrap_or(self.default_mode)
     }
 
     /// The canonical fault storm at `intensity` ∈ [0, 1], sized to land
@@ -172,8 +161,7 @@ impl FaultPlan {
                 },
             ],
             retry: RetrySpec::default(),
-            default_mode: DegradationMode::Abort,
-            class_modes: Vec::new(),
+            mode: DegradationMode::Abort,
         }
     }
 }
@@ -186,18 +174,7 @@ mod tests {
     fn default_plan_is_empty() {
         let plan = FaultPlan::default();
         assert!(plan.is_empty());
-        assert_eq!(plan.default_mode, DegradationMode::Abort);
-        assert_eq!(plan.mode_of(3), DegradationMode::Abort);
-    }
-
-    #[test]
-    fn class_modes_override_the_default() {
-        let plan = FaultPlan {
-            class_modes: vec![DegradationMode::Requeue],
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.mode_of(0), DegradationMode::Requeue);
-        assert_eq!(plan.mode_of(1), DegradationMode::Abort, "fallback");
+        assert_eq!(plan.mode, DegradationMode::Abort);
     }
 
     #[test]

@@ -25,8 +25,8 @@ pub mod faults;
 pub mod metrics;
 
 pub use config::{
-    AlternationSchedule, ArrivalSpec, ConfigError, DeviceSpec, ObsConfig, PhaseSchedule,
-    QueryType, ResourceConfig, Scenario, SimConfig, SsdSpec, TenantSpec, WorkloadClass,
+    AlternationSchedule, ArrivalSpec, ConfigError, DeviceSpec, ObsConfig, QueryType,
+    ResourceConfig, Scenario, SimConfig, SsdSpec, TenantSpec, WorkloadClass,
 };
 pub use engine::{run_simulation, Event, Simulator};
 pub use faults::{DegradationMode, FaultPlan, FaultSpec, RetrySpec};

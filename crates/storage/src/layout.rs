@@ -7,8 +7,47 @@
 //! outer thirds.
 
 use crate::geometry::DiskGeometry;
-use crate::pool::FastMap;
 use simkit::Rng;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// FxHash-style multiply-xor hasher for the [`Layout`] file maps and the
+/// engine's standalone-time cache: their keys are small fixed-width
+/// integers (file ids, group numbers), where SipHash's per-probe cost buys
+/// nothing. Only used where iteration order is never observed (pure point
+/// lookups), so swapping the hasher cannot move a simulated event.
+#[derive(Default)]
+pub struct FastHasher(u64);
+
+/// Knuth's multiplicative constant (golden-ratio based).
+const FAST_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FAST_SEED);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(FAST_SEED);
+    }
+
+    fn finish(&self) -> u64 {
+        // Final avalanche so low bits (the map's bucket index) mix.
+        let mut h = self.0;
+        h ^= h >> 32;
+        h = h.wrapping_mul(FAST_SEED);
+        h ^ (h >> 29)
+    }
+}
+
+/// `HashMap` with [`FastHasher`], for order-insensitive point lookups.
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Identifies one disk in the farm.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]

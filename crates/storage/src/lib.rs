@@ -30,7 +30,9 @@ pub mod service;
 
 pub use disk::{Access, Disk, DiskFarm, IoKind, RetrySpec, Service};
 pub use geometry::{DiskGeometry, ServiceTable};
-pub use layout::{DiskId, FileId, FileMeta, Layout, RelationGroupSpec, RelationMeta};
-pub use pool::{BufferPool, FastHasher, FastMap, PrefetchCache};
+pub use layout::{
+    DiskId, FastMap, FileId, FileMeta, Layout, RelationGroupSpec, RelationMeta,
+};
+pub use pool::BufferPool;
 pub use queue::{DiskQueue, QueuedRequest};
 pub use service::{CylinderModel, DeviceSpec, ServiceModel, SsdModel, SsdSpec};

@@ -9,46 +9,6 @@
 //! golden report.
 
 use crate::layout::FileId;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FxHash-style multiply-xor hasher for the cache index: the key space is
-/// tiny fixed-width integers, where SipHash's per-probe cost dominated the
-/// read-service hot path. Only used where iteration order is never
-/// observed (pure point lookups), so swapping the hasher cannot move a
-/// simulated event.
-#[derive(Default)]
-pub struct FastHasher(u64);
-
-/// Knuth's multiplicative constant (golden-ratio based).
-const FAST_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl Hasher for FastHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FAST_SEED);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(FAST_SEED);
-    }
-
-    fn finish(&self) -> u64 {
-        // Final avalanche so low bits (the map's bucket index) mix.
-        let mut h = self.0;
-        h ^= h >> 32;
-        h = h.wrapping_mul(FAST_SEED);
-        h ^ (h >> 29)
-    }
-}
-
-/// `HashMap` with [`FastHasher`], for order-insensitive point lookups.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// A cache line: one block of pages of one file.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,8 +19,7 @@ struct CacheKey {
     block: u32,
 }
 
-/// Block-granular LRU buffer pool: the prefetch cache of Section 4.2
-/// (the seed's `PrefetchCache`; the name survives as an alias).
+/// Block-granular LRU buffer pool: the prefetch cache of Section 4.2.
 ///
 /// The resident lines are one recency-ordered key vector, least recently
 /// used first. Every operation is O(resident lines): at the paper's 5-line
@@ -76,9 +35,6 @@ pub struct BufferPool {
     hits: u64,
     misses: u64,
 }
-
-/// The paper's name for the per-disk pool.
-pub type PrefetchCache = BufferPool;
 
 impl BufferPool {
     /// LRU pool with `capacity_pages` pages organized in `block_pages`-page

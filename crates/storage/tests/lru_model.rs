@@ -10,7 +10,7 @@
 //! eviction churns harder.
 
 use std::collections::VecDeque;
-use storage::{FileId, PrefetchCache};
+use storage::{BufferPool, FileId};
 
 /// The seed implementation, verbatim semantics: a deque of `(file, block)`
 /// lines, scanned linearly.
@@ -74,7 +74,7 @@ impl DequeModel {
 /// pseudo-random op sequence and demand identical hit/miss behavior after
 /// every single operation.
 fn equivalence_run(capacity_pages: u32, block_pages: u32, ops: u64, seed: u64) {
-    let mut cache = PrefetchCache::new(capacity_pages, block_pages);
+    let mut cache = BufferPool::new(capacity_pages, block_pages);
     let mut model = DequeModel::new(capacity_pages, block_pages);
     let mut x = seed | 1;
     let mut next = move || {

@@ -15,7 +15,6 @@
 //! * [`Mmpp`] — a 2-state Markov-modulated Poisson process for bursty
 //!   traffic: the arrival rate jumps between a low and a high value at
 //!   exponentially distributed epochs.
-//! * [`Deterministic`] — fixed inter-arrival gaps (worst-case periodic load).
 //! * [`Trace`] — replay of a recorded gap sequence, optionally cycled.
 
 use simkit::{Duration, Rng};
@@ -139,39 +138,6 @@ impl ArrivalProcess for Mmpp {
     }
 }
 
-/// Deterministic arrivals: a constant gap of `1/rate` seconds.
-#[derive(Clone, Copy, Debug)]
-pub struct Deterministic {
-    rate: f64,
-}
-
-impl Deterministic {
-    /// Periodic arrivals at `rate` per second.
-    pub fn new(rate: f64) -> Self {
-        Deterministic { rate }
-    }
-}
-
-impl ArrivalProcess for Deterministic {
-    fn next_interarrival(&mut self, _rng: &mut Rng) -> Option<Duration> {
-        let gap = self.rate.recip();
-        // Requires a strictly positive, finite gap: an infinite rate would
-        // pin arrivals to one instant and freeze the event calendar.
-        if self.rate <= 0.0 || !gap.is_finite() || gap <= 0.0 {
-            return None;
-        }
-        Some(Duration::from_secs_f64(gap))
-    }
-
-    fn mean_rate(&self) -> f64 {
-        if self.rate.is_finite() {
-            self.rate.max(0.0)
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Replay of a recorded inter-arrival trace.
 ///
 /// Gaps are simulated seconds. With `repeat`, the trace cycles forever;
@@ -281,11 +247,6 @@ pub enum ArrivalSpec {
         /// Exit rate out of state 0 / state 1 (1 ÷ mean sojourn seconds).
         switch: [f64; 2],
     },
-    /// Constant inter-arrival gaps.
-    Deterministic {
-        /// Arrival rate in queries/second.
-        rate: f64,
-    },
     /// Replay of a recorded gap sequence (seconds).
     Trace {
         /// The gaps to replay.
@@ -315,7 +276,6 @@ impl ArrivalSpec {
         match self {
             ArrivalSpec::Poisson { rate } => Box::new(Poisson::new(*rate)),
             ArrivalSpec::Mmpp { rates, switch } => Box::new(Mmpp::new(*rates, *switch)),
-            ArrivalSpec::Deterministic { rate } => Box::new(Deterministic::new(*rate)),
             ArrivalSpec::Trace { gaps, repeat } => {
                 Box::new(Trace::from_gaps(gaps.clone(), *repeat))
             }
@@ -328,7 +288,6 @@ impl ArrivalSpec {
         match self {
             ArrivalSpec::Poisson { rate } => Poisson::new(*rate).mean_rate(),
             ArrivalSpec::Mmpp { rates, switch } => Mmpp::new(*rates, *switch).mean_rate(),
-            ArrivalSpec::Deterministic { rate } => Deterministic::new(*rate).mean_rate(),
             ArrivalSpec::Trace { gaps, .. } => {
                 let (count, sum) = gaps
                     .iter()
@@ -399,14 +358,13 @@ mod tests {
 
     #[test]
     fn deterministic_gaps_are_constant() {
-        let mut d = Deterministic::new(0.25);
+        // Periodic arrivals are a one-gap trace, cycled.
+        let mut d = Trace::from_gaps(vec![4.0], true);
         let mut rng = Rng::new(3);
         for _ in 0..5 {
             assert_eq!(d.next_interarrival(&mut rng), Some(Duration::from_secs(4)));
         }
-        assert!(Deterministic::new(0.0)
-            .next_interarrival(&mut rng)
-            .is_none());
+        assert_eq!(d.mean_rate(), 0.25);
     }
 
     #[test]
@@ -455,9 +413,6 @@ mod tests {
         let mut f = Trace::from_gaps(vec![0.0, 1.0], false);
         assert_eq!(f.next_interarrival(&mut rng), Some(Duration::ZERO));
         // Infinite rates would also pin arrivals to one instant.
-        assert!(Deterministic::new(f64::INFINITY)
-            .next_interarrival(&mut rng)
-            .is_none());
         assert!(Poisson::new(f64::INFINITY)
             .next_interarrival(&mut rng)
             .is_none());
@@ -502,7 +457,6 @@ mod tests {
         for spec in [
             ArrivalSpec::poisson(0.07),
             ArrivalSpec::bursty(0.05, 12.0, 300.0),
-            ArrivalSpec::Deterministic { rate: 0.2 },
             ArrivalSpec::Trace {
                 gaps: vec![1.0, f64::NAN, 2.0, -1.0],
                 repeat: true,

@@ -6,8 +6,8 @@
 //!
 //! * [`arrival`] — the [`ArrivalProcess`] trait with [`Poisson`] (the
 //!   paper's model, bit-for-bit compatible with the pre-refactor engine),
-//!   bursty 2-state [`Mmpp`], [`Deterministic`], and recorded-[`Trace`]
-//!   processes, all driven by caller-owned `simkit` RNG streams.
+//!   bursty 2-state [`Mmpp`], and recorded-[`Trace`] processes, all
+//!   driven by caller-owned `simkit` RNG streams.
 //! * [`class`] — [`QueryType`] / [`WorkloadClass`] (Table 2) and the
 //!   cyclic [`AlternationSchedule`] (Section 5.3), with an allocation-free
 //!   hot-path lookup.
@@ -25,7 +25,7 @@ pub mod class;
 pub mod scenario;
 pub mod tenant;
 
-pub use arrival::{ArrivalProcess, ArrivalSpec, Deterministic, Mmpp, Poisson, Trace};
+pub use arrival::{ArrivalProcess, ArrivalSpec, Mmpp, Poisson, Trace};
 pub use class::{AlternationSchedule, QueryType, WorkloadClass};
 pub use scenario::Scenario;
 pub use tenant::{quota_split, TenantSpec};

@@ -45,12 +45,6 @@ impl Scenario {
         self
     }
 
-    /// Install a cyclic alternation schedule (builder style).
-    pub fn alternating(mut self, phases: Vec<(f64, Vec<usize>)>) -> Self {
-        self.schedule = AlternationSchedule::cycle(phases);
-        self
-    }
-
     /// One hash-join class over `groups` under `arrival` — the paper's
     /// baseline shape with a pluggable arrival process.
     pub fn join_heavy(groups: (u32, u32), arrival: ArrivalSpec) -> Self {
@@ -166,12 +160,5 @@ mod tests {
             )
             .tenant(TenantSpec::hard("only", 2560));
         assert!(s.validate().unwrap_err().contains("tenant 3"));
-    }
-
-    #[test]
-    fn alternating_schedule_installs() {
-        let s = Scenario::join_heavy((0, 1), ArrivalSpec::poisson(0.05))
-            .alternating(vec![(100.0, vec![0])]);
-        assert!(s.schedule.is_active(50.0, 0, 1));
     }
 }

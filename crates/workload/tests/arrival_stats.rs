@@ -4,7 +4,7 @@
 
 use simkit::{Rng, SeedSequence};
 use stats::SampleSummary;
-use workload::{ArrivalProcess, ArrivalSpec, Deterministic, Mmpp, Poisson};
+use workload::{ArrivalProcess, ArrivalSpec, Mmpp, Poisson, Trace};
 
 /// Empirical `(mean, cv)` of `n` inter-arrival gaps.
 fn gap_stats(process: &mut dyn ArrivalProcess, rng: &mut Rng, n: usize) -> (f64, f64) {
@@ -86,8 +86,9 @@ fn burstier_ratio_raises_cv_monotonically() {
 
 #[test]
 fn deterministic_has_zero_variance() {
+    // Periodic arrivals: a one-gap trace, cycled.
     let mut rng = Rng::new(5);
-    let (mean, cv) = gap_stats(&mut Deterministic::new(0.1), &mut rng, 1_000);
+    let (mean, cv) = gap_stats(&mut Trace::from_gaps(vec![10.0], true), &mut rng, 1_000);
     assert!((mean - 10.0).abs() < 1e-9);
     assert!(cv.abs() < 1e-12);
 }
