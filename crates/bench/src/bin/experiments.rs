@@ -41,7 +41,7 @@
 //! same as `--trace=all --metrics`), `--metrics` (collect and write the
 //! seed-merged metrics registry as `BENCH_<figure>_metrics.json` — the
 //! long-horizon configuration: registry memory stays O(counters) while
-//! a trace buffers or streams O(events)),
+//! a trace buffers O(events) in memory until its cell is written),
 //! `--profile` (attribute wall-clock time
 //! per engine subsystem and write `BENCH_profile.json` — machine-dependent,
 //! like `BENCH_perf.json`).
@@ -64,11 +64,9 @@
 //! `--figure scale` sweeps the tenant population 10¹→10³ (one soft-quota
 //! tenant grid per cell) under incremental partitioned reallocation and
 //! the pinned full-snapshot reference path (the
-//! `"snapshot/Partitioned-soft"` policy). Under `--trace=all` the
-//! faults figure streams each cell's structured trace straight to
-//! `TRACE_obs_faults_cell<i>.txt`, created fresh after the buffered
-//! traces' header line, instead of buffering it in memory (so no Chrome
-//! export or other projection is produced for streamed cells). A
+//! `"snapshot/Partitioned-soft"` policy). Every figure records and
+//! projects its trace the same way, faults included: its rendered trace
+//! and Chrome export carry the fault, retry and degradation records. A
 //! replication that panics does not abort the sweep:
 //! the surviving cells complete and the failed units are written to
 //! `BENCH_<figure>_quarantine.json` with their cell, policy, replication
@@ -193,7 +191,6 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // A bare `--trace` is `--trace=all --metrics`.
         metrics: bare_trace || args.iter().any(|a| a == "--metrics"),
         profile: args.iter().any(|a| a == "--profile"),
-        stream_dir: None,
     };
     if cfg.seeds == 0 {
         return Err("--seeds must be at least 1".into());
@@ -210,15 +207,7 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     let mut profiles: Vec<(String, obs::ProfileReport)> = Vec::new();
     for figure in &figures {
         let started = std::time::Instant::now();
-        let mut fig_cfg = cfg.clone();
-        // The faults sweep streams its full traces to disk as the runs
-        // progress — fault storms would otherwise buffer large record
-        // streams per cell.
-        let streamed = figure == "faults" && fig_cfg.trace == TraceKind::ALL;
-        if streamed {
-            fig_cfg.stream_dir = Some(out_dir.clone());
-        }
-        let mut result = run_figure(figure, fig_cfg)?;
+        let mut result = run_figure(figure, cfg.clone())?;
         print!("{}", result.render());
         let path = out_dir.join(format!("BENCH_{figure}.json"));
         std::fs::write(&path, result.to_json())
@@ -237,14 +226,12 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // Each projection of replication 0's recorded trace: the rendered
         // structured trace and Chrome export, the arrival-gap streams, the
         // PMM decision series — as far as the recorded kinds allow.
-        // Streamed cells are on disk already.
-        let mask = if streamed { 0 } else { cfg.trace };
         let mut written = 0;
         for (c, cell) in result.cells.iter_mut().enumerate() {
-            for (name, body) in trace_files(figure, mask, c, cell) {
-                let trace_path = out_dir.join(name);
-                std::fs::write(&trace_path, body)
-                    .map_err(|e| format!("cannot write {}: {e}", trace_path.display()))?;
+            for (name, body) in trace_files(figure, cfg.trace, c, cell) {
+                let path = out_dir.join(name);
+                std::fs::write(&path, body)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 written += 1;
             }
             // The records are projected; drop them before the next figure.
@@ -260,15 +247,6 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             println!(
                 "wrote {} (merged metrics registry; thread-count invariant)",
                 metrics_path.display()
-            );
-        }
-        if streamed {
-            println!(
-                "streamed {} structured trace file(s) to {} \
-                 (TRACE_obs_{figure}_cell<i>.txt; no Chrome export for \
-                 streamed cells)",
-                result.cells.len(),
-                out_dir.display()
             );
         }
         // Quarantined replications: the sweep survived a panicking unit.

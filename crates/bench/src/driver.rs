@@ -313,15 +313,6 @@ pub struct DriverConfig {
     /// per subsystem, aggregated over all replications into
     /// [`FigureResult::profile`]. Machine-dependent — never byte-diffed.
     pub profile: bool,
-    /// Stream replication 0's recorded trace of every cell to
-    /// `TRACE_obs_<figure>_cell<i>.txt` under this directory *while the run
-    /// executes* instead of buffering the full record stream in memory
-    /// (long `--trace` runs). Only effective with a non-zero
-    /// [`DriverConfig::trace`]. Each file is created fresh, with the
-    /// header line [`trace_files`] writes. A streamed cell's
-    /// [`MergedCell::trace`] is empty — its bytes are already on disk, and
-    /// no other projection is made from them.
-    pub stream_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for DriverConfig {
@@ -334,7 +325,6 @@ impl Default for DriverConfig {
             trace: 0,
             metrics: false,
             profile: false,
-            stream_dir: None,
         }
     }
 }
@@ -457,16 +447,6 @@ fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
         .collect()
 }
 
-/// The first line of a cell's trace artifact: `# <figure> cell <i>
-/// (x=…, policy=…)` followed by `what` the file holds.
-fn trace_header(figure: &str, c: usize, x: f64, policy: &str, what: &str) -> String {
-    format!("# {figure} cell {c} (x={x:?}, policy={policy}){what}\n")
-}
-
-/// What the structured sim-time trace `TRACE_obs_<figure>_cell<i>.txt`
-/// holds, after the cell part of its header.
-const OBS_TRACE: &str = " — replication 0 structured sim-time trace";
-
 /// The artifact files cell `c`'s recording ([`MergedCell::trace`])
 /// projects to, as `(file name, body)` pairs — one per projection whose
 /// kind `mask` recorded:
@@ -492,9 +472,16 @@ pub fn trace_files(
     if cell.replications == 0 {
         return files;
     }
-    let header = |what: &str| trace_header(figure, c, cell.x, &cell.policy, what);
+    // Every file starts `# <figure> cell <i> (x=…, policy=…)` followed by
+    // what it holds.
+    let header = |what: &str| {
+        format!(
+            "# {figure} cell {c} (x={:?}, policy={}){what}\n",
+            cell.x, cell.policy
+        )
+    };
     if mask == obs::TraceKind::ALL {
-        let mut body = header(OBS_TRACE);
+        let mut body = header(" — replication 0 structured sim-time trace");
         body.push_str(&obs::render_text(&cell.trace));
         files.push((format!("TRACE_obs_{figure}_cell{c}.txt"), body));
         if c == 0 {
@@ -594,7 +581,9 @@ pub struct MergedCell {
     pub metrics: Option<obs::MetricsReport>,
     /// Replication 0's trace records of the kinds in
     /// [`DriverConfig::trace`], chronological; [`trace_files`] projects
-    /// them. Empty when nothing is recorded and for streamed cells.
+    /// them. Empty when nothing is recorded. Held in memory for the whole
+    /// run, so its size grows with the horizon; [`DriverConfig::metrics`]
+    /// is the O(registry) alternative.
     pub trace: Vec<obs::TraceRecord>,
     /// The replications that panicked, in replication order. Empty on a
     /// healthy cell.
@@ -721,8 +710,7 @@ pub fn replication_seed(master_seed: u64, rep: u64) -> u64 {
 ///
 /// # Errors
 /// Propagates [`figure_spec`]'s error for unknown figure names, rejects a
-/// cell config that fails validation, and reports a streamed trace file
-/// that cannot be created.
+/// cell config that fails validation.
 ///
 /// # Panics
 /// A replication that panics does **not** abort the sweep: the panic is
@@ -731,10 +719,6 @@ pub fn replication_seed(master_seed: u64, rep: u64) -> u64 {
 /// driver-internal invariant violations still panic.
 pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, String> {
     let spec = figure_spec(figure)?;
-    let stream_dir = cfg.stream_dir.as_ref().filter(|_| cfg.trace != 0);
-    let stream_path = |c: usize| {
-        stream_dir.map(|d| d.join(format!("TRACE_obs_{}_cell{c}.txt", spec.name)))
-    };
     // Replication `s` of cell `c` runs the cell's config with the driver's
     // duration, seed and observability settings. Traces are per cell, not
     // per replication: replication 0 is the canonical recording (its seed
@@ -746,7 +730,6 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         sim.seed = replication_seed(cfg.master_seed, s);
         if s == 0 {
             sim.obs.trace = cfg.trace;
-            sim.obs.trace_path = stream_path(c);
         }
         sim.obs.metrics = cfg.metrics;
         sim.obs.profile = cfg.profile;
@@ -757,15 +740,6 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         unit_config(c, 0).validate().map_err(|e| {
             format!("invalid config for {figure} cell {:?}: {e}", cell.policy)
         })?;
-    }
-    // A streamed trace file starts fresh with the buffered files' header;
-    // the sink appends the records after it.
-    for (c, cell) in spec.cells.iter().enumerate() {
-        if let Some(path) = stream_path(c) {
-            let header = trace_header(spec.name, c, cell.x, &cell.policy, OBS_TRACE);
-            std::fs::write(&path, header)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        }
     }
 
     // One unit per (cell, replication); results land in a pre-sized table so
@@ -1707,7 +1681,6 @@ mod tests {
             trace: obs::TraceKind::ALL,
             metrics: true,
             profile: true,
-            ..DriverConfig::default()
         };
         let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
         assert_eq!(r.cells.len(), 3, "one structured trace per cell");

@@ -260,96 +260,65 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
 /// `--trace`: every observability artifact — the rendered structured
 /// traces, the merged metrics JSON, and the Chrome trace-event export — is
 /// byte-identical across thread counts, and the recording leaves the
-/// merged figure JSON untouched.
+/// merged figure JSON untouched. The faults figure records the same way as
+/// every other, so its fault, retry and degradation records are pinned too.
 #[test]
 fn trace_artifacts_are_thread_count_invariant() {
-    let base = DriverConfig {
-        seeds: 2,
-        threads: 1,
-        secs: 300.0,
-        master_seed: 1994,
-        trace: TraceKind::ALL,
-        metrics: true,
-        ..DriverConfig::default()
-    };
-    let serial = run_figure("fig12", base.clone()).expect("serial run");
-    let parallel = run_figure(
-        "fig12",
-        DriverConfig {
-            threads: 4,
-            ..base.clone()
-        },
-    )
-    .expect("parallel run");
-    assert_eq!(serial.to_json(), parallel.to_json());
-    assert_eq!(serial.cells.len(), parallel.cells.len());
-    for (c, (s, p)) in serial.cells.iter().zip(&parallel.cells).enumerate() {
-        assert!(!s.trace.is_empty(), "cell {c} recorded a trace");
+    for figure in ["fig12", "faults"] {
+        let base = DriverConfig {
+            seeds: 2,
+            threads: 1,
+            secs: 300.0,
+            master_seed: 1994,
+            trace: TraceKind::ALL,
+            metrics: true,
+            ..DriverConfig::default()
+        };
+        let serial = run_figure(figure, base.clone()).expect("serial run");
+        let parallel = run_figure(
+            figure,
+            DriverConfig {
+                threads: 4,
+                ..base.clone()
+            },
+        )
+        .expect("parallel run");
+        assert_eq!(serial.to_json(), parallel.to_json());
+        assert_eq!(serial.cells.len(), parallel.cells.len());
+        for (c, (s, p)) in serial.cells.iter().zip(&parallel.cells).enumerate() {
+            assert!(!s.trace.is_empty(), "{figure} cell {c} recorded a trace");
+            assert_eq!(
+                pmm_core::obs::render_text(&s.trace),
+                pmm_core::obs::render_text(&p.trace),
+                "{figure} cell {c}: rendered trace must be byte-identical \
+                 across thread counts"
+            );
+            assert_eq!(
+                pmm_core::obs::chrome_trace_json(&s.trace),
+                pmm_core::obs::chrome_trace_json(&p.trace),
+                "{figure} cell {c}: Chrome export must be byte-identical \
+                 across thread counts"
+            );
+        }
+        if figure == "faults" {
+            assert!(
+                serial.cells.iter().any(
+                    |c| pmm_core::obs::render_text(&c.trace).contains(" fault kind=")
+                ),
+                "the faults figure records its fault events"
+            );
+        }
         assert_eq!(
-            pmm_core::obs::render_text(&s.trace),
-            pmm_core::obs::render_text(&p.trace),
-            "cell {c}: rendered trace must be byte-identical across thread \
-             counts"
+            bench::driver::metrics_json(&serial),
+            bench::driver::metrics_json(&parallel),
+            "{figure}: merged metrics JSON must be byte-identical across \
+             thread counts"
         );
-        assert_eq!(
-            pmm_core::obs::chrome_trace_json(&s.trace),
-            pmm_core::obs::chrome_trace_json(&p.trace),
-            "cell {c}: Chrome export must be byte-identical across thread \
-             counts"
-        );
-    }
-    assert_eq!(
-        bench::driver::metrics_json(&serial),
-        bench::driver::metrics_json(&parallel),
-        "merged metrics JSON must be byte-identical across thread counts"
-    );
-    // A trace run leaves the figure JSON identical to a no-trace run: the
-    // observability path never perturbs the simulation.
-    let off = run_figure("fig12", DriverConfig { trace: 0, ..base }).expect("plain run");
-    assert_eq!(off.to_json(), serial.to_json());
-}
-
-/// Streamed traces (`DriverConfig::stream_dir`, the faults figure under
-/// `--trace`) are created fresh with the buffered files' header: a rerun
-/// into the same directory leaves identical bytes instead of appending.
-#[test]
-fn streamed_traces_start_fresh_with_the_header() {
-    let dir = std::env::temp_dir().join(format!("bench-stream-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let cfg = DriverConfig {
-        seeds: 1,
-        threads: 2,
-        secs: 100.0,
-        master_seed: 1994,
-        trace: TraceKind::ALL,
-        stream_dir: Some(dir.clone()),
-        ..DriverConfig::default()
-    };
-    let read_all = |n: usize| -> Vec<String> {
-        (0..n)
-            .map(|c| {
-                let path = dir.join(format!("TRACE_obs_faults_cell{c}.txt"));
-                std::fs::read_to_string(&path).expect("streamed file written")
-            })
-            .collect()
-    };
-    let first = run_figure("faults", cfg.clone()).expect("first run");
-    assert!(
-        first.cells.iter().all(|c| c.trace.is_empty()),
-        "records on disk"
-    );
-    let once = read_all(first.cells.len());
-    run_figure("faults", cfg).expect("second run");
-    let twice = read_all(first.cells.len());
-    std::fs::remove_dir_all(&dir).expect("clean up");
-    assert!(
-        once[0].starts_with("# faults cell 0 (x="),
-        "header first: {:?}",
-        once[0].lines().next()
-    );
-    for (c, (a, b)) in once.iter().zip(&twice).enumerate() {
-        assert!(a.lines().count() > 1, "cell {c} streamed records");
-        assert_eq!(a, b, "cell {c}: a rerun must leave identical bytes");
+        // A trace run leaves the figure JSON identical to a no-trace run:
+        // the observability path never perturbs the simulation.
+        let off =
+            run_figure(figure, DriverConfig { trace: 0, ..base }).expect("plain run");
+        assert_eq!(off.to_json(), serial.to_json());
     }
 }
 

@@ -23,4 +23,4 @@ pub mod standalone;
 pub use hashjoin::HashJoin;
 pub use op::{Action, ExecConfig, FileRef, IoRequest, Operator};
 pub use sort::ExternalSort;
-pub use standalone::{standalone_time, Placement};
+pub use standalone::standalone_time;

@@ -23,21 +23,10 @@ use simkit::Duration;
 use std::collections::HashMap;
 use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel};
 
-/// Resolves an operator-visible file to its physical placement.
-pub trait Placement {
-    /// `(disk, start_cylinder)` of the file.
-    fn resolve(&mut self, file: FileRef) -> (DiskId, u32);
-}
-
-impl<F: FnMut(FileRef) -> (DiskId, u32)> Placement for F {
-    fn resolve(&mut self, file: FileRef) -> (DiskId, u32) {
-        self(file)
-    }
-}
-
 /// Estimate the stand-alone execution time of `op` at its current
 /// allocation on `device` (callers wanting the paper's definition grant
-/// the maximum allocation first).
+/// the maximum allocation first). `placement` resolves an operator-visible
+/// file to its `(disk, start_cylinder)`.
 ///
 /// Each disk the query touches gets a fresh service model whose positional
 /// state starts where the query's first access lands (no initial-seek
@@ -50,11 +39,11 @@ impl<F: FnMut(FileRef) -> (DiskId, u32)> Placement for F {
 /// # Panics
 /// Panics if the operator parks (stand-alone execution never suspends) or
 /// fails to finish within a very generous step bound.
-pub fn standalone_time<P: Placement>(
+pub fn standalone_time(
     op: &mut dyn Operator,
     device: &DeviceSpec,
     geometry: &DiskGeometry,
-    placement: &mut P,
+    placement: &mut impl FnMut(FileRef) -> (DiskId, u32),
     cpu_mips: f64,
 ) -> Duration {
     assert!(cpu_mips > 0.0, "MIPS rating must be positive");
@@ -67,7 +56,7 @@ pub fn standalone_time<P: Placement>(
                 total += Duration::from_secs_f64(instr as f64 / (cpu_mips * 1e6));
             }
             Action::Io(io) => {
-                let (disk, start_cyl) = placement.resolve(io.file);
+                let (disk, start_cyl) = placement(io.file);
                 let cyl = geometry.cylinder_of(start_cyl, io.first_page);
                 let model = models.entry(disk).or_insert_with(|| {
                     let mut m = device.build(geometry);

@@ -4,9 +4,8 @@
 //!
 //! 1. **Tracing** ([`trace`]): typed [`TraceEvent`] records stamped in
 //!    *virtual* time, written through a [`Tracer`] whose event-kind mask
-//!    picks what is kept. Its sink is a null device (compiles to one
-//!    load+test+branch on the hot path), a full in-memory log, or a file
-//!    the records stream to.
+//!    picks what is kept in its in-memory log (a zero mask compiles to one
+//!    load+test+branch on the hot path).
 //! 2. **Metrics** ([`metrics`]): a registry of named counters, gauges, and
 //!    fixed-bucket histograms with windowed counter-delta snapshots that
 //!    reuse the fig12 window boundaries.
@@ -43,13 +42,10 @@ pub use trace::{
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// The event kinds to record, as a [`TraceKind`] bit mask: 0 records
-    /// nothing (null sink), [`TraceKind::ALL`] the full trace.
+    /// nothing, [`TraceKind::ALL`] the full trace. The run buffers what
+    /// it records in memory and returns it on the report; `metrics` alone
+    /// is the O(counters) configuration for long horizons.
     pub trace: u16,
-    /// Stream the recorded kinds to this file incrementally (rendered
-    /// text, one line per record, appended) instead of buffering the run
-    /// in memory. Only honored with a non-zero `trace` mask; the run's
-    /// in-memory trace then stays empty.
-    pub trace_path: Option<std::path::PathBuf>,
     /// Enable the metrics registry (counters/gauges/histograms with
     /// windowed snapshots on the fig12 boundaries).
     pub metrics: bool,

@@ -1,10 +1,10 @@
-//! Sim-time tracing: typed events, a pluggable sink, and a text renderer.
+//! Sim-time tracing: typed events, an in-memory recorder, and a text
+//! renderer.
 //!
-//! A [`Tracer`] owns an event-kind bitmask and a sink (null, in-memory
-//! log, or file stream). `emit` is
-//! `#[inline]` and checks the mask first, so a disabled tracer costs one
-//! load, test, and (not-taken) branch per call site — the "compiles to
-//! nothing on the hot path" null sink.
+//! A [`Tracer`] owns an event-kind bitmask and the log of accepted
+//! records. `emit` is `#[inline]` and checks the mask first, so a disabled
+//! tracer costs one load, test, and (not-taken) branch per call site — it
+//! "compiles to nothing on the hot path".
 
 use simkit::{Duration, SimTime};
 
@@ -259,95 +259,26 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// An incremental file sink: records are rendered and written as they are
-/// emitted, so a long traced run never buffers its full trace in memory.
-#[derive(Debug)]
-struct FileSink {
-    w: std::io::BufWriter<std::fs::File>,
-    /// Scratch line buffer, reused per record.
-    line: String,
-    /// Records written so far.
-    written: usize,
-}
-
-/// Where accepted records go.
-#[derive(Debug)]
-enum Sink {
-    /// Drop everything (the mask is zero too, so `emit` never reaches here).
-    Null,
-    /// Unbounded in-memory log.
-    Full(Vec<TraceRecord>),
-    /// Streaming file sink: write each record out incrementally.
-    Stream(FileSink),
-}
-
-/// The recording front end: an enable mask plus a sink.
-#[derive(Debug)]
+/// The recording front end: an enable mask plus an in-memory log of the
+/// records whose kind is in the mask.
+#[derive(Debug, Default)]
 pub struct Tracer {
     mask: u16,
-    sink: Sink,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::off()
-    }
+    records: Vec<TraceRecord>,
 }
 
 impl Tracer {
-    /// A disabled tracer: mask zero, null sink, `emit` is a no-op branch.
+    /// A disabled tracer: mask zero, nothing held, `emit` is a no-op branch.
     pub fn off() -> Self {
-        Tracer {
-            mask: 0,
-            sink: Sink::Null,
-        }
+        Tracer::default()
     }
 
-    /// Build an in-memory tracer keeping every record whose kind is in
-    /// `mask` (bits from [`TraceKind::bit`]). A zero mask is the null sink.
+    /// Build a tracer keeping every record whose kind is in `mask` (bits
+    /// from [`TraceKind::bit`]). A zero mask records nothing.
     pub fn with_mask(mask: u16) -> Self {
-        if mask == 0 {
-            return Tracer::off();
-        }
         Tracer {
             mask,
-            sink: Sink::Full(Vec::new()),
-        }
-    }
-
-    /// Build a streaming tracer: records are rendered with the
-    /// [`render_text`] line format and appended to the file at `path` as
-    /// they are emitted, never buffered for the whole run. A zero mask
-    /// still forces the null sink (and opens nothing).
-    pub fn streaming<P: AsRef<std::path::Path>>(
-        path: P,
-        mask: u16,
-    ) -> std::io::Result<Self> {
-        if mask == 0 {
-            return Ok(Tracer::off());
-        }
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Tracer {
-            mask,
-            sink: Sink::Stream(FileSink {
-                w: std::io::BufWriter::new(file),
-                line: String::with_capacity(96),
-                written: 0,
-            }),
-        })
-    }
-
-    /// Flush any buffered stream output. A no-op for in-memory sinks.
-    ///
-    /// # Panics
-    /// Panics when the underlying file write fails — trace loss is a
-    /// corrupted artifact, not a degraded run.
-    pub fn finish(&mut self) {
-        if let Sink::Stream(s) = &mut self.sink {
-            std::io::Write::flush(&mut s.w).expect("cannot flush trace stream");
+            records: Vec::new(),
         }
     }
 
@@ -372,56 +303,26 @@ impl Tracer {
         self.push(TraceRecord { at, event });
     }
 
+    // Out of line so the inlined `emit` stays a mask test and a call.
     #[inline(never)]
     fn push(&mut self, rec: TraceRecord) {
-        match &mut self.sink {
-            Sink::Null => {}
-            Sink::Full(v) => v.push(rec),
-            Sink::Stream(s) => {
-                s.line.clear();
-                render_record(&mut s.line, &rec);
-                std::io::Write::write_all(&mut s.w, s.line.as_bytes())
-                    .expect("cannot write trace stream");
-                s.written += 1;
-            }
-        }
+        self.records.push(rec);
     }
 
-    /// Number of records currently held (records already streamed to a
-    /// file count as written, not held).
+    /// Number of records currently held.
     pub fn len(&self) -> usize {
-        match &self.sink {
-            Sink::Null | Sink::Stream(_) => 0,
-            Sink::Full(v) => v.len(),
-        }
-    }
-
-    /// Records written to a streaming sink so far (0 for in-memory sinks).
-    pub fn streamed(&self) -> usize {
-        match &self.sink {
-            Sink::Stream(s) => s.written,
-            _ => 0,
-        }
+        self.records.len()
     }
 
     /// True when no records are held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
     /// Drain the held records in chronological order. The tracer keeps
-    /// recording afterwards. A
-    /// streaming sink holds nothing — its records are already on disk —
-    /// so it flushes and returns empty.
+    /// recording afterwards.
     pub fn take_records(&mut self) -> Vec<TraceRecord> {
-        match &mut self.sink {
-            Sink::Null => Vec::new(),
-            Sink::Full(v) => std::mem::take(v),
-            Sink::Stream(_) => {
-                self.finish();
-                Vec::new()
-            }
-        }
+        std::mem::take(&mut self.records)
     }
 }
 
@@ -438,8 +339,7 @@ pub fn render_text(records: &[TraceRecord]) -> String {
     out
 }
 
-/// Render one record as its `render_text` line (the streaming sink writes
-/// through this, so streamed and buffered traces are byte-identical).
+/// Render one record as its `render_text` line.
 fn render_record(out: &mut String, r: &TraceRecord) {
     let t = r.at.as_secs_f64();
     match r.event {
@@ -580,8 +480,10 @@ mod tests {
 
     #[test]
     fn zero_mask_forces_null_sink() {
-        let t = Tracer::with_mask(0);
+        let mut t = Tracer::with_mask(0);
         assert!(t.is_off());
+        t.emit(SimTime(1), TraceEvent::Arrival { query: 1, class: 0 });
+        assert!(t.is_empty(), "a zero mask records nothing");
     }
 
     #[test]
@@ -725,33 +627,5 @@ mod tests {
         let got = t.take_records();
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0].event, TraceEvent::Degraded { .. }));
-    }
-
-    #[test]
-    fn streaming_sink_matches_render_text_byte_for_byte() {
-        let dir = std::env::temp_dir().join("obs-stream-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("trace-{}.txt", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let records: Vec<TraceRecord> =
-            (0..10).map(|i| rec(i, i)).chain(fault_records()).collect();
-        {
-            let mut t = Tracer::streaming(&path, TraceKind::ALL).unwrap();
-            for r in &records {
-                t.emit(r.at, r.event);
-            }
-            assert_eq!(t.len(), 0, "nothing buffered");
-            assert_eq!(t.streamed(), records.len());
-            assert!(t.take_records().is_empty(), "records live on disk");
-        }
-        let streamed = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(streamed, render_text(&records));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn streaming_with_zero_mask_opens_nothing() {
-        let t = Tracer::streaming("/nonexistent-dir/never-created.txt", 0).unwrap();
-        assert!(t.is_off());
     }
 }

@@ -79,9 +79,6 @@ pub enum ConfigError {
     /// A degradation factor or shock fraction outside its meaningful
     /// range (factor must be positive and finite; fraction in (0, 1]).
     FaultFactorInvalid,
-    /// A zero base backoff or a cap below the base: the retry ladder
-    /// would spin without advancing virtual time (or be non-monotone).
-    FaultBackoffInvalid,
     /// A class bills a tenant index ≥ `tenants.len()` while tenants are
     /// declared.
     ClassTenantOutOfRange,
@@ -109,9 +106,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::FaultFactorInvalid => {
                 "degrade factors must be positive and finite; \
                  shock fractions must lie in (0, 1]"
-            }
-            ConfigError::FaultBackoffInvalid => {
-                "fault retry backoff needs base > 0 and cap >= base"
             }
             ConfigError::ClassTenantOutOfRange => {
                 "a class bills a tenant index beyond the declared tenants"
@@ -194,14 +188,9 @@ impl SimConfig {
     }
 
     /// Replace the workload with `scenario` (classes, schedule, tenants).
-    ///
-    /// # Panics
-    /// Panics when a class references an undeclared tenant — a scenario
-    /// authoring bug worth failing loudly on.
+    /// A class billing an undeclared tenant is caught by
+    /// [`SimConfig::validate`] ([`ConfigError::ClassTenantOutOfRange`]).
     pub fn apply_scenario(&mut self, scenario: Scenario) {
-        if let Err(e) = scenario.validate() {
-            panic!("invalid scenario {:?}: {e}", scenario.name);
-        }
         self.classes = scenario.classes;
         self.schedule = scenario.schedule;
         self.tenants = scenario.tenants;
@@ -223,7 +212,8 @@ impl SimConfig {
 
     /// Reject degenerate configurations before they become implicit panics
     /// (or, worse, division-by-zero) deep inside the engine. The driver
-    /// calls this on every cell before spawning replications.
+    /// calls this on every cell before spawning replications, and
+    /// `Simulator::new` panics on a config it rejects.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let r = &self.resources;
         if r.exec.block_pages == 0 {
@@ -235,8 +225,7 @@ impl SimConfig {
         if self.classes.is_empty() {
             return Err(ConfigError::NoClasses);
         }
-        if !self.tenants.is_empty()
-            && self.classes.iter().any(|c| c.tenant >= self.tenants.len())
+        if workload::scenario::dangling_tenant_ref(&self.classes, &self.tenants).is_some()
         {
             return Err(ConfigError::ClassTenantOutOfRange);
         }
@@ -282,10 +271,6 @@ impl SimConfig {
                     }
                 }
             }
-        }
-        let retry = &self.faults.retry;
-        if retry.base.is_zero() || retry.cap < retry.base {
-            return Err(ConfigError::FaultBackoffInvalid);
         }
         Ok(())
     }
@@ -408,8 +393,7 @@ impl SimConfig {
             0,
             ArrivalSpec::poisson(0.05),
         );
-        // Sorts bill the reporting partition — assigned before
-        // `apply_scenario` so its tenant-reference validation covers it.
+        // Sorts bill the reporting partition.
         scenario.classes[1].tenant = 1;
         cfg.apply_scenario(
             scenario
@@ -643,8 +627,7 @@ mod tests {
 
     #[test]
     fn validate_accepts_fault_plans_and_rejects_bad_ones() {
-        use crate::faults::{DegradationMode, FaultPlan, FaultSpec, RetrySpec};
-        use simkit::Duration;
+        use crate::faults::{DegradationMode, FaultPlan, FaultSpec};
 
         for i in [0.0, 0.5, 1.0] {
             assert_eq!(SimConfig::faulty(i).validate(), Ok(()));
@@ -690,30 +673,36 @@ mod tests {
             fraction: 1.5,
         });
         assert_eq!(cfg.validate(), Err(ConfigError::FaultFactorInvalid));
-
-        let mut cfg = SimConfig::faulty(1.0);
-        cfg.faults.retry = RetrySpec {
-            max_retries: 3,
-            base: Duration::ZERO,
-            cap: Duration::from_secs(1),
-        };
-        assert_eq!(cfg.validate(), Err(ConfigError::FaultBackoffInvalid));
-        cfg.faults.retry = RetrySpec {
-            max_retries: 3,
-            base: Duration::from_secs(2),
-            cap: Duration::from_secs(1),
-        };
-        assert_eq!(cfg.validate(), Err(ConfigError::FaultBackoffInvalid));
     }
 
     #[test]
-    #[should_panic(expected = "invalid scenario")]
+    #[should_panic(expected = "invalid SimConfig")]
     fn apply_scenario_rejects_dangling_tenant_refs() {
         let mut cfg = SimConfig::baseline(0.05);
-        let bad = Scenario::join_heavy((0, 1), ArrivalSpec::poisson(0.05))
-            .tenant(TenantSpec::hard("only", 2560));
-        let mut classes = bad.classes.clone();
-        classes[0].tenant = 5;
-        cfg.apply_scenario(Scenario { classes, ..bad });
+        cfg.apply_scenario(
+            Scenario::mixed(
+                (0, 1),
+                ArrivalSpec::bursty(0.04, 8.0, 600.0),
+                0,
+                ArrivalSpec::poisson(0.02),
+            )
+            .tenant(TenantSpec::hard("joins", 1500))
+            .tenant(TenantSpec::soft("sorts", 1000)),
+        );
+        assert_eq!(cfg.validate(), Ok(()));
+        let stray = WorkloadClass::poisson(
+            "Stray",
+            QueryType::ExternalSort { group: 0 },
+            0.01,
+            (2.5, 7.5),
+        )
+        .for_tenant(3);
+        cfg.apply_scenario(
+            Scenario::join_heavy((0, 1), ArrivalSpec::poisson(0.05))
+                .class(stray)
+                .tenant(TenantSpec::hard("only", 2560)),
+        );
+        assert_eq!(cfg.validate(), Err(ConfigError::ClassTenantOutOfRange));
+        crate::engine::Simulator::new(cfg, Box::new(pmm::MinMaxPolicy::unlimited()));
     }
 }

@@ -163,7 +163,7 @@ struct LiveQuery {
     granted: u32,
     first_admit: Option<SimTime>,
     waiting: Waiting,
-    /// Placement of the operand relation(s) (R, and S for joins).
+    /// Where the operand relation(s) live (R, and S for joins).
     r_place: PlacedFile,
     s_place: Option<PlacedFile>,
     /// Live temp files by operator slot (operators use one slot today, so a
@@ -687,7 +687,7 @@ pub struct Simulator {
     /// Indices of the tenants whose `touched` flag is set.
     touched: Vec<u32>,
     // Observability: the single recording path (arrival gaps, the query
-    // lifecycle, policy decisions all flow through this sink), the
+    // lifecycle, policy decisions all flow through this tracer), the
     // pre-registered metrics instruments, and the wall-clock profiler.
     tracer: Tracer,
     obs_metrics: Option<Box<ObsMetrics>>,
@@ -709,7 +709,14 @@ pub struct Simulator {
 
 impl Simulator {
     /// Build a simulator for `cfg` driven by `policy`.
+    ///
+    /// # Panics
+    /// Panics with `invalid SimConfig: <reason>` when
+    /// [`SimConfig::validate`] rejects `cfg`.
     pub fn new(cfg: SimConfig, policy: Box<dyn MemoryPolicy>) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SimConfig: {e}");
+        }
         let seeds = SeedSequence::new(cfg.seed);
         let mut layout_rng = seeds.stream("layout");
         let layout = Layout::build(
@@ -721,15 +728,12 @@ impl Simulator {
         let start = SimTime::ZERO;
         let device = cfg.resources.device;
         let geometry = cfg.resources.geometry;
-        let mut disks = DiskFarm::new(
+        let disks = DiskFarm::new(
             cfg.resources.num_disks,
             || device.build(&geometry),
             cfg.resources.exec.block_pages,
         );
         let n_disks = cfg.resources.num_disks as usize;
-        for d in 0..n_disks {
-            disks.disk_mut(d).set_retry_spec(cfg.faults.retry);
-        }
         // Expand the fault plan into window edges up front. Stable sort by
         // time keeps plan order as the tie-break, so the firing sequence is
         // a pure function of the plan.
@@ -763,14 +767,7 @@ impl Simulator {
             .collect();
         let tenant_feedback = !tenants.is_empty() && policy.wants_tenant_feedback();
         let use_dirty = !tenants.is_empty() && policy.supports_dirty_allocation();
-        // A zero mask is the null sink either way; a trace path streams
-        // the recorded kinds to disk instead of buffering the run.
-        let tracer = match &cfg.obs.trace_path {
-            Some(path) => Tracer::streaming(path, cfg.obs.trace).unwrap_or_else(|e| {
-                panic!("cannot open trace stream {}: {e}", path.display())
-            }),
-            None => Tracer::with_mask(cfg.obs.trace),
-        };
+        let tracer = Tracer::with_mask(cfg.obs.trace);
         let obs_metrics = cfg
             .obs
             .metrics
@@ -2612,7 +2609,6 @@ mod tests {
                     fraction: 0.02,
                 }],
                 mode,
-                ..FaultPlan::default()
             };
             run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()))
         };
@@ -2643,28 +2639,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_trace_matches_the_buffered_rendering() {
-        let dir = std::env::temp_dir().join("rtdbs_stream_test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("trace.txt");
-        let _ = std::fs::remove_file(&path);
-        let mut cfg = quick_cfg(0.05, 600.0);
-        cfg.obs.trace = TraceKind::ALL;
-        let buffered = run_simulation(cfg.clone(), Box::new(MinMaxPolicy::unlimited()));
-        let rendered = obs::render_text(&buffered.obs_trace);
-        cfg.obs.trace_path = Some(path.clone());
-        let streamed = run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()));
-        assert!(
-            streamed.obs_trace.is_empty(),
-            "streamed runs keep no in-memory trace"
-        );
-        assert_eq!(
-            streamed.served, buffered.served,
-            "streaming must not perturb the run"
-        );
-        let on_disk = std::fs::read_to_string(&path).expect("streamed trace file");
-        assert_eq!(on_disk, rendered, "streamed bytes == buffered rendering");
-        let _ = std::fs::remove_file(&path);
+    #[should_panic(expected = "invalid SimConfig")]
+    fn new_rejects_a_class_billing_an_undeclared_tenant() {
+        let mut cfg = SimConfig::multi_tenant(0.5);
+        cfg.classes[0].tenant = cfg.tenants.len();
+        Simulator::new(cfg, Box::new(MinMaxPolicy::unlimited()));
     }
 
     #[test]

@@ -10,18 +10,16 @@
 //!   disk's media service times are multiplied by `factor` (the cache is
 //!   unaffected: the media is slow, not the controller).
 //! * [`FaultSpec::DiskOutage`] — a window during which every access to one
-//!   disk fails, even would-be cache hits. The storage layer retries with
-//!   capped exponential backoff priced in sim time ([`RetrySpec`]); when
-//!   the budget is spent the engine applies the owning query's
-//!   [`DegradationMode`].
+//!   disk fails, even would-be cache hits. The storage layer retries up
+//!   to 5 times with capped exponential backoff priced in sim time
+//!   (0.25 s doubling to a 4 s cap); when the budget is spent the engine
+//!   applies the owning query's [`DegradationMode`].
 //! * [`FaultSpec::MemoryShock`] — total buffer memory shrinks to
 //!   `fraction` of its configured size, then restores. The engine
 //!   reallocates under the shrunken pool and applies each de-scheduled
 //!   victim's [`DegradationMode`]; policy feedback batches that overlap the
 //!   shock are segmented out so learned estimates are not poisoned by
 //!   shock-era samples.
-
-pub use storage::RetrySpec;
 
 /// One scheduled fault: a window `[start_secs, end_secs)` of virtual time.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -115,8 +113,6 @@ impl std::fmt::Display for DegradationMode {
 pub struct FaultPlan {
     /// Scheduled faults, applied at their window boundaries.
     pub events: Vec<FaultSpec>,
-    /// Retry/backoff parameters every disk uses during outages.
-    pub retry: RetrySpec,
     /// Degradation mode for every fault victim.
     pub mode: DegradationMode,
 }
@@ -160,7 +156,6 @@ impl FaultPlan {
                     fraction: 1.0 - 0.5 * intensity,
                 },
             ],
-            retry: RetrySpec::default(),
             mode: DegradationMode::Abort,
         }
     }

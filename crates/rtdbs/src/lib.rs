@@ -29,7 +29,7 @@ pub use config::{
     ResourceConfig, Scenario, SimConfig, SsdSpec, TenantSpec, WorkloadClass,
 };
 pub use engine::{run_simulation, Event, Simulator};
-pub use faults::{DegradationMode, FaultPlan, FaultSpec, RetrySpec};
+pub use faults::{DegradationMode, FaultPlan, FaultSpec};
 pub use metrics::{
     arrival_gaps, ClassOutcome, RunReport, TenantOutcome, Timings, WindowPoint,
 };

@@ -124,9 +124,9 @@ pub struct RunReport {
     /// Structured sim-time trace: every record whose kind is in the
     /// `SimConfig::obs.trace` mask (arrivals, gaps, admissions, grants,
     /// CPU/I/O bursts, departures, policy decisions, batch boundaries,
-    /// faults), chronological. Empty when the mask is zero or the records
-    /// streamed to `obs.trace_path`. Excluded from goldens and figure
-    /// JSON — observability, not a metric.
+    /// faults), chronological. Empty when the mask is zero. Held in memory
+    /// for the whole run. Excluded from goldens and figure JSON —
+    /// observability, not a metric.
     pub obs_trace: Vec<obs::TraceRecord>,
     /// Frozen metrics registry (counters/gauges/histograms + windowed
     /// counter deltas), populated when `SimConfig::obs.metrics` is set.

@@ -73,11 +73,6 @@ impl Duration {
         self.0 as f64 / TICKS_PER_SEC as f64
     }
 
-    /// True if this span is zero ticks long.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Scale the span by a non-negative factor, rounding to the nearest tick.
     pub fn scale(self, factor: f64) -> Duration {
         debug_assert!(factor >= 0.0, "durations cannot be negative");

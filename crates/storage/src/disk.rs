@@ -81,42 +81,24 @@ pub enum Service {
     FaultExhausted,
 }
 
-/// Retry/backoff parameters for transient device faults: a failed access is
-/// retried up to `max_retries` times, waiting
-/// `min(base · 2^(attempt−1), cap)` of sim time before each attempt, then
-/// surfaces [`Service::FaultExhausted`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetrySpec {
-    /// Retry attempts before the hard error (0 = fail immediately).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Ceiling on the exponential backoff.
-    pub cap: Duration,
-}
+/// Retry attempts an access gets during an outage before it surfaces as
+/// [`Service::FaultExhausted`].
+const MAX_RETRIES: u32 = 5;
+/// Backoff before the first retry: 0.25 s of sim time.
+const BACKOFF_BASE: Duration = Duration(250_000);
+/// Ceiling on the exponential backoff: 4 s of sim time.
+const BACKOFF_CAP: Duration = Duration(4_000_000);
 
-impl Default for RetrySpec {
-    fn default() -> Self {
-        RetrySpec {
-            max_retries: 5,
-            base: Duration::from_secs_f64(0.25),
-            cap: Duration::from_secs(4),
+/// Backoff before retry `attempt` (1-based): `min(base · 2^(attempt−1), cap)`.
+fn backoff(attempt: u32) -> Duration {
+    let mut b = BACKOFF_BASE;
+    for _ in 1..attempt {
+        if b >= BACKOFF_CAP {
+            break;
         }
+        b = Duration(b.0.saturating_mul(2));
     }
-}
-
-impl RetrySpec {
-    /// Backoff before retry `attempt` (1-based): capped exponential.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let mut b = self.base;
-        for _ in 1..attempt {
-            if b >= self.cap {
-                break;
-            }
-            b = Duration(b.0.saturating_mul(2));
-        }
-        b.min(self.cap)
-    }
+    b.min(BACKOFF_CAP)
 }
 
 /// One disk: queue + service model + cache, plus fault state (degradation
@@ -135,7 +117,6 @@ pub struct Disk {
     outage: bool,
     /// The access waiting out a backoff, with its retry attempt count.
     retry: Option<(Access, u32)>,
-    retry_cfg: RetrySpec,
 }
 
 impl Disk {
@@ -151,7 +132,6 @@ impl Disk {
             degrade: 1.0,
             outage: false,
             retry: None,
-            retry_cfg: RetrySpec::default(),
         }
     }
 
@@ -164,11 +144,6 @@ impl Disk {
     /// Enter (`true`) or leave (`false`) an outage window.
     pub fn set_outage(&mut self, outage: bool) {
         self.outage = outage;
-    }
-
-    /// Replace the retry/backoff parameters.
-    pub fn set_retry_spec(&mut self, spec: RetrySpec) {
-        self.retry_cfg = spec;
     }
 
     /// The device's service model (for introspection/tests).
@@ -216,12 +191,12 @@ impl Disk {
         };
         if self.outage {
             let attempt = attempts + 1;
-            if attempt > self.retry_cfg.max_retries {
+            if attempt > MAX_RETRIES {
                 // Budget spent: hard error; the disk stays idle so the
                 // caller can immediately start the next request.
                 return Some((access, Service::FaultExhausted));
             }
-            let backoff = self.retry_cfg.backoff(attempt);
+            let backoff = backoff(attempt);
             self.retry = Some((access.clone(), attempt));
             // Busy blocks the queue for the backoff, but the device is not
             // serving (the caller books no busy time for it).
@@ -585,16 +560,14 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential() {
-        let spec = RetrySpec {
-            max_retries: 10,
-            base: Duration::from_secs(1),
-            cap: Duration::from_secs(4),
-        };
-        assert_eq!(spec.backoff(1), Duration::from_secs(1));
-        assert_eq!(spec.backoff(2), Duration::from_secs(2));
-        assert_eq!(spec.backoff(3), Duration::from_secs(4));
-        assert_eq!(spec.backoff(4), Duration::from_secs(4), "capped");
-        assert_eq!(spec.backoff(100), Duration::from_secs(4));
+        let ms = Duration::from_millis_f64;
+        assert_eq!(backoff(1), ms(250.0));
+        assert_eq!(backoff(2), ms(500.0));
+        assert_eq!(backoff(3), ms(1_000.0));
+        assert_eq!(backoff(4), ms(2_000.0));
+        assert_eq!(backoff(5), ms(4_000.0));
+        assert_eq!(backoff(6), ms(4_000.0), "capped");
+        assert_eq!(backoff(100), ms(4_000.0));
     }
 
     #[test]
@@ -604,42 +577,30 @@ mod tests {
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         disk.start().unwrap();
         disk.finish();
-        disk.set_retry_spec(RetrySpec {
-            max_retries: 2,
-            base: Duration::from_secs(1),
-            cap: Duration::from_secs(4),
-        });
         disk.set_outage(true);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        // Two retries with doubling backoff, then the hard error.
-        let (_, s1) = disk.start().unwrap();
-        assert_eq!(
-            s1,
-            Service::Faulted {
-                attempt: 1,
-                backoff: Duration::from_secs(1)
-            },
-            "a warm cache does not save an unreachable device"
-        );
-        assert!(disk.is_busy(), "backoff occupies the device");
-        disk.retry_elapsed();
-        let (_, s2) = disk.start().unwrap();
-        assert_eq!(
-            s2,
-            Service::Faulted {
-                attempt: 2,
-                backoff: Duration::from_secs(2)
-            }
-        );
-        disk.retry_elapsed();
-        let (_, s3) = disk.start().unwrap();
-        assert_eq!(s3, Service::FaultExhausted);
+        // Five retries with doubling backoff, then the hard error.
+        for attempt in 1..=MAX_RETRIES {
+            let (_, s) = disk.start().unwrap();
+            assert_eq!(
+                s,
+                Service::Faulted {
+                    attempt,
+                    backoff: backoff(attempt)
+                },
+                "a warm cache does not save an unreachable device"
+            );
+            assert!(disk.is_busy(), "backoff occupies the device");
+            disk.retry_elapsed();
+        }
+        let (_, s) = disk.start().unwrap();
+        assert_eq!(s, Service::FaultExhausted);
         assert!(!disk.is_busy(), "hard error leaves the disk idle");
         // Recovery: the same access succeeds (from cache) once healthy.
         disk.set_outage(false);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s4) = disk.start().unwrap();
-        assert_eq!(s4, Service::CacheHit);
+        let (_, s) = disk.start().unwrap();
+        assert_eq!(s, Service::CacheHit);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub enum FileId {
     Temp(u64),
 }
 
-/// Placement and size of one file.
+/// Location and size of one file.
 #[derive(Clone, Copy, Debug)]
 pub struct FileMeta {
     /// Disk holding the file (files never span disks in this model).
@@ -221,7 +221,7 @@ impl Layout {
         self.relations[members[rng.index(members.len())]]
     }
 
-    /// Placement of `file`.
+    /// Location of `file`.
     ///
     /// # Panics
     /// Panics if the file does not exist (use after `drop_temp`).

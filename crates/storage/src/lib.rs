@@ -28,7 +28,7 @@ pub mod pool;
 pub mod queue;
 pub mod service;
 
-pub use disk::{Access, Disk, DiskFarm, IoKind, RetrySpec, Service};
+pub use disk::{Access, Disk, DiskFarm, IoKind, Service};
 pub use geometry::{DiskGeometry, ServiceTable};
 pub use layout::{
     DiskId, FastMap, FileId, FileMeta, Layout, RelationGroupSpec, RelationMeta,

@@ -102,28 +102,20 @@ impl Scenario {
     pub fn mean_rate(&self) -> f64 {
         self.classes.iter().map(WorkloadClass::mean_rate).sum()
     }
+}
 
-    /// Internal consistency: class tenant indices must reference declared
-    /// tenants (when any are declared).
-    ///
-    /// # Errors
-    /// Describes the first out-of-range tenant reference.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.tenants.is_empty() {
-            return Ok(());
-        }
-        for c in &self.classes {
-            if c.tenant >= self.tenants.len() {
-                return Err(format!(
-                    "class {:?} references tenant {} but only {} tenants declared",
-                    c.name,
-                    c.tenant,
-                    self.tenants.len()
-                ));
-            }
-        }
-        Ok(())
+/// The first class that bills a tenant index beyond `tenants` while any
+/// tenants are declared (none declared = one implicit tenant, so every
+/// index is fine). `SimConfig::validate` in `rtdbs` rejects a config for
+/// which this returns a class.
+pub fn dangling_tenant_ref<'a>(
+    classes: &'a [WorkloadClass],
+    tenants: &[TenantSpec],
+) -> Option<&'a WorkloadClass> {
+    if tenants.is_empty() {
+        return None;
     }
+    classes.iter().find(|c| c.tenant >= tenants.len())
 }
 
 #[cfg(test)]
@@ -143,7 +135,7 @@ mod tests {
         assert_eq!(s.classes.len(), 2);
         assert_eq!(s.tenants.len(), 2);
         assert!((s.mean_rate() - 0.06).abs() < 1e-12);
-        assert!(s.validate().is_ok());
+        assert!(dangling_tenant_ref(&s.classes, &s.tenants).is_none());
     }
 
     #[test]
@@ -159,6 +151,9 @@ mod tests {
                 .for_tenant(3),
             )
             .tenant(TenantSpec::hard("only", 2560));
-        assert!(s.validate().unwrap_err().contains("tenant 3"));
+        let stray =
+            dangling_tenant_ref(&s.classes, &s.tenants).expect("tenant 3 is undeclared");
+        assert_eq!((stray.name.as_str(), stray.tenant), ("Stray", 3));
+        assert!(dangling_tenant_ref(&s.classes, &[]).is_none());
     }
 }

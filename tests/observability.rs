@@ -24,7 +24,6 @@ fn observed(secs: f64, trace: u16) -> RunReport {
     let mut cfg = short_baseline(0.06, secs);
     cfg.obs = ObsConfig {
         trace,
-        trace_path: None,
         metrics: true,
         profile: true,
     };
@@ -33,7 +32,7 @@ fn observed(secs: f64, trace: u16) -> RunReport {
 
 /// The overhead gate's semantic half: with every observability feature on,
 /// the simulation's outcomes are bit-identical to a dark run. (The byte
-/// half — the null sink leaving the golden report untouched — is pinned by
+/// half — a zero trace mask leaving the golden report untouched — is pinned by
 /// `golden_report.rs`, which runs with `ObsConfig::default()`.)
 #[test]
 fn observability_is_behavior_invariant() {
