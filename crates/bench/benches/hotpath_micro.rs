@@ -1,7 +1,8 @@
 //! Hot-path micro-benchmarks: the substrates the event loop spends its
 //! time in — the calendar (push/pop/cancel), the memory-division
 //! allocators behind `reallocate()`, the per-disk ED+elevator queue and
-//! prefetch pool, and operator stepping at paper-scale relation sizes.
+//! prefetch pool, and operator stepping at paper-scale relation sizes —
+//! plus the set-up cost of a 10³-tenant simulator.
 //!
 //! These track the repo's perf trajectory: run
 //! `cargo bench -p bench --bench hotpath_micro` before and after touching
@@ -16,6 +17,7 @@ use pmm_core::pmm::{
     IncrementalPartitioned, PartitionScratch, PartitionSpec, PartitionStrategy,
     QueryDemand, QueryId,
 };
+use pmm_core::rtdbs::{SimConfig, Simulator};
 use pmm_core::simkit::metrics::{TimeWeighted, TimeWeightedN, TimeWeightedRows};
 use pmm_core::simkit::{Calendar, Duration, SimTime};
 use pmm_core::storage::{BufferPool, DiskQueue, FileId, QueuedRequest};
@@ -652,6 +654,18 @@ fn bench(c: &mut Criterion) {
                 n += 1;
             }
             black_box(n)
+        })
+    });
+
+    // Building one `tenants-1000` replication the way the benchmark times
+    // its set-up: the 10³-tenant preset, its partitioned policy and the
+    // simulator. Construction makes one allocation per class and tenant
+    // name and O(1) others (`tests/setup_allocations.rs` pins that).
+    c.bench_function("setup/scale_1000", |b| {
+        b.iter(|| {
+            let cfg = SimConfig::scale(1000);
+            let policy = bench::make_policy_for(&cfg, "Partitioned-soft");
+            black_box(Simulator::new(cfg, policy))
         })
     });
 }

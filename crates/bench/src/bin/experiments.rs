@@ -73,12 +73,13 @@
 //! index, and seed.
 
 use bench::driver::{
-    metrics_json, perf_json, profile_json, quarantine_json, run_figure, trace_files,
-    DriverConfig, FigureResult, FIGURES,
+    metrics_json, perf_json, profile_json, quarantine_json, run_figure_traced,
+    trace_files, CellTrace, DriverConfig, FigureResult, FIGURES,
 };
 use pmm_core::obs::{self, TraceKind};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Flags that take a value.
 const VALUE_FLAGS: [&str; 6] = [
@@ -207,7 +208,22 @@ fn run_driver(args: &[String]) -> Result<(), String> {
     let mut profiles: Vec<(String, obs::ProfileReport)> = Vec::new();
     for figure in &figures {
         let started = std::time::Instant::now();
-        let mut result = run_figure(figure, cfg.clone())?;
+        // Each projection of replication 0's recorded trace — the rendered
+        // structured trace and Chrome export, the arrival-gap streams, the
+        // PMM decision series, as far as the recorded kinds allow — is
+        // written and its records dropped as soon as that replication
+        // finishes, so no two cells' traces wait in memory together.
+        let written = AtomicUsize::new(0);
+        let write_trace = |trace: CellTrace| -> Result<(), String> {
+            for (name, body) in trace_files(figure, cfg.trace, &trace) {
+                let path = out_dir.join(name);
+                std::fs::write(&path, body)
+                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+                written.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(())
+        };
+        let result = run_figure_traced(figure, cfg.clone(), write_trace)?;
         print!("{}", result.render());
         let path = out_dir.join(format!("BENCH_{figure}.json"));
         std::fs::write(&path, result.to_json())
@@ -223,20 +239,7 @@ fn run_driver(args: &[String]) -> Result<(), String> {
             result.sim_s_per_wall_s(),
             result.events_per_sec(),
         );
-        // Each projection of replication 0's recorded trace: the rendered
-        // structured trace and Chrome export, the arrival-gap streams, the
-        // PMM decision series — as far as the recorded kinds allow.
-        let mut written = 0;
-        for (c, cell) in result.cells.iter_mut().enumerate() {
-            for (name, body) in trace_files(figure, cfg.trace, c, cell) {
-                let path = out_dir.join(name);
-                std::fs::write(&path, body)
-                    .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-                written += 1;
-            }
-            // The records are projected; drop them before the next figure.
-            cell.trace = Vec::new();
-        }
+        let written = written.into_inner();
         if written > 0 {
             println!("wrote {written} trace file(s) to {}", out_dir.display());
         }

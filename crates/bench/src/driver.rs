@@ -295,13 +295,14 @@ pub struct DriverConfig {
     pub secs: f64,
     /// Master seed the per-replication streams derive from.
     pub master_seed: u64,
-    /// The trace kinds replication 0 of every cell records into
-    /// [`MergedCell::trace`] (`--trace=<kinds>`), as an
-    /// [`obs::TraceKind`] mask: 0 records nothing, [`obs::TraceKind::ALL`]
-    /// the full structured sim-time trace. [`trace_files`] turns a
-    /// recording into the artifacts its kinds allow: the rendered trace,
-    /// the arrival-gap streams, the PMM decision series. Metric-only: the
-    /// merged `BENCH_<figure>.json` is unaffected.
+    /// The trace kinds replication 0 of every cell records
+    /// (`--trace=<kinds>`), as an [`obs::TraceKind`] mask: 0 records
+    /// nothing, [`obs::TraceKind::ALL`] the full structured sim-time trace.
+    /// [`run_figure_traced`] hands each recording to its sink as a
+    /// [`CellTrace`], and [`trace_files`] turns one into the artifacts its
+    /// kinds allow: the rendered trace, the arrival-gap streams, the PMM
+    /// decision series. Metric-only: the merged `BENCH_<figure>.json` is
+    /// unaffected.
     pub trace: u16,
     /// Collect the metrics registry on every replication (`--metrics`),
     /// merged per cell in seed order into [`MergedCell::metrics`]. Its
@@ -447,9 +448,25 @@ fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
         .collect()
 }
 
-/// The artifact files cell `c`'s recording ([`MergedCell::trace`])
-/// projects to, as `(file name, body)` pairs — one per projection whose
-/// kind `mask` recorded:
+/// Replication 0's recording of one cell, handed to
+/// [`run_figure_traced`]'s sink as soon as that replication finishes.
+#[derive(Debug)]
+pub struct CellTrace {
+    /// The cell's index in the figure.
+    pub cell: usize,
+    /// The cell's swept parameter ([`CellSpec::x`]).
+    pub x: f64,
+    /// The cell's label ([`CellSpec::policy`]).
+    pub policy: String,
+    /// Workload classes in the cell's config.
+    pub classes: usize,
+    /// The records of the kinds in [`DriverConfig::trace`], chronological.
+    pub records: Vec<obs::TraceRecord>,
+}
+
+/// The artifact files a cell's recording projects to, as
+/// `(file name, body)` pairs — one per projection whose kind `mask`
+/// recorded:
 ///
 /// - the full mask ([`obs::TraceKind::ALL`]): the rendered structured trace
 ///   `TRACE_obs_<figure>_cell<i>.txt`, plus the Chrome trace-event export
@@ -461,38 +478,32 @@ fn merge_classes(reports: &[RunReport]) -> Vec<MergedClass> {
 ///   `TRACE_pmm_<figure>_cell<i>.txt`, skipped for a cell whose policy
 ///   decided nothing (the static baselines).
 ///
-/// A cell none of whose replications completed projects to nothing.
-pub fn trace_files(
-    figure: &str,
-    mask: u16,
-    c: usize,
-    cell: &MergedCell,
-) -> Vec<(String, String)> {
+/// The sink only sees cells whose replication 0 completed, so a cell whose
+/// replication 0 panicked projects to nothing.
+pub fn trace_files(figure: &str, mask: u16, trace: &CellTrace) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    if cell.replications == 0 {
-        return files;
-    }
+    let c = trace.cell;
     // Every file starts `# <figure> cell <i> (x=…, policy=…)` followed by
     // what it holds.
     let header = |what: &str| {
         format!(
             "# {figure} cell {c} (x={:?}, policy={}){what}\n",
-            cell.x, cell.policy
+            trace.x, trace.policy
         )
     };
     if mask == obs::TraceKind::ALL {
         let mut body = header(" — replication 0 structured sim-time trace");
-        body.push_str(&obs::render_text(&cell.trace));
+        body.push_str(&obs::render_text(&trace.records));
         files.push((format!("TRACE_obs_{figure}_cell{c}.txt"), body));
         if c == 0 {
             files.push((
                 format!("CHROME_{figure}_cell0.json"),
-                obs::chrome_trace_json(&cell.trace),
+                obs::chrome_trace_json(&trace.records),
             ));
         }
     }
     if mask & obs::TraceKind::ArrivalGap.bit() != 0 {
-        for (class, gaps) in arrival_gaps(&cell.trace, cell.classes.len())
+        for (class, gaps) in arrival_gaps(&trace.records, trace.classes)
             .iter()
             .enumerate()
         {
@@ -509,7 +520,7 @@ pub fn trace_files(
         let mut body =
             header(" — replication 0 PMM decision trace: t_secs mode target_mpl");
         let mut decided = false;
-        for r in &cell.trace {
+        for r in &trace.records {
             if let obs::TraceEvent::PolicyDecision { mode, target_mpl } = r.event {
                 decided = true;
                 body.push_str(&format!(
@@ -579,12 +590,6 @@ pub struct MergedCell {
     /// merge index-by-index), `None` unless [`DriverConfig::metrics`] is
     /// set. Serialized by [`metrics_json`].
     pub metrics: Option<obs::MetricsReport>,
-    /// Replication 0's trace records of the kinds in
-    /// [`DriverConfig::trace`], chronological; [`trace_files`] projects
-    /// them. Empty when nothing is recorded. Held in memory for the whole
-    /// run, so its size grows with the horizon; [`DriverConfig::metrics`]
-    /// is the O(registry) alternative.
-    pub trace: Vec<obs::TraceRecord>,
     /// The replications that panicked, in replication order. Empty on a
     /// healthy cell.
     pub quarantine: Vec<QuarantinedUnit>,
@@ -706,7 +711,9 @@ pub fn replication_seed(master_seed: u64, rep: u64) -> u64 {
 }
 
 /// Run one figure: shard `cells × seeds` simulation units across
-/// `cfg.threads` workers, then merge per cell in seed order.
+/// `cfg.threads` workers, then merge per cell in seed order. Whatever
+/// [`DriverConfig::trace`] records is dropped; [`run_figure_traced`]
+/// hands it to a sink instead.
 ///
 /// # Errors
 /// Propagates [`figure_spec`]'s error for unknown figure names, rejects a
@@ -718,6 +725,27 @@ pub fn replication_seed(master_seed: u64, rep: u64) -> u64 {
 /// [`MergedCell::quarantine`] while every other unit completes. Only
 /// driver-internal invariant violations still panic.
 pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, String> {
+    run_figure_traced(figure, cfg, |_| Ok(()))
+}
+
+/// [`run_figure`], handing each cell's recording to `sink` on the worker
+/// that ran the cell's replication 0, as soon as that replication
+/// finishes. Only the recordings of the replications still running are
+/// held at once, whatever the number of cells, and each recording is a
+/// pure function of its cell and seed, so what the sink writes is
+/// independent of `cfg.threads`.
+///
+/// # Errors
+/// As [`run_figure`], plus the error of the lowest-numbered cell whose
+/// sink call failed; the other cells still run.
+pub fn run_figure_traced<F>(
+    figure: &str,
+    cfg: DriverConfig,
+    sink: F,
+) -> Result<FigureResult, String>
+where
+    F: Fn(CellTrace) -> Result<(), String> + Sync,
+{
     let spec = figure_spec(figure)?;
     // Replication `s` of cell `c` runs the cell's config with the driver's
     // duration, seed and observability settings. Traces are per cell, not
@@ -749,6 +777,8 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         .collect();
     let results: Vec<OnceLock<Result<(RunReport, f64), String>>> =
         units.iter().map(|_| OnceLock::new()).collect();
+    let sink_errors: Vec<OnceLock<String>> =
+        spec.cells.iter().map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
 
     let run_unit = |unit: usize| {
@@ -764,7 +794,21 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         }));
         let wall = started.elapsed().as_secs_f64();
         let entry = match outcome {
-            Ok(report) => Ok((report, wall)),
+            Ok(mut report) => {
+                if s == 0 && cfg.trace != 0 {
+                    let trace = CellTrace {
+                        cell: c,
+                        x: spec.cells[c].x,
+                        policy: spec.cells[c].policy.clone(),
+                        classes: spec.cells[c].config.classes.len(),
+                        records: std::mem::take(&mut report.obs_trace),
+                    };
+                    if let Err(e) = sink(trace) {
+                        let _ = sink_errors[c].set(e);
+                    }
+                }
+                Ok((report, wall))
+            }
             Err(payload) => Err(panic_message(payload.as_ref())),
         };
         results[unit]
@@ -791,8 +835,9 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
         });
     }
 
-    // Reports move out of the table: a traced replication 0's records are
-    // carried into the cell without a copy.
+    if let Some(e) = sink_errors.into_iter().find_map(OnceLock::into_inner) {
+        return Err(e);
+    }
     let mut results = results
         .into_iter()
         .map(|r| r.into_inner().expect("all units completed"));
@@ -854,10 +899,6 @@ pub fn run_figure(figure: &str, cfg: DriverConfig) -> Result<FigureResult, Strin
                 sim_secs: reports.iter().map(|r| r.sim_secs).sum(),
                 wall_secs,
                 metrics,
-                trace: reports
-                    .first_mut()
-                    .map(|r| std::mem::take(&mut r.obs_trace))
-                    .unwrap_or_default(),
                 quarantine,
             }
         })
@@ -1594,6 +1635,40 @@ mod tests {
         );
     }
 
+    /// `run_figure_traced` with a sink that keeps every recording, in
+    /// cell order.
+    fn run_traced(figure: &str, cfg: DriverConfig) -> (FigureResult, Vec<CellTrace>) {
+        let traces = std::sync::Mutex::new(Vec::new());
+        let r = run_figure_traced(figure, cfg, |t| {
+            traces.lock().expect("sink lock").push(t);
+            Ok(())
+        })
+        .expect("figure runs");
+        let mut traces = traces.into_inner().expect("sink lock");
+        traces.sort_by_key(|t| t.cell);
+        (r, traces)
+    }
+
+    #[test]
+    fn a_failing_trace_sink_fails_the_figure() {
+        let cfg = DriverConfig {
+            seeds: 1,
+            threads: 2,
+            secs: 100.0,
+            trace: obs::TraceKind::ALL,
+            ..DriverConfig::default()
+        };
+        let err = run_figure_traced("fig12", cfg, |t| match t.cell {
+            0 => Ok(()),
+            c => Err(format!("cell {c} refused")),
+        })
+        .expect_err("a sink error fails the figure");
+        assert_eq!(
+            err, "cell 1 refused",
+            "the lowest failing cell's error wins"
+        );
+    }
+
     #[test]
     fn pmm_decision_traces_are_recorded_on_request() {
         // Off by default: the merged JSON keeps dropping the Figure 15
@@ -1607,20 +1682,18 @@ mod tests {
             trace: obs::TraceKind::PolicyDecision.bit(),
             ..DriverConfig::default()
         };
-        let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
-        assert_eq!(r.cells.len(), 3, "one recording per cell");
+        let (r, traces) = run_traced("fig12", cfg.clone());
+        assert_eq!(traces.len(), 3, "one recording per cell");
         assert!(
-            r.cells
+            traces
                 .iter()
-                .flat_map(|c| &c.trace)
+                .flat_map(|t| &t.records)
                 .all(|rec| rec.event.kind() == obs::TraceKind::PolicyDecision),
             "the mask keeps only policy decisions"
         );
-        let files: Vec<(String, String)> = r
-            .cells
+        let files: Vec<(String, String)> = traces
             .iter()
-            .enumerate()
-            .flat_map(|(c, cell)| trace_files("fig12", cfg.trace, c, cell))
+            .flat_map(|t| trace_files("fig12", cfg.trace, t))
             .collect();
         assert_eq!(
             files.len(),
@@ -1663,11 +1736,10 @@ mod tests {
             trace: obs::TraceKind::ALL,
             ..cfg.clone()
         };
-        let full = run_figure("fig12", full).expect("traced rerun");
-        assert!(trace_files("fig12", obs::TraceKind::ALL, 2, &full.cells[2])
-            .contains(&files[0]));
-        let plain = run_figure("fig12", DriverConfig { trace: 0, ..cfg }).expect("rerun");
-        assert!(plain.cells.iter().all(|c| c.trace.is_empty()));
+        let (_, full) = run_traced("fig12", full);
+        assert!(trace_files("fig12", obs::TraceKind::ALL, &full[2]).contains(&files[0]));
+        let (plain, none) = run_traced("fig12", DriverConfig { trace: 0, ..cfg });
+        assert!(none.is_empty(), "nothing recorded, nothing handed over");
         assert_eq!(plain.to_json(), r.to_json());
     }
 
@@ -1682,9 +1754,9 @@ mod tests {
             metrics: true,
             profile: true,
         };
-        let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
-        assert_eq!(r.cells.len(), 3, "one structured trace per cell");
-        assert!(r.cells.iter().all(|c| !c.trace.is_empty()));
+        let (r, traces) = run_traced("fig12", cfg.clone());
+        assert_eq!(traces.len(), 3, "one structured trace per cell");
+        assert!(traces.iter().all(|t| !t.records.is_empty()));
         for cell in &r.cells {
             assert!(
                 cell.metrics
@@ -1715,8 +1787,8 @@ mod tests {
             profile: false,
             ..cfg.clone()
         };
-        let plain = run_figure("fig12", off).expect("rerun");
-        assert!(plain.cells.iter().all(|c| c.trace.is_empty()));
+        let (plain, none) = run_traced("fig12", off);
+        assert!(none.is_empty());
         assert!(plain.cells.iter().all(|c| c.metrics.is_none()));
         assert!(plain.profile.is_none());
         assert_eq!(plain.to_json(), r.to_json());
@@ -1740,11 +1812,8 @@ mod tests {
             metrics: true,
             ..DriverConfig::default()
         };
-        let r = run_figure("fig12", cfg.clone()).expect("fig12 runs");
-        assert!(
-            r.cells.iter().all(|c| c.trace.is_empty()),
-            "no trace is recorded"
-        );
+        let (r, traces) = run_traced("fig12", cfg.clone());
+        assert!(traces.is_empty(), "no trace is recorded");
         assert!(
             r.cells.iter().all(|c| c.metrics.is_some()),
             "one merged registry per cell"

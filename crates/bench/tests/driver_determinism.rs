@@ -2,9 +2,26 @@
 //! `(figure, secs, seeds, master_seed)` — never on the thread count or on
 //! which worker ran which replication.
 
-use bench::driver::{run_figure, DriverConfig};
+use bench::driver::{
+    run_figure, run_figure_traced, trace_files, CellTrace, DriverConfig, FigureResult,
+};
 use pmm_core::obs::TraceKind;
 use pmm_core::rtdbs::arrival_gaps;
+use std::sync::Mutex;
+
+/// `run_figure_traced` with a sink that keeps every recording, in cell
+/// order.
+fn run_traced(figure: &str, cfg: DriverConfig) -> (FigureResult, Vec<CellTrace>) {
+    let traces = Mutex::new(Vec::new());
+    let r = run_figure_traced(figure, cfg, |t| {
+        traces.lock().expect("sink lock").push(t);
+        Ok(())
+    })
+    .expect("figure runs");
+    let mut traces = traces.into_inner().expect("sink lock");
+    traces.sort_by_key(|t| t.cell);
+    (r, traces)
+}
 
 /// A parallel 4-thread run over N seeds produces byte-identical merged JSON
 /// to the serial run over the same seeds.
@@ -216,33 +233,30 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
         master_seed: 7,
         ..DriverConfig::default()
     };
-    let plain = run_figure("fig11", base.clone()).expect("plain run");
-    assert!(
-        plain.cells.iter().all(|c| c.trace.is_empty()),
-        "recording is off by default"
-    );
-    let recorded = run_figure(
+    let (plain, none) = run_traced("fig11", base.clone());
+    assert!(none.is_empty(), "recording is off by default");
+    let (recorded, traces) = run_traced(
         "fig11",
         DriverConfig {
             trace: TraceKind::ArrivalGap.bit(),
             ..base
         },
-    )
-    .expect("recording run");
+    );
     assert_eq!(
         plain.to_json(),
         recorded.to_json(),
         "recording must not perturb the merged JSON"
     );
-    for (c, cell) in recorded.cells.iter().enumerate() {
-        assert_eq!(cell.classes.len(), 1, "fig11 cells run one class");
-        let gaps = arrival_gaps(&cell.trace, 1).remove(0);
+    assert_eq!(traces.len(), recorded.cells.len(), "one recording per cell");
+    for t in &traces {
+        let c = t.cell;
+        assert_eq!(t.classes, 1, "fig11 cells run one class");
+        let gaps = arrival_gaps(&t.records, 1).remove(0);
         assert!(!gaps.is_empty(), "cell {c} recorded no gaps");
-        assert_eq!(gaps.len(), cell.trace.len(), "the mask keeps only gaps");
+        assert_eq!(gaps.len(), t.records.len(), "the mask keeps only gaps");
         // The recorded gaps replay through the Trace process exactly.
         let mut trace = pmm_core::workload::Trace::from_gaps(gaps.clone(), false);
         let mut rng = pmm_core::simkit::Rng::new(1);
-        use pmm_core::workload::ArrivalProcess;
         for (i, &g) in gaps.iter().enumerate() {
             let replayed = trace
                 .next_interarrival(&mut rng)
@@ -257,8 +271,9 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
     }
 }
 
-/// `--trace`: every observability artifact — the rendered structured
-/// traces, the merged metrics JSON, and the Chrome trace-event export — is
+/// `--trace`: every observability artifact — the trace files the driver
+/// projects as each cell's replication 0 finishes (rendered structured
+/// traces, Chrome trace-event export) and the merged metrics JSON — is
 /// byte-identical across thread counts, and the recording leaves the
 /// merged figure JSON untouched. The faults figure records the same way as
 /// every other, so its fault, retry and degradation records are pinned too.
@@ -274,37 +289,33 @@ fn trace_artifacts_are_thread_count_invariant() {
             metrics: true,
             ..DriverConfig::default()
         };
-        let serial = run_figure(figure, base.clone()).expect("serial run");
-        let parallel = run_figure(
+        let (serial, s_traces) = run_traced(figure, base.clone());
+        let (parallel, p_traces) = run_traced(
             figure,
             DriverConfig {
                 threads: 4,
                 ..base.clone()
             },
-        )
-        .expect("parallel run");
+        );
         assert_eq!(serial.to_json(), parallel.to_json());
-        assert_eq!(serial.cells.len(), parallel.cells.len());
-        for (c, (s, p)) in serial.cells.iter().zip(&parallel.cells).enumerate() {
-            assert!(!s.trace.is_empty(), "{figure} cell {c} recorded a trace");
+        assert_eq!(s_traces.len(), serial.cells.len(), "one recording per cell");
+        assert_eq!(s_traces.len(), p_traces.len());
+        for (s, p) in s_traces.iter().zip(&p_traces) {
+            let c = s.cell;
+            assert!(!s.records.is_empty(), "{figure} cell {c} recorded a trace");
             assert_eq!(
-                pmm_core::obs::render_text(&s.trace),
-                pmm_core::obs::render_text(&p.trace),
-                "{figure} cell {c}: rendered trace must be byte-identical \
-                 across thread counts"
-            );
-            assert_eq!(
-                pmm_core::obs::chrome_trace_json(&s.trace),
-                pmm_core::obs::chrome_trace_json(&p.trace),
-                "{figure} cell {c}: Chrome export must be byte-identical \
-                 across thread counts"
+                trace_files(figure, base.trace, s),
+                trace_files(figure, base.trace, p),
+                "{figure} cell {c}: trace files must be byte-identical across \
+                 thread counts"
             );
         }
         if figure == "faults" {
             assert!(
-                serial.cells.iter().any(
-                    |c| pmm_core::obs::render_text(&c.trace).contains(" fault kind=")
-                ),
+                s_traces
+                    .iter()
+                    .any(|t| pmm_core::obs::render_text(&t.records)
+                        .contains(" fault kind=")),
                 "the faults figure records its fault events"
             );
         }

@@ -215,9 +215,9 @@ impl LiveQuery {
 /// consumes randomness or moves an event, so single-tenant runs (where the
 /// vector is empty) are bit-identical to the pre-v2 engine.
 struct TenantState {
-    name: String,
+    /// The tenant's quota in pages (its name and softness stay in the
+    /// config's `TenantSpec`, read once by `finish_report`).
     quota: u32,
-    soft: bool,
     // Run-level outcomes and time-weighted usage.
     served: u64,
     missed: u64,
@@ -270,11 +270,9 @@ impl TenantState {
         ]
     }
 
-    fn new(name: String, quota: u32, soft: bool, start: SimTime) -> Self {
+    fn new(quota: u32, start: SimTime) -> Self {
         TenantState {
-            name,
             quota,
-            soft,
             served: 0,
             missed: 0,
             usage: TimeWeightedN::new(start),
@@ -652,7 +650,7 @@ pub struct Simulator {
     /// Live queries holding memory (granted > 0), maintained on grant
     /// diffs; the single-tenant `update_mpl` reading.
     holders: u32,
-    arrivals: Vec<Box<dyn ArrivalProcess>>,
+    arrivals: Vec<ArrivalProcess>,
     rng_arrival: Vec<Rng>,
     rng_pick: Vec<Rng>,
     rng_slack: Vec<Rng>,
@@ -660,6 +658,8 @@ pub struct Simulator {
     // Run-level metrics.
     served: u64,
     missed: u64,
+    /// Per-class counts; the names stay in the config until
+    /// `finish_report` moves them in.
     class_outcomes: Vec<ClassOutcome>,
     timings: TimingTallies,
     /// The MPL over the run and over the global feedback window, on one
@@ -763,7 +763,7 @@ impl Simulator {
         let tenants: Vec<TenantState> = cfg
             .tenants
             .iter()
-            .map(|t| TenantState::new(t.name.clone(), t.quota_pages, t.soft, start))
+            .map(|t| TenantState::new(t.quota_pages, start))
             .collect();
         let tenant_feedback = !tenants.is_empty() && policy.wants_tenant_feedback();
         let use_dirty = !tenants.is_empty() && policy.supports_dirty_allocation();
@@ -814,15 +814,7 @@ impl Simulator {
             standalone_cache: storage::FastMap::default(),
             served: 0,
             missed: 0,
-            class_outcomes: cfg
-                .classes
-                .iter()
-                .map(|c| ClassOutcome {
-                    name: c.name.clone(),
-                    served: 0,
-                    missed: 0,
-                })
-                .collect(),
+            class_outcomes: vec![ClassOutcome::default(); n_classes],
             timings: TimingTallies::default(),
             mpl: TimeWeighted::new(start, 0.0),
             miss_series: BatchMeans::new(100),
@@ -1347,10 +1339,10 @@ impl Simulator {
         let mut mpl = 0.0;
         for (row, &ti) in self.row_tenant.iter().enumerate() {
             let t = &self.tenants[ti as usize];
-            assert_eq!(t.row, Some(row as u32), "tenant {} row", t.name);
-            assert!(t.cur_holders > 0, "idle tenant {} kept its row", t.name);
+            assert_eq!(t.row, Some(row as u32), "tenant {ti} row");
+            assert!(t.cur_holders > 0, "idle tenant {ti} kept its row");
             let usage = t.usage_now();
-            assert_eq!(self.usage_rows.current(row), usage, "tenant {}", t.name);
+            assert_eq!(self.usage_rows.current(row), usage, "tenant {ti}");
             if self.tenant_feedback {
                 assert_eq!(self.b_mpl_rows.current(row), [usage[0]]);
             }
@@ -2006,15 +1998,22 @@ impl Simulator {
         for (row, &ti) in self.row_tenant.iter().enumerate() {
             self.tenants[ti as usize].usage = self.usage_rows.get(row);
         }
+        // The run owns its config, so the reports take the names from it
+        // rather than copying them.
+        let mut classes = self.class_outcomes;
+        for (outcome, class) in classes.iter_mut().zip(&mut self.cfg.classes) {
+            outcome.name = std::mem::take(&mut class.name);
+        }
         let tenant_outcomes: Vec<TenantOutcome> = self
             .tenants
             .iter_mut()
-            .map(|t| {
+            .zip(&mut self.cfg.tenants)
+            .map(|(t, spec)| {
                 let [avg_mpl, used, borrowed_pages] = t.usage.means(now);
                 TenantOutcome {
-                    name: t.name.clone(),
+                    name: std::mem::take(&mut spec.name),
                     quota_pages: t.quota,
-                    soft: t.soft,
+                    soft: spec.soft,
                     served: t.served,
                     missed: t.missed,
                     avg_mpl,
@@ -2031,7 +2030,7 @@ impl Simulator {
             policy: self.policy.name(),
             served: self.served,
             missed: self.missed,
-            classes: self.class_outcomes,
+            classes,
             tenants: tenant_outcomes,
             avg_mpl: self.mpl.mean(now),
             cpu_util: self.cpu.util.fraction(now),
@@ -2319,10 +2318,15 @@ mod tests {
             sim.tenants.iter().any(|t| t.row.is_none() && t.served > 0),
             "some tenant went idle → holding → idle and left the rows"
         );
-        for t in sim.tenants.iter().filter(|t| t.row.is_none()) {
-            assert_eq!((t.cur_holders, t.cur_pages), (0, 0), "tenant {}", t.name);
-            assert_eq!(t.usage.current(), [0.0; 3], "tenant {} usage", t.name);
-            assert_eq!(t.b_mpl.current(), [0.0], "tenant {} b_mpl", t.name);
+        for (ti, t) in sim
+            .tenants
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| t.row.is_none())
+        {
+            assert_eq!((t.cur_holders, t.cur_pages), (0, 0), "tenant {ti}");
+            assert_eq!(t.usage.current(), [0.0; 3], "tenant {ti} usage");
+            assert_eq!(t.b_mpl.current(), [0.0], "tenant {ti} b_mpl");
         }
     }
 

@@ -1,15 +1,16 @@
-//! Pluggable arrival processes.
+//! Arrival processes.
 //!
-//! The paper's Source draws Poisson inter-arrival times; the [`ArrivalProcess`]
-//! trait generalizes that to any point process that can be sampled one gap at
-//! a time from a caller-owned [`Rng`]. The engine owns one independent
-//! `SeedSequence` substream per workload class and threads it through
-//! [`ArrivalProcess::next_interarrival`], so every process is deterministic
-//! under the master seed and — crucially — [`Poisson`] consumes randomness
-//! exactly like the pre-`workload` engine did (one `Rng::exponential` call
-//! per arrival), making the refactor bit-for-bit reproducible.
+//! The paper's Source draws Poisson inter-arrival times; [`ArrivalProcess`]
+//! generalizes that to any of three point processes that can be sampled one
+//! gap at a time from a caller-owned [`Rng`]. The engine owns one
+//! independent `SeedSequence` substream per workload class and threads it
+//! through [`ArrivalProcess::next_interarrival`], so every process is
+//! deterministic under the master seed and — crucially — [`Poisson`]
+//! consumes randomness exactly like the pre-`workload` engine did (one
+//! `Rng::exponential` call per arrival), making the refactor bit-for-bit
+//! reproducible.
 //!
-//! Implementations:
+//! Processes:
 //!
 //! * [`Poisson`] — the paper's memoryless arrivals.
 //! * [`Mmpp`] — a 2-state Markov-modulated Poisson process for bursty
@@ -19,18 +20,42 @@
 
 use simkit::{Duration, Rng};
 
-/// A stochastic (or recorded) arrival point process.
+/// A stochastic (or recorded) arrival point process: one of the three
+/// kinds an [`ArrivalSpec`] describes, held by value so a class's process
+/// costs no heap allocation of its own.
 ///
 /// `next_interarrival` returns the gap to the *next* arrival, or `None` when
 /// the process emits no further arrivals (zero-rate class, exhausted trace).
 /// All randomness comes from the caller's `rng`, so processes themselves stay
 /// cheap to construct and trivially deterministic.
-pub trait ArrivalProcess: Send {
+#[derive(Clone, Debug)]
+pub enum ArrivalProcess {
+    /// See [`Poisson`].
+    Poisson(Poisson),
+    /// See [`Mmpp`].
+    Mmpp(Mmpp),
+    /// See [`Trace`].
+    Trace(Trace),
+}
+
+impl ArrivalProcess {
     /// Sample the gap to the next arrival.
-    fn next_interarrival(&mut self, rng: &mut Rng) -> Option<Duration>;
+    pub fn next_interarrival(&mut self, rng: &mut Rng) -> Option<Duration> {
+        match self {
+            ArrivalProcess::Poisson(p) => p.next_interarrival(rng),
+            ArrivalProcess::Mmpp(m) => m.next_interarrival(rng),
+            ArrivalProcess::Trace(t) => t.next_interarrival(rng),
+        }
+    }
 
     /// Long-run mean arrival rate in arrivals/second (0 for a dead process).
-    fn mean_rate(&self) -> f64;
+    pub fn mean_rate(&self) -> f64 {
+        match self {
+            ArrivalProcess::Poisson(p) => p.mean_rate(),
+            ArrivalProcess::Mmpp(m) => m.mean_rate(),
+            ArrivalProcess::Trace(t) => t.mean_rate(),
+        }
+    }
 }
 
 /// The paper's Poisson process: i.i.d. exponential gaps with rate λ.
@@ -44,10 +69,9 @@ impl Poisson {
     pub fn new(rate: f64) -> Self {
         Poisson { rate }
     }
-}
 
-impl ArrivalProcess for Poisson {
-    fn next_interarrival(&mut self, rng: &mut Rng) -> Option<Duration> {
+    /// Sample the gap to the next arrival.
+    pub fn next_interarrival(&mut self, rng: &mut Rng) -> Option<Duration> {
         // Guard before sampling: a zero-rate (or nonsensical infinite-rate)
         // class must not consume randomness — the zero-rate early return
         // matches the seed engine's, and an infinite rate would emit
@@ -58,7 +82,8 @@ impl ArrivalProcess for Poisson {
         Some(Duration::from_secs_f64(rng.exponential(self.rate)))
     }
 
-    fn mean_rate(&self) -> f64 {
+    /// Long-run mean arrival rate: λ, or 0 for a negative rate.
+    pub fn mean_rate(&self) -> f64 {
         self.rate.max(0.0)
     }
 }
@@ -102,10 +127,9 @@ impl Mmpp {
         let s = 1.0 / sojourn_secs.max(f64::MIN_POSITIVE);
         Mmpp::new([low, low * ratio], [s, s])
     }
-}
 
-impl ArrivalProcess for Mmpp {
-    fn next_interarrival(&mut self, rng: &mut Rng) -> Option<Duration> {
+    /// Sample the gap to the next arrival.
+    pub fn next_interarrival(&mut self, rng: &mut Rng) -> Option<Duration> {
         let mut gap = 0.0;
         loop {
             let lambda = self.rates[self.state].max(0.0);
@@ -126,7 +150,8 @@ impl ArrivalProcess for Mmpp {
         }
     }
 
-    fn mean_rate(&self) -> f64 {
+    /// Long-run mean arrival rate (the closed form above).
+    pub fn mean_rate(&self) -> f64 {
         let exit = [self.switch[0].max(0.0), self.switch[1].max(0.0)];
         let denom = exit[0] + exit[1];
         if denom <= 0.0 {
@@ -202,10 +227,9 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.gaps.is_empty()
     }
-}
 
-impl ArrivalProcess for Trace {
-    fn next_interarrival(&mut self, _rng: &mut Rng) -> Option<Duration> {
+    /// The next recorded gap; consumes no randomness.
+    pub fn next_interarrival(&mut self, _rng: &mut Rng) -> Option<Duration> {
         if self.gaps.is_empty() {
             return None;
         }
@@ -220,7 +244,8 @@ impl ArrivalProcess for Trace {
         Some(Duration::from_secs_f64(gap))
     }
 
-    fn mean_rate(&self) -> f64 {
+    /// Long-run mean arrival rate: gaps per second of trace.
+    pub fn mean_rate(&self) -> f64 {
         let sum: f64 = self.gaps.iter().sum();
         if sum <= 0.0 {
             0.0
@@ -271,13 +296,17 @@ impl ArrivalSpec {
         }
     }
 
-    /// Instantiate the process this spec describes.
-    pub fn build(&self) -> Box<dyn ArrivalProcess> {
+    /// Instantiate the process this spec describes, by value. Poisson and
+    /// MMPP processes allocate nothing; a trace copies its gaps, since the
+    /// process consumes them while the spec stays reusable.
+    pub fn build(&self) -> ArrivalProcess {
         match self {
-            ArrivalSpec::Poisson { rate } => Box::new(Poisson::new(*rate)),
-            ArrivalSpec::Mmpp { rates, switch } => Box::new(Mmpp::new(*rates, *switch)),
+            ArrivalSpec::Poisson { rate } => ArrivalProcess::Poisson(Poisson::new(*rate)),
+            ArrivalSpec::Mmpp { rates, switch } => {
+                ArrivalProcess::Mmpp(Mmpp::new(*rates, *switch))
+            }
             ArrivalSpec::Trace { gaps, repeat } => {
-                Box::new(Trace::from_gaps(gaps.clone(), *repeat))
+                ArrivalProcess::Trace(Trace::from_gaps(gaps.clone(), *repeat))
             }
         }
     }

@@ -41,7 +41,7 @@ pub struct WorkloadClass {
 impl WorkloadClass {
     /// The paper's shape: Poisson arrivals, tenant 0.
     pub fn poisson(
-        name: &str,
+        name: impl Into<String>,
         query_type: QueryType,
         rate: f64,
         slack_range: (f64, f64),

@@ -4,10 +4,10 @@
 //! makes workload generation its own subsystem, the way real engines
 //! separate transaction/workload drivers from the execution core:
 //!
-//! * [`arrival`] — the [`ArrivalProcess`] trait with [`Poisson`] (the
-//!   paper's model, bit-for-bit compatible with the pre-refactor engine),
-//!   bursty 2-state [`Mmpp`], and recorded-[`Trace`] processes, all
-//!   driven by caller-owned `simkit` RNG streams.
+//! * [`arrival`] — [`ArrivalProcess`], one of [`Poisson`] (the paper's
+//!   model, bit-for-bit compatible with the pre-refactor engine), bursty
+//!   2-state [`Mmpp`], and recorded-[`Trace`] processes, all driven by
+//!   caller-owned `simkit` RNG streams.
 //! * [`class`] — [`QueryType`] / [`WorkloadClass`] (Table 2) and the
 //!   cyclic [`AlternationSchedule`] (Section 5.3), with an allocation-free
 //!   hot-path lookup.

@@ -87,13 +87,15 @@ impl Scenario {
         quota_pages: u32,
     ) -> Self {
         let mut s = Scenario::named("tenant-grid");
+        s.classes.reserve_exact(n);
+        s.tenants.reserve_exact(n);
         for i in 0..n {
             s.classes.push(
-                WorkloadClass::poisson(&format!("T{i}"), query_type, rate, (2.5, 7.5))
+                WorkloadClass::poisson(grid_name('T', i), query_type, rate, (2.5, 7.5))
                     .for_tenant(i),
             );
             s.tenants
-                .push(TenantSpec::soft(&format!("t{i}"), quota_pages));
+                .push(TenantSpec::soft(grid_name('t', i), quota_pages));
         }
         s
     }
@@ -102,6 +104,16 @@ impl Scenario {
     pub fn mean_rate(&self) -> f64 {
         self.classes.iter().map(WorkloadClass::mean_rate).sum()
     }
+}
+
+/// `"{prefix}{i}"` in one allocation: `format!` would start the string
+/// too small for a multi-digit index and grow it.
+fn grid_name(prefix: char, i: usize) -> String {
+    use std::fmt::Write as _;
+    // An ASCII prefix and the 20 digits of the widest index fit in 24 bytes.
+    let mut name = String::with_capacity(24);
+    write!(name, "{prefix}{i}").expect("writing to a String cannot fail");
+    name
 }
 
 /// The first class that bills a tenant index beyond `tenants` while any

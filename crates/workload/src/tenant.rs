@@ -21,7 +21,7 @@ pub struct TenantSpec {
 
 impl TenantSpec {
     /// A hard-quota tenant.
-    pub fn hard(name: &str, quota_pages: u32) -> Self {
+    pub fn hard(name: impl Into<String>, quota_pages: u32) -> Self {
         TenantSpec {
             name: name.into(),
             quota_pages,
@@ -30,7 +30,7 @@ impl TenantSpec {
     }
 
     /// A soft-quota tenant (may borrow idle pages).
-    pub fn soft(name: &str, quota_pages: u32) -> Self {
+    pub fn soft(name: impl Into<String>, quota_pages: u32) -> Self {
         TenantSpec {
             name: name.into(),
             quota_pages,

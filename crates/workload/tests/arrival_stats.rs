@@ -7,7 +7,7 @@ use stats::SampleSummary;
 use workload::{ArrivalProcess, ArrivalSpec, Mmpp, Poisson, Trace};
 
 /// Empirical `(mean, cv)` of `n` inter-arrival gaps.
-fn gap_stats(process: &mut dyn ArrivalProcess, rng: &mut Rng, n: usize) -> (f64, f64) {
+fn gap_stats(mut process: ArrivalProcess, rng: &mut Rng, n: usize) -> (f64, f64) {
     let (mut sum, mut sum_sq) = (0.0, 0.0);
     for _ in 0..n {
         let g = process
@@ -27,7 +27,7 @@ fn poisson_gaps_match_exponential_closed_form() {
     let mut rng = SeedSequence::new(2024).stream("poisson-stats");
     let rate = 0.07;
     let n = 200_000;
-    let (mean, cv) = gap_stats(&mut Poisson::new(rate), &mut rng, n);
+    let (mean, cv) = gap_stats(ArrivalProcess::Poisson(Poisson::new(rate)), &mut rng, n);
     let expected = 1.0 / rate;
     assert!(
         (mean - expected).abs() / expected < 0.02,
@@ -41,12 +41,12 @@ fn poisson_gaps_match_exponential_closed_form() {
 fn mmpp_mean_matches_stationary_closed_form() {
     // Asymmetric states: λ = (0.02, 0.20), sojourn means (300 s, 100 s).
     // π₀ = σ₁/(σ₀+σ₁) = 0.75 ⇒ λ̄ = 0.065, mean gap = 1/λ̄.
-    let mut m = Mmpp::new([0.02, 0.20], [1.0 / 300.0, 1.0 / 100.0]);
+    let m = Mmpp::new([0.02, 0.20], [1.0 / 300.0, 1.0 / 100.0]);
     let closed_form = m.mean_rate();
     assert!((closed_form - 0.065).abs() < 1e-12);
     let mut rng = SeedSequence::new(7).stream("mmpp-stats");
     let n = 200_000;
-    let (mean, cv) = gap_stats(&mut m, &mut rng, n);
+    let (mean, cv) = gap_stats(ArrivalProcess::Mmpp(m), &mut rng, n);
     // The renewal-reward mean needs a long horizon; 2% is comfortable at n.
     let expected = 1.0 / closed_form;
     assert!(
@@ -59,9 +59,9 @@ fn mmpp_mean_matches_stationary_closed_form() {
 
 #[test]
 fn mmpp_with_equal_rates_degenerates_to_poisson() {
-    let mut m = Mmpp::bursty(0.06, 1.0, 600.0);
+    let m = Mmpp::bursty(0.06, 1.0, 600.0);
     let mut rng = SeedSequence::new(3).stream("mmpp-degenerate");
-    let (mean, cv) = gap_stats(&mut m, &mut rng, 100_000);
+    let (mean, cv) = gap_stats(ArrivalProcess::Mmpp(m), &mut rng, 100_000);
     assert!(
         (mean - 1.0 / 0.06).abs() / (1.0 / 0.06) < 0.02,
         "mean {mean}"
@@ -73,9 +73,9 @@ fn mmpp_with_equal_rates_degenerates_to_poisson() {
 fn burstier_ratio_raises_cv_monotonically() {
     let mut last_cv = 0.0;
     for ratio in [1.0, 4.0, 16.0] {
-        let mut m = Mmpp::bursty(0.06, ratio, 600.0);
+        let m = Mmpp::bursty(0.06, ratio, 600.0);
         let mut rng = SeedSequence::new(11).stream("mmpp-ratio");
-        let (_, cv) = gap_stats(&mut m, &mut rng, 100_000);
+        let (_, cv) = gap_stats(ArrivalProcess::Mmpp(m), &mut rng, 100_000);
         assert!(
             cv > last_cv,
             "cv must grow with the burst ratio: {cv} after {last_cv}"
@@ -88,7 +88,11 @@ fn burstier_ratio_raises_cv_monotonically() {
 fn deterministic_has_zero_variance() {
     // Periodic arrivals: a one-gap trace, cycled.
     let mut rng = Rng::new(5);
-    let (mean, cv) = gap_stats(&mut Trace::from_gaps(vec![10.0], true), &mut rng, 1_000);
+    let (mean, cv) = gap_stats(
+        ArrivalProcess::Trace(Trace::from_gaps(vec![10.0], true)),
+        &mut rng,
+        1_000,
+    );
     assert!((mean - 10.0).abs() < 1e-9);
     assert!(cv.abs() < 1e-12);
 }
