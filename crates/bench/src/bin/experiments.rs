@@ -77,6 +77,8 @@ use bench::driver::{
     trace_files, CellTrace, DriverConfig, FigureResult, FIGURES,
 };
 use pmm_core::obs::{self, TraceKind};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,13 +213,19 @@ fn run_driver(args: &[String]) -> Result<(), String> {
         // Each projection of replication 0's recorded trace — the rendered
         // structured trace and Chrome export, the arrival-gap streams, the
         // PMM decision series, as far as the recorded kinds allow — is
-        // written and its records dropped as soon as that replication
-        // finishes, so no two cells' traces wait in memory together.
+        // streamed to its file and the records dropped as soon as that
+        // replication finishes, so no two cells' traces wait in memory
+        // together and no file's body is ever held whole.
         let written = AtomicUsize::new(0);
         let write_trace = |trace: CellTrace| -> Result<(), String> {
-            for (name, body) in trace_files(figure, cfg.trace, &trace) {
-                let path = out_dir.join(name);
-                std::fs::write(&path, body)
+            for file in trace_files(figure, cfg.trace, &trace) {
+                let path = out_dir.join(&file.name);
+                File::create(&path)
+                    .and_then(|f| {
+                        let mut w = BufWriter::new(f);
+                        file.write_to(&mut w)?;
+                        w.flush()
+                    })
                     .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
                 written.fetch_add(1, Ordering::Relaxed);
             }

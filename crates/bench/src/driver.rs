@@ -464,9 +464,55 @@ pub struct CellTrace {
     pub records: Vec<obs::TraceRecord>,
 }
 
-/// The artifact files a cell's recording projects to, as
-/// `(file name, body)` pairs — one per projection whose kind `mask`
-/// recorded:
+/// One artifact file a cell's recording projects to: its name, and the
+/// projection [`TraceFile::write_to`] streams into a writer, so no file's
+/// body is ever held in memory whole.
+#[derive(Debug)]
+pub struct TraceFile<'a> {
+    /// File name, relative to the output directory.
+    pub name: String,
+    /// The `# <figure> cell <i> (x=…, policy=…)<what>` line the file starts
+    /// with (empty for the Chrome export).
+    header: String,
+    body: TraceBody<'a>,
+}
+
+#[derive(Debug)]
+enum TraceBody<'a> {
+    /// The rendered structured trace.
+    Text(&'a [obs::TraceRecord]),
+    /// The Chrome trace-event export.
+    Chrome(&'a [obs::TraceRecord]),
+    /// One class's inter-arrival gaps in seconds, one a line.
+    Gaps(Vec<f64>),
+    /// The policy decisions as `t_secs mode target_mpl` lines.
+    Decisions(&'a [obs::TraceRecord]),
+}
+
+impl TraceFile<'_> {
+    /// Write the file's bytes to `w`.
+    pub fn write_to(&self, mut w: impl std::io::Write) -> std::io::Result<()> {
+        w.write_all(self.header.as_bytes())?;
+        match &self.body {
+            TraceBody::Text(records) => obs::write_text(records, w),
+            TraceBody::Chrome(records) => obs::write_chrome_json(records, w),
+            TraceBody::Gaps(gaps) => gaps.iter().try_for_each(|g| writeln!(w, "{g:?}")),
+            TraceBody::Decisions(records) => records.iter().try_for_each(|r| {
+                let obs::TraceEvent::PolicyDecision { mode, target_mpl } = r.event else {
+                    return Ok(());
+                };
+                let t = r.at.as_secs_f64();
+                match target_mpl {
+                    Some(m) => writeln!(w, "{t:?} {mode} {m}"),
+                    None => writeln!(w, "{t:?} {mode} -"),
+                }
+            }),
+        }
+    }
+}
+
+/// The artifact files a cell's recording projects to — one per projection
+/// whose kind `mask` recorded:
 ///
 /// - the full mask ([`obs::TraceKind::ALL`]): the rendered structured trace
 ///   `TRACE_obs_<figure>_cell<i>.txt`, plus the Chrome trace-event export
@@ -480,11 +526,16 @@ pub struct CellTrace {
 ///
 /// The sink only sees cells whose replication 0 completed, so a cell whose
 /// replication 0 panicked projects to nothing.
-pub fn trace_files(figure: &str, mask: u16, trace: &CellTrace) -> Vec<(String, String)> {
+pub fn trace_files<'a>(
+    figure: &str,
+    mask: u16,
+    trace: &'a CellTrace,
+) -> Vec<TraceFile<'a>> {
     let mut files = Vec::new();
     let c = trace.cell;
-    // Every file starts `# <figure> cell <i> (x=…, policy=…)` followed by
-    // what it holds.
+    let records = &trace.records[..];
+    // Every file but the Chrome export starts `# <figure> cell <i> (x=…,
+    // policy=…)` followed by what it holds.
     let header = |what: &str| {
         format!(
             "# {figure} cell {c} (x={:?}, policy={}){what}\n",
@@ -492,47 +543,41 @@ pub fn trace_files(figure: &str, mask: u16, trace: &CellTrace) -> Vec<(String, S
         )
     };
     if mask == obs::TraceKind::ALL {
-        let mut body = header(" — replication 0 structured sim-time trace");
-        body.push_str(&obs::render_text(&trace.records));
-        files.push((format!("TRACE_obs_{figure}_cell{c}.txt"), body));
+        files.push(TraceFile {
+            name: format!("TRACE_obs_{figure}_cell{c}.txt"),
+            header: header(" — replication 0 structured sim-time trace"),
+            body: TraceBody::Text(records),
+        });
         if c == 0 {
-            files.push((
-                format!("CHROME_{figure}_cell0.json"),
-                obs::chrome_trace_json(&trace.records),
-            ));
+            files.push(TraceFile {
+                name: format!("CHROME_{figure}_cell0.json"),
+                header: String::new(),
+                body: TraceBody::Chrome(records),
+            });
         }
     }
     if mask & obs::TraceKind::ArrivalGap.bit() != 0 {
-        for (class, gaps) in arrival_gaps(&trace.records, trace.classes)
-            .iter()
-            .enumerate()
+        for (class, gaps) in arrival_gaps(records, trace.classes).into_iter().enumerate()
         {
-            let mut body = header(&format!(
-                " class {class} — replication 0 inter-arrival gaps (s)"
-            ));
-            for g in gaps {
-                body.push_str(&format!("{g:?}\n"));
-            }
-            files.push((format!("TRACE_{figure}_cell{c}_class{class}.txt"), body));
+            files.push(TraceFile {
+                name: format!("TRACE_{figure}_cell{c}_class{class}.txt"),
+                header: header(&format!(
+                    " class {class} — replication 0 inter-arrival gaps (s)"
+                )),
+                body: TraceBody::Gaps(gaps),
+            });
         }
     }
-    if mask & obs::TraceKind::PolicyDecision.bit() != 0 {
-        let mut body =
-            header(" — replication 0 PMM decision trace: t_secs mode target_mpl");
-        let mut decided = false;
-        for r in &trace.records {
-            if let obs::TraceEvent::PolicyDecision { mode, target_mpl } = r.event {
-                decided = true;
-                body.push_str(&format!(
-                    "{:?} {mode} {}\n",
-                    r.at.as_secs_f64(),
-                    target_mpl.map_or("-".into(), |m| m.to_string())
-                ));
-            }
-        }
-        if decided {
-            files.push((format!("TRACE_pmm_{figure}_cell{c}.txt"), body));
-        }
+    if mask & obs::TraceKind::PolicyDecision.bit() != 0
+        && records
+            .iter()
+            .any(|r| matches!(r.event, obs::TraceEvent::PolicyDecision { .. }))
+    {
+        files.push(TraceFile {
+            name: format!("TRACE_pmm_{figure}_cell{c}.txt"),
+            header: header(" — replication 0 PMM decision trace: t_secs mode target_mpl"),
+            body: TraceBody::Decisions(records),
+        });
     }
     files
 }
@@ -1413,6 +1458,22 @@ impl FigureResult {
 mod tests {
     use super::*;
 
+    /// Each trace file's name and body, rendered through an in-memory
+    /// writer.
+    fn rendered(files: Vec<TraceFile<'_>>) -> Vec<(String, String)> {
+        files
+            .into_iter()
+            .map(|f| {
+                let mut body = Vec::new();
+                f.write_to(&mut body).expect("writing to a Vec cannot fail");
+                (
+                    f.name,
+                    String::from_utf8(body).expect("trace files are UTF-8"),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn figure_spec_knows_all_figures() {
         for f in FIGURES {
@@ -1693,7 +1754,7 @@ mod tests {
         );
         let files: Vec<(String, String)> = traces
             .iter()
-            .flat_map(|t| trace_files("fig12", cfg.trace, t))
+            .flat_map(|t| rendered(trace_files("fig12", cfg.trace, t)))
             .collect();
         assert_eq!(
             files.len(),
@@ -1737,7 +1798,10 @@ mod tests {
             ..cfg.clone()
         };
         let (_, full) = run_traced("fig12", full);
-        assert!(trace_files("fig12", obs::TraceKind::ALL, &full[2]).contains(&files[0]));
+        assert!(
+            rendered(trace_files("fig12", obs::TraceKind::ALL, &full[2]))
+                .contains(&files[0])
+        );
         let (plain, none) = run_traced("fig12", DriverConfig { trace: 0, ..cfg });
         assert!(none.is_empty(), "nothing recorded, nothing handed over");
         assert_eq!(plain.to_json(), r.to_json());

@@ -271,6 +271,20 @@ fn recorded_arrival_traces_replay_and_leave_json_untouched() {
     }
 }
 
+/// Each of `trace`'s artifact files, as its name and the bytes it renders
+/// through an in-memory writer.
+fn rendered(figure: &str, mask: u16, trace: &CellTrace) -> Vec<(String, Vec<u8>)> {
+    trace_files(figure, mask, trace)
+        .into_iter()
+        .map(|f| {
+            let mut bytes = Vec::new();
+            f.write_to(&mut bytes)
+                .expect("writing to a Vec cannot fail");
+            (f.name, bytes)
+        })
+        .collect()
+}
+
 /// `--trace`: every observability artifact — the trace files the driver
 /// projects as each cell's replication 0 finishes (rendered structured
 /// traces, Chrome trace-event export) and the merged metrics JSON — is
@@ -304,8 +318,8 @@ fn trace_artifacts_are_thread_count_invariant() {
             let c = s.cell;
             assert!(!s.records.is_empty(), "{figure} cell {c} recorded a trace");
             assert_eq!(
-                trace_files(figure, base.trace, s),
-                trace_files(figure, base.trace, p),
+                rendered(figure, base.trace, s),
+                rendered(figure, base.trace, p),
                 "{figure} cell {c}: trace files must be byte-identical across \
                  thread counts"
             );

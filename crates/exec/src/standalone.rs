@@ -21,7 +21,7 @@
 use crate::op::{Action, FileRef, Operator};
 use simkit::Duration;
 use std::collections::HashMap;
-use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel};
+use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel, ServiceTable};
 
 /// Estimate the stand-alone execution time of `op` at its current
 /// allocation on `device` (callers wanting the paper's definition grant
@@ -30,7 +30,8 @@ use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel};
 ///
 /// Each disk the query touches gets a fresh service model whose positional
 /// state starts where the query's first access lands (no initial-seek
-/// charge — the seed's `or_insert` head semantics). The queue-depth hint is
+/// charge — the seed's `or_insert` head semantics); the models share one
+/// [`ServiceTable`], as a disk farm's do. The queue-depth hint is
 /// 0: a stand-alone query has nothing stacked behind its requests, so an
 /// SSD charges full per-op latency. Deadlines derived from this estimate
 /// therefore shrink along with execution times when the device is faster —
@@ -49,6 +50,7 @@ pub fn standalone_time(
     assert!(cpu_mips > 0.0, "MIPS rating must be positive");
     let mut total = Duration::ZERO;
     let mut models: HashMap<DiskId, Box<dyn ServiceModel>> = HashMap::new();
+    let mut table = ServiceTable::new();
     let mut temp_sizes: HashMap<u32, u32> = HashMap::new();
     for _ in 0..50_000_000u64 {
         match op.step() {
@@ -66,7 +68,7 @@ pub fn standalone_time(
                 // Prefetch rounds a partial-block read up to whole blocks,
                 // matching the disk model.
                 let pages = io.pages.max(1);
-                total += model.access_time(cyl, pages, io.kind, 0);
+                total += model.access_time(cyl, pages, io.kind, 0, &mut table);
             }
             Action::CreateTemp { slot, pages } => {
                 temp_sizes.insert(slot, pages);

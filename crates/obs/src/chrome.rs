@@ -16,42 +16,54 @@
 //!   with their service time as the duration, cache hits as instants.
 
 use crate::trace::{TraceEvent, TraceRecord};
+use std::fmt;
+use std::io::{self, Write};
 
 const ENGINE_TID: u32 = 0;
 const QUERY_TID: u32 = 1;
 const CPU_TID: u32 = 2;
 const DISK_TID_BASE: u32 = 10;
 
-fn push_event(out: &mut String, body: &str) {
-    if !out.ends_with('[') {
-        out.push(',');
-    }
-    out.push('\n');
-    out.push_str(body);
+/// The comma-separated event list of the document, one event a line.
+struct Events<W: Write> {
+    w: W,
+    first: bool,
 }
 
-fn meta_thread(out: &mut String, tid: u32, name: &str) {
-    push_event(
-        out,
-        &format!(
+impl<W: Write> Events<W> {
+    fn push(&mut self, body: fmt::Arguments<'_>) -> io::Result<()> {
+        self.w.write_all(if self.first { b"\n" } else { b",\n" })?;
+        self.first = false;
+        self.w.write_fmt(body)
+    }
+
+    fn meta_thread(&mut self, tid: u32, name: impl fmt::Display) -> io::Result<()> {
+        self.push(format_args!(
             r#"{{"ph":"M","pid":0,"tid":{tid},"name":"thread_name","args":{{"name":"{name}"}}}}"#
-        ),
-    );
+        ))
+    }
 }
 
 /// Render `records` as a Chrome trace-event JSON document.
 ///
 /// Output is deterministic: identical records yield identical bytes.
+/// [`write_chrome_json`] streams the same bytes.
 pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(64 + records.len() * 96);
-    out.push_str("{\"traceEvents\": [");
-    push_event(
-        &mut out,
-        r#"{"ph":"M","pid":0,"name":"process_name","args":{"name":"pmm-sim"}}"#,
-    );
-    meta_thread(&mut out, ENGINE_TID, "engine");
-    meta_thread(&mut out, QUERY_TID, "queries");
-    meta_thread(&mut out, CPU_TID, "cpu");
+    let mut out = Vec::with_capacity(64 + records.len() * 96);
+    write_chrome_json(records, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the document is UTF-8")
+}
+
+/// Write [`chrome_trace_json`]'s document to `w`, one event at a time.
+pub fn write_chrome_json(records: &[TraceRecord], mut w: impl Write) -> io::Result<()> {
+    w.write_all(b"{\"traceEvents\": [")?;
+    let mut ev = Events { w, first: true };
+    ev.push(format_args!(
+        r#"{{"ph":"M","pid":0,"name":"process_name","args":{{"name":"pmm-sim"}}}}"#
+    ))?;
+    ev.meta_thread(ENGINE_TID, "engine")?;
+    ev.meta_thread(QUERY_TID, "queries")?;
+    ev.meta_thread(CPU_TID, "cpu")?;
     let mut disks_seen: Vec<u32> = records
         .iter()
         .filter_map(|r| match r.event {
@@ -63,7 +75,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     disks_seen.sort_unstable();
     disks_seen.dedup();
     for d in &disks_seen {
-        meta_thread(&mut out, DISK_TID_BASE + d, &format!("disk{d}"));
+        ev.meta_thread(DISK_TID_BASE + d, format_args!("disk{d}"))?;
     }
 
     // Open outage windows per disk, so the clearing transition can be
@@ -73,41 +85,29 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
         let ts = r.at.0;
         match r.event {
             TraceEvent::Arrival { query, class } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"b","cat":"query","id":{query},"name":"q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"class":{class}}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"b","cat":"query","id":{query},"name":"q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"class":{class}}}}}"#
+                ))?;
             }
             TraceEvent::ArrivalGap { .. } => {}
             TraceEvent::Admitted { query, wait } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"n","cat":"query","id":{query},"name":"q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"admitted_after_us":{}}}}}"#,
-                        wait.0
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"n","cat":"query","id":{query},"name":"q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"admitted_after_us":{}}}}}"#,
+                    wait.0
+                ))?;
             }
             TraceEvent::GrantChanged { query, pages } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"i","s":"t","name":"grant q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"pages":{pages}}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"i","s":"t","name":"grant q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"pages":{pages}}}}}"#
+                ))?;
             }
             TraceEvent::CpuBurst {
                 query,
                 instructions,
             } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"i","s":"t","name":"cpu q{query}","pid":0,"tid":{CPU_TID},"ts":{ts},"args":{{"instructions":{instructions}}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"i","s":"t","name":"cpu q{query}","pid":0,"tid":{CPU_TID},"ts":{ts},"args":{{"instructions":{instructions}}}}}"#
+                ))?;
             }
             TraceEvent::Io {
                 query,
@@ -120,20 +120,14 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                 let tid = DISK_TID_BASE + disk;
                 let kind = if write { "write" } else { "read" };
                 if cache_hit {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            r#"{{"ph":"i","s":"t","name":"hit q{query}","pid":0,"tid":{tid},"ts":{ts},"args":{{"pages":{pages},"kind":"{kind}"}}}}"#
-                        ),
-                    );
+                    ev.push(format_args!(
+                        r#"{{"ph":"i","s":"t","name":"hit q{query}","pid":0,"tid":{tid},"ts":{ts},"args":{{"pages":{pages},"kind":"{kind}"}}}}"#
+                    ))?;
                 } else {
-                    push_event(
-                        &mut out,
-                        &format!(
-                            r#"{{"ph":"X","name":"io q{query}","pid":0,"tid":{tid},"ts":{ts},"dur":{},"args":{{"pages":{pages},"kind":"{kind}"}}}}"#,
-                            service.0
-                        ),
-                    );
+                    ev.push(format_args!(
+                        r#"{{"ph":"X","name":"io q{query}","pid":0,"tid":{tid},"ts":{ts},"dur":{},"args":{{"pages":{pages},"kind":"{kind}"}}}}"#,
+                        service.0
+                    ))?;
                 }
             }
             TraceEvent::Completed {
@@ -141,29 +135,20 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                 class,
                 missed,
             } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"e","cat":"query","id":{query},"name":"q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"class":{class},"missed":{missed}}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"e","cat":"query","id":{query},"name":"q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"class":{class},"missed":{missed}}}}}"#
+                ))?;
             }
             TraceEvent::PolicyDecision { mode, target_mpl } => {
                 let target = target_mpl.map_or("null".to_string(), |m| m.to_string());
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"i","s":"g","name":"policy {mode}","pid":0,"tid":{ENGINE_TID},"ts":{ts},"args":{{"target_mpl":{target}}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"i","s":"g","name":"policy {mode}","pid":0,"tid":{ENGINE_TID},"ts":{ts},"args":{{"target_mpl":{target}}}}}"#
+                ))?;
             }
             TraceEvent::BatchClosed { served, missed } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"i","s":"g","name":"batch","pid":0,"tid":{ENGINE_TID},"ts":{ts},"args":{{"served":{served},"missed":{missed}}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"i","s":"g","name":"batch","pid":0,"tid":{ENGINE_TID},"ts":{ts},"args":{{"served":{served},"missed":{missed}}}}}"#
+                ))?;
             }
             TraceEvent::FaultInjected {
                 fault,
@@ -179,36 +164,27 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                         // slice once the window's extent is known.
                         if active {
                             outage_open.push((d, ts));
-                            push_event(
-                                &mut out,
-                                &format!(
-                                    r#"{{"ph":"i","s":"t","name":"outage begin","pid":0,"tid":{},"ts":{ts}}}"#,
-                                    DISK_TID_BASE + d
-                                ),
-                            );
+                            ev.push(format_args!(
+                                r#"{{"ph":"i","s":"t","name":"outage begin","pid":0,"tid":{},"ts":{ts}}}"#,
+                                DISK_TID_BASE + d
+                            ))?;
                         } else if let Some(i) =
                             outage_open.iter().position(|&(od, _)| od == d)
                         {
                             let (_, start) = outage_open.swap_remove(i);
-                            push_event(
-                                &mut out,
-                                &format!(
-                                    r#"{{"ph":"X","name":"outage","pid":0,"tid":{},"ts":{start},"dur":{}}}"#,
-                                    DISK_TID_BASE + d,
-                                    ts - start
-                                ),
-                            );
+                            ev.push(format_args!(
+                                r#"{{"ph":"X","name":"outage","pid":0,"tid":{},"ts":{start},"dur":{}}}"#,
+                                DISK_TID_BASE + d,
+                                ts - start
+                            ))?;
                         }
                     }
                     (_, d) => {
                         let tid = d.map_or(ENGINE_TID, |d| DISK_TID_BASE + d);
-                        push_event(
-                            &mut out,
-                            &format!(
-                                r#"{{"ph":"i","s":"g","name":"{fault} {}","pid":0,"tid":{tid},"ts":{ts},"args":{{"factor":{factor:?}}}}}"#,
-                                if active { "begin" } else { "end" }
-                            ),
-                        );
+                        ev.push(format_args!(
+                            r#"{{"ph":"i","s":"g","name":"{fault} {}","pid":0,"tid":{tid},"ts":{ts},"args":{{"factor":{factor:?}}}}}"#,
+                            if active { "begin" } else { "end" }
+                        ))?;
                     }
                 }
             }
@@ -218,26 +194,20 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
                 attempt,
                 backoff,
             } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"i","s":"t","name":"retry q{query}","pid":0,"tid":{},"ts":{ts},"args":{{"attempt":{attempt},"backoff_us":{}}}}}"#,
-                        DISK_TID_BASE + disk,
-                        backoff.0
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"i","s":"t","name":"retry q{query}","pid":0,"tid":{},"ts":{ts},"args":{{"attempt":{attempt},"backoff_us":{}}}}}"#,
+                    DISK_TID_BASE + disk,
+                    backoff.0
+                ))?;
             }
             TraceEvent::Degraded {
                 query,
                 class,
                 action,
             } => {
-                push_event(
-                    &mut out,
-                    &format!(
-                        r#"{{"ph":"i","s":"t","name":"degraded q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"class":{class},"action":"{action}"}}}}"#
-                    ),
-                );
+                ev.push(format_args!(
+                    r#"{{"ph":"i","s":"t","name":"degraded q{query}","pid":0,"tid":{QUERY_TID},"ts":{ts},"args":{{"class":{class},"action":"{action}"}}}}"#
+                ))?;
             }
         }
     }
@@ -245,18 +215,14 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     if let Some(last) = records.last() {
         outage_open.sort_unstable();
         for (d, start) in outage_open {
-            push_event(
-                &mut out,
-                &format!(
-                    r#"{{"ph":"X","name":"outage","pid":0,"tid":{},"ts":{start},"dur":{}}}"#,
-                    DISK_TID_BASE + d,
-                    last.at.0.saturating_sub(start)
-                ),
-            );
+            ev.push(format_args!(
+                r#"{{"ph":"X","name":"outage","pid":0,"tid":{},"ts":{start},"dur":{}}}"#,
+                DISK_TID_BASE + d,
+                last.at.0.saturating_sub(start)
+            ))?;
         }
     }
-    out.push_str("\n]}\n");
-    out
+    ev.w.write_all(b"\n]}\n")
 }
 
 #[cfg(test)]

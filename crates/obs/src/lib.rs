@@ -24,15 +24,15 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use chrome::chrome_trace_json;
+pub use chrome::{chrome_trace_json, write_chrome_json};
 pub use metrics::{
     CounterFamilyId, CounterId, GaugeFamilyId, GaugeId, HistId, HistReport,
     MetricsRegistry, MetricsReport, MetricsWindow,
 };
 pub use profile::{ProfileReport, Profiler, Section, SectionStats};
 pub use trace::{
-    render_text, DegradedAction, FaultClass, StrategyMode, TraceEvent, TraceKind,
-    TraceRecord, Tracer,
+    render_text, write_text, DegradedAction, FaultClass, StrategyMode, TraceEvent,
+    TraceKind, TraceRecord, Tracer,
 };
 
 /// Per-run observability switches, carried on the simulator config.

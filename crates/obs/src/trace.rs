@@ -7,6 +7,7 @@
 //! "compiles to nothing on the hot path".
 
 use simkit::{Duration, SimTime};
+use std::io::{self, Write};
 
 /// Event categories, one bit each, for the tracer's enable mask.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -330,39 +331,46 @@ impl Tracer {
 ///
 /// Times are seconds formatted with Rust's shortest-roundtrip `{:?}`, so
 /// the output is byte-identical for identical records — across runs,
-/// seeds, and driver thread counts.
+/// seeds, and driver thread counts. [`write_text`] streams the same bytes.
 pub fn render_text(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 48);
-    for r in records {
-        render_record(&mut out, r);
-    }
-    out
+    let mut out = Vec::with_capacity(records.len() * 48);
+    write_text(records, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the rendering is UTF-8")
 }
 
-/// Render one record as its `render_text` line.
-fn render_record(out: &mut String, r: &TraceRecord) {
+/// Write [`render_text`]'s bytes to `w`, one record at a time.
+pub fn write_text(records: &[TraceRecord], mut w: impl Write) -> io::Result<()> {
+    for r in records {
+        write_record(&mut w, r)?;
+    }
+    Ok(())
+}
+
+/// Write one record as its `render_text` line.
+fn write_record(w: &mut impl Write, r: &TraceRecord) -> io::Result<()> {
     let t = r.at.as_secs_f64();
     match r.event {
         TraceEvent::Arrival { query, class } => {
-            out.push_str(&format!("{t:?} arrival query={query} class={class}\n"));
+            writeln!(w, "{t:?} arrival query={query} class={class}")
         }
         TraceEvent::ArrivalGap { class, gap_secs } => {
-            out.push_str(&format!("{t:?} gap class={class} secs={gap_secs:?}\n"));
+            writeln!(w, "{t:?} gap class={class} secs={gap_secs:?}")
         }
         TraceEvent::Admitted { query, wait } => {
-            out.push_str(&format!(
-                "{t:?} admitted query={query} wait={:?}\n",
+            writeln!(
+                w,
+                "{t:?} admitted query={query} wait={:?}",
                 wait.as_secs_f64()
-            ));
+            )
         }
         TraceEvent::GrantChanged { query, pages } => {
-            out.push_str(&format!("{t:?} grant query={query} pages={pages}\n"));
+            writeln!(w, "{t:?} grant query={query} pages={pages}")
         }
         TraceEvent::CpuBurst {
             query,
             instructions,
         } => {
-            out.push_str(&format!("{t:?} cpu query={query} instr={instructions}\n"));
+            writeln!(w, "{t:?} cpu query={query} instr={instructions}")
         }
         TraceEvent::Io {
             query,
@@ -373,26 +381,25 @@ fn render_record(out: &mut String, r: &TraceRecord) {
             service,
         } => {
             let kind = if write { "write" } else { "read" };
-            out.push_str(&format!(
-                    "{t:?} io query={query} disk={disk} pages={pages} kind={kind} hit={cache_hit} service={:?}\n",
+            writeln!(
+                w,
+                "{t:?} io query={query} disk={disk} pages={pages} kind={kind} hit={cache_hit} service={:?}",
                     service.as_secs_f64()
-                ));
+            )
         }
         TraceEvent::Completed {
             query,
             class,
             missed,
         } => {
-            out.push_str(&format!(
-                "{t:?} done query={query} class={class} missed={missed}\n"
-            ));
+            writeln!(w, "{t:?} done query={query} class={class} missed={missed}")
         }
         TraceEvent::PolicyDecision { mode, target_mpl } => {
             let target = target_mpl.map_or("-".to_string(), |m| m.to_string());
-            out.push_str(&format!("{t:?} policy mode={mode} target={target}\n"));
+            writeln!(w, "{t:?} policy mode={mode} target={target}")
         }
         TraceEvent::BatchClosed { served, missed } => {
-            out.push_str(&format!("{t:?} batch served={served} missed={missed}\n"));
+            writeln!(w, "{t:?} batch served={served} missed={missed}")
         }
         TraceEvent::FaultInjected {
             fault,
@@ -401,9 +408,10 @@ fn render_record(out: &mut String, r: &TraceRecord) {
             factor,
         } => {
             let disk = disk.map_or("-".to_string(), |d| d.to_string());
-            out.push_str(&format!(
-                    "{t:?} fault kind={fault} disk={disk} active={active} factor={factor:?}\n"
-                ));
+            writeln!(
+                w,
+                "{t:?} fault kind={fault} disk={disk} active={active} factor={factor:?}"
+            )
         }
         TraceEvent::IoRetry {
             query,
@@ -411,19 +419,21 @@ fn render_record(out: &mut String, r: &TraceRecord) {
             attempt,
             backoff,
         } => {
-            out.push_str(&format!(
-                    "{t:?} io-retry query={query} disk={disk} attempt={attempt} backoff={:?}\n",
-                    backoff.as_secs_f64()
-                ));
+            writeln!(
+                w,
+                "{t:?} io-retry query={query} disk={disk} attempt={attempt} backoff={:?}",
+                backoff.as_secs_f64()
+            )
         }
         TraceEvent::Degraded {
             query,
             class,
             action,
         } => {
-            out.push_str(&format!(
-                "{t:?} degraded query={query} class={class} action={action}\n"
-            ));
+            writeln!(
+                w,
+                "{t:?} degraded query={query} class={class} action={action}"
+            )
         }
     }
 }

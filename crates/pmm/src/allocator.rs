@@ -226,15 +226,55 @@ pub struct PartitionSpec {
     pub soft: bool,
 }
 
+/// Heap buffers parked for reuse among many owners. An owner whose buffer
+/// empties [`SpareVecs::give`]s its heap back here, and the next owner that
+/// is about to fill an unallocated buffer [`SpareVecs::take`]s one. The heap
+/// held is then bounded by the peak count of buffers in use at once (live
+/// demand), not by the number of owners (tenants), and churn reuses
+/// buffers instead of returning them to the allocator.
+#[derive(Debug)]
+pub struct SpareVecs<T> {
+    spare: Vec<Vec<T>>,
+}
+
+impl<T> Default for SpareVecs<T> {
+    fn default() -> Self {
+        SpareVecs { spare: Vec::new() }
+    }
+}
+
+impl<T> SpareVecs<T> {
+    /// Park `buf`'s heap, leaving `buf` empty and unallocated. Any contents
+    /// are discarded.
+    pub fn give(&mut self, buf: &mut Vec<T>) {
+        if buf.capacity() > 0 {
+            buf.clear();
+            self.spare.push(std::mem::take(buf));
+        }
+    }
+
+    /// Hand `buf` a parked buffer if it has no heap of its own.
+    pub fn take(&mut self, buf: &mut Vec<T>) {
+        if buf.capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                *buf = spare;
+            }
+        }
+    }
+}
+
 /// Reusable scratch for [`partitioned_allocate_with_into`]: per-partition
 /// demand groups and grant buffers, plus the shared [`AllocScratch`] the
-/// inner divisions sort in.
+/// inner divisions sort in. A partition's buffers hold heap only while it
+/// has demand (or admits someone); the rest is parked in the spares.
 #[derive(Debug, Default)]
 pub struct PartitionScratch {
     groups: Vec<Vec<QueryDemand>>,
     part_grants: Vec<Grants>,
     regrant: Grants,
     alloc: AllocScratch,
+    spare_groups: SpareVecs<QueryDemand>,
+    spare_grants: SpareVecs<(QueryId, u32)>,
 }
 
 /// Which memory-division function one partition's budget is divided by —
@@ -356,10 +396,12 @@ pub fn partitioned_allocate_with_into(
     scratch.groups.resize_with(n, Vec::new);
     scratch.part_grants.resize_with(n, Grants::new);
     for g in &mut scratch.groups[..n] {
-        g.clear();
+        scratch.spare_groups.give(g);
     }
     for q in queries {
-        scratch.groups[(q.tenant as usize).min(n - 1)].push(*q);
+        let g = &mut scratch.groups[(q.tenant as usize).min(n - 1)];
+        scratch.spare_groups.take(g);
+        g.push(*q);
     }
     // Pass 1: every partition allocates within its own quota, capped so the
     // reservations themselves never oversubscribe the pool.
@@ -367,6 +409,9 @@ pub fn partitioned_allocate_with_into(
     for (i, spec) in partitions.iter().enumerate() {
         let budget = spec.quota.min(unreserved);
         unreserved -= budget;
+        if !scratch.groups[i].is_empty() {
+            scratch.spare_grants.take(&mut scratch.part_grants[i]);
+        }
         let _ = strategies[i].divide_flagged(
             &scratch.groups[i],
             budget,
@@ -383,6 +428,9 @@ pub fn partitioned_allocate_with_into(
         }
         let own = granted_total(&scratch.part_grants[i]);
         let budget = (own + pool).min(u32::MAX as u64) as u32;
+        if !scratch.groups[i].is_empty() {
+            scratch.spare_grants.take(&mut scratch.regrant);
+        }
         let _ = strategies[i].divide_flagged(
             &scratch.groups[i],
             budget,
@@ -399,8 +447,11 @@ pub fn partitioned_allocate_with_into(
         }
     }
     out.clear();
-    for grants in &scratch.part_grants[..n] {
+    for grants in &mut scratch.part_grants[..n] {
         out.extend_from_slice(grants);
+        if grants.is_empty() {
+            scratch.spare_grants.give(grants);
+        }
     }
 }
 

@@ -43,9 +43,9 @@
 
 use crate::allocator::{
     granted_total, partitioned_allocate_with_into, AllocScratch, Grants,
-    PartitionScratch, PartitionSpec, PartitionStrategy,
+    PartitionScratch, PartitionSpec, PartitionStrategy, SpareVecs,
 };
-use crate::types::QueryDemand;
+use crate::types::{QueryDemand, QueryId};
 
 /// Tenants per internal node of the partition tree: the borrow-back walk is
 /// O(P/32) group checks plus O(32) member checks per dirty group. 32 keeps
@@ -135,7 +135,8 @@ struct Pass2Cache {
     /// the adopted grants live in `grants`. When `false` the partition's
     /// final grants are its pass-1 grants.
     taken: bool,
-    /// Adopted borrow-back grants (meaningful when `taken`).
+    /// Adopted borrow-back grants: non-empty only when `taken` admitted
+    /// someone, and unallocated otherwise.
     grants: Grants,
     /// Granted total of the borrow-back division (adopted or not).
     used: u64,
@@ -204,7 +205,8 @@ pub struct IncrementalPartitioned {
     /// Pass-1 budget per partition — quotas capped first-declared-first
     /// against oversubscription; pure function of `(total, quotas)`.
     budgets: Vec<u32>,
-    /// Cached quota-pass grants per partition.
+    /// Cached quota-pass grants per partition; a partition that admits
+    /// nobody holds no heap here.
     pass1: Vec<Grants>,
     pass1_used: Vec<u64>,
     /// Σ `pass1_used` — maintained on pass-1 grant diffs; the borrow pool
@@ -221,6 +223,9 @@ pub struct IncrementalPartitioned {
     alloc: AllocScratch,
     emit: AllocScratch,
     regrant: Grants,
+    /// Heap of the emptied `pass1`/`pass2` grant buffers, for the next
+    /// partition that admits someone.
+    spares: SpareVecs<(QueryId, u32)>,
     /// Buffers of the snapshot path's reference division.
     snapshot: PartitionScratch,
 }
@@ -272,6 +277,7 @@ impl IncrementalPartitioned {
             alloc: AllocScratch::default(),
             emit: AllocScratch::default(),
             regrant: Grants::new(),
+            spares: SpareVecs::default(),
             snapshot: PartitionScratch::default(),
         }
     }
@@ -342,12 +348,7 @@ impl IncrementalPartitioned {
         // grant diffs.
         for k in 0..self.touched_members.len() {
             let j = self.touched_members[k] as usize;
-            let _ = self.strategies[j].divide_flagged(
-                &groups[j],
-                self.budgets[j],
-                &mut self.alloc,
-                &mut self.pass1[j],
-            );
+            self.redo_pass1(j, &groups[j]);
             let new_used = granted_total(&self.pass1[j]);
             self.used_total = self.used_total - self.pass1_used[j] + new_used;
             self.pass1_used[j] = new_used;
@@ -391,15 +392,13 @@ impl IncrementalPartitioned {
         self.pass1.resize_with(n, Grants::new);
         self.pass1_used.clear();
         self.pass1_used.resize(n, 0);
+        for c in &mut self.pass2 {
+            self.spares.give(&mut c.grants);
+        }
         self.pass2.clear();
         self.pass2.resize(n, Pass2Cache::default());
         for (j, group) in groups.iter().enumerate() {
-            let _ = self.strategies[j].divide_flagged(
-                group,
-                self.budgets[j],
-                &mut self.alloc,
-                &mut self.pass1[j],
-            );
+            self.redo_pass1(j, group);
             self.pass1_used[j] = granted_total(&self.pass1[j]);
         }
         self.used_total = self.pass1_used.iter().sum();
@@ -430,6 +429,24 @@ impl IncrementalPartitioned {
         self.touched_members.clear();
         self.touched_groups.clear();
         self.valid = true;
+    }
+
+    /// Re-divide partition `j`'s quota among `group` into its pass-1 cache,
+    /// which holds heap only while it admits someone.
+    fn redo_pass1(&mut self, j: usize, group: &[QueryDemand]) {
+        let grants = &mut self.pass1[j];
+        if !group.is_empty() {
+            self.spares.take(grants);
+        }
+        let _ = self.strategies[j].divide_flagged(
+            group,
+            self.budgets[j],
+            &mut self.alloc,
+            grants,
+        );
+        if grants.is_empty() {
+            self.spares.give(grants);
+        }
     }
 
     /// Mark partition `j` (and its tree group) for recomputation this call.
@@ -503,6 +520,7 @@ impl IncrementalPartitioned {
     ) -> u64 {
         if pool == 0 {
             let c = &mut self.pass2[j];
+            self.spares.give(&mut c.grants);
             c.pool_in = 0;
             c.taken = false;
             c.used = 0;
@@ -516,6 +534,9 @@ impl IncrementalPartitioned {
         let budget_u64 = own + pool;
         let clamp = u32::MAX as u64;
         let budget = budget_u64.min(clamp) as u32;
+        if !groups[j].is_empty() {
+            self.spares.take(&mut self.regrant);
+        }
         let limited = self.strategies[j].divide_flagged(
             &groups[j],
             budget,
@@ -526,18 +547,18 @@ impl IncrementalPartitioned {
         // Mirror the reference guard: never shrink below the quota pass.
         let taken = used >= own;
         let extra = if taken { used - own } else { 0 };
-        if taken {
-            std::mem::swap(&mut self.pass2[j].grants, &mut self.regrant);
+        let c = &mut self.pass2[j];
+        if taken && !self.regrant.is_empty() {
+            std::mem::swap(&mut c.grants, &mut self.regrant);
+        } else {
+            self.spares.give(&mut c.grants);
         }
-        {
-            let c = &mut self.pass2[j];
-            c.pool_in = pool;
-            c.taken = taken;
-            c.used = used;
-            c.extra = extra;
-            c.limited = limited;
-            c.skipped = false;
-        }
+        c.pool_in = pool;
+        c.taken = taken;
+        c.used = used;
+        c.extra = extra;
+        c.limited = limited;
+        c.skipped = false;
         let final_grants = if taken {
             &self.pass2[j].grants
         } else {

@@ -45,7 +45,7 @@ pub use adaptive::{Pmm, PmmParams};
 pub use allocator::{
     max_allocate_into, minmax_allocate_into, partitioned_allocate_with_into,
     proportional_allocate_into, AllocScratch, Grants, PartitionScratch, PartitionSpec,
-    PartitionStrategy,
+    PartitionStrategy, SpareVecs,
 };
 pub use incremental::{DirtySet, IncrementalPartitioned, GROUP_SIZE};
 pub use partition::PartitionedPolicy;

@@ -5,7 +5,9 @@
 //! tenant's own workload: a tenant whose queries would benefit from Max
 //! mode (memory-rich, low contention) is squeezed the same way as one that
 //! needs MinMax's admission throttling. [`TenantPmm`] instead runs one
-//! full [`Pmm`] instance per partition. Each controller receives *its own*
+//! full [`Pmm`] instance per partition, built at the tenant's first
+//! feedback batch (before it, the partition divides by Max, as a fresh
+//! controller would have it). Each controller receives *its own*
 //! feedback batches (the simulator closes a `SampleSize` window per tenant
 //! — see `MemoryPolicy::on_tenant_batch`), runs its own strategy-switch
 //! tests, miss-ratio projection, and workload-change detection, and
@@ -22,40 +24,51 @@ use crate::policy::MemoryPolicy;
 use crate::types::{BatchStats, QueryDemand, StrategyMode, SystemSnapshot, TracePoint};
 
 /// Adaptive multi-tenant policy: one [`Pmm`] controller per partition.
+///
+/// A controller exists only once its tenant has closed a feedback batch:
+/// until then it would read as a fresh [`Pmm::with_defaults`] (Max mode,
+/// no target MPL, empty trace), so an absent controller reads exactly that
+/// way. A population of tenants that never fill a `SampleSize` window thus
+/// costs no controller memory at all.
 pub struct TenantPmm {
     /// The partition and strategy tables; partition `i` divides by the
     /// strategy controller `i` publishes.
     alloc: IncrementalPartitioned,
-    controllers: Vec<Pmm>,
+    /// The controllers built so far, keyed by partition index and sorted
+    /// by it.
+    controllers: Vec<(usize, Pmm)>,
     /// Merged decision trace: every controller's trace points, appended in
     /// the order the decisions were taken (tenant batches close in virtual
     /// time order, so the merge is chronological).
     trace: Vec<TracePoint>,
-    /// How many trace points of each controller have been merged already.
-    trace_seen: Vec<usize>,
 }
 
 impl TenantPmm {
-    /// One default-parameter PMM controller per partition.
+    /// One default-parameter PMM controller per partition, each built at
+    /// its tenant's first feedback batch.
     ///
     /// # Panics
     /// Panics on an empty partition table — a tenant-aware policy without
     /// tenants is a configuration bug.
     pub fn new(partitions: Vec<PartitionSpec>) -> Self {
-        let n = partitions.len();
         // A fresh controller runs Max.
         TenantPmm {
             alloc: IncrementalPartitioned::new(partitions, PartitionStrategy::Max),
-            controllers: (0..n).map(|_| Pmm::with_defaults()).collect(),
+            controllers: Vec::new(),
             trace: Vec::new(),
-            trace_seen: vec![0; n],
         }
     }
 
-    /// The per-tenant controllers, index-aligned with the partition table
-    /// (inspection / tests).
-    pub fn controllers(&self) -> &[Pmm] {
-        &self.controllers
+    /// Partition `i`'s controller, or `None` while its tenant has closed no
+    /// feedback batch (it then behaves as a fresh [`Pmm::with_defaults`]).
+    pub fn controller(&self, i: usize) -> Option<&Pmm> {
+        let k = self.controllers.binary_search_by_key(&i, |c| c.0).ok()?;
+        Some(&self.controllers[k].1)
+    }
+
+    /// True once every partition has a controller.
+    fn all_built(&self) -> bool {
+        self.controllers.len() == self.alloc.partitions().len()
     }
 
     /// The partition strategy controller `c` currently publishes.
@@ -65,16 +78,6 @@ impl TenantPmm {
             // A PMM controller's MinMax target is its partition's MPL
             // ceiling here — per-tenant, not system-wide.
             _ => PartitionStrategy::MinMax(c.target_mpl()),
-        }
-    }
-
-    /// Pull any new trace points out of controller `i` into the merged
-    /// trace.
-    fn merge_trace(&mut self, i: usize) {
-        let points = self.controllers[i].trace();
-        if points.len() > self.trace_seen[i] {
-            self.trace.extend_from_slice(&points[self.trace_seen[i]..]);
-            self.trace_seen[i] = points.len();
         }
     }
 }
@@ -116,30 +119,43 @@ impl MemoryPolicy for TenantPmm {
     fn on_tenant_batch(&mut self, tenant: u32, stats: &BatchStats) {
         // Out-of-range tenants bill to the last partition, as in the
         // allocator.
-        let i = (tenant as usize).min(self.controllers.len() - 1);
-        self.controllers[i].on_batch(stats);
+        let i = (tenant as usize).min(self.alloc.partitions().len() - 1);
+        let k = match self.controllers.binary_search_by_key(&i, |c| c.0) {
+            Ok(k) => k,
+            Err(k) => {
+                self.controllers.insert(k, (i, Pmm::with_defaults()));
+                k
+            }
+        };
+        let c = &mut self.controllers[k].1;
+        let seen = c.trace().len();
+        c.on_batch(stats);
         // The batch is the only thing that moves a controller's mode or
         // target, so the strategy table stays in sync from here alone.
-        self.alloc
-            .set_strategy(i, Self::strategy_of(&self.controllers[i]));
-        self.merge_trace(i);
+        self.alloc.set_strategy(i, Self::strategy_of(c));
+        self.trace.extend_from_slice(&c.trace()[seen..]);
     }
 
     fn target_mpl(&self) -> Option<u32> {
         // A system-wide ceiling exists only while *every* controller caps
-        // its partition; one Max-mode tenant makes the total unbounded.
+        // its partition; one Max-mode (or not yet built) tenant makes the
+        // total unbounded.
+        if !self.all_built() {
+            return None;
+        }
         self.controllers
             .iter()
-            .map(MemoryPolicy::target_mpl)
+            .map(|(_, c)| c.target_mpl())
             .try_fold(0u32, |acc, t| t.map(|t| acc.saturating_add(t)))
     }
 
     fn mode(&self) -> StrategyMode {
         // Summary for reports: MinMax once every tenant has switched.
-        if self
-            .controllers
-            .iter()
-            .all(|c| c.mode() == StrategyMode::MinMax)
+        if self.all_built()
+            && self
+                .controllers
+                .iter()
+                .all(|(_, c)| c.mode() == StrategyMode::MinMax)
         {
             StrategyMode::MinMax
         } else {
@@ -224,8 +240,8 @@ mod tests {
         // Only tenant 1 struggles: its controller switches, tenant 0 stays
         // in Max mode.
         p.on_tenant_batch(1, &struggle(100));
-        assert_eq!(p.controllers()[0].mode(), StrategyMode::Max);
-        assert_eq!(p.controllers()[1].mode(), StrategyMode::MinMax);
+        assert!(p.controller(0).is_none(), "tenant 0 never closed a batch");
+        assert_eq!(p.controller(1).unwrap().mode(), StrategyMode::MinMax);
         assert_eq!(p.mode(), StrategyMode::Max, "summary mode: not all MinMax");
         assert_eq!(p.target_mpl(), None, "a Max-mode tenant is unbounded");
         // The merged trace carries tenant 1's switch decision.
@@ -235,8 +251,8 @@ mod tests {
         p.on_tenant_batch(0, &struggle(200));
         assert_eq!(p.mode(), StrategyMode::MinMax);
         let sum = p.target_mpl().expect("both capped");
-        let t0 = p.controllers()[0].target_mpl().unwrap();
-        let t1 = p.controllers()[1].target_mpl().unwrap();
+        let t0 = p.controller(0).unwrap().target_mpl().unwrap();
+        let t1 = p.controller(1).unwrap().target_mpl().unwrap();
         assert_eq!(sum, t0 + t1);
         assert_eq!(p.trace().len(), 2);
     }
@@ -268,7 +284,7 @@ mod tests {
         p.on_tenant_batch(1, &struggle(100));
         let grants = p.allocate(&snap);
         let t1: Vec<_> = grants.iter().filter(|(id, _)| id.0 % 2 == 1).collect();
-        let target = p.controllers()[1].target_mpl().unwrap() as usize;
+        let target = p.controller(1).unwrap().target_mpl().unwrap() as usize;
         assert_eq!(t1.len(), target.min(6));
         let t0: Vec<_> = grants.iter().filter(|(id, _)| id.0 % 2 == 0).collect();
         assert_eq!(t0.len(), 1);
@@ -293,8 +309,8 @@ mod tests {
     fn out_of_range_tenant_feedback_clamps_to_last() {
         let mut p = TenantPmm::new(halves(false));
         p.on_tenant_batch(9, &struggle(100));
-        assert_eq!(p.controllers()[1].mode(), StrategyMode::MinMax);
-        assert_eq!(p.controllers()[0].mode(), StrategyMode::Max);
+        assert_eq!(p.controller(1).unwrap().mode(), StrategyMode::MinMax);
+        assert!(p.controller(0).is_none());
     }
 
     #[test]
@@ -329,10 +345,124 @@ mod tests {
         let mut p = TenantPmm::new(halves(false));
         p.on_batch(&struggle(100));
         assert!(
-            p.controllers()
-                .iter()
-                .all(|c| c.mode() == StrategyMode::Max),
+            (0..2).all(|i| p.controller(i).is_none()),
             "global feedback must not reach the per-tenant controllers"
         );
+    }
+
+    /// The eager reference: every partition's controller built up front.
+    struct Eager {
+        alloc: IncrementalPartitioned,
+        controllers: Vec<Pmm>,
+        trace: Vec<TracePoint>,
+    }
+
+    impl Eager {
+        fn new(partitions: Vec<PartitionSpec>) -> Self {
+            let n = partitions.len();
+            Eager {
+                alloc: IncrementalPartitioned::new(partitions, PartitionStrategy::Max),
+                controllers: (0..n).map(|_| Pmm::with_defaults()).collect(),
+                trace: Vec::new(),
+            }
+        }
+
+        fn batch(&mut self, tenant: usize, stats: &BatchStats) {
+            let c = &mut self.controllers[tenant];
+            let seen = c.trace().len();
+            c.on_batch(stats);
+            self.alloc.set_strategy(tenant, TenantPmm::strategy_of(c));
+            self.trace.extend_from_slice(&c.trace()[seen..]);
+        }
+
+        fn mode(&self) -> StrategyMode {
+            if self
+                .controllers
+                .iter()
+                .all(|c| c.mode() == StrategyMode::MinMax)
+            {
+                StrategyMode::MinMax
+            } else {
+                StrategyMode::Max
+            }
+        }
+
+        fn target_mpl(&self) -> Option<u32> {
+            self.controllers
+                .iter()
+                .map(MemoryPolicy::target_mpl)
+                .try_fold(0u32, |acc, t| t.map(|t| acc + t))
+        }
+    }
+
+    /// A batch with no misses at low utilization: a MinMax controller
+    /// projects a new target from it.
+    fn calm(now_s: u64) -> BatchStats {
+        BatchStats {
+            served: 30,
+            missed: 0,
+            realized_mpl: 4.0,
+            ..struggle(now_s)
+        }
+    }
+
+    /// Everything a caller can observe of the lazy policy equals the eager
+    /// reference, before any batch and after each of one tenant's batches;
+    /// only the tenant that closed batches owns a controller, and it
+    /// decides exactly as a lone `Pmm::with_defaults()` fed the same
+    /// batches.
+    #[test]
+    fn controllers_are_built_at_their_first_batch() {
+        let parts: Vec<PartitionSpec> = (0..4)
+            .map(|i| PartitionSpec {
+                quota: 640,
+                soft: i % 2 == 0,
+            })
+            .collect();
+        let mut lazy = TenantPmm::new(parts.clone());
+        let mut eager = Eager::new(parts);
+        let mut lone = Pmm::with_defaults();
+        let snap = snapshot(5, 4);
+        let groups: Vec<Vec<QueryDemand>> = (0..4)
+            .map(|t| {
+                snap.queries
+                    .iter()
+                    .filter(|q| q.tenant == t)
+                    .cloned()
+                    .collect()
+            })
+            .collect();
+        let check = |lazy: &mut TenantPmm, eager: &mut Eager| {
+            assert_eq!(lazy.mode(), eager.mode());
+            assert_eq!(lazy.target_mpl(), eager.target_mpl());
+            assert_eq!(lazy.trace(), &eager.trace[..]);
+            let mut want = Grants::new();
+            eager
+                .alloc
+                .allocate_into(&snap.queries, snap.total_memory, &mut want);
+            assert_eq!(lazy.allocate(&snap), want, "snapshot grants");
+            let (mut got, mut want) = (Grants::new(), Grants::new());
+            let mut all = DirtySet::new(4);
+            all.mark_all();
+            lazy.allocate_dirty_into(2560, &groups, &mut all, &mut got);
+            eager
+                .alloc
+                .allocate_dirty_into(&groups, 2560, &all, &mut want);
+            assert_eq!(got, want, "dirty-path grants");
+        };
+        assert!((0..4).all(|i| lazy.controller(i).is_none()));
+        check(&mut lazy, &mut eager);
+        for stats in [struggle(100), struggle(200), calm(300), calm(400)] {
+            lazy.on_tenant_batch(2, &stats);
+            eager.batch(2, &stats);
+            lone.on_batch(&stats);
+            assert!([0, 1, 3].iter().all(|&i| lazy.controller(i).is_none()));
+            let c = lazy.controller(2).expect("tenant 2 closed a batch");
+            assert_eq!(c.mode(), lone.mode());
+            assert_eq!(c.target_mpl(), lone.target_mpl());
+            assert_eq!(c.trace(), lone.trace());
+            check(&mut lazy, &mut eager);
+        }
+        assert!(!lone.trace().is_empty(), "the batches moved the controller");
     }
 }

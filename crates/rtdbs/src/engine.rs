@@ -41,7 +41,7 @@ use obs::{
 };
 use pmm::{
     AllocScratch, BatchStats, DirtySet, Grants, MemoryPolicy, QueryDemand, QueryId,
-    SystemSnapshot,
+    SpareVecs, SystemSnapshot,
 };
 use simkit::calendar::EventHandle;
 use simkit::metrics::{
@@ -642,9 +642,12 @@ pub struct Simulator {
     // bucketed per partition, each slot's index inside its bucket (for O(1)
     // swap-removal), and the set of partitions whose demand changed since
     // the last allocation event. Reallocation cost then scales with churn,
-    // not population.
+    // not population. A bucket holds heap only while its partition has live
+    // demand: an emptied one parks its buffer in `spare_groups` for the
+    // next partition that needs one.
     use_dirty: bool,
     demand_groups: Vec<Vec<QueryDemand>>,
+    spare_groups: SpareVecs<QueryDemand>,
     group_pos: Vec<u32>,
     dirty: DirtySet,
     /// Live queries holding memory (granted > 0), maintained on grant
@@ -798,6 +801,7 @@ impl Simulator {
             } else {
                 Vec::new()
             },
+            spare_groups: SpareVecs::default(),
             group_pos: Vec::new(),
             dirty: DirtySet::new(tenants.len()),
             holders: 0,
@@ -1216,8 +1220,10 @@ impl Simulator {
         if self.group_pos.len() <= slot as usize {
             self.group_pos.resize(slot as usize + 1, 0);
         }
-        self.group_pos[slot as usize] = self.demand_groups[g].len() as u32;
-        self.demand_groups[g].push(d);
+        let group = &mut self.demand_groups[g];
+        self.spare_groups.take(group);
+        self.group_pos[slot as usize] = group.len() as u32;
+        group.push(d);
         self.dirty.mark(g);
     }
 
@@ -1238,10 +1244,13 @@ impl Simulator {
         if self.use_dirty {
             let g = q.tenant as usize;
             let pos = self.group_pos[slot as usize] as usize;
-            self.demand_groups[g].swap_remove(pos);
-            if let Some(moved) = self.demand_groups[g].get(pos) {
+            let group = &mut self.demand_groups[g];
+            group.swap_remove(pos);
+            if let Some(moved) = group.get(pos) {
                 let ms = self.live.slot_of(moved.id).expect("moved demand is live");
                 self.group_pos[ms as usize] = pos as u32;
+            } else if group.is_empty() {
+                self.spare_groups.give(group);
             }
             self.dirty.mark(g);
         }
@@ -1480,7 +1489,7 @@ impl Simulator {
         // request.
         loop {
             let t0 = self.profiler.begin();
-            let started = self.disks.disk_mut(disk).start();
+            let started = self.disks.start(disk);
             self.profiler.end(Section::DiskStart, t0);
             let Some((access, service)) = started else {
                 return;

@@ -1,6 +1,6 @@
 //! One physical disk: a pluggable [`ServiceModel`], a prefetch
 //! [`BufferPool`], and an ED+elevator queue; plus [`DiskFarm`], the set of
-//! disks.
+//! disks and the one [`ServiceTable`] they share.
 //!
 //! Section 4.2: each disk has a 256-KByte cache used for prefetching; on a
 //! sequential read that misses the cache, `BlockSize` (6) pages are fetched,
@@ -10,13 +10,14 @@
 //! to disk in blocks.
 //!
 //! The disk is a passive state machine: the simulator's disk manager calls
-//! [`Disk::start`] to begin servicing a request (obtaining its service
+//! [`DiskFarm::start`] to begin servicing a request (obtaining its service
 //! time), schedules the completion on its calendar, and calls
 //! [`Disk::finish`] when the event fires. Timing and positional state
 //! (head cylinder, SSD parallelism) live entirely in the service model, so
 //! the same state machine runs the paper's cylinder disk and the SSD.
 //! Busy time is the caller's to book: the disk keeps no clock.
 
+use crate::geometry::ServiceTable;
 use crate::layout::FileId;
 use crate::pool::BufferPool;
 use crate::queue::{DiskQueue, QueuedRequest};
@@ -178,8 +179,9 @@ impl Disk {
 
     /// Begin servicing the next queued request, if idle and work exists.
     /// Returns the access and its service outcome; the caller schedules the
-    /// completion event (immediately for a cache hit).
-    pub fn start(&mut self) -> Option<(Access, Service)> {
+    /// completion event (immediately for a cache hit). `table` is lent to
+    /// the service model for the media access.
+    pub fn start(&mut self, table: &mut ServiceTable) -> Option<(Access, Service)> {
         if self.busy {
             return None;
         }
@@ -206,7 +208,7 @@ impl Disk {
         // Requests still waiting behind this one: the queue-depth hint
         // models with internal parallelism consume.
         let queued = self.queue.len();
-        let mut service = self.service(&access, queued);
+        let mut service = self.service(&access, queued, table);
         if self.degrade != 1.0 {
             if let Service::Media { time } = service {
                 service = Service::Media {
@@ -227,7 +229,12 @@ impl Disk {
     }
 
     /// Compute the service decision for `access` (cache consult + timing).
-    fn service(&mut self, access: &Access, queued: usize) -> Service {
+    fn service(
+        &mut self,
+        access: &Access,
+        queued: usize,
+        table: &mut ServiceTable,
+    ) -> Service {
         match access.kind {
             IoKind::Read => {
                 if self
@@ -251,6 +258,7 @@ impl Disk {
                     fetch_pages,
                     IoKind::Read,
                     queued,
+                    table,
                 );
                 if access.prefetch {
                     let bp = self.cache.block_pages();
@@ -268,6 +276,7 @@ impl Disk {
                     access.pages.max(1),
                     IoKind::Write,
                     queued,
+                    table,
                 );
                 Service::Media { time }
             }
@@ -304,13 +313,18 @@ impl Disk {
     }
 }
 
-/// All the disks in the system.
+/// All the disks in the system, and the one [`ServiceTable`] their
+/// service models fill: the disks are identical, so one memo of the
+/// geometry's service components serves them all.
 pub struct DiskFarm {
     disks: Vec<Disk>,
+    table: ServiceTable,
 }
 
 impl DiskFarm {
     /// `n` identical disks, each running a fresh model from `make_model`.
+    /// The models must share one geometry, since they share the farm's
+    /// service table.
     pub fn new<F: Fn() -> Box<dyn ServiceModel>>(
         n: u32,
         make_model: F,
@@ -321,7 +335,13 @@ impl DiskFarm {
             disks: (0..n)
                 .map(|_| Disk::new(make_model(), block_pages))
                 .collect(),
+            table: ServiceTable::new(),
         }
+    }
+
+    /// [`Disk::start`] on disk `i`, lending it the farm's service table.
+    pub fn start(&mut self, i: usize) -> Option<(Access, Service)> {
+        self.disks[i].start(&mut self.table)
     }
 
     /// Number of disks.
@@ -375,12 +395,12 @@ mod tests {
     fn sequential_read_misses_then_hits() {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s1) = disk.start().unwrap();
+        let (_, s1) = disk.start(&mut ServiceTable::new()).unwrap();
         assert!(matches!(s1, Service::Media { .. }));
         disk.finish();
         // Re-read the same block: cache hit.
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s2) = disk.start().unwrap();
+        let (_, s2) = disk.start(&mut ServiceTable::new()).unwrap();
         assert_eq!(s2, Service::CacheHit);
         disk.finish();
         assert_eq!(disk.cache_stats().0, 1);
@@ -392,7 +412,7 @@ mod tests {
         let mut acc = read(0, 0, 1, 700);
         acc.prefetch = false;
         disk.enqueue(SimTime(10), acc.clone());
-        let (_, s1) = disk.start().unwrap();
+        let (_, s1) = disk.start(&mut ServiceTable::new()).unwrap();
         match s1 {
             Service::Media { time } => {
                 // Single page, no block round-up.
@@ -403,7 +423,7 @@ mod tests {
         }
         disk.finish();
         disk.enqueue(SimTime(10), acc);
-        let (_, s2) = disk.start().unwrap();
+        let (_, s2) = disk.start(&mut ServiceTable::new()).unwrap();
         assert!(
             matches!(s2, Service::Media { .. }),
             "no prefetch, so no hit"
@@ -416,7 +436,7 @@ mod tests {
         let mut disk = cyl_disk();
         // 2-page read spanning a block: fetch rounds up to 6 pages.
         disk.enqueue(SimTime(10), read(0, 2, 2, 700));
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         match s {
             Service::Media { time } => {
                 assert_eq!(time, g.access_time(700, 6));
@@ -429,7 +449,7 @@ mod tests {
     fn head_moves_and_second_seek_is_shorter() {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s1) = disk.start().unwrap();
+        let (_, s1) = disk.start(&mut ServiceTable::new()).unwrap();
         let t1 = match s1 {
             Service::Media { time } => time,
             _ => panic!(),
@@ -437,7 +457,7 @@ mod tests {
         disk.finish();
         assert_eq!(disk.model().position(), 700, "head tracked by the model");
         disk.enqueue(SimTime(10), read(1, 0, 6, 705));
-        let (_, s2) = disk.start().unwrap();
+        let (_, s2) = disk.start(&mut ServiceTable::new()).unwrap();
         let t2 = match s2 {
             Service::Media { time } => time,
             _ => panic!(),
@@ -450,10 +470,10 @@ mod tests {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         disk.enqueue(SimTime(2), read(1, 0, 6, 800));
-        assert!(disk.start().is_some());
-        assert!(disk.start().is_none(), "busy");
+        assert!(disk.start(&mut ServiceTable::new()).is_some());
+        assert!(disk.start(&mut ServiceTable::new()).is_none(), "busy");
         disk.finish();
-        assert!(disk.start().is_some());
+        assert!(disk.start(&mut ServiceTable::new()).is_some());
     }
 
     #[test]
@@ -473,11 +493,11 @@ mod tests {
         let mut acc = read(0, 0, 6, 100);
         acc.file = temp;
         disk.enqueue(SimTime(1), acc.clone());
-        disk.start().unwrap();
+        disk.start(&mut ServiceTable::new()).unwrap();
         disk.finish();
         disk.invalidate(temp);
         disk.enqueue(SimTime(1), acc);
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         assert!(
             matches!(s, Service::Media { .. }),
             "invalidated line must miss"
@@ -491,12 +511,12 @@ mod tests {
         let mut disk = cyl_disk();
         for b in 0..6u32 {
             disk.enqueue(SimTime(1), read(0, b * 6, 6, 700));
-            disk.start().unwrap();
+            disk.start(&mut ServiceTable::new()).unwrap();
             disk.finish();
         }
         // Block 0 was evicted.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         assert!(matches!(s, Service::Media { .. }));
     }
 
@@ -504,14 +524,14 @@ mod tests {
     fn ssd_disk_is_position_blind_and_fast() {
         let mut ssd = ssd_disk();
         ssd.enqueue(SimTime(1), read(0, 0, 6, 1499));
-        let (_, s) = ssd.start().unwrap();
+        let (_, s) = ssd.start(&mut ServiceTable::new()).unwrap();
         let t_far = match s {
             Service::Media { time } => time,
             _ => panic!("cold read"),
         };
         ssd.finish();
         ssd.enqueue(SimTime(1), read(1, 0, 6, 0));
-        let (_, s) = ssd.start().unwrap();
+        let (_, s) = ssd.start(&mut ServiceTable::new()).unwrap();
         let t_near = match s {
             Service::Media { time } => time,
             _ => panic!("cold read"),
@@ -519,7 +539,7 @@ mod tests {
         assert_eq!(t_far, t_near, "no seeks on flash");
         let mut cyl = cyl_disk();
         cyl.enqueue(SimTime(1), read(0, 0, 6, 1499));
-        let (_, s) = cyl.start().unwrap();
+        let (_, s) = cyl.start(&mut ServiceTable::new()).unwrap();
         let t_disk = match s {
             Service::Media { time } => time,
             _ => panic!("cold read"),
@@ -533,7 +553,7 @@ mod tests {
         // waiting behind it gets the queue-depth latency discount.
         let mut solo = ssd_disk();
         solo.enqueue(SimTime(1), read(0, 0, 6, 10));
-        let (_, s) = solo.start().unwrap();
+        let (_, s) = solo.start(&mut ServiceTable::new()).unwrap();
         let t_solo = match s {
             Service::Media { time } => time,
             _ => panic!(),
@@ -541,7 +561,7 @@ mod tests {
         let mut stacked = ssd_disk();
         stacked.enqueue(SimTime(1), read(0, 0, 6, 10));
         stacked.enqueue(SimTime(2), read(1, 0, 6, 20));
-        let (_, s) = stacked.start().unwrap();
+        let (_, s) = stacked.start(&mut ServiceTable::new()).unwrap();
         let t_stacked = match s {
             Service::Media { time } => time,
             _ => panic!(),
@@ -575,13 +595,13 @@ mod tests {
         let mut disk = cyl_disk();
         // Warm the cache.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        disk.start().unwrap();
+        disk.start(&mut ServiceTable::new()).unwrap();
         disk.finish();
         disk.set_outage(true);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         // Five retries with doubling backoff, then the hard error.
         for attempt in 1..=MAX_RETRIES {
-            let (_, s) = disk.start().unwrap();
+            let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
             assert_eq!(
                 s,
                 Service::Faulted {
@@ -593,13 +613,13 @@ mod tests {
             assert!(disk.is_busy(), "backoff occupies the device");
             disk.retry_elapsed();
         }
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         assert_eq!(s, Service::FaultExhausted);
         assert!(!disk.is_busy(), "hard error leaves the disk idle");
         // Recovery: the same access succeeds (from cache) once healthy.
         disk.set_outage(false);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         assert_eq!(s, Service::CacheHit);
     }
 
@@ -609,7 +629,7 @@ mod tests {
         let mut disk = cyl_disk();
         disk.set_degrade(3.0);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         match s {
             Service::Media { time } => {
                 assert_eq!(time, g.access_time(700, 6).scale(3.0));
@@ -619,7 +639,7 @@ mod tests {
         disk.finish();
         // Cache hits are unaffected: the media is slow, not the cache.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         assert_eq!(s, Service::CacheHit);
     }
 
@@ -628,12 +648,15 @@ mod tests {
         let mut disk = cyl_disk();
         disk.set_outage(true);
         disk.enqueue(SimTime(1), read(7, 0, 6, 700));
-        let (_, s) = disk.start().unwrap();
+        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
         assert!(matches!(s, Service::Faulted { .. }));
         let n = disk.cancel_queued(|a| a.file == FileId::Relation(7));
         assert_eq!(n, 1, "the retried access counts as cancelled");
         // The backoff event still releases the device; nothing restarts.
         disk.retry_elapsed();
-        assert!(disk.start().is_none(), "queue is empty");
+        assert!(
+            disk.start(&mut ServiceTable::new()).is_none(),
+            "queue is empty"
+        );
     }
 }

@@ -96,7 +96,7 @@ impl DiskGeometry {
 /// seek).
 const UNFILLED: Duration = Duration(u64::MAX);
 
-/// Memoized service-time components for one disk's geometry.
+/// Memoized service-time components for one disk geometry.
 ///
 /// `DiskGeometry::access_time` runs a `sqrt` (seek) plus three
 /// float-to-tick roundings per media access; every distinct cylinder
@@ -105,6 +105,12 @@ const UNFILLED: Duration = Duration(u64::MAX);
 /// produced by *the same expressions* as the direct computation — bit-equal
 /// `Duration`s, pinned by `service_table_matches_direct_computation` across
 /// the full cylinder range — which keeps simulation behavior identical.
+///
+/// The table depends only on the geometry, never on a head position, so
+/// all the disks of a [`crate::DiskFarm`] share one: the farm owns it and
+/// lends it to each access ([`crate::ServiceModel::access_time`]). A new
+/// table holds no heap; the first lookup sizes it for the geometry it is
+/// asked about, so every caller of one table must pass the same geometry.
 #[derive(Debug)]
 pub struct ServiceTable {
     /// Seek time by cylinder distance (index 0 = on-cylinder = zero).
@@ -115,22 +121,31 @@ pub struct ServiceTable {
     rotation: Duration,
 }
 
+impl Default for ServiceTable {
+    fn default() -> Self {
+        ServiceTable::new()
+    }
+}
+
 impl ServiceTable {
     /// Transfer lengths memoized directly; longer transfers (never produced
     /// by block-sized operator I/O) fall back to the direct computation.
     const MAX_TRANSFER_PAGES: usize = 64;
 
-    /// An empty (all-lazy) table for `geometry`.
-    pub fn new(geometry: &DiskGeometry) -> Self {
+    /// An empty table, sized and filled by its first lookups.
+    pub const fn new() -> Self {
         ServiceTable {
-            seek: vec![UNFILLED; geometry.num_cylinders as usize],
-            transfer: vec![UNFILLED; Self::MAX_TRANSFER_PAGES + 1],
-            rotation: geometry.rotational_delay(),
+            seek: Vec::new(),
+            transfer: Vec::new(),
+            rotation: UNFILLED,
         }
     }
 
     /// Memoized [`DiskGeometry::seek_time`].
-    pub fn seek_time(&mut self, geometry: &DiskGeometry, cylinders: u32) -> Duration {
+    fn seek_time(&mut self, geometry: &DiskGeometry, cylinders: u32) -> Duration {
+        if self.seek.is_empty() {
+            self.seek = vec![UNFILLED; geometry.num_cylinders as usize];
+        }
         let Some(slot) = self.seek.get_mut(cylinders as usize) else {
             return geometry.seek_time(cylinders);
         };
@@ -141,7 +156,10 @@ impl ServiceTable {
     }
 
     /// Memoized [`DiskGeometry::transfer_time`].
-    pub fn transfer_time(&mut self, geometry: &DiskGeometry, pages: u32) -> Duration {
+    fn transfer_time(&mut self, geometry: &DiskGeometry, pages: u32) -> Duration {
+        if self.transfer.is_empty() {
+            self.transfer = vec![UNFILLED; Self::MAX_TRANSFER_PAGES + 1];
+        }
         let Some(slot) = self.transfer.get_mut(pages as usize) else {
             return geometry.transfer_time(pages);
         };
@@ -159,6 +177,9 @@ impl ServiceTable {
         cyl_distance: u32,
         pages: u32,
     ) -> Duration {
+        if self.rotation == UNFILLED {
+            self.rotation = geometry.rotational_delay();
+        }
         self.seek_time(geometry, cyl_distance)
             + self.rotation
             + self.transfer_time(geometry, pages)
@@ -223,7 +244,7 @@ mod tests {
         // past the memoized transfer range (fallback path) and on repeated
         // (now cached) lookups.
         let g = DiskGeometry::default();
-        let mut table = ServiceTable::new(&g);
+        let mut table = ServiceTable::new();
         for dist in 0..g.num_cylinders {
             assert_eq!(
                 table.seek_time(&g, dist),

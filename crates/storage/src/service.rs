@@ -10,7 +10,8 @@
 //! Two implementations:
 //!
 //! * [`CylinderModel`] — the existing [`DiskGeometry`] + [`ServiceTable`]
-//!   math, extracted verbatim. Behavior is pinned byte-for-byte by the
+//!   math, extracted verbatim. The table is not the model's own: the
+//!   caller lends it per access, so a farm of disks fills one. Behavior is pinned byte-for-byte by the
 //!   golden report (`tests/golden_report.rs`): swapping `Disk` onto this
 //!   model moved zero simulated events.
 //! * [`SsdModel`] — no mechanical terms at all: a per-op latency plus a
@@ -52,35 +53,34 @@ pub trait ServiceModel: std::fmt::Debug + Send {
     /// advancing the positional state. `queued` is the number of requests
     /// still waiting behind this one — a queue-depth hint that models with
     /// internal parallelism (SSD) use to amortize per-op latency; the
-    /// cylinder model ignores it.
+    /// cylinder model ignores it. `table` is the memo of mechanical service
+    /// components the caller shares among all its devices of one geometry;
+    /// models without mechanical terms ignore it.
     fn access_time(
         &mut self,
         cylinder: u32,
         pages: u32,
         kind: IoKind,
         queued: usize,
+        table: &mut ServiceTable,
     ) -> Duration;
 }
 
 /// The paper's mechanical disk: `Seek(n) = SeekFactor·√n` + half-rotation +
-/// linear transfer, memoized through [`ServiceTable`] (bit-equal to the
-/// direct [`DiskGeometry`] math — pinned by
-/// `service_table_matches_direct_computation`).
+/// linear transfer, memoized through the [`ServiceTable`] lent to each
+/// access (bit-equal to the direct [`DiskGeometry`] math — pinned by
+/// `service_table_matches_direct_computation`). The model itself holds only
+/// its geometry and head cylinder.
 #[derive(Debug)]
 pub struct CylinderModel {
     geometry: DiskGeometry,
-    table: ServiceTable,
     head: u32,
 }
 
 impl CylinderModel {
     /// A new model with the head parked at cylinder 0.
     pub fn new(geometry: DiskGeometry) -> Self {
-        CylinderModel {
-            geometry,
-            table: ServiceTable::new(&geometry),
-            head: 0,
-        }
+        CylinderModel { geometry, head: 0 }
     }
 }
 
@@ -107,10 +107,11 @@ impl ServiceModel for CylinderModel {
         pages: u32,
         _kind: IoKind,
         _queued: usize,
+        table: &mut ServiceTable,
     ) -> Duration {
         let dist = self.head.abs_diff(cylinder);
         self.head = cylinder;
-        self.table.access_time(&self.geometry, dist, pages)
+        table.access_time(&self.geometry, dist, pages)
     }
 }
 
@@ -205,6 +206,7 @@ impl ServiceModel for SsdModel {
         pages: u32,
         kind: IoKind,
         queued: usize,
+        _table: &mut ServiceTable,
     ) -> Duration {
         let (latency_us, bandwidth_mb_s) = match kind {
             IoKind::Read => (self.spec.read_latency_us, self.spec.read_bandwidth_mb_s),
@@ -276,17 +278,18 @@ mod tests {
         // distance from the tracked head, then seek + rotation + transfer.
         let g = DiskGeometry::default();
         let mut model = CylinderModel::new(g);
+        let mut t = ServiceTable::new();
         let mut head = 0u32;
         for (cyl, pages) in [(700, 6), (700, 6), (705, 1), (0, 12), (1499, 64), (3, 2)] {
             let expect = g.access_time(head.abs_diff(cyl), pages);
-            let got = model.access_time(cyl, pages, IoKind::Read, 0);
+            let got = model.access_time(cyl, pages, IoKind::Read, 0, &mut t);
             assert_eq!(got, expect, "mismatch at ({cyl}, {pages})");
             head = cyl;
             assert_eq!(model.position(), head);
         }
         // Writes and queue hints change nothing on the mechanical model.
         let expect = g.access_time(head.abs_diff(10), 6);
-        assert_eq!(model.access_time(10, 6, IoKind::Write, 5), expect);
+        assert_eq!(model.access_time(10, 6, IoKind::Write, 5, &mut t), expect);
     }
 
     #[test]
@@ -294,18 +297,18 @@ mod tests {
         let g = DiskGeometry::default();
         let mut model = CylinderModel::new(g);
         model.park_at(900);
-        let t = model.access_time(900, 6, IoKind::Read, 0);
+        let t = model.access_time(900, 6, IoKind::Read, 0, &mut ServiceTable::new());
         assert_eq!(t, g.access_time(0, 6), "parked head must not seek");
     }
 
     #[test]
     fn ssd_reads_beat_writes_and_both_beat_the_disk() {
         let mut ssd = SsdModel::new(SsdSpec::default());
-        let read = ssd.access_time(700, 6, IoKind::Read, 0);
-        let write = ssd.access_time(42, 6, IoKind::Write, 0);
+        let read = ssd.access_time(700, 6, IoKind::Read, 0, &mut ServiceTable::new());
+        let write = ssd.access_time(42, 6, IoKind::Write, 0, &mut ServiceTable::new());
         assert!(read < write, "flash reads are faster than programs");
         let mut cyl = CylinderModel::new(DiskGeometry::default());
-        let disk = cyl.access_time(700, 6, IoKind::Read, 0);
+        let disk = cyl.access_time(700, 6, IoKind::Read, 0, &mut ServiceTable::new());
         assert!(
             write.as_secs_f64() * 10.0 < disk.as_secs_f64(),
             "an SSD block access should be well over 10x faster: {write:?} vs {disk:?}"
@@ -315,11 +318,15 @@ mod tests {
     #[test]
     fn ssd_transfer_scales_with_pages_not_position() {
         let mut ssd = SsdModel::new(SsdSpec::default());
-        let near = ssd.access_time(0, 6, IoKind::Read, 0);
-        let far = ssd.access_time(1499, 6, IoKind::Read, 0);
+        let near = ssd.access_time(0, 6, IoKind::Read, 0, &mut ServiceTable::new());
+        let far = ssd.access_time(1499, 6, IoKind::Read, 0, &mut ServiceTable::new());
         assert_eq!(near, far, "no mechanical position");
-        let one = ssd.access_time(0, 1, IoKind::Read, 0).as_secs_f64();
-        let six = ssd.access_time(0, 6, IoKind::Read, 0).as_secs_f64();
+        let one = ssd
+            .access_time(0, 1, IoKind::Read, 0, &mut ServiceTable::new())
+            .as_secs_f64();
+        let six = ssd
+            .access_time(0, 6, IoKind::Read, 0, &mut ServiceTable::new())
+            .as_secs_f64();
         let spec = SsdSpec::default();
         let lat = spec.read_latency_us * 1e-6;
         // Subtracting the per-op latency leaves the pure bandwidth term;
@@ -334,16 +341,18 @@ mod tests {
             ..SsdSpec::default()
         };
         let mut ssd = SsdModel::new(spec);
-        let solo = ssd.access_time(0, 1, IoKind::Read, 0);
-        let stacked = ssd.access_time(0, 1, IoKind::Read, 3);
+        let solo = ssd.access_time(0, 1, IoKind::Read, 0, &mut ServiceTable::new());
+        let stacked = ssd.access_time(0, 1, IoKind::Read, 3, &mut ServiceTable::new());
         assert!(stacked < solo, "queued work amortizes per-op latency");
         // Beyond the device's queue depth the amortization saturates.
-        let deep = ssd.access_time(0, 1, IoKind::Read, 100);
+        let deep = ssd.access_time(0, 1, IoKind::Read, 100, &mut ServiceTable::new());
         assert_eq!(deep, stacked, "parallelism capped at queue_depth");
         // The bandwidth term is not amortized: a big stacked transfer still
         // costs at least its media time.
         let spec = SsdSpec::default();
-        let big = ssd.access_time(0, 64, IoKind::Read, 100).as_secs_f64();
+        let big = ssd
+            .access_time(0, 64, IoKind::Read, 100, &mut ServiceTable::new())
+            .as_secs_f64();
         let media = 64.0 * spec.page_bytes as f64 / (spec.read_bandwidth_mb_s * 1e6);
         assert!(big >= media);
     }
@@ -354,8 +363,8 @@ mod tests {
         let mut b = SsdModel::new(SsdSpec::default());
         for q in 0..20 {
             assert_eq!(
-                a.access_time(q, 6, IoKind::Read, q as usize),
-                b.access_time(q, 6, IoKind::Read, q as usize)
+                a.access_time(q, 6, IoKind::Read, q as usize, &mut ServiceTable::new()),
+                b.access_time(q, 6, IoKind::Read, q as usize, &mut ServiceTable::new())
             );
         }
     }
