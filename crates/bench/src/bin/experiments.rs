@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Flags: `--figure
-//! <fig3|fig8|fig11|fig12|fig16|fig17|burst|tenants|devices|faults|scale|all>`
+//! <fig3|fig8|fig11|fig12|fig16|fig17|burst|tenants|faults|scale|all>`
 //! (repeatable), `--seeds N` (default 8), `--threads N` (default: available
 //! cores), `--secs S` (default 3600), `--master-seed S` (default 1994),
 //! `--out DIR` (default `.`), `--smoke` (defaults-only: the seed and
@@ -53,11 +53,8 @@
 //! `PMM-tenant`, with per-tenant quota-utilization / borrow-volume
 //! aggregates in each cell's `tenants` array. `fig12` cells carry the
 //! merged per-window miss-ratio series (with 90% CIs across seeds) in
-//! their `windows` array. `--figure devices` crosses the storage service
-//! models (cylinder disk vs. SSD) with the allocation policies at two
-//! baseline arrival rates; each cell is labelled `"<device>/<policy>"`.
-//! `--figure faults` sweeps fault-plan intensity (0 = fault-free
-//! control) × degradation policy; each cell is labelled
+//! their `windows` array. `--figure faults` sweeps fault-plan intensity
+//! (0 = fault-free control) × degradation policy; each cell is labelled
 //! `"<mode>/<policy>"` with mode `abort` or `requeue`. The labels are
 //! only printed: every cell carries its own config
 //! (`bench::driver::CellSpec`), and nothing parses them.

@@ -26,13 +26,12 @@ use std::sync::OnceLock;
 
 /// Names of the figure experiments the driver knows how to shard. Beyond
 /// the paper's figures, `burst` sweeps MMPP burst ratios, `tenants` sweeps
-/// multi-tenant quota splits, `devices` crosses the storage service models
-/// with the allocation policies, `faults` sweeps fault-storm
+/// multi-tenant quota splits, `faults` sweeps fault-storm
 /// intensity × degradation policy, and `scale` sweeps tenant population
 /// 10¹→10³ under incremental vs snapshot reallocation.
-pub const FIGURES: [&str; 11] = [
-    "fig3", "fig8", "fig11", "fig12", "fig16", "fig17", "burst", "tenants", "devices",
-    "faults", "scale",
+pub const FIGURES: [&str; 10] = [
+    "fig3", "fig8", "fig11", "fig12", "fig16", "fig17", "burst", "tenants", "faults",
+    "scale",
 ];
 
 /// Two-sided 90% Student-t quantile (`t_{0.95, df}`) for the given degrees
@@ -63,13 +62,13 @@ pub struct CellSpec {
     /// The swept parameter (arrival rate, MinMax N, Small-class rate, ...).
     pub x: f64,
     /// The cell's label, as every artifact prints it: the memory algorithm,
-    /// prefixed by what else the cell varies (`"ssd/PMM"`,
-    /// `"requeue/PMM"`). Nothing parses it.
+    /// prefixed by what else the cell varies (`"requeue/PMM"`,
+    /// `"snapshot/Partitioned-soft"`). Nothing parses it.
     pub policy: String,
     /// The memory algorithm, as [`crate::make_policy_for`] resolves it.
     pub algorithm: String,
     /// The cell's simulation config: the figure's preset for `x`, its
-    /// window, and the device or degradation mode the label names. The
+    /// window, and the degradation mode the label names. The
     /// driver fills in the duration, seed and observability settings per
     /// replication.
     pub config: SimConfig,
@@ -203,25 +202,6 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
                 &crate::TENANT_POLICIES,
                 SimConfig::multi_tenant,
             ),
-        },
-        "devices" => FigureSpec {
-            name: "devices",
-            x_label: "arrival rate (queries/s)",
-            window_secs: None,
-            // Every device under every algorithm, labelled
-            // "<device>/<algorithm>".
-            cells: crate::DEVICE_RATES
-                .iter()
-                .flat_map(|&x| {
-                    [DeviceSpec::Cylinder, DeviceSpec::Ssd(SsdSpec::default())]
-                        .into_iter()
-                        .flat_map(|d| crate::DEVICE_POLICIES.map(|a| (d, a)))
-                        .map(move |(d, a)| CellSpec {
-                            policy: format!("{}/{a}", d.name()),
-                            ..CellSpec::new(x, a, SimConfig::baseline(x).with_device(d))
-                        })
-                })
-                .collect(),
         },
         "faults" => FigureSpec {
             name: "faults",
@@ -1484,28 +1464,6 @@ mod tests {
     }
 
     #[test]
-    fn devices_figure_crosses_devices_rates_and_policies() {
-        let spec = figure_spec("devices").expect("known figure");
-        assert_eq!(
-            spec.cells.len(),
-            crate::DEVICE_RATES.len() * 2 * crate::DEVICE_POLICIES.len()
-        );
-        // Every cell runs a known allocation policy, named after its device.
-        for cell in &spec.cells {
-            let a = cell.algorithm.as_str();
-            assert!(crate::DEVICE_POLICIES.contains(&a), "known policy {a}");
-            assert!(cell.policy.ends_with(&format!("/{a}")), "{}", cell.policy);
-        }
-        // Both devices are present.
-        for device in ["cyl/", "ssd/"] {
-            assert!(
-                spec.cells.iter().any(|c| c.policy.starts_with(device)),
-                "device {device} covered"
-            );
-        }
-    }
-
-    #[test]
     fn figure_cells_keep_their_labels() {
         let labels = |figure: &str| -> Vec<String> {
             let spec = figure_spec(figure).expect("known figure");
@@ -1514,15 +1472,6 @@ mod tests {
                 .map(|c| format!("{:?} {}", c.x, c.policy))
                 .collect()
         };
-        let mut devices = Vec::new();
-        for x in ["0.05", "0.07"] {
-            for device in ["cyl", "ssd"] {
-                for a in ["Max", "MinMax", "PMM"] {
-                    devices.push(format!("{x} {device}/{a}"));
-                }
-            }
-        }
-        assert_eq!(labels("devices"), devices);
         let mut faults = Vec::new();
         for x in ["0.0", "0.5", "1.0"] {
             for cell in ["abort/MinMax", "requeue/MinMax", "abort/PMM", "requeue/PMM"] {
@@ -1539,15 +1488,6 @@ mod tests {
         assert_eq!(labels("scale"), scale);
 
         // Each cell's config carries what its label names.
-        for cell in figure_spec("devices").expect("known figure").cells {
-            let (device, algorithm) = cell.policy.split_once('/').expect("device/policy");
-            assert_eq!(algorithm, cell.algorithm);
-            let want = match device {
-                "cyl" => DeviceSpec::Cylinder,
-                _ => DeviceSpec::Ssd(SsdSpec::default()),
-            };
-            assert_eq!(cell.config.resources.device, want, "{}", cell.policy);
-        }
         for cell in figure_spec("faults").expect("known figure").cells {
             let (mode, algorithm) = cell.policy.split_once('/').expect("mode/policy");
             assert_eq!(algorithm, cell.algorithm);
@@ -1593,8 +1533,8 @@ mod tests {
 
     #[test]
     fn run_figure_validates_cells_before_spawning() {
-        // Every shipped cell's config — device and degradation mode
-        // included — passes validation with sane driver settings...
+        // Every shipped cell's config — degradation mode included —
+        // passes validation with sane driver settings...
         for f in FIGURES.into_iter().chain(["crashtest"]) {
             for cell in figure_spec(f).expect("known figure").cells {
                 let mut sim = cell.config;

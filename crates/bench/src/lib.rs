@@ -61,8 +61,8 @@ impl MemoryPolicy for PanicPolicy {
 /// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"Proportional-<N>"`,
 /// `"PMM"`, and the crashtest figure's `"panic"`.
 ///
-/// Only the memory algorithm is named here: a figure cell's device and
-/// degradation mode are in its `SimConfig`
+/// Only the memory algorithm is named here: a figure cell's degradation
+/// mode is in its `SimConfig`
 /// ([`driver::CellSpec::config`]).
 ///
 /// # Panics
@@ -131,11 +131,6 @@ pub const BURST_RATIOS: [f64; 4] = [1.0, 4.0, 8.0, 16.0];
 /// The policies of the bursty-arrivals experiment: the static baselines
 /// and PMM.
 pub const BURST_POLICIES: [&str; 3] = ["Max", "MinMax", "PMM"];
-/// Arrival rates of the device sweep: one below and one above the
-/// cylinder disk's saturation knee, so the SSD's headroom is visible.
-pub const DEVICE_RATES: [f64; 2] = [0.05, 0.07];
-/// The allocation policies crossed with each device × rate cell.
-pub const DEVICE_POLICIES: [&str; 3] = ["Max", "MinMax", "PMM"];
 
 /// Fault intensities of the faults sweep: the empty-plan control cell plus
 /// a half- and a full-strength storm (see `FaultPlan::scaled`).

@@ -163,64 +163,6 @@ fn tenant_and_burst_cells_are_emitted() {
     assert!(!burst.to_json().contains("\"tenants\":["));
 }
 
-/// The device sweep obeys the same contract: merged JSON — across the
-/// cylinder-vs-SSD service models — is byte-identical across thread
-/// counts, and the grid's cells all appear.
-#[test]
-fn devices_json_matches_serial_and_covers_grid() {
-    let base = DriverConfig {
-        seeds: 2,
-        threads: 1,
-        secs: 200.0,
-        master_seed: 1994,
-        ..DriverConfig::default()
-    };
-    let serial = run_figure("devices", base.clone()).expect("serial run");
-    let parallel = run_figure(
-        "devices",
-        DriverConfig {
-            threads: 4,
-            ..base.clone()
-        },
-    )
-    .expect("parallel");
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "devices: 4-thread JSON must match the serial run"
-    );
-    assert_eq!(
-        serial.cells.len(),
-        bench::DEVICE_RATES.len() * 2 * bench::DEVICE_POLICIES.len()
-    );
-    for device in ["cyl", "ssd"] {
-        for policy in bench::DEVICE_POLICIES {
-            let name = format!("{device}/{policy}");
-            assert!(
-                serial.cells.iter().any(|c| c.policy == name),
-                "cell {name} present"
-            );
-        }
-    }
-    // The SSD's service times are a different distribution from the
-    // cylinder disk's, so identical cells would mean the device spec was
-    // dropped somewhere along the config plumbing.
-    let json = serial.to_json();
-    assert!(json.contains("\"policy\":\"ssd/PMM\""), "{json}");
-    let cell = |name: &str| {
-        serial
-            .cells
-            .iter()
-            .find(|c| c.policy == name && c.x == 0.07)
-            .expect("grid cell")
-    };
-    assert_ne!(
-        cell("cyl/PMM").disk_util.mean,
-        cell("ssd/PMM").disk_util.mean,
-        "SSD cells must not replicate the cylinder disk's utilization"
-    );
-}
-
 /// `--trace=arrivals`: replication 0's gaps are captured per cell and
 /// class, replay exactly through `workload::Trace`, and do not perturb the
 /// merged JSON.

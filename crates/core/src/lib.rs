@@ -39,7 +39,7 @@ pub mod prelude {
         ResourceConfig, RunReport, SimConfig, WorkloadClass,
     };
     pub use simkit::{Duration, SimTime};
-    pub use storage::{DeviceSpec, DiskGeometry, RelationGroupSpec, SsdSpec};
+    pub use storage::{DiskGeometry, RelationGroupSpec};
     pub use workload::{
         AlternationSchedule, ArrivalProcess, ArrivalSpec, Scenario, TenantSpec,
     };

@@ -12,8 +12,8 @@
 //! page-range I/Os (see [`op`]), so they can be unit-tested against
 //! I/O-volume invariants without the full simulator, and
 //! [`standalone::standalone_time`] can price a query for deadline
-//! assignment by replaying the same machine against an idle device of the
-//! configured kind (cylinder disk or SSD).
+//! assignment by replaying the same machine against idle disks of the
+//! configured geometry.
 
 pub mod hashjoin;
 pub mod op;

@@ -8,11 +8,10 @@
 //!
 //! We compute it by *driving the actual operator state machine* through a
 //! private cost model: CPU bursts cost `instructions / MIPS`, and each I/O
-//! pays the configured device's service time on an otherwise idle device
-//! (a cylinder disk's head tracks the query's own accesses). Because the
-//! query runs with its maximum allocation it performs no temp I/O, but the
-//! executor handles temp placement anyway so tests can estimate
-//! constrained executions too.
+//! pays the disk's service time on an otherwise idle disk (each disk's head
+//! tracks the query's own accesses). Because the query runs with its
+//! maximum allocation it performs no temp I/O, but the executor handles
+//! temp placement anyway so tests can estimate constrained executions too.
 //!
 //! The query alternates CPU and I/O (it is single-threaded), so the
 //! stand-alone time is the plain sum of both components — exactly how the
@@ -21,37 +20,30 @@
 use crate::op::{Action, FileRef, Operator};
 use simkit::Duration;
 use std::collections::HashMap;
-use storage::{DeviceSpec, DiskGeometry, DiskId, ServiceModel, ServiceTable};
+use storage::{DiskGeometry, DiskId, ServiceTable};
 
 /// Estimate the stand-alone execution time of `op` at its current
-/// allocation on `device` (callers wanting the paper's definition grant
-/// the maximum allocation first). `placement` resolves an operator-visible
-/// file to its `(disk, start_cylinder)`.
+/// allocation on disks of `geometry` (callers wanting the paper's
+/// definition grant the maximum allocation first). `placement` resolves an
+/// operator-visible file to its `(disk, start_cylinder)`.
 ///
-/// Each disk the query touches gets a fresh service model whose positional
-/// state starts where the query's first access lands (no initial-seek
-/// charge — the seed's `or_insert` head semantics); the models share one
-/// [`ServiceTable`], as a disk farm's do. The queue-depth hint is
-/// 0: a stand-alone query has nothing stacked behind its requests, so an
-/// SSD charges full per-op latency. Deadlines derived from this estimate
-/// therefore shrink along with execution times when the device is faster —
-/// the slack *ratio* stays the paper's.
+/// Each disk the query touches gets a head parked where the query's first
+/// access on it lands (no initial-seek charge), and every access is priced
+/// through one [`ServiceTable`], as a disk farm's are.
 ///
 /// # Panics
 /// Panics if the operator parks (stand-alone execution never suspends) or
 /// fails to finish within a very generous step bound.
 pub fn standalone_time(
     op: &mut dyn Operator,
-    device: &DeviceSpec,
     geometry: &DiskGeometry,
     placement: &mut impl FnMut(FileRef) -> (DiskId, u32),
     cpu_mips: f64,
 ) -> Duration {
     assert!(cpu_mips > 0.0, "MIPS rating must be positive");
     let mut total = Duration::ZERO;
-    let mut models: HashMap<DiskId, Box<dyn ServiceModel>> = HashMap::new();
+    let mut heads: HashMap<DiskId, u32> = HashMap::new();
     let mut table = ServiceTable::new();
-    let mut temp_sizes: HashMap<u32, u32> = HashMap::new();
     for _ in 0..50_000_000u64 {
         match op.step() {
             Action::Cpu(instr) => {
@@ -60,22 +52,13 @@ pub fn standalone_time(
             Action::Io(io) => {
                 let (disk, start_cyl) = placement(io.file);
                 let cyl = geometry.cylinder_of(start_cyl, io.first_page);
-                let model = models.entry(disk).or_insert_with(|| {
-                    let mut m = device.build(geometry);
-                    m.park_at(cyl);
-                    m
-                });
-                // Prefetch rounds a partial-block read up to whole blocks,
-                // matching the disk model.
-                let pages = io.pages.max(1);
-                total += model.access_time(cyl, pages, io.kind, 0, &mut table);
+                let head = heads.entry(disk).or_insert(cyl);
+                let distance = head.abs_diff(cyl);
+                *head = cyl;
+                total += table.access_time(geometry, distance, io.pages.max(1));
             }
-            Action::CreateTemp { slot, pages } => {
-                temp_sizes.insert(slot, pages);
-            }
-            Action::DropTemp { slot } => {
-                temp_sizes.remove(&slot);
-            }
+            // Temp files are metadata-only: `placement` resolves them.
+            Action::CreateTemp { .. } | Action::DropTemp { .. } => {}
             Action::Parked => panic!("stand-alone execution cannot park"),
             Action::Finished => return total,
         }
@@ -110,7 +93,6 @@ mod tests {
         op.set_allocation(op.max_memory());
         let t = standalone_time(
             &mut op,
-            &DeviceSpec::Cylinder,
             &DiskGeometry::default(),
             &mut flat_placement(),
             40.0,
@@ -129,20 +111,8 @@ mod tests {
             HashJoin::new(cfg, FileId::Relation(0), 1800, FileId::Relation(1), 9000);
         large.set_allocation(large.max_memory());
         let g = DiskGeometry::default();
-        let ts = standalone_time(
-            &mut small,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
-        let tl = standalone_time(
-            &mut large,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
+        let ts = standalone_time(&mut small, &g, &mut flat_placement(), 40.0);
+        let tl = standalone_time(&mut large, &g, &mut flat_placement(), 40.0);
         assert!(tl.as_secs_f64() > 2.0 * ts.as_secs_f64());
     }
 
@@ -153,23 +123,11 @@ mod tests {
         let g = DiskGeometry::default();
         let mut sort = ExternalSort::new(cfg, FileId::Relation(0), 1200);
         sort.set_allocation(sort.max_memory());
-        let t_sort = standalone_time(
-            &mut sort,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
+        let t_sort = standalone_time(&mut sort, &g, &mut flat_placement(), 40.0);
         let mut join =
             HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
         join.set_allocation(join.max_memory());
-        let t_join = standalone_time(
-            &mut join,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
+        let t_join = standalone_time(&mut join, &g, &mut flat_placement(), 40.0);
         assert!(t_sort < t_join);
     }
 
@@ -179,57 +137,25 @@ mod tests {
         let g = DiskGeometry::default();
         let mut a = ExternalSort::new(cfg, FileId::Relation(0), 600);
         a.set_allocation(600);
-        let slow = standalone_time(
-            &mut a,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            10.0,
-        );
+        let slow = standalone_time(&mut a, &g, &mut flat_placement(), 10.0);
         let mut b = ExternalSort::new(cfg, FileId::Relation(0), 600);
         b.set_allocation(600);
-        let fast = standalone_time(
-            &mut b,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            400.0,
-        );
+        let fast = standalone_time(&mut b, &g, &mut flat_placement(), 400.0);
         assert!(fast < slow);
     }
 
     #[test]
-    fn ssd_standalone_is_much_faster_than_cylinder() {
-        use storage::SsdSpec;
-        let cfg = ExecConfig::default();
+    fn cylinder_park_charges_no_seek() {
+        // A disk's head parks where the query's first access on it lands,
+        // so the same sort costs the same wherever its relation starts.
         let g = DiskGeometry::default();
-        let mut a =
-            HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
-        a.set_allocation(a.max_memory());
-        let t_disk = standalone_time(
-            &mut a,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
-        let mut b =
-            HashJoin::new(cfg, FileId::Relation(0), 1200, FileId::Relation(1), 6000);
-        b.set_allocation(b.max_memory());
-        let t_ssd = standalone_time(
-            &mut b,
-            &DeviceSpec::Ssd(SsdSpec::default()),
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
-        assert!(
-            t_ssd < t_disk,
-            "SSD estimate {t_ssd:?} must beat disk {t_disk:?}"
-        );
-        // I/O-bound at 40 MIPS: the device swap should shrink the total
-        // substantially, shrinking deadlines with it.
-        assert!(t_ssd.as_secs_f64() * 2.0 < t_disk.as_secs_f64());
+        let sort_at = |cylinder: u32| {
+            let mut sort =
+                ExternalSort::new(ExecConfig::default(), FileId::Relation(0), 1200);
+            sort.set_allocation(sort.max_memory());
+            standalone_time(&mut sort, &g, &mut |_| (DiskId(0), cylinder), 40.0)
+        };
+        assert_eq!(sort_at(0), sort_at(900), "parked head must not seek");
     }
 
     #[test]
@@ -239,23 +165,11 @@ mod tests {
         let mut max =
             HashJoin::new(cfg, FileId::Relation(0), 600, FileId::Relation(1), 3000);
         max.set_allocation(max.max_memory());
-        let t_max = standalone_time(
-            &mut max,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
+        let t_max = standalone_time(&mut max, &g, &mut flat_placement(), 40.0);
         let mut min =
             HashJoin::new(cfg, FileId::Relation(0), 600, FileId::Relation(1), 3000);
         min.set_allocation(min.min_memory());
-        let t_min = standalone_time(
-            &mut min,
-            &DeviceSpec::Cylinder,
-            &g,
-            &mut flat_placement(),
-            40.0,
-        );
+        let t_min = standalone_time(&mut min, &g, &mut flat_placement(), 40.0);
         assert!(
             t_min.as_secs_f64() > 1.5 * t_max.as_secs_f64(),
             "two-pass {t_min:?} vs one-pass {t_max:?}"

@@ -10,7 +10,6 @@
 use crate::faults::{FaultPlan, FaultSpec};
 use exec::ExecConfig;
 pub use obs::ObsConfig;
-pub use storage::{DeviceSpec, SsdSpec};
 use storage::{DiskGeometry, RelationGroupSpec};
 pub use workload::{
     AlternationSchedule, ArrivalSpec, QueryType, Scenario, TenantSpec, WorkloadClass,
@@ -25,12 +24,9 @@ pub struct ResourceConfig {
     pub num_disks: u32,
     /// `M` — total buffer pool size in pages (default 2560 = 20 MB).
     pub memory_pages: u32,
-    /// Disk geometry: file-layout addressing for every device, plus the
-    /// cylinder device's service parameters (seek factor, rotation, cache).
+    /// Disk geometry: file-layout addressing plus every disk's service
+    /// parameters (seek factor, rotation, cache).
     pub geometry: DiskGeometry,
-    /// Storage service model each disk runs (default: the paper's cylinder
-    /// disk). Select via [`SimConfig::with_device`].
-    pub device: DeviceSpec,
     /// Operator cost-model parameters (tuples/page, block size, fudge).
     pub exec: ExecConfig,
 }
@@ -42,7 +38,6 @@ impl Default for ResourceConfig {
             num_disks: 10,
             memory_pages: 2560,
             geometry: DiskGeometry::default(),
-            device: DeviceSpec::default(),
             exec: ExecConfig::default(),
         }
     }
@@ -56,13 +51,11 @@ pub enum ConfigError {
     /// `exec.block_pages` is 0: block-granular I/O and the prefetch pool
     /// both divide by it.
     ZeroBlockPages,
-    /// The device's prefetch cache holds zero pages (zero cache bytes or
+    /// The disks' prefetch cache holds zero pages (zero cache bytes or
     /// zero page bytes).
     ZeroCacheCapacity,
     /// No workload classes: nothing would ever arrive.
     NoClasses,
-    /// An SSD device with queue depth 0 (its parallelism divisor).
-    ZeroSsdQueueDepth,
     /// No disks to place relations on.
     ZeroDisks,
     /// Zero buffer-pool pages: no query could ever be admitted.
@@ -88,9 +81,8 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let msg = match self {
             ConfigError::ZeroBlockPages => "exec.block_pages must be positive",
-            ConfigError::ZeroCacheCapacity => "device prefetch cache holds zero pages",
+            ConfigError::ZeroCacheCapacity => "disk prefetch cache holds zero pages",
             ConfigError::NoClasses => "workload has no classes",
-            ConfigError::ZeroSsdQueueDepth => "SSD queue depth must be positive",
             ConfigError::ZeroDisks => "resources.num_disks must be positive",
             ConfigError::ZeroMemory => "resources.memory_pages must be positive",
             ConfigError::NonPositiveDuration => {
@@ -196,13 +188,6 @@ impl SimConfig {
         self.tenants = scenario.tenants;
     }
 
-    /// Builder-style: run every disk on `device`
-    /// (`SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(...))`).
-    pub fn with_device(mut self, device: DeviceSpec) -> Self {
-        self.resources.device = device;
-        self
-    }
-
     /// Builder-style: inject faults per `plan`
     /// (`SimConfig::baseline(0.06).with_faults(FaultPlan::scaled(1.0))`).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
@@ -219,7 +204,7 @@ impl SimConfig {
         if r.exec.block_pages == 0 {
             return Err(ConfigError::ZeroBlockPages);
         }
-        if r.device.cache_pages(&r.geometry) == 0 {
+        if r.geometry.cache_pages() == 0 {
             return Err(ConfigError::ZeroCacheCapacity);
         }
         if self.classes.is_empty() {
@@ -228,11 +213,6 @@ impl SimConfig {
         if workload::scenario::dangling_tenant_ref(&self.classes, &self.tenants).is_some()
         {
             return Err(ConfigError::ClassTenantOutOfRange);
-        }
-        if let DeviceSpec::Ssd(spec) = r.device {
-            if spec.queue_depth == 0 {
-                return Err(ConfigError::ZeroSsdQueueDepth);
-            }
         }
         if r.num_disks == 0 {
             return Err(ConfigError::ZeroDisks);
@@ -506,24 +486,17 @@ mod tests {
 
     #[test]
     fn presets_default_to_cylinder_lru() {
+        // Every preset runs the paper's Table 3 disk with its 32-page LRU
+        // prefetch cache.
         for cfg in [
             SimConfig::baseline(0.06),
             SimConfig::bursty(8.0),
             SimConfig::multi_tenant(0.75),
             SimConfig::sorts(0.1),
         ] {
-            assert_eq!(cfg.resources.device, DeviceSpec::Cylinder);
+            assert_eq!(cfg.resources.geometry, DiskGeometry::default());
+            assert_eq!(cfg.resources.geometry.cache_pages(), 32);
         }
-    }
-
-    #[test]
-    fn builder_sets_device() {
-        let cfg =
-            SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec::default()));
-        assert!(matches!(cfg.resources.device, DeviceSpec::Ssd(_)));
-        // The builder touches nothing else.
-        assert_eq!(cfg.resources.memory_pages, 2560);
-        assert_eq!(cfg.classes.len(), 1);
     }
 
     #[test]
@@ -538,7 +511,6 @@ mod tests {
             SimConfig::multi_tenant(0.75),
             SimConfig::scale(10),
             SimConfig::scale(1000),
-            SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec::default())),
         ] {
             assert_eq!(cfg.validate(), Ok(()));
         }
@@ -590,12 +562,6 @@ mod tests {
             "single-tenant runs ignore the field"
         );
 
-        let cfg = SimConfig::baseline(0.06).with_device(DeviceSpec::Ssd(SsdSpec {
-            queue_depth: 0,
-            ..SsdSpec::default()
-        }));
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroSsdQueueDepth));
-
         let mut cfg = SimConfig::baseline(0.06);
         cfg.resources.num_disks = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroDisks));
@@ -620,8 +586,8 @@ mod tests {
 
         // Errors render as readable one-liners.
         assert_eq!(
-            ConfigError::ZeroSsdQueueDepth.to_string(),
-            "SSD queue depth must be positive"
+            ConfigError::ZeroDisks.to_string(),
+            "resources.num_disks must be positive"
         );
     }
 

@@ -729,11 +729,9 @@ impl Simulator {
             &mut layout_rng,
         );
         let start = SimTime::ZERO;
-        let device = cfg.resources.device;
-        let geometry = cfg.resources.geometry;
         let disks = DiskFarm::new(
             cfg.resources.num_disks,
-            || device.build(&geometry),
+            cfg.resources.geometry,
             cfg.resources.exec.block_pages,
         );
         let n_disks = cfg.resources.num_disks as usize;
@@ -1053,12 +1051,10 @@ impl Simulator {
             // matters for hypothetical constrained estimates.
             FileRef::Temp(_) => (r.disk, geometry.num_cylinders / 6),
         };
-        // Priced on the configured device: a faster device shrinks both
-        // execution times and the deadlines derived from them, keeping the
-        // paper's slack *ratios*.
+        // Priced on the run's disk geometry, so deadlines keep the paper's
+        // slack *ratios* to the execution times the engine's disks produce.
         let d = exec::standalone_time(
             op.as_mut(),
-            &self.cfg.resources.device,
             &geometry,
             &mut placement,
             self.cfg.resources.cpu_mips,

@@ -25,8 +25,8 @@ pub mod faults;
 pub mod metrics;
 
 pub use config::{
-    AlternationSchedule, ArrivalSpec, ConfigError, DeviceSpec, ObsConfig, QueryType,
-    ResourceConfig, Scenario, SimConfig, SsdSpec, TenantSpec, WorkloadClass,
+    AlternationSchedule, ArrivalSpec, ConfigError, ObsConfig, QueryType, ResourceConfig,
+    Scenario, SimConfig, TenantSpec, WorkloadClass,
 };
 pub use engine::{run_simulation, Event, Simulator};
 pub use faults::{DegradationMode, FaultPlan, FaultSpec};

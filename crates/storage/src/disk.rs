@@ -1,6 +1,6 @@
-//! One physical disk: a pluggable [`ServiceModel`], a prefetch
-//! [`BufferPool`], and an ED+elevator queue; plus [`DiskFarm`], the set of
-//! disks and the one [`ServiceTable`] they share.
+//! One physical disk: a head cylinder, a prefetch [`BufferPool`], and an
+//! ED+elevator queue; plus [`DiskFarm`], the set of disks with the one
+//! [`DiskGeometry`] and [`ServiceTable`] they share.
 //!
 //! Section 4.2: each disk has a 256-KByte cache used for prefetching; on a
 //! sequential read that misses the cache, `BlockSize` (6) pages are fetched,
@@ -12,16 +12,15 @@
 //! The disk is a passive state machine: the simulator's disk manager calls
 //! [`DiskFarm::start`] to begin servicing a request (obtaining its service
 //! time), schedules the completion on its calendar, and calls
-//! [`Disk::finish`] when the event fires. Timing and positional state
-//! (head cylinder, SSD parallelism) live entirely in the service model, so
-//! the same state machine runs the paper's cylinder disk and the SSD.
-//! Busy time is the caller's to book: the disk keeps no clock.
+//! [`Disk::finish`] when the event fires. A media access costs the
+//! geometry's seek from the head cylinder, half a rotation and the
+//! transfer, and leaves the head on the accessed cylinder. Busy time is
+//! the caller's to book: the disk keeps no clock.
 
-use crate::geometry::ServiceTable;
+use crate::geometry::{DiskGeometry, ServiceTable};
 use crate::layout::FileId;
 use crate::pool::BufferPool;
 use crate::queue::{DiskQueue, QueuedRequest};
-use crate::service::ServiceModel;
 use simkit::{Duration, SimTime};
 
 /// Whether an access reads or writes the media.
@@ -59,11 +58,10 @@ pub struct Access {
 pub enum Service {
     /// Satisfied from the prefetch cache; no media access.
     CacheHit,
-    /// Requires the media for `time`. Positional state (head movement)
-    /// is tracked inside the disk's service model.
+    /// Requires the media for `time`; the head moves to the access's
+    /// cylinder.
     Media {
-        /// Total service time (seek + rotation + transfer on the cylinder
-        /// model; latency + transfer on the SSD).
+        /// Total service time: seek + rotation + transfer.
         time: Duration,
     },
     /// The device is in an outage window: the access failed and the disk
@@ -102,12 +100,11 @@ fn backoff(attempt: u32) -> Duration {
     b.min(BACKOFF_CAP)
 }
 
-/// One disk: queue + service model + cache, plus fault state (degradation
-/// factor, outage flag, pending retry) driven by the simulator's fault
-/// plan.
+/// One disk: queue + head + cache, plus fault state (degradation factor,
+/// outage flag, pending retry) driven by the simulator's fault plan.
 pub struct Disk {
-    /// Timing and positional state of the device.
-    model: Box<dyn ServiceModel>,
+    /// Cylinder the head rests on: where the last media access ended.
+    head: u32,
     queue: DiskQueue<Access>,
     busy: bool,
     cache: BufferPool,
@@ -121,15 +118,14 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// A new idle disk running `model`, with an LRU prefetch pool sized by
-    /// the model's cache capacity.
-    pub fn new(model: Box<dyn ServiceModel>, block_pages: u32) -> Self {
-        let cache = BufferPool::new(model.cache_pages(), block_pages);
+    /// A new idle disk with the head at cylinder 0 and an LRU prefetch
+    /// pool sized by `geometry`'s cache capacity.
+    pub fn new(geometry: &DiskGeometry, block_pages: u32) -> Self {
         Disk {
-            model,
+            head: 0,
             queue: DiskQueue::new(),
             busy: false,
-            cache,
+            cache: BufferPool::new(geometry.cache_pages(), block_pages),
             degrade: 1.0,
             outage: false,
             retry: None,
@@ -147,18 +143,13 @@ impl Disk {
         self.outage = outage;
     }
 
-    /// The device's service model (for introspection/tests).
-    pub fn model(&self) -> &dyn ServiceModel {
-        &*self.model
-    }
-
     /// Queue an access with ED priority `deadline`. The current head
     /// position is passed down so the queue maintains its pop winner
     /// incrementally: the head only moves when a media access starts, so
     /// everything queued since then folds into an O(1) pick.
     pub fn enqueue(&mut self, deadline: SimTime, access: Access) {
         self.queue.push_at(
-            self.model.position(),
+            self.head,
             QueuedRequest {
                 deadline,
                 cylinder: access.cylinder,
@@ -179,9 +170,13 @@ impl Disk {
 
     /// Begin servicing the next queued request, if idle and work exists.
     /// Returns the access and its service outcome; the caller schedules the
-    /// completion event (immediately for a cache hit). `table` is lent to
-    /// the service model for the media access.
-    pub fn start(&mut self, table: &mut ServiceTable) -> Option<(Access, Service)> {
+    /// completion event (immediately for a cache hit). A media access is
+    /// priced on `geometry` through `table`, the memo its farm shares.
+    pub fn start(
+        &mut self,
+        geometry: &DiskGeometry,
+        table: &mut ServiceTable,
+    ) -> Option<(Access, Service)> {
         if self.busy {
             return None;
         }
@@ -189,7 +184,7 @@ impl Disk {
         // device's attention.
         let (access, attempts) = match self.retry.take() {
             Some((a, n)) => (a, n),
-            None => (self.queue.pop(self.model.position())?.tag, 0),
+            None => (self.queue.pop(self.head)?.tag, 0),
         };
         if self.outage {
             let attempt = attempts + 1;
@@ -205,10 +200,7 @@ impl Disk {
             self.busy = true;
             return Some((access, Service::Faulted { attempt, backoff }));
         }
-        // Requests still waiting behind this one: the queue-depth hint
-        // models with internal parallelism consume.
-        let queued = self.queue.len();
-        let mut service = self.service(&access, queued, table);
+        let mut service = self.service(&access, geometry, table);
         if self.degrade != 1.0 {
             if let Service::Media { time } = service {
                 service = Service::Media {
@@ -232,7 +224,7 @@ impl Disk {
     fn service(
         &mut self,
         access: &Access,
-        queued: usize,
+        geometry: &DiskGeometry,
         table: &mut ServiceTable,
     ) -> Service {
         match access.kind {
@@ -253,13 +245,7 @@ impl Disk {
                 } else {
                     access.pages.max(1)
                 };
-                let time = self.model.access_time(
-                    access.cylinder,
-                    fetch_pages,
-                    IoKind::Read,
-                    queued,
-                    table,
-                );
+                let time = self.media_time(access.cylinder, fetch_pages, geometry, table);
                 if access.prefetch {
                     let bp = self.cache.block_pages();
                     self.cache.insert(
@@ -270,17 +256,29 @@ impl Disk {
                 }
                 Service::Media { time }
             }
-            IoKind::Write => {
-                let time = self.model.access_time(
+            IoKind::Write => Service::Media {
+                time: self.media_time(
                     access.cylinder,
                     access.pages.max(1),
-                    IoKind::Write,
-                    queued,
+                    geometry,
                     table,
-                );
-                Service::Media { time }
-            }
+                ),
+            },
         }
+    }
+
+    /// Media time of `pages` pages at `cylinder`: seek from the head,
+    /// half a rotation, transfer. Leaves the head on `cylinder`.
+    fn media_time(
+        &mut self,
+        cylinder: u32,
+        pages: u32,
+        geometry: &DiskGeometry,
+        table: &mut ServiceTable,
+    ) -> Duration {
+        let distance = self.head.abs_diff(cylinder);
+        self.head = cylinder;
+        table.access_time(geometry, distance, pages)
     }
 
     /// Mark the in-flight request complete.
@@ -313,35 +311,30 @@ impl Disk {
     }
 }
 
-/// All the disks in the system, and the one [`ServiceTable`] their
-/// service models fill: the disks are identical, so one memo of the
+/// All the disks in the system, with their one geometry and the one
+/// [`ServiceTable`] they fill: the disks are identical, so one memo of the
 /// geometry's service components serves them all.
 pub struct DiskFarm {
     disks: Vec<Disk>,
+    geometry: DiskGeometry,
     table: ServiceTable,
 }
 
 impl DiskFarm {
-    /// `n` identical disks, each running a fresh model from `make_model`.
-    /// The models must share one geometry, since they share the farm's
-    /// service table.
-    pub fn new<F: Fn() -> Box<dyn ServiceModel>>(
-        n: u32,
-        make_model: F,
-        block_pages: u32,
-    ) -> Self {
+    /// `n` identical idle disks of `geometry`.
+    pub fn new(n: u32, geometry: DiskGeometry, block_pages: u32) -> Self {
         assert!(n > 0, "a database system needs at least one disk");
         DiskFarm {
-            disks: (0..n)
-                .map(|_| Disk::new(make_model(), block_pages))
-                .collect(),
+            disks: (0..n).map(|_| Disk::new(&geometry, block_pages)).collect(),
+            geometry,
             table: ServiceTable::new(),
         }
     }
 
-    /// [`Disk::start`] on disk `i`, lending it the farm's service table.
+    /// [`Disk::start`] on disk `i`, lending it the farm's geometry and
+    /// service table.
     pub fn start(&mut self, i: usize) -> Option<(Access, Service)> {
-        self.disks[i].start(&mut self.table)
+        self.disks[i].start(&self.geometry, &mut self.table)
     }
 
     /// Number of disks.
@@ -358,25 +351,19 @@ impl DiskFarm {
     pub fn disk_mut(&mut self, i: usize) -> &mut Disk {
         &mut self.disks[i]
     }
-
-    /// Immutable access to disk `i`.
-    pub fn disk(&self, i: usize) -> &Disk {
-        &self.disks[i]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::DiskGeometry;
-    use crate::service::{CylinderModel, DeviceSpec, SsdModel, SsdSpec};
 
     fn cyl_disk() -> Disk {
-        Disk::new(Box::new(CylinderModel::new(DiskGeometry::default())), 6)
+        Disk::new(&DiskGeometry::default(), 6)
     }
 
-    fn ssd_disk() -> Disk {
-        Disk::new(Box::new(SsdModel::new(SsdSpec::default())), 6)
+    /// [`Disk::start`] on the default geometry with a fresh service table.
+    fn start(disk: &mut Disk) -> Option<(Access, Service)> {
+        disk.start(&DiskGeometry::default(), &mut ServiceTable::new())
     }
 
     fn read(file: u32, first: u32, pages: u32, cylinder: u32) -> Access {
@@ -395,12 +382,12 @@ mod tests {
     fn sequential_read_misses_then_hits() {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s1) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s1) = start(&mut disk).unwrap();
         assert!(matches!(s1, Service::Media { .. }));
         disk.finish();
         // Re-read the same block: cache hit.
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s2) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s2) = start(&mut disk).unwrap();
         assert_eq!(s2, Service::CacheHit);
         disk.finish();
         assert_eq!(disk.cache_stats().0, 1);
@@ -412,7 +399,7 @@ mod tests {
         let mut acc = read(0, 0, 1, 700);
         acc.prefetch = false;
         disk.enqueue(SimTime(10), acc.clone());
-        let (_, s1) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s1) = start(&mut disk).unwrap();
         match s1 {
             Service::Media { time } => {
                 // Single page, no block round-up.
@@ -423,7 +410,7 @@ mod tests {
         }
         disk.finish();
         disk.enqueue(SimTime(10), acc);
-        let (_, s2) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s2) = start(&mut disk).unwrap();
         assert!(
             matches!(s2, Service::Media { .. }),
             "no prefetch, so no hit"
@@ -436,7 +423,7 @@ mod tests {
         let mut disk = cyl_disk();
         // 2-page read spanning a block: fetch rounds up to 6 pages.
         disk.enqueue(SimTime(10), read(0, 2, 2, 700));
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         match s {
             Service::Media { time } => {
                 assert_eq!(time, g.access_time(700, 6));
@@ -446,18 +433,45 @@ mod tests {
     }
 
     #[test]
+    fn cylinder_model_is_bit_equal_to_direct_geometry() {
+        // Media time is the geometry's direct math over the distance from
+        // the tracked head, for reads and writes alike, also when the
+        // shared memo already holds the components.
+        let g = DiskGeometry::default();
+        let mut disk = cyl_disk();
+        let mut table = ServiceTable::new();
+        let mut head = 0u32;
+        for (i, (cyl, pages)) in
+            [(700, 6), (700, 6), (705, 1), (0, 12), (1499, 64), (3, 2)]
+                .into_iter()
+                .enumerate()
+        {
+            let mut access = read(i as u32, 0, pages, cyl);
+            access.prefetch = false;
+            if i % 2 == 1 {
+                access.kind = IoKind::Write;
+            }
+            disk.enqueue(SimTime(1), access);
+            let (_, s) = disk.start(&g, &mut table).unwrap();
+            let expect = g.access_time(head.abs_diff(cyl), pages);
+            assert_eq!(s, Service::Media { time: expect }, "at ({cyl}, {pages})");
+            disk.finish();
+            head = cyl;
+        }
+    }
+
+    #[test]
     fn head_moves_and_second_seek_is_shorter() {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(10), read(0, 0, 6, 700));
-        let (_, s1) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s1) = start(&mut disk).unwrap();
         let t1 = match s1 {
             Service::Media { time } => time,
             _ => panic!(),
         };
         disk.finish();
-        assert_eq!(disk.model().position(), 700, "head tracked by the model");
         disk.enqueue(SimTime(10), read(1, 0, 6, 705));
-        let (_, s2) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s2) = start(&mut disk).unwrap();
         let t2 = match s2 {
             Service::Media { time } => time,
             _ => panic!(),
@@ -470,10 +484,10 @@ mod tests {
         let mut disk = cyl_disk();
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         disk.enqueue(SimTime(2), read(1, 0, 6, 800));
-        assert!(disk.start(&mut ServiceTable::new()).is_some());
-        assert!(disk.start(&mut ServiceTable::new()).is_none(), "busy");
+        assert!(start(&mut disk).is_some());
+        assert!(start(&mut disk).is_none(), "busy");
         disk.finish();
-        assert!(disk.start(&mut ServiceTable::new()).is_some());
+        assert!(start(&mut disk).is_some());
     }
 
     #[test]
@@ -493,11 +507,11 @@ mod tests {
         let mut acc = read(0, 0, 6, 100);
         acc.file = temp;
         disk.enqueue(SimTime(1), acc.clone());
-        disk.start(&mut ServiceTable::new()).unwrap();
+        start(&mut disk).unwrap();
         disk.finish();
         disk.invalidate(temp);
         disk.enqueue(SimTime(1), acc);
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         assert!(
             matches!(s, Service::Media { .. }),
             "invalidated line must miss"
@@ -511,71 +525,13 @@ mod tests {
         let mut disk = cyl_disk();
         for b in 0..6u32 {
             disk.enqueue(SimTime(1), read(0, b * 6, 6, 700));
-            disk.start(&mut ServiceTable::new()).unwrap();
+            start(&mut disk).unwrap();
             disk.finish();
         }
         // Block 0 was evicted.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         assert!(matches!(s, Service::Media { .. }));
-    }
-
-    #[test]
-    fn ssd_disk_is_position_blind_and_fast() {
-        let mut ssd = ssd_disk();
-        ssd.enqueue(SimTime(1), read(0, 0, 6, 1499));
-        let (_, s) = ssd.start(&mut ServiceTable::new()).unwrap();
-        let t_far = match s {
-            Service::Media { time } => time,
-            _ => panic!("cold read"),
-        };
-        ssd.finish();
-        ssd.enqueue(SimTime(1), read(1, 0, 6, 0));
-        let (_, s) = ssd.start(&mut ServiceTable::new()).unwrap();
-        let t_near = match s {
-            Service::Media { time } => time,
-            _ => panic!("cold read"),
-        };
-        assert_eq!(t_far, t_near, "no seeks on flash");
-        let mut cyl = cyl_disk();
-        cyl.enqueue(SimTime(1), read(0, 0, 6, 1499));
-        let (_, s) = cyl.start(&mut ServiceTable::new()).unwrap();
-        let t_disk = match s {
-            Service::Media { time } => time,
-            _ => panic!("cold read"),
-        };
-        assert!(t_far < t_disk, "flash beats the mechanical disk");
-    }
-
-    #[test]
-    fn ssd_stacked_queue_amortizes_latency() {
-        // Two identical cold reads: the one started with another request
-        // waiting behind it gets the queue-depth latency discount.
-        let mut solo = ssd_disk();
-        solo.enqueue(SimTime(1), read(0, 0, 6, 10));
-        let (_, s) = solo.start(&mut ServiceTable::new()).unwrap();
-        let t_solo = match s {
-            Service::Media { time } => time,
-            _ => panic!(),
-        };
-        let mut stacked = ssd_disk();
-        stacked.enqueue(SimTime(1), read(0, 0, 6, 10));
-        stacked.enqueue(SimTime(2), read(1, 0, 6, 20));
-        let (_, s) = stacked.start(&mut ServiceTable::new()).unwrap();
-        let t_stacked = match s {
-            Service::Media { time } => time,
-            _ => panic!(),
-        };
-        assert!(t_stacked < t_solo);
-    }
-
-    #[test]
-    fn farm_builds_from_device_spec() {
-        let g = DiskGeometry::default();
-        let device = DeviceSpec::Ssd(SsdSpec::default());
-        let farm = DiskFarm::new(2, || device.build(&g), 6);
-        assert_eq!(farm.len(), 2);
-        assert_eq!(farm.disk(0).model().name(), "ssd");
     }
 
     #[test]
@@ -595,13 +551,13 @@ mod tests {
         let mut disk = cyl_disk();
         // Warm the cache.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        disk.start(&mut ServiceTable::new()).unwrap();
+        start(&mut disk).unwrap();
         disk.finish();
         disk.set_outage(true);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
         // Five retries with doubling backoff, then the hard error.
         for attempt in 1..=MAX_RETRIES {
-            let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+            let (_, s) = start(&mut disk).unwrap();
             assert_eq!(
                 s,
                 Service::Faulted {
@@ -613,13 +569,13 @@ mod tests {
             assert!(disk.is_busy(), "backoff occupies the device");
             disk.retry_elapsed();
         }
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         assert_eq!(s, Service::FaultExhausted);
         assert!(!disk.is_busy(), "hard error leaves the disk idle");
         // Recovery: the same access succeeds (from cache) once healthy.
         disk.set_outage(false);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         assert_eq!(s, Service::CacheHit);
     }
 
@@ -629,7 +585,7 @@ mod tests {
         let mut disk = cyl_disk();
         disk.set_degrade(3.0);
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         match s {
             Service::Media { time } => {
                 assert_eq!(time, g.access_time(700, 6).scale(3.0));
@@ -639,7 +595,7 @@ mod tests {
         disk.finish();
         // Cache hits are unaffected: the media is slow, not the cache.
         disk.enqueue(SimTime(1), read(0, 0, 6, 700));
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         assert_eq!(s, Service::CacheHit);
     }
 
@@ -648,15 +604,12 @@ mod tests {
         let mut disk = cyl_disk();
         disk.set_outage(true);
         disk.enqueue(SimTime(1), read(7, 0, 6, 700));
-        let (_, s) = disk.start(&mut ServiceTable::new()).unwrap();
+        let (_, s) = start(&mut disk).unwrap();
         assert!(matches!(s, Service::Faulted { .. }));
         let n = disk.cancel_queued(|a| a.file == FileId::Relation(7));
         assert_eq!(n, 1, "the retried access counts as cancelled");
         // The backoff event still releases the device; nothing restarts.
         disk.retry_elapsed();
-        assert!(
-            disk.start(&mut ServiceTable::new()).is_none(),
-            "queue is empty"
-        );
+        assert!(start(&mut disk).is_none(), "queue is empty");
     }
 }

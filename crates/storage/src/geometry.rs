@@ -45,9 +45,10 @@ impl Default for DiskGeometry {
 }
 
 impl DiskGeometry {
-    /// Capacity of the prefetch cache in pages.
+    /// Capacity of the prefetch cache in pages (0 when `page_bytes` is 0 —
+    /// config validation rejects that rather than dividing by zero).
     pub fn cache_pages(&self) -> u32 {
-        self.cache_bytes / self.page_bytes
+        self.cache_bytes.checked_div(self.page_bytes).unwrap_or(0)
     }
 
     /// Seek time across `n` cylinders: `SeekFactor · √n`; zero when the head
@@ -107,10 +108,11 @@ const UNFILLED: Duration = Duration(u64::MAX);
 /// the full cylinder range — which keeps simulation behavior identical.
 ///
 /// The table depends only on the geometry, never on a head position, so
-/// all the disks of a [`crate::DiskFarm`] share one: the farm owns it and
-/// lends it to each access ([`crate::ServiceModel::access_time`]). A new
-/// table holds no heap; the first lookup sizes it for the geometry it is
-/// asked about, so every caller of one table must pass the same geometry.
+/// all the disks of a [`crate::DiskFarm`] share one: the farm owns it with
+/// its one geometry and lends both to each access ([`crate::Disk::start`]).
+/// A new table holds no heap; the first lookup sizes it for the geometry
+/// it is asked about, so every caller of one table must pass the same
+/// geometry.
 #[derive(Debug)]
 pub struct ServiceTable {
     /// Seek time by cylinder distance (index 0 = on-cylinder = zero).
@@ -193,6 +195,11 @@ mod tests {
     #[test]
     fn default_cache_is_32_pages() {
         assert_eq!(DiskGeometry::default().cache_pages(), 32);
+        let no_pages = DiskGeometry {
+            page_bytes: 0,
+            ..DiskGeometry::default()
+        };
+        assert_eq!(no_pages.cache_pages(), 0, "no division by zero");
     }
 
     #[test]

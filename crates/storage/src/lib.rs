@@ -3,20 +3,16 @@
 //! This crate models the physical storage substrate the paper's simulator
 //! relies on:
 //!
-//! * [`service::ServiceModel`] — pluggable device service models:
-//!   [`service::CylinderModel`] (seek/rotation/transfer with
-//!   `Seek(n) = SeekFactor·√n` \[Bitt88\] and Table 3 defaults) and
-//!   [`service::SsdModel`] (latency + bandwidth with queue-depth
-//!   parallelism and read/write asymmetry), selected by
-//!   [`service::DeviceSpec`].
-//! * [`geometry::DiskGeometry`] — the cylinder device's physical
-//!   parameters, also used by every device for file layout addressing.
+//! * [`geometry::DiskGeometry`] — the cylinder disk's physical parameters
+//!   and its service time (seek/rotation/transfer with
+//!   `Seek(n) = SeekFactor·√n` \[Bitt88\] and Table 3 defaults), memoized
+//!   by [`geometry::ServiceTable`]; also the file layout's addressing.
 //! * [`pool::BufferPool`] — the per-disk LRU prefetch cache.
 //! * [`queue::DiskQueue`] — per-disk Earliest-Deadline queues with elevator
 //!   (SCAN) ordering among requests of equal priority.
 //! * [`disk::Disk`] / [`disk::DiskFarm`] — the disks themselves, each with a
-//!   256 KB prefetch cache that fetches `BlockSize` pages on sequential read
-//!   misses.
+//!   head cylinder and a 256 KB prefetch cache that fetches `BlockSize`
+//!   pages on sequential read misses.
 //! * [`layout::Layout`] — database layout: relation groups placed on middle
 //!   cylinders, temporary files on the inner/outer cylinders, exactly as in
 //!   Section 4.1.
@@ -26,7 +22,6 @@ pub mod geometry;
 pub mod layout;
 pub mod pool;
 pub mod queue;
-pub mod service;
 
 pub use disk::{Access, Disk, DiskFarm, IoKind, Service};
 pub use geometry::{DiskGeometry, ServiceTable};
@@ -35,4 +30,3 @@ pub use layout::{
 };
 pub use pool::BufferPool;
 pub use queue::{DiskQueue, QueuedRequest};
-pub use service::{CylinderModel, DeviceSpec, ServiceModel, SsdModel, SsdSpec};

@@ -23,7 +23,7 @@ struct CacheKey {
 ///
 /// The resident lines are one recency-ordered key vector, least recently
 /// used first. Every operation is O(resident lines): at the paper's 5-line
-/// pool (every shipped device has 256 KB) a scan of a few adjacent keys
+/// pool (the paper's 256 KB disk cache) a scan of a few adjacent keys
 /// beats any index, and moving a key to the back shifts at most a handful
 /// of entries.
 #[derive(Debug)]

@@ -189,36 +189,31 @@ fn pmm_tenant_holds_no_controller_for_a_tenant_without_a_batch() {
 
 #[test]
 fn a_cylinder_farm_holds_one_seek_table() {
-    // Bytes a farm of `n` disks holds once every disk has served one media
-    // read (which fills the cylinder model's memo).
-    let farm_bytes = |device: DeviceSpec, n: u32| {
-        let g = DiskGeometry::default();
+    // Bytes that each disk's first media read adds to a built farm of `n`
+    // disks with one request queued per disk. The reads skip prefetch, so
+    // the cache stays untouched and what they add is the service memo.
+    let first_reads = |n: u32| {
+        let mut farm = DiskFarm::new(n, DiskGeometry::default(), 6);
+        for d in 0..n as usize {
+            let access = Access {
+                owner: 0,
+                file: FileId::Relation(d as u32),
+                first_page: 0,
+                pages: 6,
+                kind: IoKind::Read,
+                prefetch: false,
+                cylinder: 700,
+            };
+            farm.disk_mut(d).enqueue(SimTime::ZERO, access);
+        }
         held_by(|| {
-            let mut farm = DiskFarm::new(n, || device.build(&g), 6);
             for d in 0..n as usize {
-                let access = Access {
-                    owner: 0,
-                    file: FileId::Relation(d as u32),
-                    first_page: 0,
-                    pages: 6,
-                    kind: IoKind::Read,
-                    prefetch: true,
-                    cylinder: 700,
-                };
-                farm.disk_mut(d).enqueue(SimTime::ZERO, access);
                 assert!(farm.start(d).is_some());
             }
-            farm
         })
         .1
     };
-    // The SSD has the same queue and cache but no seek table, so the
-    // difference is what the cylinder memo costs.
-    let memo = |n| {
-        farm_bytes(DeviceSpec::Cylinder, n)
-            - farm_bytes(DeviceSpec::Ssd(SsdSpec::default()), n)
-    };
-    let (one, six) = (memo(1), memo(6));
+    let (one, six) = (first_reads(1), first_reads(6));
     let table = 8 * DiskGeometry::default().num_cylinders as i64;
     assert!(
         one >= table,
