@@ -268,10 +268,12 @@ fn trace_artifacts_are_thread_count_invariant() {
         }
         if figure == "faults" {
             assert!(
-                s_traces
-                    .iter()
-                    .any(|t| pmm_core::obs::render_text(&t.records)
-                        .contains(" fault kind=")),
+                s_traces.iter().any(|t| {
+                    let mut text = Vec::new();
+                    pmm_core::obs::write_text(&t.records, &mut text)
+                        .expect("writing to a Vec cannot fail");
+                    String::from_utf8_lossy(&text).contains(" fault kind=")
+                }),
                 "the faults figure records its fault events"
             );
         }

@@ -44,17 +44,10 @@ impl<W: Write> Events<W> {
     }
 }
 
-/// Render `records` as a Chrome trace-event JSON document.
+/// Write `records` to `w` as a Chrome trace-event JSON document, one
+/// event at a time.
 ///
 /// Output is deterministic: identical records yield identical bytes.
-/// [`write_chrome_json`] streams the same bytes.
-pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
-    let mut out = Vec::with_capacity(64 + records.len() * 96);
-    write_chrome_json(records, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("the document is UTF-8")
-}
-
-/// Write [`chrome_trace_json`]'s document to `w`, one event at a time.
 pub fn write_chrome_json(records: &[TraceRecord], mut w: impl Write) -> io::Result<()> {
     w.write_all(b"{\"traceEvents\": [")?;
     let mut ev = Events { w, first: true };
@@ -286,8 +279,8 @@ mod tests {
 
     #[test]
     fn export_is_wrapped_and_deterministic() {
-        let a = chrome_trace_json(&sample());
-        let b = chrome_trace_json(&sample());
+        let a = crate::rendered(|w| write_chrome_json(&sample(), w));
+        let b = crate::rendered(|w| write_chrome_json(&sample(), w));
         assert_eq!(a, b);
         assert!(a.starts_with("{\"traceEvents\": ["));
         assert!(a.ends_with("]}\n"));
@@ -295,7 +288,7 @@ mod tests {
 
     #[test]
     fn export_contains_expected_phases_and_lanes() {
-        let json = chrome_trace_json(&sample());
+        let json = crate::rendered(|w| write_chrome_json(&sample(), w));
         assert!(json.contains(r#""ph":"b","cat":"query","id":1"#));
         assert!(json.contains(r#""ph":"e","cat":"query","id":1"#));
         assert!(json.contains(r#""ph":"X","name":"io q1""#));
@@ -356,7 +349,7 @@ mod tests {
                 },
             },
         ];
-        let json = chrome_trace_json(&records);
+        let json = crate::rendered(|w| write_chrome_json(&records, w));
         // The outage is a complete slice on disk 2's lane spanning the
         // whole window.
         assert!(json.contains(
@@ -391,14 +384,14 @@ mod tests {
                 event: TraceEvent::Arrival { query: 1, class: 0 },
             },
         ];
-        let json = chrome_trace_json(&records);
+        let json = crate::rendered(|w| write_chrome_json(&records, w));
         assert!(json
             .contains(r#""ph":"X","name":"outage","pid":0,"tid":10,"ts":100,"dur":400"#));
     }
 
     #[test]
     fn export_balances_braces_and_brackets() {
-        let json = chrome_trace_json(&sample());
+        let json = crate::rendered(|w| write_chrome_json(&sample(), w));
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);

@@ -24,15 +24,15 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use chrome::{chrome_trace_json, write_chrome_json};
+pub use chrome::write_chrome_json;
 pub use metrics::{
     CounterFamilyId, CounterId, GaugeFamilyId, GaugeId, HistId, HistReport,
     MetricsRegistry, MetricsReport, MetricsWindow,
 };
 pub use profile::{ProfileReport, Profiler, Section, SectionStats};
 pub use trace::{
-    render_text, write_text, DegradedAction, FaultClass, StrategyMode, TraceEvent,
-    TraceKind, TraceRecord, Tracer,
+    write_text, DegradedAction, FaultClass, StrategyMode, TraceEvent, TraceKind,
+    TraceRecord, Tracer,
 };
 
 /// Per-run observability switches, carried on the simulator config.
@@ -51,4 +51,12 @@ pub struct ObsConfig {
     pub metrics: bool,
     /// Enable wall-clock self-profiling of engine subsystems.
     pub profile: bool,
+}
+
+/// The bytes a streaming renderer writes, as a `String`.
+#[cfg(test)]
+fn rendered(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the rendering is UTF-8")
 }

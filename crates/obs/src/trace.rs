@@ -327,18 +327,11 @@ impl Tracer {
     }
 }
 
-/// Render records as deterministic text, one line per record.
+/// Write records to `w` as deterministic text, one line per record.
 ///
 /// Times are seconds formatted with Rust's shortest-roundtrip `{:?}`, so
 /// the output is byte-identical for identical records — across runs,
-/// seeds, and driver thread counts. [`write_text`] streams the same bytes.
-pub fn render_text(records: &[TraceRecord]) -> String {
-    let mut out = Vec::with_capacity(records.len() * 48);
-    write_text(records, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("the rendering is UTF-8")
-}
-
-/// Write [`render_text`]'s bytes to `w`, one record at a time.
+/// seeds, and driver thread counts.
 pub fn write_text(records: &[TraceRecord], mut w: impl Write) -> io::Result<()> {
     for r in records {
         write_record(&mut w, r)?;
@@ -346,7 +339,7 @@ pub fn write_text(records: &[TraceRecord], mut w: impl Write) -> io::Result<()> 
     Ok(())
 }
 
-/// Write one record as its `render_text` line.
+/// Write one record as its text line.
 fn write_record(w: &mut impl Write, r: &TraceRecord) -> io::Result<()> {
     let t = r.at.as_secs_f64();
     match r.event {
@@ -565,8 +558,8 @@ mod tests {
                 },
             },
         ];
-        let a = render_text(&records);
-        let b = render_text(&records);
+        let a = crate::rendered(|w| write_text(&records, w));
+        let b = crate::rendered(|w| write_text(&records, w));
         assert_eq!(a, b);
         assert_eq!(a.lines().count(), records.len());
         assert!(a.contains("1.0 arrival query=1 class=0"));
@@ -617,7 +610,7 @@ mod tests {
 
     #[test]
     fn render_text_covers_fault_kinds() {
-        let a = render_text(&fault_records());
+        let a = crate::rendered(|w| write_text(&fault_records(), w));
         assert_eq!(a.lines().count(), 4);
         assert!(a.contains("60.0 fault kind=degrade disk=0 active=true factor=3.0"));
         assert!(a.contains("61.0 fault kind=shock disk=- active=true factor=0.5"));

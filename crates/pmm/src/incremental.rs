@@ -396,7 +396,10 @@ impl IncrementalPartitioned {
             self.spares.give(&mut c.grants);
         }
         self.pass2.clear();
-        self.pass2.resize(n, Pass2Cache::default());
+        // Only soft partitions borrow back: an all-hard table keeps no cache.
+        let soft = self.partitions.iter().any(|p| p.soft);
+        self.pass2
+            .resize(if soft { n } else { 0 }, Pass2Cache::default());
         for (j, group) in groups.iter().enumerate() {
             self.redo_pass1(j, group);
             self.pass1_used[j] = granted_total(&self.pass1[j]);

@@ -58,18 +58,18 @@ impl Keyed for ReadyEntry {
 }
 
 /// The preemptive-ED CPU.
-pub struct CpuManager {
+pub(crate) struct CpuManager {
     mips: f64,
     running: Option<Running>,
     /// Ready bursts, min-heap on (deadline, query id).
     ready: MinHeap<ReadyEntry>,
     /// Busy accounting over the run and over the feedback batch.
-    pub util: Utilization,
+    pub(crate) util: Utilization,
 }
 
 impl CpuManager {
     /// A CPU rated at `mips` million instructions per second.
-    pub fn new(mips: f64, start: SimTime) -> Self {
+    pub(crate) fn new(mips: f64, start: SimTime) -> Self {
         assert!(mips > 0.0, "MIPS rating must be positive");
         CpuManager {
             mips,
@@ -107,7 +107,7 @@ impl CpuManager {
 
     /// Submit a CPU burst for `query`. Preempts the running burst if this
     /// one is more urgent.
-    pub fn submit(
+    pub(crate) fn submit(
         &mut self,
         now: SimTime,
         query: QueryId,
@@ -148,7 +148,7 @@ impl CpuManager {
     /// and that end is returned — the caller continues the query there, as
     /// the `CpuDone` handler would have. Otherwise nothing changes and the
     /// caller must [`CpuManager::submit`] the burst.
-    pub fn run_inline(
+    pub(crate) fn run_inline(
         &mut self,
         now: SimTime,
         instructions: u64,
@@ -169,7 +169,7 @@ impl CpuManager {
 
     /// Handle a `CpuDone` event: the running burst finished. Returns the
     /// finished query; the next ready burst (if any) is dispatched.
-    pub fn on_done(
+    pub(crate) fn on_done(
         &mut self,
         now: SimTime,
         query: QueryId,
@@ -190,7 +190,12 @@ impl CpuManager {
 
     /// Remove every trace of `query` (firm-deadline abort). If it was
     /// running, the CPU immediately moves on to the next ready burst.
-    pub fn cancel(&mut self, now: SimTime, query: QueryId, cal: &mut Calendar<Event>) {
+    pub(crate) fn cancel(
+        &mut self,
+        now: SimTime,
+        query: QueryId,
+        cal: &mut Calendar<Event>,
+    ) {
         // At most one burst per query; rare (firm aborts only).
         self.ready.retain(|e| e.query != query);
         if self.running.as_ref().is_some_and(|r| r.query == query) {
@@ -199,16 +204,6 @@ impl CpuManager {
             self.util.end_busy(now);
             self.dispatch_next(now, cal);
         }
-    }
-
-    /// True if some burst is executing.
-    pub fn is_busy(&self) -> bool {
-        self.running.is_some()
-    }
-
-    /// Queries waiting for the CPU.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
     }
 }
 
@@ -242,7 +237,7 @@ mod tests {
         assert_eq!(q, QueryId(1));
         assert_eq!(t, SimTime::from_secs(1));
         cpu.on_done(t, q, &mut cal);
-        assert!(!cpu.is_busy());
+        assert!(cpu.running.is_none());
     }
 
     #[test]
@@ -309,7 +304,7 @@ mod tests {
             40_000_000,
             &mut cal,
         );
-        assert_eq!(cpu.ready_len(), 1);
+        assert_eq!(cpu.ready.len(), 1);
         let (_, q) = expect_done(&mut cal);
         assert_eq!(q, QueryId(1));
     }
@@ -356,8 +351,8 @@ mod tests {
             &mut cal,
         );
         cpu.cancel(SimTime::ZERO, QueryId(2), &mut cal);
-        assert_eq!(cpu.ready_len(), 0);
-        assert!(cpu.is_busy());
+        assert_eq!(cpu.ready.len(), 0);
+        assert!(cpu.running.is_some());
     }
 
     /// A 1 s burst at 40 MIPS.
@@ -399,7 +394,7 @@ mod tests {
             Event::Deadline { query: QueryId(7) },
         );
         assert_eq!(cpu.run_inline(SimTime::ZERO, ONE_SEC, &mut cal), None);
-        assert!(!cpu.is_busy());
+        assert!(cpu.running.is_none());
     }
 
     #[test]
@@ -424,7 +419,7 @@ mod tests {
         let end = cpu.run_inline(SimTime::ZERO, ONE_SEC, &mut cal);
         assert_eq!(end, Some(SimTime::from_secs(1)));
         assert_eq!(cal.now(), SimTime::from_secs(1));
-        assert!(!cpu.is_busy());
+        assert!(cpu.running.is_none());
         assert!(matches!(cal.pop(), Some((_, Event::EndOfRun))));
     }
 

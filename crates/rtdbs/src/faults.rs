@@ -21,6 +21,9 @@
 //!   shock are segmented out so learned estimates are not poisoned by
 //!   shock-era samples.
 
+use obs::{FaultClass, TraceEvent};
+use simkit::SimTime;
+
 /// One scheduled fault: a window `[start_secs, end_secs)` of virtual time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultSpec {
@@ -158,6 +161,83 @@ impl FaultPlan {
             ],
             mode: DegradationMode::Abort,
         }
+    }
+}
+
+/// A run's fault state: the plan expanded into its window edges up front
+/// (so the event handler is a table lookup), and the memory ceiling the
+/// policy sees, shrunk while a shock is active.
+pub(crate) struct FaultState {
+    /// `(instant, fault, opens)` per edge, sorted by time; a stable sort
+    /// keeps plan order as the tie-break, so the firing sequence is a pure
+    /// function of the plan.
+    edges: Vec<(SimTime, FaultSpec, bool)>,
+    total_memory: u32,
+    effective_memory: u32,
+    shock_active: bool,
+}
+
+impl FaultState {
+    pub(crate) fn new(plan: &FaultPlan, total_memory: u32) -> Self {
+        let mut edges = Vec::new();
+        for &ev in &plan.events {
+            let (start, end) = ev.window();
+            edges.push((SimTime::from_secs_f64(start), ev, true));
+            edges.push((SimTime::from_secs_f64(end), ev, false));
+        }
+        edges.sort_by_key(|&(t, _, _)| t);
+        FaultState {
+            edges,
+            total_memory,
+            effective_memory: total_memory,
+            shock_active: false,
+        }
+    }
+
+    /// The instant of every edge, by index.
+    pub(crate) fn edge_times(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.edges.iter().map(|&(t, _, _)| t)
+    }
+
+    /// Fire edge `index`: returns its fault, whether the edge opens the
+    /// window, and the edge's trace record. A shock edge moves the memory
+    /// ceiling; the disk edges are the caller's to apply.
+    pub(crate) fn fire(&mut self, index: usize) -> (FaultSpec, bool, TraceEvent) {
+        let (_, fault, active) = self.edges[index];
+        // A degrade factor or memory fraction holds while its window is open.
+        let in_force = |x: f64| if active { x } else { 1.0 };
+        let (class, disk, factor) = match fault {
+            FaultSpec::DiskDegrade { disk, factor, .. } => {
+                (FaultClass::DiskDegrade, Some(disk), in_force(factor))
+            }
+            FaultSpec::DiskOutage { disk, .. } => {
+                (FaultClass::DiskOutage, Some(disk), 0.0)
+            }
+            FaultSpec::MemoryShock { fraction, .. } => {
+                let memory = f64::from(self.total_memory) * in_force(fraction);
+                self.effective_memory = (memory.floor() as u32).max(1);
+                self.shock_active = active;
+                (FaultClass::MemoryShock, None, in_force(fraction))
+            }
+        };
+        let trace = TraceEvent::FaultInjected {
+            fault: class,
+            disk,
+            active,
+            factor,
+        };
+        (fault, active, trace)
+    }
+
+    /// The pages the memory policy may grant now.
+    pub(crate) fn memory(&self) -> u32 {
+        self.effective_memory
+    }
+
+    /// Whether a memory shock is active: feedback windows opened now start
+    /// tainted.
+    pub(crate) fn shock_active(&self) -> bool {
+        self.shock_active
     }
 }
 

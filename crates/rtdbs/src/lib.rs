@@ -19,7 +19,7 @@
 //! a [`metrics::RunReport`] carrying every quantity the paper plots.
 
 pub mod config;
-pub mod cpu;
+mod cpu;
 pub mod engine;
 pub mod faults;
 pub mod metrics;
@@ -28,7 +28,7 @@ pub use config::{
     AlternationSchedule, ArrivalSpec, ConfigError, ObsConfig, QueryType, ResourceConfig,
     Scenario, SimConfig, TenantSpec, WorkloadClass,
 };
-pub use engine::{run_simulation, Event, Simulator};
+pub use engine::{run_simulation, Simulator};
 pub use faults::{DegradationMode, FaultPlan, FaultSpec};
 pub use metrics::{
     arrival_gaps, ClassOutcome, RunReport, TenantOutcome, Timings, WindowPoint,

@@ -2,7 +2,6 @@
 //! report.
 
 use pmm::TracePoint;
-use simkit::metrics::Tally;
 
 /// Average timing breakdown (Table 7), in seconds, over completed queries.
 #[derive(Clone, Copy, Debug, Default)]
@@ -160,30 +159,6 @@ pub fn arrival_gaps(records: &[obs::TraceRecord], n_classes: usize) -> Vec<Vec<f
     gaps
 }
 
-/// Mutable accumulators the engine updates while running.
-#[derive(Clone, Debug, Default)]
-pub struct TimingTallies {
-    /// Waiting-time tally (seconds).
-    pub waiting: Tally,
-    /// Execution-time tally (seconds).
-    pub execution: Tally,
-    /// Response-time tally (seconds).
-    pub response: Tally,
-    /// Memory fluctuation counts.
-    pub fluctuations: Tally,
-}
-
-impl TimingTallies {
-    /// Snapshot into the report form.
-    pub fn summarize(&self) -> Timings {
-        Timings {
-            waiting: self.waiting.mean(),
-            execution: self.execution.mean(),
-            response: self.response.mean(),
-        }
-    }
-}
-
 /// `missed` as a percentage of `served`; 0 when nothing was served.
 fn miss_pct(served: u64, missed: u64) -> f64 {
     if served == 0 {
@@ -243,18 +218,5 @@ mod tests {
             missed: 0,
         };
         assert_eq!(empty.miss_pct(), 0.0);
-    }
-
-    #[test]
-    fn timing_tallies_summarize() {
-        let mut t = TimingTallies::default();
-        t.waiting.record(2.0);
-        t.waiting.record(4.0);
-        t.execution.record(10.0);
-        t.response.record(13.0);
-        let s = t.summarize();
-        assert_eq!(s.waiting, 3.0);
-        assert_eq!(s.execution, 10.0);
-        assert_eq!(s.response, 13.0);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Before the batched path was deleted, every case below ran on it and
 //! recorded two digests under `golden/fastforward_*.txt`: one of its full
-//! obs trace (the `TraceKind::ALL` mask, rendered by `obs::render_text`) and one of
+//! obs trace (the `TraceKind::ALL` mask, rendered by `obs::write_text`) and one of
 //! its serialized report. The single-step engine must reproduce both, so the
 //! comparison still spans the two paths, now against the recording. The
 //! cases cover the presets, arrival rates, seeds, policies, feedback batch
@@ -20,8 +20,9 @@
 //! Re-bless after an *intentional* behavior change:
 //! `UPDATE_GOLDEN=1 cargo test -q -p integration-tests --test fastforward_differential`
 
-use integration_tests::{check_golden, fnv1a, serialize_report, short_baseline};
-use pmm_core::obs::render_text;
+use integration_tests::{
+    check_golden, fnv1a, rendered, serialize_report, short_baseline,
+};
 use pmm_core::prelude::*;
 use std::fmt::Write as _;
 
@@ -45,7 +46,7 @@ fn record(out: &mut String, label: &str, mut cfg: SimConfig, policy: &str) {
     cfg.obs.trace = TraceKind::ALL;
     let policy = bench::make_policy_for(&cfg, policy);
     let report = run_simulation(cfg, policy);
-    let trace = render_text(&report.obs_trace);
+    let trace = rendered(|w| pmm_core::obs::write_text(&report.obs_trace, w));
     let _ = writeln!(
         out,
         "{label}: records={} trace={:016x} report={:016x}",

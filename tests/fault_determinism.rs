@@ -8,6 +8,8 @@
 //! 3. **Crash tolerance**: a replication that panics is quarantined with
 //!    its provenance while every other cell completes, and the partial
 //!    result is itself deterministic.
+//! 4. **One degradation path**: every fault counter in the metrics
+//!    registry equals the number of trace records of its kind.
 
 use bench::driver::{quarantine_json, run_figure, DriverConfig};
 use bench::make_policy_for;
@@ -43,6 +45,81 @@ fn faults_figure_is_thread_count_invariant() {
         .cells
         .iter()
         .any(|c| c.policy.starts_with("requeue/")));
+}
+
+/// A storm under each degradation mode, traced in full with metrics on:
+/// each fault counter counts exactly the records its path emits. The
+/// canonical storm's 90 s outage exhausts retry budgets, and an extra
+/// severe shock leaves admitted queries without a page.
+#[test]
+fn fault_counters_equal_their_trace_records() {
+    use pmm_core::obs::{DegradedAction, TraceEvent};
+    for mode in [DegradationMode::Abort, DegradationMode::Requeue] {
+        let mut cfg = short_baseline(0.10, 1_000.0);
+        cfg.faults = FaultPlan::scaled(1.0);
+        cfg.faults.mode = mode;
+        cfg.faults.events.push(FaultSpec::MemoryShock {
+            start_secs: 400.0,
+            end_secs: 700.0,
+            fraction: 0.02,
+        });
+        cfg.obs.trace = TraceKind::ALL;
+        cfg.obs.metrics = true;
+        let report = run_simulation(cfg, Box::new(MinMaxPolicy::unlimited()));
+        let metrics = report.metrics.as_ref().expect("metrics on");
+        let counter = |name: &str| {
+            metrics
+                .counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("counter {name} registered"))
+        };
+        let records = |pick: &dyn Fn(&TraceEvent) -> bool| {
+            report.obs_trace.iter().filter(|r| pick(&r.event)).count() as u64
+        };
+        let degraded = |want: DegradedAction| {
+            records(
+                &|e| matches!(*e, TraceEvent::Degraded { action, .. } if action == want),
+            )
+        };
+        let (aborted, requeued, suspended) = (
+            degraded(DegradedAction::Aborted),
+            degraded(DegradedAction::Requeued),
+            degraded(DegradedAction::Suspended),
+        );
+        assert_eq!(counter("faults.aborts"), aborted, "{mode:?}");
+        assert_eq!(counter("faults.requeues"), requeued, "{mode:?}");
+        assert_eq!(
+            counter("faults.io_retries"),
+            records(&|e| matches!(e, TraceEvent::IoRetry { .. })),
+            "{mode:?}"
+        );
+        assert_eq!(
+            counter("faults.injected"),
+            records(&|e| matches!(e, TraceEvent::FaultInjected { .. })),
+            "{mode:?}"
+        );
+        assert!(
+            counter("faults.io_retries") > 0,
+            "{mode:?}: the outage retries"
+        );
+        assert!(
+            counter("faults.shock_victims") > 0,
+            "{mode:?}: the shock bites"
+        );
+        match mode {
+            DegradationMode::Abort => {
+                assert_eq!(requeued + suspended, 0, "abort mode only aborts");
+                assert!(aborted > counter("faults.shock_victims"), "retries exhaust");
+            }
+            DegradationMode::Requeue => {
+                assert_eq!(aborted, 0, "requeue mode never fault-aborts");
+                assert_eq!(counter("faults.shock_victims"), suspended);
+                assert!(requeued > 0, "retries exhaust");
+            }
+        }
+    }
 }
 
 /// A plan whose every window opens after the horizon closes must leave the

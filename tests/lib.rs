@@ -14,6 +14,14 @@ pub fn short_baseline(rate: f64, secs: f64) -> SimConfig {
     cfg
 }
 
+/// The bytes a streaming trace renderer (`obs::write_text`,
+/// `obs::write_chrome_json`) writes, as a `String`.
+pub fn rendered(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> String {
+    let mut out = Vec::new();
+    write(&mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("the rendering is UTF-8")
+}
+
 /// Deterministic, exact serialization of every behavior field of a
 /// `RunReport`. Floats use `{:?}` (shortest round-trip), so any bit-level
 /// difference shows. `RunReport::events` is deliberately left out: it is a

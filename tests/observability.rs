@@ -3,7 +3,7 @@
 //! must not change a single simulated outcome — and the full trace covers
 //! the whole query lifecycle the paper's Figure 2 pipeline implies.
 
-use integration_tests::short_baseline;
+use integration_tests::{rendered, short_baseline};
 use pmm_core::obs::{self, TraceEvent, TraceKind};
 use pmm_core::prelude::*;
 
@@ -139,7 +139,7 @@ fn metrics_registry_agrees_with_report() {
 #[test]
 fn chrome_export_is_well_formed() {
     let r = observed(1_000.0, TraceKind::ALL);
-    let json = obs::chrome_trace_json(&r.obs_trace);
+    let json = rendered(|w| obs::write_chrome_json(&r.obs_trace, w));
     assert!(json.starts_with("{\"traceEvents\": ["));
     assert!(json.trim_end().ends_with('}'));
     assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -17,6 +17,7 @@
 // forwards to the system allocator.
 #![allow(unsafe_code)]
 
+use pmm_core::pmm::{DirtySet, Grants};
 use pmm_core::prelude::*;
 use pmm_core::rtdbs::Simulator;
 use pmm_core::storage::{Access, DiskFarm, FileId, IoKind};
@@ -184,6 +185,33 @@ fn pmm_tenant_holds_no_controller_for_a_tenant_without_a_batch() {
         adaptive <= soft + 1024,
         "at 1000 tenants PMM-tenant's policy and simulator hold {adaptive} \
          bytes, Partitioned-soft's {soft}"
+    );
+}
+
+#[test]
+fn an_all_hard_table_builds_no_borrow_back_cache() {
+    // Hard partitions never borrow idle pages, so the first allocation of
+    // an all-hard table builds only the quota pass: per partition a budget,
+    // an empty grant buffer, its pages in use and its tree marks, about 40
+    // bytes. A borrow-back cache per partition would add 56 more.
+    let first_allocation = |n: usize| {
+        let mut cfg = SimConfig::scale(n);
+        for t in &mut cfg.tenants {
+            t.soft = false;
+        }
+        let mut policy = bench::make_policy_for(&cfg, "Partitioned");
+        let groups = vec![Vec::new(); n];
+        let mut dirty = DirtySet::new(n);
+        let mut out = Grants::new();
+        let memory = cfg.resources.memory_pages;
+        held_by(|| policy.allocate_dirty_into(memory, &groups, &mut dirty, &mut out)).1
+    };
+    let (small, large) = (first_allocation(10), first_allocation(1000));
+    let per_partition = (large - small) / 990;
+    assert!(
+        per_partition <= 48,
+        "an all-hard table holds {per_partition} bytes a partition \
+         ({small} at 10 partitions, {large} at 1000)"
     );
 }
 
