@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Flags: `--figure
-//! <fig3|fig8|fig11|fig12|fig16|fig17|burst|tenants|faults|scale|all>`
+//! <fig3|fig8|fig11|fig12|fig16|fig17|burst|tenants|faults|all>`
 //! (repeatable), `--seeds N` (default 8), `--threads N` (default: available
 //! cores), `--secs S` (default 3600), `--master-seed S` (default 1994),
 //! `--out DIR` (default `.`), `--smoke` (defaults-only: the seed and
@@ -57,11 +57,7 @@
 //! (0 = fault-free control) × degradation policy; each cell is labelled
 //! `"<mode>/<policy>"` with mode `abort` or `requeue`. The labels are
 //! only printed: every cell carries its own config
-//! (`bench::driver::CellSpec`), and nothing parses them.
-//! `--figure scale` sweeps the tenant population 10¹→10³ (one soft-quota
-//! tenant grid per cell) under incremental partitioned reallocation and
-//! the pinned full-snapshot reference path (the
-//! `"snapshot/Partitioned-soft"` policy). Every figure records and
+//! (`bench::driver::CellSpec`), and nothing parses them. Every figure records and
 //! projects its trace the same way, faults included: its rendered trace
 //! and Chrome export carry the fault, retry and degradation records. A
 //! replication that panics does not abort the sweep:

@@ -26,12 +26,10 @@ use std::sync::OnceLock;
 
 /// Names of the figure experiments the driver knows how to shard. Beyond
 /// the paper's figures, `burst` sweeps MMPP burst ratios, `tenants` sweeps
-/// multi-tenant quota splits, `faults` sweeps fault-storm
-/// intensity × degradation policy, and `scale` sweeps tenant population
-/// 10¹→10³ under incremental vs snapshot reallocation.
-pub const FIGURES: [&str; 10] = [
+/// multi-tenant quota splits, and `faults` sweeps fault-storm
+/// intensity × degradation policy.
+pub const FIGURES: [&str; 9] = [
     "fig3", "fig8", "fig11", "fig12", "fig16", "fig17", "burst", "tenants", "faults",
-    "scale",
 ];
 
 /// Two-sided 90% Student-t quantile (`t_{0.95, df}`) for the given degrees
@@ -62,8 +60,8 @@ pub struct CellSpec {
     /// The swept parameter (arrival rate, MinMax N, Small-class rate, ...).
     pub x: f64,
     /// The cell's label, as every artifact prints it: the memory algorithm,
-    /// prefixed by what else the cell varies (`"requeue/PMM"`,
-    /// `"snapshot/Partitioned-soft"`). Nothing parses it.
+    /// prefixed by what else the cell varies (`"requeue/PMM"`). Nothing
+    /// parses it.
     pub policy: String,
     /// The memory algorithm, as [`crate::make_policy_for`] resolves it.
     pub algorithm: String,
@@ -223,19 +221,6 @@ pub fn figure_spec(name: &str) -> Result<FigureSpec, String> {
                 })
                 .collect(),
         },
-        "scale" => FigureSpec {
-            name: "scale",
-            x_label: "tenant count",
-            window_secs: None,
-            // The `snapshot/` algorithms pin the reference full-snapshot
-            // allocation path, so incremental vs snapshot reallocation is
-            // an arm of the sweep rather than a separate figure.
-            cells: cross(
-                &crate::SCALE_TENANTS.map(|n| n as f64),
-                &crate::SCALE_POLICIES,
-                |x| SimConfig::scale(x as usize),
-            ),
-        },
         // Hidden from `FIGURES` (and so from `--figure all`): a tiny sweep
         // whose middle cell runs the deliberately crashing `panic` policy,
         // proving end to end that a panicking replication is quarantined
@@ -319,14 +304,16 @@ pub struct MetricSummary {
     pub ci90: Option<f64>,
 }
 
-fn summarize<F: Fn(&RunReport) -> f64>(reports: &[RunReport], f: F) -> MetricSummary {
+/// Summarize `f` over `items`, one replication each: every merged mean and
+/// half-width in the driver's output is computed here.
+fn summarize<T>(items: &[T], f: impl Fn(&T) -> f64) -> MetricSummary {
     let mut bm = BatchMeans::new(1);
-    for r in reports {
-        bm.record(f(r));
+    for item in items {
+        bm.record(f(item));
     }
     MetricSummary {
         mean: bm.mean(),
-        ci90: bm.half_width(t_quantile_90(reports.len().saturating_sub(1))),
+        ci90: bm.half_width(t_quantile_90(items.len().saturating_sub(1))),
     }
 }
 
@@ -652,19 +639,12 @@ fn merge_windows(reports: &[RunReport]) -> Vec<MergedWindow> {
         .map(|j| {
             let points: Vec<&WindowPoint> =
                 reports.iter().filter_map(|r| r.windows.get(j)).collect();
-            let mut bm = BatchMeans::new(1);
-            for p in &points {
-                bm.record(p.miss_pct());
-            }
             MergedWindow {
                 t_secs: points[0].t_secs,
                 replications: points.len() as u64,
                 served: points.iter().map(|p| p.served).sum(),
                 missed: points.iter().map(|p| p.missed).sum(),
-                miss_pct: MetricSummary {
-                    mean: bm.mean(),
-                    ci90: bm.half_width(t_quantile_90(points.len().saturating_sub(1))),
-                },
+                miss_pct: summarize(&points, |p| p.miss_pct()),
             }
         })
         .collect()
@@ -1479,13 +1459,6 @@ mod tests {
             }
         }
         assert_eq!(labels("faults"), faults);
-        let mut scale = Vec::new();
-        for x in ["10.0", "100.0", "1000.0"] {
-            for a in crate::SCALE_POLICIES {
-                scale.push(format!("{x} {a}"));
-            }
-        }
-        assert_eq!(labels("scale"), scale);
 
         // Each cell's config carries what its label names.
         for cell in figure_spec("faults").expect("known figure").cells {
@@ -1497,10 +1470,6 @@ mod tests {
             };
             assert_eq!(cell.config.faults.mode, want, "{}", cell.policy);
             assert_eq!(cell.config.faults.events.is_empty(), cell.x == 0.0);
-        }
-        for cell in figure_spec("scale").expect("known figure").cells {
-            assert_eq!(cell.policy, cell.algorithm);
-            assert_eq!(cell.config.tenants.len() as f64, cell.x);
         }
     }
 

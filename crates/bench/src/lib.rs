@@ -55,11 +55,9 @@ impl MemoryPolicy for PanicPolicy {
 /// against `cfg.tenants`: `"Partitioned"` enforces the config's quotas as
 /// declared (hard unless the spec says otherwise), `"Partitioned-soft"`
 /// lets every partition borrow idle pages, and `"PMM-tenant"` runs one PMM
-/// controller per partition (PMM v2). `"snapshot/<policy>"` wraps the inner policy in
-/// [`SnapshotOnly`], pinning it to the full-snapshot allocation path (the
-/// name `SnapshotOnly::name` reports). The plain names are `"Max"`,
-/// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"Proportional-<N>"`,
-/// `"PMM"`, and the crashtest figure's `"panic"`.
+/// controller per partition (PMM v2). The plain names are `"Max"`,
+/// `"MinMax"`, `"MinMax-<N>"`, `"Proportional"`, `"PMM"`, and the crashtest
+/// figure's `"panic"`.
 ///
 /// Only the memory algorithm is named here: a figure cell's degradation
 /// mode is in its `SimConfig`
@@ -69,9 +67,6 @@ impl MemoryPolicy for PanicPolicy {
 /// Panics on an unknown name, or a tenant-aware name against a config
 /// with no tenants.
 pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
-    if let Some(policy) = name.strip_prefix("snapshot/") {
-        return Box::new(SnapshotOnly::new(make_policy_for(cfg, policy)));
-    }
     // `all_soft` makes every partition soft (quota + borrowing): the
     // "shared when idle" configuration swept against hard isolation.
     let partitions = |all_soft: bool| -> Vec<PartitionSpec> {
@@ -93,17 +88,13 @@ pub fn make_policy_for(cfg: &SimConfig, name: &str) -> Box<dyn MemoryPolicy> {
         "PMM-tenant" => Box::new(TenantPmm::new(partitions(false))),
         "Max" => Box::new(MaxPolicy),
         "MinMax" => Box::new(MinMaxPolicy::unlimited()),
-        "Proportional" => Box::new(ProportionalPolicy::unlimited()),
+        "Proportional" => Box::new(ProportionalPolicy),
         "PMM" => Box::new(Pmm::with_defaults()),
         "panic" => Box::new(PanicPolicy),
         other => {
             if let Some(n) = other.strip_prefix("MinMax-") {
                 Box::new(MinMaxPolicy::with_limit(
                     n.parse().expect("numeric MinMax limit"),
-                ))
-            } else if let Some(n) = other.strip_prefix("Proportional-") {
-                Box::new(ProportionalPolicy::with_limit(
-                    n.parse().expect("numeric Proportional limit"),
                 ))
             } else {
                 panic!("unknown policy {other}")
@@ -143,13 +134,6 @@ pub const FAULT_POLICIES: [(DegradationMode, &str); 4] = [
     (DegradationMode::Requeue, "PMM"),
 ];
 
-/// Tenant counts of the scale figure's 10¹ → 10³ sweep.
-pub const SCALE_TENANTS: [usize; 3] = [10, 100, 1000];
-/// The policies of the scale figure: incremental dirty-set allocation and
-/// the same policy pinned to the full-snapshot reference path (the
-/// `snapshot/` control arm).
-pub const SCALE_POLICIES: [&str; 2] = ["Partitioned-soft", "snapshot/Partitioned-soft"];
-
 /// Analytics-tenant memory fractions of the multi-tenant sweep.
 pub const TENANT_FRACTIONS: [f64; 3] = [0.25, 0.5, 0.75];
 /// The policies of the multi-tenant experiment: a shared pool as the
@@ -168,10 +152,6 @@ mod tests {
         assert_eq!(make_policy_for(&cfg, "Max").name(), "Max");
         assert_eq!(make_policy_for(&cfg, "MinMax").name(), "MinMax");
         assert_eq!(make_policy_for(&cfg, "MinMax-10").name(), "MinMax-10");
-        assert_eq!(
-            make_policy_for(&cfg, "Proportional-5").name(),
-            "Proportional-5"
-        );
         assert_eq!(make_policy_for(&cfg, "PMM").name(), "PMM");
     }
 
@@ -209,21 +189,6 @@ mod tests {
             assert_eq!(policy.name(), cell.algorithm);
             assert!(cell.policy.ends_with(&format!("/{}", cell.algorithm)));
         }
-    }
-
-    #[test]
-    fn make_policy_for_resolves_snapshot_cell_names() {
-        let cfg = SimConfig::scale(4);
-        let wrapped = make_policy_for(&cfg, "snapshot/Partitioned-soft");
-        assert_eq!(wrapped.name(), "snapshot/Partitioned-soft");
-        assert!(
-            !wrapped.supports_dirty_allocation(),
-            "the snapshot wrapper pins the full-snapshot path"
-        );
-        assert!(
-            make_policy_for(&cfg, "Partitioned-soft").supports_dirty_allocation(),
-            "the unwrapped partitioned policy takes the incremental path"
-        );
     }
 
     #[test]

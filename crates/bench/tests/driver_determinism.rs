@@ -291,80 +291,6 @@ fn trace_artifacts_are_thread_count_invariant() {
     }
 }
 
-/// The `scale` figure obeys the same contract at every tenant population:
-/// merged JSON is byte-identical across thread counts, exactly the
-/// tenant-count × policy grid appears, and — the tentpole equivalence —
-/// the incremental `Partitioned-soft` arm merges to exactly the same
-/// statistics as the pinned `snapshot/Partitioned-soft` reference arm.
-#[test]
-fn scale_json_matches_serial_and_incremental_equals_snapshot() {
-    let base = DriverConfig {
-        seeds: 2,
-        threads: 1,
-        secs: 150.0,
-        master_seed: 1994,
-        ..DriverConfig::default()
-    };
-    let serial = run_figure("scale", base.clone()).expect("serial run");
-    let parallel =
-        run_figure("scale", DriverConfig { threads: 4, ..base }).expect("parallel run");
-    assert_eq!(
-        serial.to_json(),
-        parallel.to_json(),
-        "scale: 4-thread JSON must match the serial run"
-    );
-    let grid: Vec<(f64, &str)> = serial
-        .cells
-        .iter()
-        .map(|c| (c.x, c.policy.as_str()))
-        .collect();
-    let want: Vec<(f64, &str)> = bench::SCALE_TENANTS
-        .iter()
-        .flat_map(|&n| bench::SCALE_POLICIES.map(|p| (n as f64, p)))
-        .collect();
-    assert_eq!(grid, want, "scale: exactly the tenant-count × policy grid");
-    for n in bench::SCALE_TENANTS {
-        let cell = |policy: &str| {
-            serial
-                .cells
-                .iter()
-                .find(|c| c.x == n as f64 && c.policy == policy)
-                .expect("grid cell")
-        };
-        let inc = cell("Partitioned-soft");
-        let snap = cell("snapshot/Partitioned-soft");
-        assert_eq!(inc.served, snap.served, "{n} tenants: served");
-        assert_eq!(inc.missed, snap.missed, "{n} tenants: missed");
-        assert_eq!(
-            inc.miss_pct.mean.to_bits(),
-            snap.miss_pct.mean.to_bits(),
-            "{n} tenants: incremental and snapshot arms must merge to \
-             bit-identical miss ratios"
-        );
-        assert_eq!(
-            inc.avg_mpl.mean.to_bits(),
-            snap.avg_mpl.mean.to_bits(),
-            "{n} tenants: bit-identical MPL"
-        );
-        assert_eq!(
-            inc.avg_fluctuations.mean.to_bits(),
-            snap.avg_fluctuations.mean.to_bits(),
-            "{n} tenants: bit-identical allocation-fluctuation counts"
-        );
-        assert_eq!(inc.tenants.len(), n, "{n} tenants: one aggregate each");
-        for (ti, tj) in inc.tenants.iter().zip(&snap.tenants) {
-            assert_eq!(ti.served, tj.served);
-            assert_eq!(ti.missed, tj.missed);
-            assert_eq!(
-                ti.borrowed_pages.mean.to_bits(),
-                tj.borrowed_pages.mean.to_bits(),
-                "{n} tenants: bit-identical borrow volume for {}",
-                ti.name
-            );
-        }
-    }
-}
-
 /// Per-tenant metric label families: multi-tenant cells carry dense
 /// per-tenant counters/gauges in their merged metrics JSON, the output is
 /// byte-identical across thread counts, and single-tenant figures' metrics

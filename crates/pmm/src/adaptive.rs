@@ -30,9 +30,6 @@ use stats::{
 /// PMM tuning knobs (Table 1).
 #[derive(Clone, Copy, Debug)]
 pub struct PmmParams {
-    /// `SampleSize` — re-evaluation frequency in query completions. The
-    /// simulator owns batching; this is kept here so reports can show it.
-    pub sample_size: u32,
     /// Lower edge of the desirable bottleneck-utilization range.
     pub util_low: f64,
     /// Upper edge of the desirable bottleneck-utilization range.
@@ -49,7 +46,6 @@ pub struct PmmParams {
 impl Default for PmmParams {
     fn default() -> Self {
         PmmParams {
-            sample_size: 30,
             util_low: 0.70,
             util_high: 0.85,
             adapt_conf_level: 0.95,

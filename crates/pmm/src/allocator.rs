@@ -134,7 +134,7 @@ pub(crate) fn minmax_allocate_flagged_into(
     admission_limited || free == 0
 }
 
-/// **Proportional-N** strategy: admit like MinMax-N, but divide memory so
+/// **Proportional** strategy: admit like MinMax, but divide memory so
 /// every admitted query receives the same fraction of its maximum, subject
 /// to at least its minimum. The fraction is found by water-filling: queries
 /// whose proportional share would fall below their minimum are pinned at
@@ -143,18 +143,16 @@ pub(crate) fn minmax_allocate_flagged_into(
 pub fn proportional_allocate_into(
     queries: &[QueryDemand],
     total: u32,
-    limit: Option<u32>,
     scratch: &mut AllocScratch,
     out: &mut Grants,
 ) {
     scratch.ed_order(queries);
-    let n = limit.map(|l| l as usize).unwrap_or(usize::MAX);
     out.clear();
     // Admission: maximal ED prefix whose minimums fit — a contiguous prefix
     // of the sorted scratch, so a count suffices.
     let mut admitted = 0usize;
     let mut min_sum = 0u64;
-    for q in scratch.sorted.iter().take(n) {
+    for q in &scratch.sorted {
         if min_sum + q.min_mem as u64 <= total as u64 {
             min_sum += q.min_mem as u64;
             admitted += 1;
@@ -590,7 +588,7 @@ mod tests {
     #[test]
     fn proportional_equal_fractions() {
         let queries = [q(1, 100, 10, 1000), q(2, 200, 10, 500)];
-        let grants = fresh(|s, o| proportional_allocate_into(&queries, 750, None, s, o));
+        let grants = fresh(|s, o| proportional_allocate_into(&queries, 750, s, o));
         // frac = 750 / 1500 = 0.5 → 500 and 250.
         assert_eq!(grants, vec![(QueryId(1), 500), (QueryId(2), 250)]);
     }
@@ -600,7 +598,7 @@ mod tests {
         // frac would give query 2 less than its minimum; it pins at min and
         // query 1 absorbs the rest.
         let queries = [q(1, 100, 10, 1000), q(2, 200, 90, 100)];
-        let grants = fresh(|s, o| proportional_allocate_into(&queries, 500, None, s, o));
+        let grants = fresh(|s, o| proportional_allocate_into(&queries, 500, s, o));
         let g2 = grants.iter().find(|&&(id, _)| id == QueryId(2)).unwrap().1;
         assert_eq!(g2, 90, "pinned at minimum");
         let g1 = grants.iter().find(|&&(id, _)| id == QueryId(1)).unwrap().1;
@@ -611,17 +609,14 @@ mod tests {
     #[test]
     fn proportional_caps_at_max() {
         let queries = [q(1, 100, 10, 100), q(2, 200, 10, 100)];
-        let grants =
-            fresh(|s, o| proportional_allocate_into(&queries, 10_000, None, s, o));
+        let grants = fresh(|s, o| proportional_allocate_into(&queries, 10_000, s, o));
         assert!(grants.iter().all(|&(_, p)| p == 100));
     }
 
     #[test]
-    fn proportional_respects_limit_and_memory() {
+    fn proportional_respects_memory() {
         let queries: Vec<_> = (0..50).map(|i| q(i, 100 + i, 37, 1321)).collect();
-        let grants =
-            fresh(|s, o| proportional_allocate_into(&queries, 2560, Some(10), s, o));
-        assert!(grants.len() <= 10);
+        let grants = fresh(|s, o| proportional_allocate_into(&queries, 2560, s, o));
         assert!(granted_total(&grants) <= 2560);
         for (_, p) in &grants {
             assert!(*p >= 37);
@@ -632,9 +627,7 @@ mod tests {
     fn all_strategies_handle_empty_input() {
         assert!(fresh(|s, o| max_allocate_into(&[], 1000, s, o)).is_empty());
         assert!(fresh(|s, o| minmax_allocate_into(&[], 1000, None, s, o)).is_empty());
-        assert!(
-            fresh(|s, o| proportional_allocate_into(&[], 1000, Some(5), s, o)).is_empty()
-        );
+        assert!(fresh(|s, o| proportional_allocate_into(&[], 1000, s, o)).is_empty());
     }
 
     #[test]
@@ -870,10 +863,10 @@ mod tests {
                 out,
                 fresh(|s, o| minmax_allocate_into(&queries, total, limit, s, o))
             );
-            proportional_allocate_into(&queries, total, limit, &mut scratch, &mut out);
+            proportional_allocate_into(&queries, total, &mut scratch, &mut out);
             assert_eq!(
                 out,
-                fresh(|s, o| proportional_allocate_into(&queries, total, limit, s, o))
+                fresh(|s, o| proportional_allocate_into(&queries, total, s, o))
             );
             minmax_partitioned_into(
                 &queries,

@@ -171,29 +171,12 @@ impl MemoryPolicy for MinMaxPolicy {
     }
 }
 
-/// The static **Proportional-N** algorithm (`None` = Proportional-∞).
-pub struct ProportionalPolicy {
-    limit: Option<u32>,
-}
-
-impl ProportionalPolicy {
-    /// Proportional with an MPL limit.
-    pub fn with_limit(n: u32) -> Self {
-        ProportionalPolicy { limit: Some(n) }
-    }
-
-    /// Proportional-∞.
-    pub fn unlimited() -> Self {
-        ProportionalPolicy { limit: None }
-    }
-}
+/// The static **Proportional** algorithm: no MPL limit.
+pub struct ProportionalPolicy;
 
 impl MemoryPolicy for ProportionalPolicy {
     fn name(&self) -> String {
-        match self.limit {
-            Some(n) => format!("Proportional-{n}"),
-            None => "Proportional".into(),
-        }
+        "Proportional".into()
     }
 
     fn allocate_into(
@@ -205,14 +188,9 @@ impl MemoryPolicy for ProportionalPolicy {
         proportional_allocate_into(
             &snapshot.queries,
             snapshot.total_memory,
-            self.limit,
             scratch,
             out,
         );
-    }
-
-    fn target_mpl(&self) -> Option<u32> {
-        self.limit
     }
 
     fn mode(&self) -> StrategyMode {
@@ -221,9 +199,9 @@ impl MemoryPolicy for ProportionalPolicy {
 }
 
 /// Forces the wrapped policy down the full-snapshot reference path by
-/// reporting [`MemoryPolicy::supports_dirty_allocation`] `false` — the
-/// control arm of the `scale` figure's incremental-vs-snapshot comparison
-/// (cells named `snapshot/<policy>`). Everything else delegates.
+/// reporting [`MemoryPolicy::supports_dirty_allocation`] `false`: the
+/// reference that tests hold the engine's dirty-set path to, bit for bit.
+/// Everything else delegates.
 pub struct SnapshotOnly {
     inner: Box<dyn MemoryPolicy>,
 }
@@ -303,8 +281,7 @@ mod tests {
         assert_eq!(MaxPolicy.name(), "Max");
         assert_eq!(MinMaxPolicy::unlimited().name(), "MinMax");
         assert_eq!(MinMaxPolicy::with_limit(10).name(), "MinMax-10");
-        assert_eq!(ProportionalPolicy::unlimited().name(), "Proportional");
-        assert_eq!(ProportionalPolicy::with_limit(4).name(), "Proportional-4");
+        assert_eq!(ProportionalPolicy.name(), "Proportional");
     }
 
     #[test]
@@ -344,7 +321,7 @@ mod tests {
 
     #[test]
     fn proportional_spreads_memory() {
-        let mut p = ProportionalPolicy::unlimited();
+        let mut p = ProportionalPolicy;
         let grants = p.allocate(&snapshot(4));
         assert_eq!(grants.len(), 4);
         // 2560 / (4 × 1321) ≈ 0.48 of max each, > min.

@@ -396,9 +396,10 @@ impl SimConfig {
     /// 256 pages per tenant so per-tenant conditions stay constant as `n`
     /// sweeps 10¹ → 10³. Relation sizes (‖R‖ ∈ [50, 150], group 2) keep a
     /// full sort inside one quota, so soft borrow-back — not starvation —
-    /// is what the allocator arbitrates. The `scale` figure pairs this with
-    /// `pmm::PartitionedPolicy` (incremental) and its `snapshot/`-pinned
-    /// control arm.
+    /// is what the allocator arbitrates. It is the 10³-tenant benchmark
+    /// workload (perfbench `tenants-1000`), the golden multi-tenant report's
+    /// configuration, and the grid on which tests hold the incremental
+    /// reallocation path to `pmm::SnapshotOnly`.
     pub fn scale(n: usize) -> Self {
         let n = n.max(1);
         let mut cfg = Self::baseline(0.05);
@@ -407,9 +408,9 @@ impl SimConfig {
             size_range: (50, 150),
         });
         cfg.resources.memory_pages = 256 * n as u32;
-        // One figure point is minutes of simulated time, not the paper's 10
-        // hours: the figure measures reallocation cost, which needs churn
-        // volume, not steady-state miss ratios.
+        // Minutes of simulated time, not the paper's 10 hours: the preset
+        // measures reallocation cost, which needs churn volume, not
+        // steady-state miss ratios.
         cfg.duration_secs = 1_200.0;
         cfg.window_secs = 300.0;
         cfg.apply_scenario(Scenario::tenant_grid(

@@ -143,19 +143,13 @@ impl Disk {
         self.outage = outage;
     }
 
-    /// Queue an access with ED priority `deadline`. The current head
-    /// position is passed down so the queue maintains its pop winner
-    /// incrementally: the head only moves when a media access starts, so
-    /// everything queued since then folds into an O(1) pick.
+    /// Queue an access with ED priority `deadline`.
     pub fn enqueue(&mut self, deadline: SimTime, access: Access) {
-        self.queue.push_at(
-            self.head,
-            QueuedRequest {
-                deadline,
-                cylinder: access.cylinder,
-                tag: access,
-            },
-        );
+        self.queue.push(QueuedRequest {
+            deadline,
+            cylinder: access.cylinder,
+            tag: access,
+        });
     }
 
     /// True if the disk is currently servicing a request.
@@ -304,11 +298,6 @@ impl Disk {
     pub fn invalidate(&mut self, file: FileId) {
         self.cache.invalidate_file(file);
     }
-
-    /// Cache hit/miss counters.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
 }
 
 /// All the disks in the system, with their one geometry and the one
@@ -390,7 +379,6 @@ mod tests {
         let (_, s2) = start(&mut disk).unwrap();
         assert_eq!(s2, Service::CacheHit);
         disk.finish();
-        assert_eq!(disk.cache_stats().0, 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The per-disk buffer pool (prefetch cache).
 //!
 //! Section 4.2 gives each disk a 256-KByte prefetch cache with LRU
-//! replacement. [`BufferPool`] keeps hit/miss accounting plus
-//! block-granular line management over one recency-ordered key vector
+//! replacement. [`BufferPool`] manages block-granular lines over one
+//! recency-ordered key vector
 //! (LRU first, MRU last; lookups scan it, hits move the key to the back,
 //! eviction takes the front). Its semantics are identical to the seed's
 //! deque cache, pinned by `crates/storage/tests/lru_model.rs` and the
@@ -32,8 +32,6 @@ pub struct BufferPool {
     block_pages: u32,
     /// Resident keys, LRU (the eviction victim) first, MRU last.
     order: Vec<CacheKey>,
-    hits: u64,
-    misses: u64,
 }
 
 impl BufferPool {
@@ -46,8 +44,6 @@ impl BufferPool {
             capacity_blocks,
             block_pages,
             order: Vec::with_capacity(capacity_blocks + 1),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -70,15 +66,12 @@ impl BufferPool {
         let all_present = (first_block..=last_block)
             .all(|block| self.order.contains(&CacheKey { file, block }));
         if all_present {
-            self.hits += 1;
             for block in first_block..=last_block {
                 let key = CacheKey { file, block };
                 if let Some(at) = self.order.iter().position(|k| *k == key) {
                     self.move_back(at);
                 }
             }
-        } else {
-            self.misses += 1;
         }
         all_present
     }
@@ -105,10 +98,5 @@ impl BufferPool {
     /// Drop every line belonging to `file` (called when a temp is deleted).
     pub fn invalidate_file(&mut self, file: FileId) {
         self.order.retain(|k| k.file != file);
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }

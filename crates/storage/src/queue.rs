@@ -5,27 +5,21 @@
 //! requests that ED assigns the same priority to are serviced according to
 //! the elevator algorithm."
 //!
-//! The seed implementation nested `BTreeMap<SimTime, BTreeMap<u32, Vec<_>>>`
-//! — three allocation sites per push in the worst case, and an O(n)
-//! `Vec::remove(0)` per same-cylinder FIFO dequeue. Disk queues are short
-//! (bounded by the live-query population: each live query has at most one
-//! outstanding I/O), so this version is a flat parallel-array structure
-//! scanned on pop:
+//! Disk queues are short (each live query has at most one outstanding
+//! I/O), so the queue is two parallel vectors, the dense selection keys and
+//! the payloads:
 //!
-//! * **push** appends to two `Vec`s — amortized O(1), zero allocations in
-//!   steady state once capacity is warm.
-//! * **pop** selects by `(deadline, elevator cylinder, seq)` in one scan
-//!   over the dense 24-byte key array (payloads are never touched) and
-//!   removes with `swap_remove` — O(n) scan with a cache-line-friendly
-//!   constant, O(1) removal. FIFO among equal `(deadline, cylinder)`
-//!   requests rides on the monotone `seq` stamp, so selection is
-//!   independent of element order and `swap_remove`'s shuffling is
-//!   invisible. (At engine-realistic depths the scan beats the seed's tree
-//!   walk plus node churn; a tree wins again only at depths the simulator
-//!   never reaches — the `disk_queue/push_pop_1k` stress bench records
-//!   that asymptote honestly.)
-//! * **drain** never allocates per bucket; [`DiskQueue::discard_where`]
-//!   (the abort path) allocates nothing at all.
+//! * **push** appends to both: amortized O(1), no allocation once warm.
+//! * **pop** is one scan of the 24-byte keys for the argmin of one rank,
+//!   `(deadline, off the sweep side, distance, seq)`, then a `swap_remove`.
+//!   The monotone `seq` stamp keeps same-cylinder requests FIFO whatever
+//!   order `swap_remove` leaves them in. At engine-realistic depths the
+//!   scan beats any index; the `disk_queue/push_pop_1k` stress bench
+//!   records the O(n) asymptote.
+//! * **discard_where** (the abort path) allocates nothing.
+//!
+//! `crates/storage/tests/queue_model.rs` holds `pop` to a naive model
+//! written from Section 4.2.
 
 use simkit::SimTime;
 
@@ -69,27 +63,9 @@ fn rank_of(key: &Key, head: u32, ascending: bool) -> Rank {
     (key.deadline, penalty, dist, key.seq)
 }
 
-/// The incrementally maintained winner of the next [`DiskQueue::pop`],
-/// valid only for the exact `(head, ascending)` it was computed under.
-#[derive(Clone, Copy, Debug)]
-struct Cached {
-    head: u32,
-    ascending: bool,
-    idx: usize,
-    rank: Rank,
-}
-
 /// ED + elevator queue for one disk. `keys[i]` and `reqs[i]` describe the
-/// same request; both sides `swap_remove` together.
-///
-/// When the caller can name the disk-head position at enqueue time
-/// ([`DiskQueue::push_at`]), the queue folds each new request into a cached
-/// winner in O(1); a later `pop` from the same head position takes the
-/// winner without rescanning. The head only moves when a media access
-/// starts, so the common busy-disk pattern — requests arriving during a
-/// service, then one pop at its completion — never rescans at all. Any
-/// removal or head movement falls back to the scan (and the scan is what
-/// the cache is checked against in debug builds).
+/// same request; both sides `swap_remove` together. Every pop is one scan
+/// for the argmin of `rank_of` from the head's position.
 #[derive(Debug)]
 pub struct DiskQueue<T> {
     keys: Vec<Key>,
@@ -97,7 +73,6 @@ pub struct DiskQueue<T> {
     next_seq: u64,
     /// Elevator sweep direction: true = ascending cylinder numbers.
     ascending: bool,
-    cached: Option<Cached>,
 }
 
 impl<T> Default for DiskQueue<T> {
@@ -114,7 +89,6 @@ impl<T> DiskQueue<T> {
             reqs: Vec::new(),
             next_seq: 0,
             ascending: true,
-            cached: None,
         }
     }
 
@@ -128,47 +102,9 @@ impl<T> DiskQueue<T> {
         self.reqs.is_empty()
     }
 
-    /// Enqueue a request without a head hint. The cached winner (if any)
-    /// cannot be maintained and is dropped; the next pop rescans.
+    /// Enqueue a request: amortized O(1), no allocation once capacity is
+    /// warm.
     pub fn push(&mut self, request: QueuedRequest<T>) {
-        self.cached = None;
-        self.append(request);
-    }
-
-    /// Enqueue a request, folding it into the cached pop winner for the
-    /// given head position. O(1); a subsequent [`DiskQueue::pop`] from the
-    /// same head with the same sweep direction skips its scan.
-    pub fn push_at(&mut self, head: u32, request: QueuedRequest<T>) {
-        let idx = self.keys.len();
-        let key = Key {
-            deadline: request.deadline,
-            cylinder: request.cylinder,
-            seq: self.next_seq,
-        };
-        match &mut self.cached {
-            _ if idx == 0 => {
-                self.cached = Some(Cached {
-                    head,
-                    ascending: self.ascending,
-                    idx,
-                    rank: rank_of(&key, head, self.ascending),
-                });
-            }
-            Some(c) if c.head == head && c.ascending == self.ascending => {
-                let rank = rank_of(&key, head, self.ascending);
-                if rank < c.rank {
-                    c.idx = idx;
-                    c.rank = rank;
-                }
-            }
-            // Either no winner survives from before, or the head moved
-            // between pushes: fall back to the scan at the next pop.
-            _ => self.cached = None,
-        }
-        self.append(request);
-    }
-
-    fn append(&mut self, request: QueuedRequest<T>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.keys.push(Key {
@@ -184,23 +120,12 @@ impl<T> DiskQueue<T> {
     /// The most urgent deadline level is selected first (ED); within that
     /// level the elevator picks the nearest cylinder in the current sweep
     /// direction, reversing direction at the end of a sweep: the argmin of
-    /// one rank order, from the cached winner or one scan.
+    /// one rank order over the queued keys.
     pub fn pop(&mut self, head: u32) -> Option<QueuedRequest<T>> {
         if self.keys.is_empty() {
-            self.cached = None;
             return None;
         }
-        let (chosen, rank) = match self.cached.take() {
-            Some(c) if c.head == head && c.ascending == self.ascending => {
-                debug_assert_eq!(
-                    c.idx,
-                    self.argmin(head).0,
-                    "cached winner diverged from the argmin"
-                );
-                (c.idx, c.rank)
-            }
-            _ => self.argmin(head),
-        };
+        let (chosen, rank) = self.argmin(head);
         // A winner off the preferred side means that side is empty at the
         // most urgent level: the sweep reverses.
         if rank.1 == 1 {
@@ -234,7 +159,6 @@ impl<T> DiskQueue<T> {
     /// aborted query) and count them — allocation-free, for the firm-abort
     /// path that never inspects them.
     pub fn discard_where<F: Fn(&T) -> bool>(&mut self, remove: F) -> usize {
-        self.cached = None;
         let before = self.reqs.len();
         let mut i = 0;
         while i < self.reqs.len() {
@@ -340,57 +264,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(0).unwrap().tag, 8);
         assert_eq!(q.discard_where(|_| true), 0);
-    }
-
-    #[test]
-    fn push_at_cached_winner_reverses_sweep() {
-        let mut q = DiskQueue::new();
-        q.push_at(500, req(50, 400, 1)); // below an up-sweeping head
-        assert_eq!(q.pop(500).unwrap().tag, 1);
-        // The cached-winner pop must have reversed the sweep, exactly like
-        // the scan: a later same-deadline pair prefers the downward side.
-        q.push_at(400, req(50, 450, 2));
-        q.push_at(400, req(50, 350, 3));
-        assert_eq!(q.pop(400).unwrap().tag, 3, "descending after reversal");
-        assert_eq!(q.pop(350).unwrap().tag, 2);
-    }
-
-    #[test]
-    fn push_at_agrees_with_push_under_random_mix() {
-        // One queue fed through push_at (incremental winner), a twin through
-        // plain push (always scans); identical operation tapes must produce
-        // identical pop sequences. In debug builds the cache-hit path also
-        // self-checks against the scan.
-        let mut fast = DiskQueue::new();
-        let mut slow = DiskQueue::new();
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut head = 300u32;
-        for tag in 0..2_000u32 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let deadline = 10 + x % 8; // few levels: big elevator groups
-            let cyl = (x >> 16) as u32 % 1_000;
-            fast.push_at(head, req(deadline, cyl, tag));
-            slow.push(req(deadline, cyl, tag));
-            if x.is_multiple_of(3) {
-                let a = fast.pop(head);
-                let b = slow.pop(head);
-                assert_eq!(a, b, "divergence at tag {tag}");
-                if let Some(r) = a {
-                    head = r.cylinder;
-                }
-            }
-        }
-        loop {
-            let a = fast.pop(head);
-            let b = slow.pop(head);
-            assert_eq!(a, b);
-            match a {
-                Some(r) => head = r.cylinder,
-                None => break,
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn main() {
     let policies: Vec<(&str, Box<dyn MemoryPolicy>)> = vec![
         ("Max", Box::new(MaxPolicy)),
         ("MinMax", Box::new(pmm_core::pmm::MinMaxPolicy::unlimited())),
-        ("Proportional", Box::new(ProportionalPolicy::unlimited())),
+        ("Proportional", Box::new(ProportionalPolicy)),
         ("PMM", Box::new(Pmm::with_defaults())),
     ];
     for (name, policy) in policies {

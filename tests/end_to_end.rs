@@ -33,10 +33,8 @@ fn proportional_is_worse_than_minmax() {
         short_baseline(0.06, 3_000.0),
         Box::new(pmm_core::pmm::MinMaxPolicy::unlimited()),
     );
-    let prop = run_simulation(
-        short_baseline(0.06, 3_000.0),
-        Box::new(ProportionalPolicy::unlimited()),
-    );
+    let prop =
+        run_simulation(short_baseline(0.06, 3_000.0), Box::new(ProportionalPolicy));
     // On short horizons the miss ratios can tie; Proportional must never
     // come out ahead (VALIDATION.md's fig3 sweep shows the full gap).
     assert!(

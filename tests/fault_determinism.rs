@@ -11,7 +11,7 @@
 //! 4. **One degradation path**: every fault counter in the metrics
 //!    registry equals the number of trace records of its kind.
 
-use bench::driver::{quarantine_json, run_figure, DriverConfig};
+use bench::driver::{quarantine_json, replication_seed, run_figure, DriverConfig};
 use bench::make_policy_for;
 use integration_tests::short_baseline;
 use pmm_core::prelude::*;
@@ -166,7 +166,7 @@ fn out_of_horizon_fault_plan_is_inert() {
 /// storm machinery: a multi-tenant `scale` run through a mid-run memory
 /// shock and a disk outage must produce the very same report whether the
 /// engine drives the dirty-set path (`Partitioned-soft`, `PMM-tenant`) or
-/// the pinned full-snapshot reference (`snapshot/<policy>`). The shock is
+/// the pinned full-snapshot reference (`SnapshotOnly`). The shock is
 /// the hard case — total memory moves under the allocator, which must
 /// answer with a rebuild that is the reference algorithm verbatim.
 /// `PMM-tenant` adds the controllers' decisions: each of its runs must
@@ -200,34 +200,7 @@ fn incremental_reallocation_survives_storms_bit_for_bit() {
         cfg.duration_secs = secs;
         cfg.window_secs = 150.0;
         cfg.faults = faults.clone();
-        let inc = run_simulation(cfg.clone(), make_policy_for(&cfg, policy));
-        let snap = run_simulation(
-            cfg.clone(),
-            make_policy_for(&cfg, &format!("snapshot/{policy}")),
-        );
-        assert_eq!(
-            (inc.served, inc.missed),
-            (snap.served, snap.missed),
-            "{policy}"
-        );
-        assert_eq!(inc.events, snap.events, "{policy}: not one event may move");
-        for (a, b) in [
-            (inc.avg_mpl, snap.avg_mpl),
-            (inc.cpu_util, snap.cpu_util),
-            (inc.disk_util, snap.disk_util),
-            (inc.avg_fluctuations, snap.avg_fluctuations),
-        ] {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{policy}: aggregate drifted: {a} vs {b}"
-            );
-        }
-        assert_eq!(inc.windows.len(), snap.windows.len(), "{policy}");
-        for (w, v) in inc.windows.iter().zip(&snap.windows) {
-            assert_eq!((w.served, w.missed), (v.served, v.missed), "{policy}");
-        }
-        assert_eq!(inc.trace, snap.trace, "{policy}: decision traces differ");
+        let inc = incremental_equals_snapshot(&cfg, policy, policy);
         if policy == "PMM-tenant" {
             assert!(
                 !inc.trace.is_empty(),
@@ -235,27 +208,85 @@ fn incremental_reallocation_survives_storms_bit_for_bit() {
             );
         }
         strategy_changed |= inc.trace.iter().any(|p| p.mode == StrategyMode::MinMax);
-        assert_eq!(inc.tenants.len(), cfg.tenants.len());
-        for (t, u) in inc.tenants.iter().zip(&snap.tenants) {
-            let who = format!("{policy} {}", t.name);
-            assert_eq!((t.served, t.missed), (u.served, u.missed), "{who}");
-            assert_eq!(t.avg_mpl.to_bits(), u.avg_mpl.to_bits(), "{who}");
-            assert_eq!(
-                t.quota_utilization.to_bits(),
-                u.quota_utilization.to_bits(),
-                "{who}"
-            );
-            assert_eq!(
-                t.borrowed_pages.to_bits(),
-                u.borrowed_pages.to_bits(),
-                "{who}"
-            );
-        }
     }
     assert!(
         strategy_changed,
         "no controller changed its partition's strategy"
     );
+}
+
+/// The same equivalence without a storm, from 10¹ to 10³ tenants: the
+/// `scale` preset under `Partitioned-soft`, two replication seeds at each
+/// population.
+#[test]
+fn incremental_reallocation_equals_snapshot_from_10_to_1000_tenants() {
+    for n in [10, 100, 1000] {
+        for rep in 0..2 {
+            let mut cfg = SimConfig::scale(n);
+            cfg.duration_secs = 150.0;
+            cfg.seed = replication_seed(1994, rep);
+            let who = format!("{n} tenants, replication {rep}");
+            let inc = incremental_equals_snapshot(&cfg, "Partitioned-soft", &who);
+            assert!(inc.served > 0, "{who}: nothing served");
+        }
+    }
+}
+
+/// Run `cfg` under `policy` through the engine's dirty-set path and pinned
+/// to the full-snapshot path by `SnapshotOnly`, assert the two reports are
+/// bit-identical, and return the first.
+fn incremental_equals_snapshot(cfg: &SimConfig, policy: &str, who: &str) -> RunReport {
+    let incremental = make_policy_for(cfg, policy);
+    assert!(
+        incremental.supports_dirty_allocation(),
+        "{who}: {policy} must take the dirty-set path, or there is nothing to compare"
+    );
+    let inc = run_simulation(cfg.clone(), incremental);
+    let snap = run_simulation(
+        cfg.clone(),
+        Box::new(SnapshotOnly::new(make_policy_for(cfg, policy))),
+    );
+    assert_eq!(
+        (inc.served, inc.missed),
+        (snap.served, snap.missed),
+        "{who}"
+    );
+    assert_eq!(inc.events, snap.events, "{who}: not one event may move");
+    for (a, b) in [
+        (inc.miss_pct(), snap.miss_pct()),
+        (inc.avg_mpl, snap.avg_mpl),
+        (inc.cpu_util, snap.cpu_util),
+        (inc.disk_util, snap.disk_util),
+        (inc.avg_fluctuations, snap.avg_fluctuations),
+    ] {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{who}: aggregate drifted: {a} vs {b}"
+        );
+    }
+    assert_eq!(inc.windows.len(), snap.windows.len(), "{who}");
+    for (w, v) in inc.windows.iter().zip(&snap.windows) {
+        assert_eq!((w.served, w.missed), (v.served, v.missed), "{who}");
+    }
+    assert_eq!(inc.trace, snap.trace, "{who}: decision traces differ");
+    assert_eq!(inc.tenants.len(), cfg.tenants.len(), "{who}");
+    for (t, u) in inc.tenants.iter().zip(&snap.tenants) {
+        let who = format!("{who} {}", t.name);
+        assert_eq!((t.served, t.missed), (u.served, u.missed), "{who}");
+        assert_eq!(t.avg_mpl.to_bits(), u.avg_mpl.to_bits(), "{who}");
+        assert_eq!(
+            t.quota_utilization.to_bits(),
+            u.quota_utilization.to_bits(),
+            "{who}"
+        );
+        assert_eq!(
+            t.borrowed_pages.to_bits(),
+            u.borrowed_pages.to_bits(),
+            "{who}"
+        );
+    }
+    inc
 }
 
 #[test]

@@ -46,7 +46,7 @@ fn all_policies_respect_memory_and_bounds() {
             fresh_grants(|s, o| max_allocate_into(&demands, m, s, o)),
             fresh_grants(|s, o| minmax_allocate_into(&demands, m, None, s, o)),
             fresh_grants(|s, o| minmax_allocate_into(&demands, m, Some(10), s, o)),
-            fresh_grants(|s, o| proportional_allocate_into(&demands, m, None, s, o)),
+            fresh_grants(|s, o| proportional_allocate_into(&demands, m, s, o)),
         ] {
             let total: u64 = grants.iter().map(|&(_, p)| p as u64).sum();
             assert!(total <= m as u64, "over-allocated {total} of {m}");

@@ -45,7 +45,7 @@ proptest! {
         for grants in [
             fresh_grants(|s, o| max_allocate_into(&demands, total, s, o)),
             fresh_grants(|s, o| minmax_allocate_into(&demands, total, limit, s, o)),
-            fresh_grants(|s, o| proportional_allocate_into(&demands, total, limit, s, o)),
+            fresh_grants(|s, o| proportional_allocate_into(&demands, total, s, o)),
         ] {
             let sum: u64 = grants.iter().map(|&(_, p)| p as u64).sum();
             prop_assert!(sum <= total as u64, "overcommitted {sum} > {total}");

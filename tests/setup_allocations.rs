@@ -266,16 +266,19 @@ fn a_run_holds_buffers_for_live_queries_not_for_tenants() {
     // bytes a tenant.
     for name in POLICIES {
         let extra = |secs: f64| {
-            let peak = |name: &str| {
+            let peak = |snapshot: bool| {
                 let mut cfg = SimConfig::scale(1000);
                 cfg.duration_secs = secs;
                 cfg.seed = 7;
-                let policy = bench::make_policy_for(&cfg, name);
+                let mut policy = bench::make_policy_for(&cfg, name);
+                if snapshot {
+                    policy = Box::new(SnapshotOnly::new(policy));
+                }
                 let sim = Simulator::new(cfg, policy);
                 peak_of(|| sim.run())
             };
-            let (report, inc) = peak(name);
-            let (_, snap) = peak(&format!("snapshot/{name}"));
+            let (report, inc) = peak(false);
+            let (_, snap) = peak(true);
             (report.served, inc - snap)
         };
         let (few, early) = extra(5.0);
